@@ -403,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the report to this path instead of stdout")
     common.add_argument("--threads", type=int, default=1,
                         help="worker count; results are identical for any value")
-    common.add_argument("--node-budget", type=int, default=10**8)
+    common.add_argument("--node-budget", type=int, default=10**8,
+                        help="work bound for exact searches; exhaustive arrowing "
+                        "counts search nodes plus path-kernel expansions")
     common.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in reports (non-reproducible)")
     parser = argparse.ArgumentParser(

@@ -7,7 +7,7 @@ BudgetExceededError, which is reported distinctly from "no such cycle".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, Optional, Sequence
 
 from .errors import BudgetExceededError, PreconditionViolated
 from .graphs import Graph, _bits, components
@@ -51,14 +51,16 @@ class _Budget:
             raise BudgetExceededError(nodes=self.spent)
 
 
-def _reachable(g: Graph, start_mask: int, allowed: int) -> int:
+def _reachable(adj: Sequence[int], start_mask: int, allowed: int) -> int:
     """Closure of ``start_mask`` through vertices in ``allowed`` (start included)."""
     comp = start_mask
     frontier = start_mask
     while frontier:
         grow = 0
-        for v in _bits(frontier):
-            grow |= g._adj[v]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow |= adj[low.bit_length() - 1]
         frontier = grow & allowed & ~comp
         comp |= frontier
     return comp
@@ -100,7 +102,8 @@ def _dfs_exact(g, anchor, last, visited, allowed, length, path, bud) -> bool:
     avail = allowed & ~visited
     # Must be able to return to the anchor through unused vertices, and there
     # must be enough of them left.
-    reach = _reachable(g, g._adj[last] & (avail | (1 << anchor)), avail | (1 << anchor))
+    home = avail | (1 << anchor)
+    reach = _reachable(g._adj, g._adj[last] & home, home)
     if not reach >> anchor & 1:
         return False
     if (reach & avail).bit_count() < need:
@@ -260,7 +263,7 @@ def _densest_invariant_component(sub: Graph, active: int, m: int) -> int:
     unseen = active
     while unseen:
         start = unseen & -unseen
-        comp = _reachable(sub, start, active)
+        comp = _reachable(sub._adj, start, active)
         comps.append(comp)
         unseen &= ~comp
     if len(comps) == 1:
@@ -319,7 +322,7 @@ def _denser_side(sub: Graph, active: int, cut: int, m: int) -> int:
     unseen = rest
     while unseen:
         start = unseen & -unseen
-        comp = _reachable(sub, start, rest)
+        comp = _reachable(sub._adj, start, rest)
         unseen &= ~comp
         side = comp | (1 << cut)
         e2 = sum((sub._adj[v] & side).bit_count() for v in _bits(side))

@@ -174,6 +174,17 @@ def test_search_tau_and_randomized_modes(capsys):
     assert code == 2
 
 
+def test_randomized_reports_restarts_run(capsys):
+    base = ["search", "--targets", "C3:1,C3:2", "--mode", "randomized",
+            "--steps", "400", "--restarts", "3", "--format", "json"]
+    assert run(base + ["--n", "6"]) == 2
+    stats = json.loads(capsys.readouterr().out)["verdict"]["stats"]
+    assert stats["restarts"] == 3  # no restart succeeds
+    assert run(base + ["--n", "5"]) == 0
+    stats = json.loads(capsys.readouterr().out)["verdict"]["stats"]
+    assert stats["restarts"] == 1  # the first restart succeeds
+
+
 def test_out_file_and_csv(tmp_path, capsys):
     out = tmp_path / "bound.csv"
     code = run(["bound", "--xi", "1,1,0", "--format", "csv", "--out", str(out)])

@@ -248,3 +248,87 @@ def test_exhaustive_matches_enumeration_oracle():
         assert got.arrows == _oracle_arrows(inst), inst
         if got.arrows is False:
             assert coloring_avoids_all(got.witness, inst.targets)
+
+
+def _enumerate_path_lengths(adj, u, v, avoid):
+    """Edge counts of all simple u->v paths with inner vertices outside avoid."""
+    lengths = []
+
+    def walk(cur, seen, edges):
+        for w in range(len(adj)):
+            if not adj[cur] >> w & 1:
+                continue
+            if w == v:
+                lengths.append(edges + 1)
+            elif not (seen | avoid) >> w & 1:
+                walk(w, seen | 1 << w, edges + 1)
+
+    walk(u, 1 << u, 0)
+    return lengths
+
+
+def test_path_kernel_matches_enumeration():
+    import random
+
+    from cycleramsey.cycles import _Budget
+    from cycleramsey.search import _simple_paths
+
+    rng = random.Random(77)
+    for _ in range(120):
+        n = rng.randint(3, 9)
+        p = rng.choice((0.3, 0.5, 0.8))
+        adj = [0] * n
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < p:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+        u, v = rng.sample(range(n), 2)
+        avoid = 1 << u | 1 << v
+        for w in rng.sample(range(n), rng.randint(0, n // 3)):
+            avoid |= 1 << w
+        lengths = _enumerate_path_lengths(adj, u, v, avoid)
+        for steps in range(1, n):
+            bud = _Budget(10**9)
+            exact = lengths.count(steps)
+            assert _simple_paths(adj, u, v, steps, avoid, bud, count=True) == exact
+            assert _simple_paths(adj, u, v, steps, avoid, bud) == (exact > 0)
+            assert _simple_paths(adj, u, v, steps, avoid, bud, atleast=True) == any(
+                ell >= steps for ell in lengths
+            )
+
+
+@pytest.mark.parametrize(
+    "targets, n, nodes, presence_prunes",
+    [
+        ((CycleTarget(5), CycleTarget(5)), 9, 2007, 792),
+        ((CycleTarget(6), CycleTarget(6)), 8, 4855, 1604),
+        ((CycleTarget(4), CycleTarget(4), CycleTarget(4)), 10, 8616, 5727),
+        ((CycleTarget(7), CycleTarget(5)), 12, 1991, 980),
+        ((CycleTarget(5, exact=False), CycleTarget(5, exact=False)), 7, 1089, 385),
+    ],
+)
+def test_search_tree_is_pinned(targets, n, nodes, presence_prunes):
+    # the kernel's pruning must never change a presence answer, so the
+    # search tree keeps exactly these counters
+    stats = arrow_exhaustive(ArrowInstance(n, targets)).stats
+    assert (stats.nodes, stats.presence_prunes) == (nodes, presence_prunes)
+
+
+def test_budget_bounds_path_kernel_work(monkeypatch):
+    from cycleramsey import search
+
+    kernel = search._simple_paths
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_simple_paths", counted)
+    budget = 1500
+    inst = ArrowInstance(11, (CycleTarget(8), CycleTarget(8)))
+    verdict = arrow_exhaustive(inst, budget=budget)
+    assert verdict.arrows is None and verdict.witness is None
+    assert calls[0] > 0
+    assert verdict.stats.nodes + calls[0] <= budget + 1
