@@ -10,7 +10,6 @@ from .graphs import (  # noqa: F401
     HoleSpec,
     apply_holes_and_deletions,
     bipartition,
-    color_class,
     complete_graph,
     components,
     degree_stats,
@@ -68,7 +67,6 @@ from .search import (  # noqa: F401
     arrow_exhaustive,
     arrow_randomized,
     ramsey_number_exact,
-    tau_check,
 )
 from .harness import HarnessReport, lemma_harness  # noqa: F401
 from .errors import (  # noqa: F401

@@ -153,10 +153,9 @@ class HoleParams:
 
 
 def _host_size(base: Fraction, sqrt_coeff: int, eps: Fraction, n: int) -> int:
-    lo, hi = sqrt_enclosure(eps)
-    n_lo = _ceil((base + sqrt_coeff * lo) * n)
-    n_hi = _ceil((base + sqrt_coeff * hi) * n)
-    return n_hi  # outward: never under-report a host size
+    """ceil((base + sqrt_coeff*sqrt(eps)) * n), rounded outward: never under-reported."""
+    _, hi = sqrt_enclosure(eps)
+    return _ceil((base + sqrt_coeff * hi) * n)
 
 
 def lemma_dwa_host_size(p: HoleParams, n: int) -> int:

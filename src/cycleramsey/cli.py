@@ -32,14 +32,14 @@ from .constructions import (
     build_oee_four_part,
     verify_claims,
 )
-from .cycles import has_cycle_of_length, longest_cycle, verify_cycle
+from .cycles import CycleCertificate, has_cycle_of_length, longest_cycle, verify_cycle
 from .errors import BudgetExceededError, PreconditionViolated
 from .graphs import (
     dump_coloring,
     load_coloring,
     load_graph,
 )
-from .harness import lemma_harness
+from .harness import LEMMA_IDS, lemma_harness
 from .matchings import (
     best_component_matching,
     bipartite_split,
@@ -56,7 +56,6 @@ from .search import (
     arrow_randomized,
     instance_from_dict,
     ramsey_number_exact,
-    tau_check,
 )
 
 EXIT_OK = 0
@@ -77,7 +76,6 @@ def _meta(args: argparse.Namespace) -> dict:
         "version": __version__,
         "seed": args.seed,
         "config_hash": _config_hash(args),
-        "threads": args.threads,
     }
 
 
@@ -237,10 +235,9 @@ def _cmd_cycles(args) -> int:
     except BudgetExceededError as exc:
         _emit(args, {"error": "budget-exceeded", "nodes": exc.nodes})
         return EXIT_UNKNOWN
-    if payload.get("cycle"):
-        from .cycles import CycleCertificate
-
-        assert verify_cycle(g, CycleCertificate(tuple(payload["cycle"])))
+    cycle = payload["cycle"]
+    if cycle and not verify_cycle(g, CycleCertificate(tuple(cycle))):
+        raise AssertionError("internal: reported cycle fails its certificate check")
     _emit(args, payload)
     return EXIT_OK
 
@@ -356,14 +353,7 @@ def _cmd_search(args) -> int:
         return EXIT_USAGE
     if args.mode == "randomized":
         schedule = AnnealSchedule(steps=args.steps, restarts=args.restarts)
-        verdict = arrow_randomized(
-            inst, schedule=schedule, seed=args.seed, workers=args.threads
-        )
-    elif args.mode == "tau":
-        verdict = tau_check(
-            inst, budget=args.node_budget, exact_cap=args.exact_cap,
-            symmetry=not args.no_symmetry,
-        )
+        verdict = arrow_randomized(inst, schedule=schedule, seed=args.seed)
     else:
         verdict = arrow_exhaustive(
             inst, budget=args.node_budget, exact_cap=args.exact_cap,
@@ -401,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for all randomness (fixed default, never wall clock)")
     common.add_argument("--format", choices=("human", "json", "csv"), default="human")
     common.add_argument("--out", help="write the report to this path instead of stdout")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker count; results are identical for any value")
     common.add_argument("--node-budget", type=int, default=10**8,
                         help="work bound for exact searches; exhaustive arrowing "
                         "counts search nodes plus path-kernel expansions")
@@ -462,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", help="instance file (coloring format plus targets)")
     p.add_argument("--targets", help="e.g. C3:1,C3:2 or M4:1,M6n:2")
     p.add_argument("--n", type=int)
-    p.add_argument("--mode", choices=("exhaustive", "randomized", "tau"),
-                   default="exhaustive")
+    p.add_argument("--mode", choices=("exhaustive", "randomized"), default="exhaustive")
     p.add_argument("--range", help="N range lo..hi for a Ramsey number scan")
     p.add_argument("--exact-cap", type=int, default=13)
     p.add_argument("--no-symmetry", action="store_true")
@@ -472,8 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = add_parser("lemma", help="property harness for the matching lemmas")
-    p.add_argument("--id", required=True,
-                   choices=("l2", "double", "dwa", "trzy", "f1"))
+    p.add_argument("--id", required=True, choices=LEMMA_IDS)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--strict", action="store_true",
                    help="reject parameters violating asymptotic guards")

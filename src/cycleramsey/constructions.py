@@ -28,7 +28,6 @@ from .graphs import (
 
 NO_CYCLE_GEQ = "no-cycle-length-geq"
 NO_ODD_CYCLE = "no-odd-cycle"
-NO_CYCLE = "no-cycle-at-all"
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,6 @@ class Claim:
     verified: Optional[bool] = None
     method: Optional[str] = None
     witness: Optional[CycleCertificate] = None
-
-    def describe(self) -> str:
-        if self.kind == NO_CYCLE_GEQ:
-            return f"color {self.color}: no cycle of length >= {self.bound}"
-        if self.kind == NO_ODD_CYCLE:
-            return f"color {self.color}: no odd cycle"
-        return f"color {self.color}: no cycle at all"
 
 
 @dataclass(frozen=True)
@@ -233,36 +225,6 @@ def _greedy_independent_set(g: Graph, comp_mask: int) -> int:
     return chosen
 
 
-def _find_any_cycle(g: Graph, comp_mask: int) -> Optional[CycleCertificate]:
-    """Some cycle in the component via a DFS back edge, or None if a tree."""
-    start = (comp_mask & -comp_mask).bit_length() - 1
-    parent = {start: None}
-    stack = [(start, None)]
-    while stack:
-        v, par = stack.pop()
-        for w in _bits(g._adj[v] & comp_mask):
-            if w == par:
-                continue
-            if w in parent:
-                # back edge: climb both endpoints to their meeting point
-                path_v = [v]
-                while path_v[-1] is not None:
-                    path_v.append(parent[path_v[-1]])
-                anc = path_v[:-1]
-                path_w = [w]
-                while path_w[-1] not in anc and parent[path_w[-1]] is not None:
-                    path_w.append(parent[path_w[-1]])
-                if path_w[-1] in anc:
-                    cut = anc.index(path_w[-1])
-                    cycle = anc[: cut + 1][::-1] + path_w[-2::-1]
-                    if len(cycle) >= 3:
-                        return CycleCertificate(tuple(cycle))
-                continue
-            parent[w] = v
-            stack.append((w, v))
-    return None
-
-
 def _check_no_cycle_geq(
     g: Graph, bound: int, budget: int
 ) -> tuple[Optional[bool], str, Optional[CycleCertificate]]:
@@ -307,16 +269,6 @@ def _check_claim(
             method="odd-cycle-found",
             witness=CycleCertificate(tuple(walk)),
         )
-    if claim.kind == NO_CYCLE:
-        for comp in components(g):
-            comp_mask = _mask_of(comp)
-            edges2 = sum((g._adj[v] & comp_mask).bit_count() for v in comp)
-            if edges2 // 2 >= len(comp):
-                cert = _find_any_cycle(g, comp_mask)
-                return replace(
-                    claim, verified=False, method="forest-check", witness=cert
-                )
-        return replace(claim, verified=True, method="forest-check")
     if claim.kind == NO_CYCLE_GEQ:
         ok, method, witness = _check_no_cycle_geq(g, claim.bound, budget)
         return replace(claim, verified=ok, method=method, witness=witness)

@@ -7,10 +7,10 @@ BudgetExceededError, which is reported distinctly from "no such cycle".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional
 
 from .errors import BudgetExceededError, PreconditionViolated
-from .graphs import Graph, _bits, components
+from .graphs import Graph, _bits, _component_masks, _reachable, components
 
 DEFAULT_BUDGET = 10**8
 
@@ -49,21 +49,6 @@ class _Budget:
         self.spent += k
         if self.left < 0:
             raise BudgetExceededError(nodes=self.spent)
-
-
-def _reachable(adj: Sequence[int], start_mask: int, allowed: int) -> int:
-    """Closure of ``start_mask`` through vertices in ``allowed`` (start included)."""
-    comp = start_mask
-    frontier = start_mask
-    while frontier:
-        grow = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            grow |= adj[low.bit_length() - 1]
-        frontier = grow & allowed & ~comp
-        comp |= frontier
-    return comp
 
 
 def has_cycle_of_length(
@@ -259,13 +244,7 @@ def _density_holds(edges2: int, nverts: int, m: int) -> bool:
 
 
 def _densest_invariant_component(sub: Graph, active: int, m: int) -> int:
-    comps = []
-    unseen = active
-    while unseen:
-        start = unseen & -unseen
-        comp = _reachable(sub._adj, start, active)
-        comps.append(comp)
-        unseen &= ~comp
+    comps = list(_component_masks(sub._adj, active))
     if len(comps) == 1:
         return active
     for comp in comps:
@@ -318,12 +297,7 @@ def _articulation_vertex(sub: Graph, active: int) -> Optional[int]:
 
 
 def _denser_side(sub: Graph, active: int, cut: int, m: int) -> int:
-    rest = active & ~(1 << cut)
-    unseen = rest
-    while unseen:
-        start = unseen & -unseen
-        comp = _reachable(sub._adj, start, rest)
-        unseen &= ~comp
+    for comp in _component_masks(sub._adj, active & ~(1 << cut)):
         side = comp | (1 << cut)
         e2 = sum((sub._adj[v] & side).bit_count() for v in _bits(side))
         if _density_holds(e2, side.bit_count(), m):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 512
 
@@ -237,27 +237,32 @@ class EdgeColoring:
         return EdgeColoring(self.n, self.k, colors, self.holes, self.deleted)
 
 
-def color_class(coloring: EdgeColoring, i: int) -> Graph:
-    return coloring.color_class(i)
+def _reachable(adj: Sequence[int], start_mask: int, allowed: int) -> int:
+    """Closure of ``start_mask`` through vertices in ``allowed`` (start included)."""
+    comp = start_mask
+    frontier = start_mask
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow |= adj[low.bit_length() - 1]
+        frontier = grow & allowed & ~comp
+        comp |= frontier
+    return comp
+
+
+def _component_masks(adj: Sequence[int], active: int) -> Iterator[int]:
+    """Components of the subgraph induced on ``active``, by smallest member."""
+    while active:
+        comp = _reachable(adj, active & -active, active)
+        yield comp
+        active &= ~comp
 
 
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
-    out = []
-    unseen = g.vertices_mask()
-    while unseen:
-        start = unseen & -unseen
-        comp = start
-        frontier = start
-        while frontier:
-            grow = 0
-            for v in _bits(frontier):
-                grow |= g._adj[v]
-            frontier = grow & ~comp
-            comp |= frontier
-        out.append(frozenset(_bits(comp)))
-        unseen &= ~comp
-    return out
+    return [frozenset(_bits(c)) for c in _component_masks(g._adj, g.vertices_mask())]
 
 
 def _two_color(g: Graph):
@@ -318,10 +323,6 @@ def odd_closed_walk(g: Graph) -> Optional[list[int]]:
     """A simple odd cycle witnessing non-bipartiteness, or None if bipartite."""
     _, cycle = _two_color(g)
     return cycle
-
-
-def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import __version__
-from .bounds import HoleParams, lemma_dwa_host_size, lemma_trzy_host_size, sqrt_enclosure
+from .bounds import HoleParams, _host_size, lemma_dwa_host_size, lemma_trzy_host_size
 from .errors import HypothesisViolation
 from .graphs import (
     EdgeColoring,
@@ -30,42 +30,7 @@ from .graphs import (
     components,
     graph_to_dict,
 )
-from .matchings import maximum_matching
-
-LEMMA_IDS = ("l2", "double", "dwa", "trzy", "f1")
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _outward(base: Fraction, coeff: int, eps: Fraction, n: int) -> Fraction:
-    _, hi = sqrt_enclosure(eps)
-    return (base + coeff * hi) * n
-
-
-def _has_component_saturating(
-    g: Graph, threshold: Fraction, nonbipartite: bool = False
-) -> bool:
-    for comp in sorted(components(g), key=len, reverse=True):
-        if Fraction(len(comp)) < threshold:
-            return False  # descending sizes: nothing later can reach it
-        if nonbipartite and bipartition(g.subgraph_on(comp)) is not None:
-            continue
-        if Fraction(maximum_matching(g, within=comp).saturation) >= threshold:
-            return True
-    return False
-
-
-def _best_saturation(g: Graph, nonbipartite: bool = False) -> int:
-    best = 0
-    for comp in sorted(components(g), key=len, reverse=True):
-        if len(comp) <= best:
-            break
-        if nonbipartite and bipartition(g.subgraph_on(comp)) is not None:
-            continue
-        best = max(best, maximum_matching(g, within=comp).saturation)
-    return best
+from .matchings import best_saturation, maximum_matching
 
 
 @dataclass
@@ -100,8 +65,7 @@ class HarnessReport:
         """Failures whose instances pass the structural hypothesis re-check."""
         return [f for f in self.failures if f.hypothesis_recheck.get("ok")]
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        del include_timings  # no timing fields in harness reports
+    def to_dict(self) -> dict:
         return {
             "lemma": self.lemma,
             "params": {k: str(v) for k, v in self.params.items()},
@@ -164,8 +128,10 @@ def _check_l2_params(p: dict, strict: bool, warnings: list[str]) -> None:
         raise HypothesisViolation("need 0 < eps < 0.01")
 
 
-def _run_l2(p: dict, rng: random.Random, adversarial: bool) -> tuple[bool, dict]:
-    del adversarial  # no coloring here: random deletions are the only freedom
+def _run_l2(
+    p: dict, rng: random.Random, adversarial: bool, steps: int
+) -> tuple[bool, dict]:
+    del adversarial, steps  # no coloring here: random deletions are the only freedom
     n1, n2, eps = p["n1"], p["n2"], Fraction(p["eps"])
     n = n1 + n2
     host = Graph(
@@ -207,8 +173,10 @@ def _check_double_params(p: dict, strict: bool, warnings: list[str]) -> None:
     warnings.extend(f"asymptotic guard relaxed: {gd}" for gd in guard)
 
 
-def _run_double(p: dict, rng: random.Random, adversarial: bool) -> tuple[bool, dict]:
-    del adversarial  # hole placement and deletions are the only freedom
+def _run_double(
+    p: dict, rng: random.Random, adversarial: bool, steps: int
+) -> tuple[bool, dict]:
+    del adversarial, steps  # hole placement and deletions are the only freedom
     N = p["N"]
     nu1, nu2, eps = Fraction(p["nu1"]), Fraction(p["nu2"]), Fraction(p["eps"])
     u1 = frozenset(rng.sample(range(N), int(nu1 * N)))
@@ -224,7 +192,7 @@ def _run_double(p: dict, rng: random.Random, adversarial: bool) -> tuple[bool, d
     else:
         thresh = (2 - 7 * eps) * N - 2 * len(u2)
         branch = "large-hole"
-    ok = _has_component_saturating(g, thresh)
+    ok = best_saturation(g) >= thresh
     witness = {
         "graph": graph_to_dict(g),
         "U1": sorted(u1),
@@ -257,8 +225,8 @@ def _two_color_conclusion(
     def evaluate(colors: dict) -> tuple[bool, Fraction]:
         g1 = Graph(g.n, (e for e, c in colors.items() if c == 1))
         g2 = Graph(g.n, (e for e, c in colors.items() if c == 2))
-        s1 = _best_saturation(g1)
-        s2 = _best_saturation(g2, nonbipartite=nonbip2)
+        s1 = best_saturation(g1)
+        s2 = best_saturation(g2, nonbip2)
         ok = Fraction(s1) >= thresh1 or Fraction(s2) >= thresh2
         margin = max(Fraction(s1) - thresh1, Fraction(s2) - thresh2)
         return ok, margin
@@ -312,8 +280,8 @@ def _run_f1(
 ) -> tuple[bool, dict]:
     a1, a2, eps = Fraction(p["alpha1"]), Fraction(p["alpha2"]), Fraction(p["eps"])
     n = p["n"]
-    nverts = _ceil(_outward(2 * a1 + a2, 9, eps, n))
-    t3 = _ceil(_outward(Fraction(3, 2) * a1 + Fraction(1, 2) * a2, 8, eps, n))
+    nverts = _host_size(2 * a1 + a2, 9, eps, n)
+    t3 = _host_size(Fraction(3, 2) * a1 + Fraction(1, 2) * a2, 8, eps, n)
     b = rng.randint(min(t3, nverts), nverts)
     y = rng.randint(1, b // 2)
     x = b - y
@@ -333,16 +301,7 @@ def _run_f1(
         else:
             colors[(u, v)] = rng.randint(1, 2)
             third_mutable.append((u, v))
-    thresh1 = (a1 + eps) * n
-    thresh2 = (a2 + eps) * n
-
-    def evaluate(cs: dict) -> tuple[bool, Fraction]:
-        g1 = Graph(g.n, (e for e, c in cs.items() if c == 1))
-        g2 = Graph(g.n, (e for e, c in cs.items() if c == 2))
-        s1, s2 = _best_saturation(g1), _best_saturation(g2)
-        ok = Fraction(s1) >= thresh1 or Fraction(s2) >= thresh2
-        return ok, max(Fraction(s1) - thresh1, Fraction(s2) - thresh2)
-
+    evaluate = _two_color_conclusion(g, (a1 + eps) * n, (a2 + eps) * n, False)
     if adversarial:
         colors = _adversarial_two_coloring(
             rng, g, colors, lambda cs: evaluate(cs)[1], steps, mutable=third_mutable
@@ -365,6 +324,23 @@ def _run_f1(
 # Entry point.
 # ---------------------------------------------------------------------------
 
+# lemma id -> (parameter check, sample driver(params, rng, adversarial, steps))
+LEMMAS = {
+    "l2": (_check_l2_params, _run_l2),
+    "double": (_check_double_params, _run_double),
+    "dwa": (
+        _check_hole_params,
+        lambda p, rng, adv, steps: _run_hole_lemma(p, rng, adv, False, steps),
+    ),
+    "trzy": (
+        _check_hole_params,
+        lambda p, rng, adv, steps: _run_hole_lemma(p, rng, adv, True, steps),
+    ),
+    "f1": (_check_f1_params, _run_f1),
+}
+LEMMA_IDS = tuple(LEMMAS)
+ADVERSARIAL_FRACTION = 0.15  # share of samples whose coloring the adversary tunes
+
 
 def lemma_harness(
     lemma: str,
@@ -372,41 +348,25 @@ def lemma_harness(
     samples: int,
     seed: int,
     strict: bool = False,
-    adversarial_fraction: float = 0.15,
     adversary_steps: int = 20,
 ) -> HarnessReport:
     """Sample instances meeting the lemma's hypotheses and test its conclusion."""
-    if lemma not in LEMMA_IDS:
+    if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}; choose from {LEMMA_IDS}")
     if samples < 1:
         raise ValueError("need at least one sample")
+    check, run_sample = LEMMAS[lemma]
     warnings: list[str] = []
-    if lemma == "l2":
-        _check_l2_params(params, strict, warnings)
-    elif lemma == "double":
-        _check_double_params(params, strict, warnings)
-    elif lemma in ("dwa", "trzy"):
-        _check_hole_params(params, strict, warnings)
-    else:
-        _check_f1_params(params, strict, warnings)
+    check(params, strict, warnings)
 
-    n_adv = round(samples * adversarial_fraction)
+    n_adv = round(samples * ADVERSARIAL_FRACTION)
     failures: list[FailureRecord] = []
     passes = 0
     for i in range(samples):
         rng = random.Random(seed * 1_000_003 + i)
         adversarial = i < n_adv
         mode = "adversarial" if adversarial else "uniform"
-        if lemma == "l2":
-            ok, info = _run_l2(params, rng, adversarial)
-        elif lemma == "double":
-            ok, info = _run_double(params, rng, adversarial)
-        elif lemma == "dwa":
-            ok, info = _run_hole_lemma(params, rng, adversarial, False, adversary_steps)
-        elif lemma == "trzy":
-            ok, info = _run_hole_lemma(params, rng, adversarial, True, adversary_steps)
-        else:
-            ok, info = _run_f1(params, rng, adversarial, adversary_steps)
+        ok, info = run_sample(params, rng, adversarial, adversary_steps)
         if ok:
             passes += 1
         else:

@@ -151,9 +151,14 @@ def maximum_matching(g: Graph, within: Optional[Iterable[int]] = None) -> Matchi
 def best_component_matching(
     g: Graph, require_nonbipartite: bool = False
 ) -> tuple[frozenset[int], MatchingCertificate]:
-    """The component whose internal maximum matching saturates the most vertices."""
+    """The component whose internal maximum matching saturates the most vertices.
+
+    Ties go to the component with the smallest member.
+    """
     best = None
     for comp in components(g):
+        if best is not None and len(comp) <= best[1].saturation:
+            continue  # saturation <= |comp|: this one cannot beat the best
         if require_nonbipartite and bipartition(g.subgraph_on(comp)) is not None:
             continue
         match = maximum_matching(g, within=comp)
@@ -162,6 +167,14 @@ def best_component_matching(
     if best is None:
         raise NoQualifyingComponent("no non-bipartite component exists")
     return best
+
+
+def best_saturation(g: Graph, require_nonbipartite: bool = False) -> int:
+    """Saturation of ``best_component_matching``, or 0 if no component qualifies."""
+    try:
+        return best_component_matching(g, require_nonbipartite)[1].saturation
+    except NoQualifyingComponent:
+        return 0
 
 
 # ---------------------------------------------------------------------------

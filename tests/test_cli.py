@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cycleramsey
 from cycleramsey.cli import run
 from cycleramsey.graphs import dump_graph, load_coloring
 from cycleramsey.graphs import Graph
@@ -99,6 +104,27 @@ def test_cycles_and_matching_commands(c6_file, capsys):
     assert data["saturation"] == 6
 
 
+def test_cycles_certificate_check_survives_optimize(c6_file):
+    # `python -O` strips assert statements; the CLI's check of the cycle it
+    # reports must still refuse a non-cycle and never exit 0.
+    script = (
+        "import sys\n"
+        "from cycleramsey import cli\n"
+        "from cycleramsey.cycles import CycleCertificate\n"
+        "cli.has_cycle_of_length = lambda g, length, budget: CycleCertificate((0, 2, 4))\n"
+        "sys.exit(cli.run(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cycleramsey.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "cycles", "--graph", c6_file,
+         "--length", "3", "--format", "json"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode != 0
+    assert "internal: reported cycle fails its certificate check" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_decompose_commands(tmp_path, capsys):
     star = tmp_path / "star.json"
     star.write_text(dump_graph(Graph(6, [(0, i) for i in range(1, 6)])))
@@ -130,21 +156,15 @@ def test_lemma_command(capsys):
 
 
 def test_cli_reports_are_deterministic(capsys):
-    def grab(extra):
+    def grab():
         code = run([
             "search", "--targets", "C3:1,C3:2", "--n", "5", "--mode",
-            "randomized", "--format", "json", "--seed", "99", *extra,
+            "randomized", "--format", "json", "--seed", "99",
         ])
         assert code == 0
         return capsys.readouterr().out
 
-    first = grab(["--threads", "1"])
-    second = grab(["--threads", "8"])
-    pruned = [json.loads(first), json.loads(second)]
-    for payload in pruned:
-        payload["meta"].pop("config_hash")  # differs: threads is in the config
-        payload["meta"].pop("threads")
-    assert pruned[0] == pruned[1]
+    assert grab() == grab()
 
 
 def test_usage_errors(capsys):
@@ -154,13 +174,14 @@ def test_usage_errors(capsys):
     assert run(["nonsense"]) == 1
 
 
-def test_search_tau_and_randomized_modes(capsys):
-    code = run(["search", "--targets", "M4:1,M4:2", "--n", "4", "--mode", "tau",
-                "--format", "json"])
+def test_search_matching_and_randomized_modes(capsys):
+    # matching targets run through the exhaustive search like cycle targets
+    code = run(["search", "--targets", "M4:1,M4:2", "--n", "4", "--format", "json"])
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"]["arrows"] is False
-    assert data["verdict"]["header"]["mode"] == "tau"
+    assert data["verdict"]["header"]["mode"] == "exhaustive"
+    assert run(["search", "--targets", "M4:1,M4:2", "--n", "4", "--mode", "tau"]) == 1
 
     code = run(["search", "--targets", "C3:1,C3:2", "--n", "5", "--mode",
                 "randomized", "--format", "json"])

@@ -10,6 +10,7 @@ from cycleramsey.matchings import (
     ClosedWalk,
     MatchingCertificate,
     best_component_matching,
+    best_saturation,
     bipartite_split,
     closed_walk_through_matching,
     matching_along_cycle,
@@ -63,6 +64,52 @@ def test_best_component_matching_examples():
     assert comp == frozenset({3, 4, 5, 6}) and len(m.edges) == 2
     with pytest.raises(NoQualifyingComponent):
         best_component_matching(cycle_graph(4), require_nonbipartite=True)
+
+
+def _best_component_reference(g, require_nonbipartite):
+    """Every qualifying component matched, none skipped; first maximum wins."""
+    best = None
+    for comp in components(g):
+        if require_nonbipartite and bipartition(g.subgraph_on(comp)) is not None:
+            continue
+        match = maximum_matching(g, within=comp)
+        if best is None or match.saturation > best[1].saturation:
+            best = (comp, match)
+    return best
+
+
+def test_best_component_skip_matches_unskipped_reference():
+    # sparse graphs: many small components, so the size skip fires often
+    rng = random.Random(20240)
+    for _ in range(200):
+        n = rng.randint(1, 16)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.5))
+        for nonbip in (False, True):
+            ref = _best_component_reference(g, nonbip)
+            if ref is None:
+                with pytest.raises(NoQualifyingComponent):
+                    best_component_matching(g, nonbip)
+                assert best_saturation(g, nonbip) == 0
+                continue
+            assert best_component_matching(g, nonbip) == ref
+            assert best_saturation(g, nonbip) == ref[1].saturation
+            assert ref[1].saturation == 2 * oracle_matching_size(g.subgraph_on(ref[0]))
+
+
+def test_best_component_ties_and_bipartite_skip():
+    # two triangles tie at saturation 2: the first one is returned
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for nonbip in (False, True):
+        comp, m = best_component_matching(two_triangles, nonbip)
+        assert comp == frozenset({0, 1, 2}) and m.saturation == 2
+    # a larger bipartite component (C6, saturation 6) ahead of a smaller odd
+    # one: in non-bipartite mode only the triangle qualifies
+    c6_then_triangle = Graph(9, [(i, (i + 1) % 6) for i in range(6)]
+                             + [(6, 7), (7, 8), (6, 8)])
+    comp, m = best_component_matching(c6_then_triangle, require_nonbipartite=True)
+    assert comp == frozenset({6, 7, 8}) and m.saturation == 2
+    assert best_saturation(c6_then_triangle, require_nonbipartite=True) == 2
+    assert best_saturation(c6_then_triangle) == 6
 
 
 def test_tutte_partition_examples():
