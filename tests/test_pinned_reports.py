@@ -3,18 +3,22 @@
 Each case builds a canonical report (``json.dumps(x.to_dict(),
 sort_keys=True)``, or the plain data a sample driver returns) and compares its sha256 with a recorded value, so any
 refactor that changes a construction, harness or search report byte-wise
-fails here. The digests were recorded before the duplicate matching,
-reachability and host-size code was merged, and must not be edited to
-make a refactor pass.
+fails here. The report digests were recorded before the duplicate
+matching, reachability and host-size code was merged; the longest-cycle and
+barrier-partition digests and the budget pins were recorded before the
+single-pass Gallai-Edmonds set and the per-mask longest-cycle table. None
+may be edited to make a refactor pass.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from cycleramsey.cycles import longest_cycle
 from cycleramsey.constructions import (
     build_eeo_four_part,
     build_eeo_three_part,
@@ -22,7 +26,10 @@ from cycleramsey.constructions import (
     build_oee_four_part,
     verify_claims,
 )
+from cycleramsey.errors import BudgetExceededError
+from cycleramsey.graphs import Graph, complete_graph
 from cycleramsey.harness import _run_f1, _run_hole_lemma, lemma_harness
+from cycleramsey.matchings import maximum_matching, tutte_partition
 from cycleramsey.search import (
     AnnealSchedule,
     ArrowInstance,
@@ -41,6 +48,47 @@ M6_M4_C3 = ArrowInstance(7, (MatchingTarget(6), MatchingTarget(4), CycleTarget(3
 SHORT = AnnealSchedule(steps=300, restarts=2)
 HOLE = {"alpha": 1, "beta": 1, "nu": Fraction(1, 2), "eps": EPS, "n": 8}
 F1 = {"alpha1": 1, "alpha2": 1, "eps": EPS, "n": 8}
+
+
+def _random_graph(rng, n, p):
+    return Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                     if rng.random() < p])
+
+
+def _petersen():
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def _longest_cycles(parity):
+    # 36 seeded graphs with 4 <= n <= 16, then the Petersen graph
+    rng = random.Random(4001)
+    graphs = [_random_graph(rng, rng.randint(4, 16), rng.uniform(0.1, 0.6))
+              for _ in range(36)]
+    out = []
+    for g in graphs + [_petersen()]:
+        found = longest_cycle(g, parity)
+        out.append(None if found is None else [found[0], list(found[1].vertices)])
+    return out
+
+
+def _tutte_partitions():
+    # 32 sparse seeded graphs with n <= 60 (mean degree 0.5-3), then one
+    # graph with 300 vertices and 180 edges; targets 2*nu + 1 .. 2*nu + 4
+    rng = random.Random(4002)
+    graphs = []
+    for _ in range(32):
+        n = rng.randint(2, 60)
+        graphs.append(_random_graph(rng, n, rng.uniform(0.5, 3.0) / n))
+    pairs = list(itertools.combinations(range(300), 2))
+    graphs.append(Graph(300, random.Random(4003).sample(pairs, 180)))
+    out = []
+    for g in graphs:
+        nu = len(maximum_matching(g).edges)
+        part = tutte_partition(g, 2 * nu + 1 + rng.randint(0, 3))
+        out.append([sorted(part.S), sorted(part.T), sorted(part.U), part.n_target])
+    return out
 
 
 CASES = {
@@ -93,6 +141,10 @@ CASES = {
     "exhaustive M6,M4,C3@7": lambda: arrow_exhaustive(M6_M4_C3),
     "randomized M4,M4n@6": lambda: arrow_randomized(M4_M4N, schedule=SHORT, seed=5),
     "randomized M6,M4,C3@7": lambda: arrow_randomized(M6_M4_C3, schedule=SHORT, seed=5),
+    "longest_cycle any": lambda: _longest_cycles("any"),
+    "longest_cycle odd": lambda: _longest_cycles("odd"),
+    "longest_cycle even": lambda: _longest_cycles("even"),
+    "tutte_partition": _tutte_partitions,
 }
 
 DIGESTS = {
@@ -109,6 +161,9 @@ DIGESTS = {
     "harness f1": "177f7dae35a1b66032ec254cca38f6f828a9928e9d9edfdf532c87388d9df5c1",
     "harness l2": "584f4d7fb95963d1197e705e67fef35e8d926522b211dfa845751490bbc14092",
     "harness trzy": "791474bbac5be0d067bef4be5529330851f616ac7d9050e944eb0e6e17cd1710",
+    "longest_cycle any": "3bbcabe8801601f62434a211c996546e27d41ff8a8d8bef5c24e7ae46505fe39",
+    "longest_cycle even": "fa1b02752bd4eb89cb61ab59cb1c2a877946cf8c3902a384c27eb8514bb00dcd",
+    "longest_cycle odd": "1d5beeadd660711a12664d1bb71622ea3c8121366788de3f42d881dbfcea31bc",
     "odd_triple 3": "d366897753e5d37138f5db797254b689598cd2a140d78632425599127f87eb90",
     "odd_triple 5": "f6b1ee8fefe8f8900c66746503ec33c6b8ed6d6b9b9adc42603b684c0700e040",
     "oee_four_part 4,3": "781b727f20c5efcda35b6eccdefb697095c5b768d3ec4a38d671727324533063",
@@ -119,6 +174,7 @@ DIGESTS = {
     "sample f1 adversarial": "6f4e9741bb83d2cc9301d9ad62ad1757f66e5ac5032108ad2f70b82223d38af5",
     "sample f1 uniform": "a144ed95d3f3508712d2d3033e53dd8d48a573cb91c46858d5fd209b3d295706",
     "sample trzy adversarial": "a27b077554b511ca656b5ee81360fb9394939bdf53e0eb515f4bd7b30d5f23c8",
+    "tutte_partition": "a090198df18686b2c63afd954843c4d3f862fd3369cceb8766306ffef77d79c6",
 }
 
 
@@ -128,3 +184,19 @@ def test_report_digest_is_pinned(name):
     data = out.to_dict() if hasattr(out, "to_dict") else out
     text = json.dumps(data, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 7, 100, 5000])
+def test_longest_cycle_budget_exhaustion_is_pinned(budget):
+    # running out reports one unit past the budget, whatever the budget
+    with pytest.raises(BudgetExceededError) as err:
+        longest_cycle(complete_graph(12), budget=budget)
+    assert err.value.nodes == budget + 1
+
+
+def test_longest_cycle_total_charge_is_pinned():
+    # the Petersen graph's table costs exactly 238 (subset, endpoint) entries
+    assert longest_cycle(_petersen(), budget=238)[0] == 9
+    with pytest.raises(BudgetExceededError) as err:
+        longest_cycle(_petersen(), budget=237)
+    assert err.value.nodes == 238
