@@ -74,5 +74,6 @@ from .errors import (  # noqa: F401
     HypothesisViolation,
     NoQualifyingComponent,
     PreconditionViolated,
+    TableCapExceeded,
     UndefinedTarget,
 )

@@ -2,8 +2,9 @@
 
 Batch-only and fully seeded: every run embeds its seed, package version and
 a config hash in the report so experiments can be replayed byte-for-byte.
-Exit codes: 0 decided/success, 2 unknown or budget exceeded, 1 usage or
-validation error.
+Exit codes: 0 decided/success, 2 unknown, budget exceeded or table cap
+exceeded, 1 usage or validation error, 3 internal error (a result failed
+its own certificate check).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .constructions import (
     verify_claims,
 )
 from .cycles import CycleCertificate, has_cycle_of_length, longest_cycle, verify_cycle
-from .errors import BudgetExceededError, PreconditionViolated
+from .errors import BudgetExceededError, PreconditionViolated, TableCapExceeded
 from .graphs import (
     dump_coloring,
     load_coloring,
@@ -61,6 +62,7 @@ from .search import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNKNOWN = 2
+EXIT_INTERNAL = 3
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -232,6 +234,9 @@ def _cmd_cycles(args) -> int:
                 "length": found[0] if found else None,
                 "cycle": list(found[1].vertices) if found else None,
             }
+    except TableCapExceeded as exc:
+        _emit(args, {"error": "table-cap", "vertices": exc.size, "cap": exc.cap})
+        return EXIT_UNKNOWN
     except BudgetExceededError as exc:
         _emit(args, {"error": "budget-exceeded", "nodes": exc.nodes})
         return EXIT_UNKNOWN
@@ -491,9 +496,16 @@ def run(argv: list[str]) -> int:
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except TableCapExceeded as exc:
+        print(f"unknown: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
     except BudgetExceededError as exc:
         print(f"budget exceeded after {exc.nodes} nodes", file=sys.stderr)
         return EXIT_UNKNOWN
+    except AssertionError as exc:
+        detail = str(exc).removeprefix("internal: ")
+        print(f"internal error: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -2,6 +2,8 @@
 
 Exact searches carry a node-expansion budget; running out raises
 BudgetExceededError, which is reported distinctly from "no such cycle".
+A longest-cycle query on a component too large for its table raises the
+subclass TableCapExceeded.
 """
 
 from __future__ import annotations
@@ -9,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .errors import BudgetExceededError, PreconditionViolated
+from .errors import BudgetExceededError, PreconditionViolated, TableCapExceeded
 from .graphs import Graph, _bits, _component_masks, _reachable, components
 
 DEFAULT_BUDGET = 10**8
+TABLE_CAP = 22  # longest_cycle's largest component slice (2^22 table entries)
 
 Parity = Literal["any", "odd", "even"]
 
@@ -48,7 +51,8 @@ class _Budget:
         self.left -= k
         self.spent += k
         if self.left < 0:
-            raise BudgetExceededError(nodes=self.spent)
+            # one unit past the budget, however large the last charge
+            raise BudgetExceededError(nodes=self.spent + self.left + 1)
 
 
 def has_cycle_of_length(
@@ -108,7 +112,10 @@ def longest_cycle(
 
     Per component and per anchored minimum vertex, runs a set-reachability
     table ends[S] = endpoints of simple paths from the anchor spanning
-    exactly S. Deterministic for a fixed graph.
+    exactly S (Bellman/Held-Karp), filled by pushing the union of the
+    endpoints' neighbourhoods outside S. The budget is charged one unit per
+    (S, endpoint) table entry. A component slice of more than TABLE_CAP
+    vertices raises TableCapExceeded. Deterministic for a fixed graph.
     """
     bud = _Budget(budget)
     best_len = 0
@@ -132,15 +139,13 @@ def longest_cycle(
                     j = idx.get(w)
                     if j is not None:
                         ladj[i] |= 1 << j
-            if ladj[0].bit_count() < 2:
+            home = ladj[0] & ~1  # endpoints that close a cycle at the anchor
+            if home.bit_count() < 2:
                 continue
-            if m > 22:
+            if m > TABLE_CAP:
                 # the reachability table itself would dwarf the budget
-                raise BudgetExceededError(
-                    f"component slice of {m} vertices exceeds the exact-search "
-                    "table cap",
-                    nodes=bud.spent,
-                )
+                raise TableCapExceeded(m, TABLE_CAP, nodes=bud.spent)
+            nbr = {1 << i: a for i, a in enumerate(ladj)}  # ends[S] holds endpoint bits
             size = 1 << m
             ends = [0] * size
             ends[1] = 1
@@ -149,22 +154,26 @@ def longest_cycle(
                 ep = ends[mask]
                 if not ep:
                     continue
-                cnt = mask.bit_count()
-                closes = (cnt & 1 and want_odd) or (not cnt & 1 and want_even)
-                for v in _bits(ep):
-                    bud.spend()
-                    nbr = ladj[v]
+                bud.spend(ep.bit_count())
+                close = ep & home
+                if close:
+                    cnt = mask.bit_count()
                     if (
-                        closes
-                        and v
-                        and (nbr & 1)
+                        ((cnt & 1 and want_odd) or (not cnt & 1 and want_even))
                         and cnt >= 3
                         and (found_here is None or cnt > found_here[0])
                     ):
-                        found_here = (cnt, mask, v)
-                    ext = nbr & ~mask
-                    for w in _bits(ext):
-                        ends[mask | (1 << w)] |= 1 << w
+                        found_here = (cnt, mask, (close & -close).bit_length() - 1)
+                reach = 0
+                while ep:
+                    low = ep & -ep
+                    reach |= nbr[low]
+                    ep ^= low
+                reach &= ~mask
+                while reach:
+                    low = reach & -reach
+                    ends[mask | low] |= low
+                    reach ^= low
             if found_here is not None and found_here[0] > best_len:
                 cnt, mask, v = found_here
                 best_len = cnt
@@ -384,7 +393,7 @@ def _closure_cycle(core: Graph, active: int, m: int, budget: int) -> list[int]:
                 break
             queue.extend(_rotations(core, p))
     # Rotation closure exhausted short of m (adversarial near-extremal cores).
-    if total <= 22:
+    if total <= TABLE_CAP:
         found = longest_cycle(core, "any", budget=budget)
         if found is None or found[0] < m:
             raise AssertionError("internal: dense core lacks the guaranteed cycle")

@@ -48,16 +48,16 @@ class MatchingCertificate:
         return True
 
 
-def _blossom_mates(n: int, adj: list[list[int]]) -> list[int]:
-    # Edmonds' blossom algorithm, maximum cardinality version.
-    match = [-1] * n
-    for v in range(n):  # greedy warm start
-        if match[v] == -1:
-            for w in adj[v]:
-                if match[w] == -1:
-                    match[v] = w
-                    match[w] = v
-                    break
+def _alternating_search(n: int, adj: list[list[int]], verts, match: list[int]):
+    """Edmonds' alternating-tree search with blossom contraction.
+
+    Works only on ``verts`` (ascending): ``adj`` must not leave them. Returns
+    ``(find_path, used)``. ``find_path(root)`` grows the tree of the exposed
+    vertex ``root``; if it meets another exposed vertex it augments ``match``
+    in place and returns True. Otherwise ``used`` then marks the even (outer)
+    vertices of root's tree, those reachable from ``root`` by an alternating
+    path of even length.
+    """
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
@@ -72,23 +72,23 @@ def _blossom_mates(n: int, adj: list[list[int]]) -> list[int]:
             v = p[match[v]]
 
     def lca(a: int, b: int) -> int:
-        used2 = [False] * n
+        seen = set()
         v = a
         while True:
             v = base[v]
-            used2[v] = True
+            seen.add(v)
             if match[v] == -1:
                 break
             v = p[match[v]]
         v = b
         while True:
             v = base[v]
-            if used2[v]:
+            if v in seen:
                 return v
             v = p[match[v]]
 
     def find_path(root: int) -> bool:
-        for i in range(n):
+        for i in verts:
             used[i] = False
             p[i] = -1
             base[i] = i
@@ -101,11 +101,11 @@ def _blossom_mates(n: int, adj: list[list[int]]) -> list[int]:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     curbase = lca(v, to)
-                    for i in range(n):
+                    for i in verts:
                         blossom[i] = False
                     mark_path(v, curbase, to)
                     mark_path(to, curbase, v)
-                    for i in range(n):
+                    for i in verts:
                         if blossom[base[i]]:
                             base[i] = curbase
                             if not used[i]:
@@ -126,25 +126,41 @@ def _blossom_mates(n: int, adj: list[list[int]]) -> list[int]:
                     q.append(match[to])
         return False
 
-    for v in range(n):
-        if match[v] == -1:
-            find_path(v)
-    return match
+    return find_path, used
 
 
-def _adj_lists(g: Graph, within: Optional[int] = None) -> list[list[int]]:
-    mask = g.vertices_mask() if within is None else within
-    return [
-        list(_bits(g._adj[v] & mask)) if (mask >> v & 1) else []
-        for v in range(g.n)
-    ]
+def _adj_lists(g: Graph, verts, mask: int) -> list[list[int]]:
+    adj: list[list[int]] = [[]] * g.n  # vertices outside ``verts`` stay bare
+    for v in verts:
+        adj[v] = list(_bits(g._adj[v] & mask))
+    return adj
 
 
 def maximum_matching(g: Graph, within: Optional[Iterable[int]] = None) -> MatchingCertificate:
-    """Maximum-cardinality matching (general graphs, blossom contraction)."""
-    mask = None if within is None else _mask_of(within)
-    mate = _blossom_mates(g.n, _adj_lists(g, mask))
-    edges = [(v, mate[v]) for v in range(g.n) if mate[v] > v]
+    """Maximum-cardinality matching (general graphs, blossom contraction).
+
+    With ``within``, the matching of the subgraph induced on those vertices;
+    the work is proportional to that subgraph, not to ``g``.
+    """
+    if within is None:
+        mask, verts = g.vertices_mask(), range(g.n)
+    else:
+        mask = _mask_of(within)
+        verts = list(_bits(mask))
+    adj = _adj_lists(g, verts, mask)
+    match = [-1] * g.n
+    for v in verts:  # greedy warm start
+        if match[v] == -1:
+            for w in adj[v]:
+                if match[w] == -1:
+                    match[v] = w
+                    match[w] = v
+                    break
+    find_path, _ = _alternating_search(g.n, adj, verts, match)
+    for v in verts:
+        if match[v] == -1:
+            find_path(v)
+    edges = [(v, match[v]) for v in verts if match[v] > v]
     return MatchingCertificate(tuple(edges))
 
 
@@ -208,23 +224,47 @@ class TuttePartition:
         return slack < 0 or slack * slack < n  # |U| + 2|S| < n_target + sqrt(n)
 
 
-def tutte_partition(g: Graph, n_target: int) -> TuttePartition:
-    """Barrier-based partition built from the Gallai-Edmonds style set.
+def _gallai_edmonds_d(g: Graph, matching: MatchingCertificate) -> int:
+    """Mask of the vertices reachable from a ``matching``-exposed vertex by an
+    even alternating path.
 
-    S is the neighbor set of the vertices missed by some maximum matching;
-    components of g - S are split by the sqrt(|V|) size threshold into T
-    (small) and U (large).
+    When ``matching`` is maximum this is the Gallai-Edmonds set D, the
+    vertices some maximum matching misses (Lovasz-Plummer, Matching Theory,
+    1986). One alternating-tree search per exposed vertex; none may augment.
     """
-    nu = len(maximum_matching(g).edges)
+    match = [-1] * g.n
+    for u, v in matching.edges:
+        match[u], match[v] = v, u
+    verts = range(g.n)
+    find_path, even = _alternating_search(
+        g.n, _adj_lists(g, verts, g.vertices_mask()), verts, match
+    )
+    d_mask = 0
+    for root in verts:
+        if match[root] != -1:
+            continue
+        if find_path(root):
+            raise AssertionError("internal: a maximum matching has an augmenting path")
+        d_mask |= _mask_of(v for v in verts if even[v])
+    return d_mask
+
+
+def tutte_partition(g: Graph, n_target: int) -> TuttePartition:
+    """Barrier-based partition built from the Gallai-Edmonds set D.
+
+    D, the set of vertices missed by some maximum matching, comes from one
+    blossom run and one alternating-tree search per exposed vertex (see
+    ``_gallai_edmonds_d``). S is the neighbor set of D outside D; components
+    of g - S are split by the sqrt(|V|) size threshold into T (small) and U
+    (large).
+    """
+    matching = maximum_matching(g)
+    nu = len(matching.edges)
     if 2 * nu >= n_target:
         raise PreconditionViolated(
             f"graph has a matching saturating {2 * nu} >= n_target={n_target}"
         )
-    # D = vertices missed by some maximum matching: deleting them keeps nu.
-    d_mask = 0
-    for v in range(g.n):
-        if len(maximum_matching(g.without_vertex(v)).edges) == nu:
-            d_mask |= 1 << v
+    d_mask = _gallai_edmonds_d(g, matching)
     s_mask = 0
     for v in _bits(d_mask):
         s_mask |= g._adj[v]

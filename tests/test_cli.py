@@ -9,7 +9,7 @@ import pytest
 import cycleramsey
 from cycleramsey.cli import run
 from cycleramsey.graphs import dump_graph, load_coloring
-from cycleramsey.graphs import Graph
+from cycleramsey.graphs import Graph, complete_graph
 
 
 @pytest.fixture
@@ -120,9 +120,25 @@ def test_cycles_certificate_check_survives_optimize(c6_file):
          "--length", "3", "--format", "json"],
         capture_output=True, text=True, env=env,
     )
-    assert proc.returncode != 0
-    assert "internal: reported cycle fails its certificate check" in proc.stderr
+    assert proc.returncode == 3  # EXIT_INTERNAL, not the usage-error code 1
+    assert "internal error: reported cycle fails its certificate check" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_table_cap_is_reported_as_such(tmp_path, capsys):
+    k23 = tmp_path / "k23.json"
+    k23.write_text(dump_graph(complete_graph(23)))
+    assert run(["cycles", "--graph", str(k23), "--format", "json"]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert (data["error"], data["vertices"], data["cap"]) == ("table-cap", 23, 22)
+    # annealing at-least targets on a 24-vertex host hit the cap in the energy
+    code = run(["search", "--targets", "C5+:1,C5+:2", "--n", "24", "--mode",
+                "randomized", "--steps", "20", "--restarts", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "budget exceeded" not in err
+    assert "24 vertices exceeds the exact-search table cap of 22" in err
 
 
 def test_decompose_commands(tmp_path, capsys):

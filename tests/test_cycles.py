@@ -9,7 +9,11 @@ from cycleramsey.cycles import (
     longest_cycle,
     verify_cycle,
 )
-from cycleramsey.errors import BudgetExceededError, PreconditionViolated
+from cycleramsey.errors import (
+    BudgetExceededError,
+    PreconditionViolated,
+    TableCapExceeded,
+)
 from cycleramsey.graphs import Graph, complete_graph
 
 from conftest import oracle_longest_cycle, random_graph
@@ -51,6 +55,24 @@ def test_budget_exceeded_is_distinct():
         longest_cycle(complete_graph(12), "any", budget=50)
     with pytest.raises(BudgetExceededError):
         has_cycle_of_length(complete_graph(12), 12, budget=10)
+
+
+def test_table_cap_refusal_is_distinct():
+    # a 23-vertex component slice is too large for the table: a refusal
+    # before any work, still a BudgetExceededError for existing handlers
+    with pytest.raises(TableCapExceeded) as err:
+        longest_cycle(complete_graph(23), "any")
+    assert isinstance(err.value, BudgetExceededError)
+    assert (err.value.size, err.value.cap, err.value.nodes) == (23, 22, 0)
+    assert "23 vertices" in str(err.value) and "table cap of 22" in str(err.value)
+    # an exhausted budget is not a table-cap refusal
+    with pytest.raises(BudgetExceededError) as err:
+        longest_cycle(complete_graph(12), "any", budget=50)
+    assert not isinstance(err.value, TableCapExceeded)
+    # at the cap the table is built (a K22 slice would need far more memory
+    # than a test should take, so a 22-vertex cycle stands in for it)
+    c22 = Graph(22, [(i, (i + 1) % 22) for i in range(22)])
+    assert longest_cycle(c22, "even")[0] == 22
 
 
 def test_verify_cycle_rejects_bad_certificates():

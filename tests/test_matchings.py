@@ -9,6 +9,7 @@ from cycleramsey.graphs import Graph, bipartition, complete_graph, components
 from cycleramsey.matchings import (
     ClosedWalk,
     MatchingCertificate,
+    _gallai_edmonds_d,
     best_component_matching,
     best_saturation,
     bipartite_split,
@@ -110,6 +111,77 @@ def test_best_component_ties_and_bipartite_skip():
     assert comp == frozenset({6, 7, 8}) and m.saturation == 2
     assert best_saturation(c6_then_triangle, require_nonbipartite=True) == 2
     assert best_saturation(c6_then_triangle) == 6
+
+
+def test_within_matches_induced_subgraph():
+    # ``within`` only restricts the work: same edges as on the induced subgraph
+    rng = random.Random(57)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        g = random_graph(rng, n, rng.uniform(0.02, 0.5))
+        within = [v for v in range(n) if rng.random() < 0.6]
+        assert maximum_matching(g, within=within) == maximum_matching(
+            g.subgraph_on(within)
+        )
+        for comp in components(g):
+            assert maximum_matching(g, within=comp) == maximum_matching(
+                g.subgraph_on(comp)
+            )
+
+
+def _d_by_definition(g):
+    """Vertices whose deletion keeps the matching number (missed by some maximum one)."""
+    nu = len(maximum_matching(g).edges)
+    return {
+        v for v in range(g.n) if len(maximum_matching(g.without_vertex(v)).edges) == nu
+    }
+
+
+def _one_pass_d(g):
+    d_mask = _gallai_edmonds_d(g, maximum_matching(g))
+    return {v for v in range(g.n) if d_mask >> v & 1}
+
+
+def test_gallai_edmonds_d_matches_definition():
+    rng = random.Random(4242)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 24), rng.uniform(0.05, 0.6))
+        assert _one_pass_d(g) == _d_by_definition(g)
+
+    def path(vs):
+        return list(zip(vs, vs[1:]))
+
+    # blossom inside a blossom: triangle 0-1-2 in a 5-cycle 0..4 whose
+    # stem 5-6 leads to an exposed end
+    nested = Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6)])
+    # C5 and C7 with pendant paths of length 1, 2 and 3
+    pendants = Graph(16, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
+                     + [(0, 12)] + path([5, 13, 14]) + [(8, 15)])
+    odd_pendant = Graph(9, [(i, (i + 1) % 5) for i in range(5)] + path([0, 5, 6, 7, 8]))
+    triangles = Graph(11, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                           (6, 7), (7, 8), (8, 6)])
+    star = Graph(7, [(0, i) for i in range(1, 7)])
+    double_star = Graph(9, [(0, i) for i in range(2, 5)] + [(1, i) for i in range(5, 9)]
+                        + [(0, 1)])
+    for g in (nested, pendants, odd_pendant, triangles, star, double_star,
+              cycle_graph(9), complete_graph(7), Graph(5)):
+        assert _one_pass_d(g) == _d_by_definition(g)
+    assert _one_pass_d(star) == set(range(1, 7))
+    assert _one_pass_d(triangles) == set(range(11))
+    assert _one_pass_d(nested) == set(range(7)) - {5}
+
+
+def test_tutte_partition_runs_one_blossom(monkeypatch):
+    import cycleramsey.matchings as mod
+
+    calls = []
+    real = mod.maximum_matching
+    monkeypatch.setattr(mod, "maximum_matching",
+                        lambda g, within=None: calls.append(g) or real(g, within))
+    g = random_graph(random.Random(5), 60, 0.03)
+    tutte_partition(g, 2 * len(real(g).edges) + 1)
+    assert len(calls) == 1
 
 
 def test_tutte_partition_examples():
