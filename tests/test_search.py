@@ -326,3 +326,25 @@ def test_budget_bounds_path_kernel_work(monkeypatch):
     assert verdict.arrows is None and verdict.witness is None
     assert calls[0] > 0
     assert verdict.stats.nodes + calls[0] <= budget + 1
+
+
+@pytest.mark.parametrize(
+    "targets, n, nodes, presence_prunes, symmetry_prunes",
+    [
+        ((CycleTarget(5), CycleTarget(4)), 7, 498, 184, 66),
+        ((CycleTarget(7), CycleTarget(4)), 8, 2648, 891, 434),
+        ((CycleTarget(5), CycleTarget(5)), 9, 2007, 792, 212),
+        ((CycleTarget(6), CycleTarget(6)), 8, 4855, 1604, 824),
+    ],
+)
+def test_symmetry_prunes_are_pinned(
+    targets, n, nodes, presence_prunes, symmetry_prunes
+):
+    # the canonical-prefix check decides which branches die as non-canonical,
+    # so any change to its answers moves these counters
+    stats = arrow_exhaustive(ArrowInstance(n, targets)).stats
+    assert (stats.nodes, stats.presence_prunes, stats.symmetry_prunes) == (
+        nodes,
+        presence_prunes,
+        symmetry_prunes,
+    )
