@@ -156,6 +156,19 @@ def _parse_targets(text: str):
     return tuple(by_color[c] for c in range(1, k + 1))
 
 
+def _parse_range(text: str) -> range:
+    lo, sep, hi = text.partition("..")
+    try:
+        n_range = range(int(lo), int(hi) + 1) if sep else None
+    except ValueError:
+        n_range = None
+    if not n_range:
+        raise ValueError(
+            f"--range {text!r} must have the form lo..hi with integers lo <= hi"
+        )
+    return n_range
+
+
 def _read(path: str) -> str:
     return Path(path).read_text()
 
@@ -341,9 +354,8 @@ def _cmd_bound(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.range and args.targets:
-        lo, hi = (int(x) for x in args.range.split(".."))
         result = ramsey_number_exact(
-            _parse_targets(args.targets), range(lo, hi + 1),
+            _parse_targets(args.targets), _parse_range(args.range),
             budget=args.node_budget, exact_cap=args.exact_cap,
             symmetry=not args.no_symmetry,
         )

@@ -9,7 +9,6 @@ decision.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -24,7 +23,8 @@ DEFAULT_SEARCH_BUDGET = 10**8
 DEFAULT_EXACT_CAP = 13
 DEFAULT_SEED = 1729
 # Canonical-extension checks run on clique prefixes of at most this many
-# vertices: each check tries every permutation of the prefix (7! = 5040).
+# vertices: each check backtracks over partial relabelings of the prefix,
+# which in the worst case (every relabeling ties) visits all 7! = 5040.
 PERM_PREFIX_CAP = 7
 # Annealing temperature falls geometrically from T_START to T_END.
 T_START = 1.5
@@ -323,28 +323,43 @@ def _new_edge_creates_target(
 def _prefix_is_canonical(assignment: list[int], v_top: int) -> bool:
     """Is the colored clique on vertices 0..v_top lex-minimal under relabeling?
 
-    Edge i of the prefix is the i-th pair in (max, min) lex order; the whole
-    prefix block is closed under permutations of 0..v_top.
+    Edge i of the prefix is the i-th pair in (max, min) lex order, so fixing
+    the images of vertices 0..j fixes the first j(j+1)/2 entries of the
+    relabeled vector. The images are chosen depth first: a relabeling whose
+    new entries (a, j), a < j, are smaller than the prefix's refutes
+    canonicity, a larger one is pruned, and a tie goes one vertex deeper.
     """
-    count = v_top * (v_top + 1) // 2
-    vec = assignment[:count]
+    m = v_top + 1
+    # want[j]: the prefix's entries (a, j) for a < j
+    want = [assignment[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(m)]
+    color = [[0] * m for _ in range(m)]
+    for j, entries in enumerate(want):
+        for a, c in enumerate(entries):
+            color[a][j] = color[j][a] = c
+    images: list[int] = []
+    used = [False] * m
 
-    def idx(a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        return b * (b - 1) // 2 + a
+    def smaller(j: int) -> bool:
+        # can images[:j], which tie the prefix, extend to a smaller relabeling?
+        if j == m:
+            return False
+        for y in range(m):
+            if used[y]:
+                continue
+            row = color[y]
+            new = [row[x] for x in images]
+            if new < want[j]:
+                return True
+            if new == want[j]:
+                used[y] = True
+                images.append(y)
+                if smaller(j + 1):
+                    return True
+                images.pop()
+                used[y] = False
+        return False
 
-    pairs = [(u, w) for w in range(v_top + 1) for u in range(w)]
-    for perm in itertools.permutations(range(v_top + 1)):
-        if perm == tuple(range(v_top + 1)):
-            continue
-        for pos, (a, b) in enumerate(pairs):
-            mapped = vec[idx(perm[a], perm[b])]
-            if mapped < vec[pos]:
-                return False
-            if mapped > vec[pos]:
-                break
-    return True
+    return not smaller(0)
 
 
 def _color_groups(targets: tuple[Target, ...]) -> dict[int, list[int]]:
@@ -353,6 +368,11 @@ def _color_groups(targets: tuple[Target, ...]) -> dict[int, list[int]]:
     for i, t in enumerate(targets):
         groups.setdefault(t.key(), []).append(i + 1)
     return {c: sorted(g) for g in groups.values() for c in g}
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"search budget must be nonnegative, got {budget}")
 
 
 def arrow_exhaustive(
@@ -368,6 +388,7 @@ def arrow_exhaustive(
     prefixes (hole-free instances only), color symmetry only between colors
     with identical targets.
     """
+    _check_budget(budget)
     if inst.n > exact_cap:
         raise ValueError(
             f"N={inst.n} beyond the exact cap {exact_cap}; pass exact_cap explicitly"
@@ -489,6 +510,7 @@ def ramsey_number_exact(
     symmetry: bool = True,
 ) -> RamseyResult:
     """Least N in the range that arrows with N-1 refuted, else a bracket."""
+    _check_budget(budget)
     verdicts: dict[int, ArrowVerdict] = {}
     last_false = None
     first_true = None
@@ -520,6 +542,14 @@ def ramsey_number_exact(
 class AnnealSchedule:
     steps: int = 6000
     restarts: int = 3
+
+    def __post_init__(self):
+        # an unknown verdict reports the best energy of at least one restart
+        if self.steps < 0 or self.restarts < 1:
+            raise ValueError(
+                "annealing needs steps >= 0 and restarts >= 1, got "
+                f"steps={self.steps}, restarts={self.restarts}"
+            )
 
 
 def _energy_of_color(n: int, adj: list[int], target: Target, bud: _Budget) -> int:

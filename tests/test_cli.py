@@ -94,6 +94,35 @@ def test_search_range(capsys):
     assert data["ramsey"]["value"] == 6
 
 
+def test_search_range_is_validated(capsys):
+    for bad in ("9..5", "9", "3..x", "..7", "3...7", "3..5..7"):
+        code = run(["search", "--targets", "C3:1,C3:2", "--range", bad])
+        assert code == 1, bad
+        err = capsys.readouterr().err
+        assert "lo..hi" in err and repr(bad) in err
+    # a one-value range is legal; alone it cannot pin the value (exit 2)
+    code = run([
+        "search", "--targets", "C3:1,C3:2", "--range", "6..6", "--format", "json",
+    ])
+    assert code == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["ramsey"]["bracket"] == [None, 6]
+
+
+def test_search_rejects_negative_budgets_and_schedules(capsys):
+    for extra in (
+        ["--n", "6", "--node-budget", "-5"],
+        ["--range", "3..7", "--node-budget", "-1"],
+        ["--n", "6", "--mode", "randomized", "--restarts", "0"],
+        ["--n", "6", "--mode", "randomized", "--steps", "-1"],
+    ):
+        assert run(["search", "--targets", "C3:1,C3:2"] + extra) == 1, extra
+        assert capsys.readouterr().err.startswith("error: ")
+    # a zero budget is legal: the verdict is unknown
+    code = run(["search", "--targets", "C3:1,C3:2", "--n", "6", "--node-budget", "0"])
+    assert code == 2
+
+
 def test_cycles_and_matching_commands(c6_file, capsys):
     assert run(["cycles", "--graph", c6_file, "--length", "6"]) == 0
     assert "found: True" in capsys.readouterr().out

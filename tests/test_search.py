@@ -348,3 +348,96 @@ def test_symmetry_prunes_are_pinned(
         presence_prunes,
         symmetry_prunes,
     )
+
+
+def _relabelings(v_top):
+    """One itemgetter per permutation of 0..v_top, mapping a (max, min)-ordered
+    clique vector to its relabeled vector."""
+    import itertools
+    import operator
+
+    def idx(a, b):
+        a, b = min(a, b), max(a, b)
+        return b * (b - 1) // 2 + a
+
+    pairs = [(a, b) for b in range(v_top + 1) for a in range(b)]
+    return [
+        operator.itemgetter(*[idx(p[a], p[b]) for a, b in pairs])
+        for p in itertools.permutations(range(v_top + 1))
+    ]
+
+
+def test_prefix_canonical_matches_relabelling_oracle():
+    import random
+
+    from cycleramsey.search import _prefix_is_canonical
+
+    rng = random.Random(5040)
+    getters = {v_top: _relabelings(v_top) for v_top in range(2, 7)}
+
+    def check(vec, v_top, lexmin):
+        # the check reads only the prefix, so trailing entries must not matter
+        tail = [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
+        assert _prefix_is_canonical(vec + tail, v_top) == (vec == lexmin), (
+            v_top,
+            vec,
+        )
+
+    def check_orbit(vec, v_top, members):
+        # vec, the orbit's minimum and random members of the orbit
+        lexmin = list(min(g(vec) for g in getters[v_top]))
+        for member in [vec, lexmin] + [
+            list(rng.choice(getters[v_top])(vec)) for _ in range(members)
+        ]:
+            check(member, v_top, lexmin)
+        return vec == lexmin
+
+    canonical = 0
+    for trial in range(2000):
+        v_top = 2 + trial % 5
+        colors = rng.randint(1, 3)
+        # one color without deletions is a monochromatic clique, checked below
+        deletion = colors == 1 or rng.random() < 0.5
+        vec = [
+            0 if deletion and rng.random() < 0.2 else rng.randint(1, colors)
+            for _ in range(v_top * (v_top + 1) // 2)
+        ]
+        canonical += check_orbit(vec, v_top, 1)
+    assert canonical > 100
+
+    for v_top in range(2, 7):
+        # monochromatic cliques: every relabeling ties
+        for c in range(4):
+            check_orbit([c] * (v_top * (v_top + 1) // 2), v_top, 0)
+    # K_{3,4} split: one color inside the parts, another across
+    for inside, across in ((1, 2), (2, 1), (0, 1)):
+        split = [
+            inside if (a < 3) == (b < 3) else across
+            for b in range(7)
+            for a in range(b)
+        ]
+        check_orbit(split, 6, 40)
+
+
+def test_negative_budget_is_rejected():
+    inst = ArrowInstance(5, C3C3)
+    with pytest.raises(ValueError, match="budget"):
+        arrow_exhaustive(inst, budget=-5)
+    with pytest.raises(ValueError, match="budget"):
+        ramsey_number_exact(C3C3, range(3, 7), budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        ramsey_number_exact(C3C3, range(0), budget=-1)
+    # a budget of zero is legal and leaves the decision unknown
+    verdict = arrow_exhaustive(inst, budget=0)
+    assert verdict.arrows is None and verdict.stats.nodes == 1
+
+
+def test_anneal_schedule_is_validated():
+    for steps, restarts in ((-1, 3), (100, 0), (100, -2)):
+        with pytest.raises(ValueError, match="restarts >= 1"):
+            AnnealSchedule(steps=steps, restarts=restarts)
+    # zero steps is legal: each restart only scores its random start
+    verdict = arrow_randomized(
+        ArrowInstance(6, C3C3), schedule=AnnealSchedule(steps=0, restarts=1)
+    )
+    assert verdict.arrows is None and verdict.stats.best_energy > 0
