@@ -6,8 +6,11 @@ refactor that changes a construction, harness or search report byte-wise
 fails here. The report digests were recorded before the duplicate
 matching, reachability and host-size code was merged; the longest-cycle and
 barrier-partition digests and the budget pins were recorded before the
-single-pass Gallai-Edmonds set and the per-mask longest-cycle table. None
-may be edited to make a refactor pass.
+single-pass Gallai-Edmonds set and the per-mask longest-cycle table; the
+fixed-length cycle certificates and the cycle-target witnesses were recorded
+before colorings were stored as one class graph per color and before
+``has_cycle_of_length`` moved onto the shared simple-path kernel. None may be
+edited to make a refactor pass.
 """
 
 import hashlib
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycleramsey.cycles import longest_cycle
+from cycleramsey.cycles import has_cycle_of_length, longest_cycle
 from cycleramsey.constructions import (
     build_eeo_four_part,
     build_eeo_three_part,
@@ -70,6 +73,19 @@ def _longest_cycles(parity):
     for g in graphs + [_petersen()]:
         found = longest_cycle(g, parity)
         out.append(None if found is None else [found[0], list(found[1].vertices)])
+    return out
+
+
+def _fixed_length_cycles():
+    # 40 seeded graphs with 4 <= n <= 16, then the Petersen graph; the
+    # certificate (or None) for every length 3..n
+    rng = random.Random(4004)
+    graphs = [_random_graph(rng, rng.randint(4, 16), rng.uniform(0.1, 0.6))
+              for _ in range(40)]
+    out = []
+    for g in graphs + [_petersen()]:
+        certs = [has_cycle_of_length(g, ell) for ell in range(3, g.n + 1)]
+        out.append([None if c is None else list(c.vertices) for c in certs])
     return out
 
 
@@ -141,6 +157,23 @@ CASES = {
     "exhaustive M6,M4,C3@7": lambda: arrow_exhaustive(M6_M4_C3),
     "randomized M4,M4n@6": lambda: arrow_randomized(M4_M4N, schedule=SHORT, seed=5),
     "randomized M6,M4,C3@7": lambda: arrow_randomized(M6_M4_C3, schedule=SHORT, seed=5),
+    # cycle-target witnesses: the coloring a search returns, byte for byte
+    "witness exhaustive C5,C5@8": lambda: arrow_exhaustive(
+        ArrowInstance(8, (CycleTarget(5), CycleTarget(5)))
+    ),
+    "witness exhaustive C4,C4,C4@10": lambda: arrow_exhaustive(
+        ArrowInstance(10, (CycleTarget(4),) * 3)
+    ),
+    "witness randomized C5,C5@8": lambda: arrow_randomized(
+        ArrowInstance(8, (CycleTarget(5), CycleTarget(5))), schedule=SHORT, seed=5
+    ),
+    "witness randomized C4,C4,C4@8 from odd_triple 3": lambda: arrow_randomized(
+        ArrowInstance(8, (CycleTarget(4),) * 3),
+        schedule=SHORT,
+        seed=5,
+        initial=build_odd_triple(3).coloring,
+    ),
+    "has_cycle_of_length": _fixed_length_cycles,
     "longest_cycle any": lambda: _longest_cycles("any"),
     "longest_cycle odd": lambda: _longest_cycles("odd"),
     "longest_cycle even": lambda: _longest_cycles("even"),
@@ -156,6 +189,7 @@ DIGESTS = {
     "exhaustive M4,M4n@6": "15e036df184da46195c0671ec6d625347d59e62f6566c44ec6f393edcba8da6b",
     "exhaustive M4,M4n@7": "1a8c62c30185e4ad83f3be81eda6b00ae0f82f93a167d80e3693c31e8bc88564",
     "exhaustive M6,M4,C3@7": "a1b8ae4f6a8008be88b176e3355c9a8b38e844e622a4511e65a898b1ec7c48b7",
+    "has_cycle_of_length": "cab5c1c7568c8947423b592ec3ab5ed7d4376fcb1f50870785d40e8fc91f4719",
     "harness double": "36a2ef86150e7151f91a5940b3e3b3dd2ec878175e766fef2a43ae55ae1482c2",
     "harness dwa": "47c5f9bddc31d307e4c09134050e8c2d863ddc01d9a80a70c24b7d6cb2eddf6e",
     "harness f1": "177f7dae35a1b66032ec254cca38f6f828a9928e9d9edfdf532c87388d9df5c1",
@@ -175,6 +209,10 @@ DIGESTS = {
     "sample f1 uniform": "a144ed95d3f3508712d2d3033e53dd8d48a573cb91c46858d5fd209b3d295706",
     "sample trzy adversarial": "a27b077554b511ca656b5ee81360fb9394939bdf53e0eb515f4bd7b30d5f23c8",
     "tutte_partition": "a090198df18686b2c63afd954843c4d3f862fd3369cceb8766306ffef77d79c6",
+    "witness exhaustive C4,C4,C4@10": "ed73e204d9805a8d4b65424e3358a8fea19ad8f60db3ba7225f15fe33e6b4cf6",
+    "witness exhaustive C5,C5@8": "fa2718e75c9e650348839caa386ec10709f8a42ec316ee60d25db841ec3928b7",
+    "witness randomized C4,C4,C4@8 from odd_triple 3": "d666f4af38c8071f58885e46cd365cfa3c41d6ec48811bf7ad77488b1477f9f1",
+    "witness randomized C5,C5@8": "0c3c77a41e24954393173b398989d1345a6a6387fb0ecbf434240566d3044fdd",
 }
 
 
