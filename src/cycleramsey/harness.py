@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from . import __version__
 from .bounds import HoleParams, _host_size, lemma_dwa_host_size, lemma_trzy_host_size
@@ -23,6 +23,7 @@ from .graphs import (
     EdgeColoring,
     Graph,
     HoleSpec,
+    _toggle_edge,
     apply_holes_and_deletions,
     bipartition,
     coloring_to_dict,
@@ -86,33 +87,28 @@ def _sample_deletions(rng: random.Random, host: Graph, budget: int) -> list:
     return rng.sample(host.edges(), min(count, host.num_edges))
 
 
-def _two_coloring_arrays(rng: random.Random, host: Graph) -> dict:
-    return {e: rng.randint(1, 2) for e in host.edges()}
-
-
 def _adversarial_two_coloring(
     rng: random.Random,
-    host: Graph,
-    colors: dict,
-    margin: Callable[[dict], Fraction],
+    edges: list,
+    classes: list[list[int]],
+    margin: Callable[[list[list[int]]], Fraction],
     steps: int,
-    mutable: Optional[list] = None,
-) -> dict:
-    """Greedy local search lowering the conclusion margin (tries to falsify)."""
-    edges = mutable if mutable is not None else host.edges()
-    cur = margin(colors)
+) -> None:
+    """Greedy local search lowering the conclusion margin (tries to falsify).
+
+    A move toggles an edge of ``edges`` in classes 1 and 2, swapping its color.
+    """
+    cur = margin(classes)
     for _ in range(steps):
         if not edges:
             break
-        e = edges[rng.randrange(len(edges))]
-        old = colors[e]
-        colors[e] = 3 - old if old in (1, 2) else old
-        new = margin(colors)
+        u, v = edges[rng.randrange(len(edges))]
+        _toggle_edge(u, v, classes[0], classes[1])
+        new = margin(classes)
         if new <= cur:
             cur = new
         else:
-            colors[e] = old
-    return colors
+            _toggle_edge(u, v, classes[0], classes[1])
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +217,10 @@ def _host_with_hole(
 
 def _two_color_conclusion(
     g: Graph, thresh1: Fraction, thresh2: Fraction, nonbip2: bool
-) -> Callable[[dict], tuple[bool, Fraction]]:
-    def evaluate(colors: dict) -> tuple[bool, Fraction]:
-        g1 = Graph(g.n, (e for e, c in colors.items() if c == 1))
-        g2 = Graph(g.n, (e for e, c in colors.items() if c == 2))
-        s1 = best_saturation(g1)
-        s2 = best_saturation(g2, nonbip2)
+) -> Callable[[list[list[int]]], tuple[bool, Fraction]]:
+    def evaluate(classes: list[list[int]]) -> tuple[bool, Fraction]:
+        s1 = best_saturation(Graph._from_masks(g.n, classes[0]))
+        s2 = best_saturation(Graph._from_masks(g.n, classes[1]), nonbip2)
         ok = Fraction(s1) >= thresh1 or Fraction(s2) >= thresh2
         margin = max(Fraction(s1) - thresh1, Fraction(s2) - thresh2)
         return ok, margin
@@ -246,15 +240,15 @@ def _run_hole_lemma(
     thresh1 = (hp.alpha + hp.epsilon) * n
     thresh2 = (hp.beta + hp.epsilon) * n
     evaluate = _two_color_conclusion(g, thresh1, thresh2, nonbip2)
-    colors = _two_coloring_arrays(rng, g)
+    classes = [[0] * g.n, [0] * g.n]
+    for u, v in g.edges():
+        _toggle_edge(u, v, classes[rng.randint(1, 2) - 1])
     if adversarial:
-        colors = _adversarial_two_coloring(
-            rng, g, colors, lambda cs: evaluate(cs)[1], steps
+        _adversarial_two_coloring(
+            rng, g.edges(), classes, lambda cs: evaluate(cs)[1], steps
         )
-    ok, _ = evaluate(colors)
-    coloring = EdgeColoring(
-        g.n, 2, colors, HoleSpec((w,)), frozenset(deletions)
-    )
+    ok, _ = evaluate(classes)
+    coloring = EdgeColoring._from_masks(g.n, classes, HoleSpec((w,)), deletions)
     witness = {
         "coloring": coloring_to_dict(coloring),
         "hole": sorted(w),
@@ -291,27 +285,28 @@ def _run_f1(
     budget = int(eps**4 * n * n)
     deletions = _sample_deletions(rng, host, budget)
     g = apply_holes_and_deletions(host, HoleSpec(), deletions)
-    colors = {}
+    classes = [[0] * g.n for _ in range(3)]
     third_mutable = []
     for u, v in g.edges():
         if (u in xs and v in ys) or (u in ys and v in xs):
-            colors[(u, v)] = 3
+            c = 3
         elif u not in xs | ys and v not in xs | ys:
-            colors[(u, v)] = rng.randint(1, 3)
+            c = rng.randint(1, 3)
         else:
-            colors[(u, v)] = rng.randint(1, 2)
+            c = rng.randint(1, 2)
             third_mutable.append((u, v))
+        _toggle_edge(u, v, classes[c - 1])
     evaluate = _two_color_conclusion(g, (a1 + eps) * n, (a2 + eps) * n, False)
     if adversarial:
-        colors = _adversarial_two_coloring(
-            rng, g, colors, lambda cs: evaluate(cs)[1], steps, mutable=third_mutable
+        _adversarial_two_coloring(
+            rng, third_mutable, classes, lambda cs: evaluate(cs)[1], steps
         )
-    ok, _ = evaluate(colors)
-    g3 = Graph(g.n, (e for e, c in colors.items() if c == 3))
+    ok, _ = evaluate(classes)
+    coloring = EdgeColoring._from_masks(g.n, classes, HoleSpec(), deletions)
+    g3 = coloring.color_class(3)
     gprime = sum(
         len(c) for c in components(g3) if bipartition(g3.subgraph_on(c)) is not None
     )
-    coloring = EdgeColoring(g.n, 3, colors, HoleSpec(), frozenset(deletions))
     witness = {"coloring": coloring_to_dict(coloring), "bipartite_third_union": gprime}
     recheck = {
         "ok": gprime >= t3 and len(deletions) <= budget,

@@ -14,9 +14,15 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cycles import _Budget, has_cycle_of_length, longest_cycle
+from .cycles import (
+    _Budget,
+    _check_budget,
+    _simple_paths,
+    has_cycle_of_length,
+    longest_cycle,
+)
 from .errors import BudgetExceededError
-from .graphs import EdgeColoring, Graph, HoleSpec, _bits, _reachable, coloring_to_dict
+from .graphs import EdgeColoring, Graph, HoleSpec, _bits, _toggle_edge, coloring_to_dict
 from .matchings import best_saturation
 
 DEFAULT_SEARCH_BUDGET = 10**8
@@ -215,87 +221,14 @@ def coloring_avoids_all(coloring: EdgeColoring, targets: tuple[Target, ...]) -> 
     )
 
 
-def _witness_coloring(inst: ArrowInstance, edges, assignment) -> EdgeColoring:
-    colors = {}
-    deleted = set()
-    for e, c in zip(edges, assignment):
-        if c == 0:
-            deleted.add(e)
-        else:
-            colors[e] = c
-    return EdgeColoring(
-        n=inst.n,
-        k=inst.k,
-        colors=colors,
-        holes=inst.holes,
-        deleted=frozenset(deleted),
-    )
+def _witness_coloring(inst: ArrowInstance, edges, assignment, adjs) -> EdgeColoring:
+    deleted = (e for e, c in zip(edges, assignment) if c == 0)
+    return EdgeColoring._from_masks(inst.n, adjs[1:], inst.holes, deleted)
 
 
 # ---------------------------------------------------------------------------
 # Incremental presence checks on adjacency masks.
 # ---------------------------------------------------------------------------
-
-
-def _simple_paths(
-    adj: list[int],
-    u: int,
-    v: int,
-    steps: int,
-    avoid: int,
-    bud: _Budget,
-    count: bool = False,
-    atleast: bool = False,
-) -> int:
-    """Simple u->v paths of exactly ``steps`` edges whose inner vertices avoid
-    ``avoid`` (a mask holding u and v); at least ``steps`` edges if ``atleast``.
-
-    Returns the number of such paths in count mode (exact lengths only), else
-    1 if one exists and 0 if none does. Each call spends one unit of ``bud``.
-    """
-    bud.spend()
-    free = adj[u] & ~avoid
-    if atleast:
-        if steps <= 1 and adj[u] >> v & 1:
-            return 1
-    elif steps == 1:
-        return adj[u] >> v & 1
-    elif steps <= 3:
-        # Two edges remain from u, or from each free neighbour of u: those
-        # paths close on the common neighbours with v.
-        last = adj[v] & ~avoid
-        if steps == 2:
-            return (free & last).bit_count() if count else int(free & last != 0)
-        total = 0
-        while free:
-            low = free & -free
-            free ^= low
-            common = adj[low.bit_length() - 1] & last
-            if common and not count:
-                return 1
-            total += common.bit_count()
-        return total
-    # Every inner vertex lies in the region u's free neighbours reach without
-    # entering ``avoid``, and the last one is adjacent to v. Testing this from
-    # four remaining edges on, rather than only from five or six, measured
-    # 14-19% faster on the two-color proofs at R(C_n,C_m) and at most 13%
-    # slower on the n=12 refutations of (C7,C7), (C7,C5) and (C6,C6,C3).
-    reach = _reachable(adj, free, ~avoid)
-    if not adj[v] & reach or reach.bit_count() < steps - 1:
-        return 0
-    if atleast and steps <= 2:
-        return 1  # any route from a free neighbour to v has >= 2 edges
-    total = 0
-    while free:
-        low = free & -free
-        free ^= low
-        found = _simple_paths(
-            adj, low.bit_length() - 1, v, steps - 1, avoid | low, bud, count, atleast
-        )
-        if found and not count:
-            return 1
-        total += found
-    return total
 
 
 def _new_edge_creates_target(
@@ -370,11 +303,6 @@ def _color_groups(targets: tuple[Target, ...]) -> dict[int, list[int]]:
     return {c: sorted(g) for g in groups.values() for c in g}
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 0:
-        raise ValueError(f"search budget must be nonnegative, got {budget}")
-
-
 def arrow_exhaustive(
     inst: ArrowInstance,
     budget: int = DEFAULT_SEARCH_BUDGET,
@@ -432,7 +360,7 @@ def arrow_exhaustive(
         nonlocal deletions_left, witness
         if i == len(edges):
             stats.leaves += 1
-            cand = _witness_coloring(inst, edges, assignment)
+            cand = _witness_coloring(inst, edges, assignment, adjs)
             if not coloring_avoids_all(cand, targets):
                 raise AssertionError(
                     "internal: incremental and independent checks disagree"
@@ -602,29 +530,26 @@ def arrow_randomized(
         schedule={"steps": schedule.steps, "restarts": schedule.restarts},
     )
 
-    def through_count(c: int, adjs, u: int, v: int) -> int:
-        # cycles of the demanded exact length through edge (u,v) in class c;
-        # independent of whether (u,v) itself is currently present.
-        t = targets[c - 1]
-        return _simple_paths(
-            adjs[c], u, v, t.length - 1, 1 << u | 1 << v, bud, count=True
+    def incidence(c: int, adjs, u: int, v: int) -> int:
+        # length times the cycles of the demanded exact length through edge
+        # (u,v) in class c; independent of whether (u,v) itself is present.
+        ell = targets[c - 1].length
+        return ell * _simple_paths(
+            adjs[c], u, v, ell - 1, 1 << u | 1 << v, bud, count=True
         )
 
     best_energy = None
     for restart in range(schedule.restarts):
         stats.restarts = restart + 1
         if restart == 0 and initial is not None:
-            assignment = [initial.colors.get(e, 0) for e in edges]
+            assignment = [initial.color_of(*e) or 0 for e in edges]
         else:
             assignment = [rng.randint(1, k) for _ in edges]
+        # adjs[0] holds the deleted pairs, so a move toggles two mask lists
         adjs = [[0] * n for _ in range(k + 1)]
-        deleted_used = 0
         for (u, v), c in zip(edges, assignment):
-            if c == 0:
-                deleted_used += 1
-            else:
-                adjs[c][u] |= 1 << v
-                adjs[c][v] |= 1 << u
+            _toggle_edge(u, v, adjs[c])
+        deleted_used = assignment.count(0)
         energies = [_energy_of_color(n, adjs[c + 1], targets[c], bud) for c in range(k)]
         total = sum(energies)
         if best_energy is None or total < best_energy:
@@ -642,31 +567,19 @@ def arrow_randomized(
             if old != 0 and deleted_used < inst.deleted_budget:
                 opts.append(0)
             new = rng.choice(opts)
+            bu, bv = 1 << u, 1 << v
+            adjs[old][u] ^= bv
+            adjs[old][v] ^= bu
+            adjs[new][u] ^= bv
+            adjs[new][v] ^= bu
             updated = {}
-            if old != 0:
-                if local[old - 1]:
-                    t_len = targets[old - 1].length
-                    updated[old - 1] = energies[old - 1] - t_len * through_count(
-                        old, adjs, u, v
-                    )
-                adjs[old][u] &= ~(1 << v)
-                adjs[old][v] &= ~(1 << u)
-                if not local[old - 1]:
-                    updated[old - 1] = _energy_of_color(
-                        n, adjs[old], targets[old - 1], bud
-                    )
-            if new != 0:
-                adjs[new][u] |= 1 << v
-                adjs[new][v] |= 1 << u
-                if local[new - 1]:
-                    t_len = targets[new - 1].length
-                    updated[new - 1] = updated.get(
-                        new - 1, energies[new - 1]
-                    ) + t_len * through_count(new, adjs, u, v)
+            for c, sign in ((old, -1), (new, 1)):
+                if c == 0:
+                    continue
+                if local[c - 1]:
+                    updated[c - 1] = energies[c - 1] + sign * incidence(c, adjs, u, v)
                 else:
-                    updated[new - 1] = _energy_of_color(
-                        n, adjs[new], targets[new - 1], bud
-                    )
+                    updated[c - 1] = _energy_of_color(n, adjs[c], targets[c - 1], bud)
             delta = sum(updated.values()) - sum(energies[c] for c in updated)
             accept = delta <= 0 or rng.random() < pow(
                 2.718281828459045, -delta / max(temp, 1e-9)
@@ -680,14 +593,12 @@ def arrow_randomized(
                 if total < best_energy:
                     best_energy = total
             else:
-                if new != 0:
-                    adjs[new][u] &= ~(1 << v)
-                    adjs[new][v] &= ~(1 << u)
-                if old != 0:
-                    adjs[old][u] |= 1 << v
-                    adjs[old][v] |= 1 << u
+                adjs[old][u] ^= bv
+                adjs[old][v] ^= bu
+                adjs[new][u] ^= bv
+                adjs[new][v] ^= bu
         if total == 0:
-            cand = _witness_coloring(inst, edges, assignment)
+            cand = _witness_coloring(inst, edges, assignment, adjs)
             if not coloring_avoids_all(cand, targets):
                 raise AssertionError("internal: zero-energy coloring fails re-check")
             stats.best_energy = 0

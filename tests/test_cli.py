@@ -123,6 +123,26 @@ def test_search_rejects_negative_budgets_and_schedules(capsys):
     assert code == 2
 
 
+def test_cycle_commands_reject_negative_budgets(tmp_path, c6_file, capsys):
+    coloring, report = tmp_path / "c.json", tmp_path / "r.json"
+    assert run(["construct", "--odd-triple", "5", "--coloring-out", str(coloring),
+                "--format", "json", "--out", str(report)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["cycles", "--graph", c6_file, "--length", "6"],
+        ["cycles", "--graph", c6_file, "--parity", "any"],
+        ["construct", "--odd-triple", "5"],
+        ["verify", "--coloring", str(coloring), "--report", str(report)],
+    ):
+        assert run(argv + ["--node-budget", "-5"]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: budget must be nonnegative"), argv
+        assert captured.out == ""
+        # a zero budget is legal
+        assert run(argv + ["--node-budget", "0"]) in (0, 2), argv
+        capsys.readouterr()
+
+
 def test_cycles_and_matching_commands(c6_file, capsys):
     assert run(["cycles", "--graph", c6_file, "--length", "6"]) == 0
     assert "found: True" in capsys.readouterr().out

@@ -53,8 +53,34 @@ def test_longest_cycle_examples(petersen):
 def test_budget_exceeded_is_distinct():
     with pytest.raises(BudgetExceededError):
         longest_cycle(complete_graph(12), "any", budget=50)
+
+
+@pytest.mark.parametrize("length, charge", [(12, 10), (10, 190)])
+def test_fixed_length_charge_is_pinned(petersen, length, charge):
+    # one unit per path-kernel call: K12's Hamiltonian cycle costs 10, and
+    # proving the Petersen graph has no 10-cycle costs 190
+    g = complete_graph(12) if length == 12 else petersen
+    with pytest.raises(BudgetExceededError) as err:
+        has_cycle_of_length(g, length, budget=charge - 1)
+    assert err.value.nodes == charge
+    found = has_cycle_of_length(g, length, budget=charge)
+    assert (found is not None) == (length == 12)
+
+
+def test_negative_budgets_are_refused():
+    g = complete_graph(6)
+    for call in (
+        lambda: has_cycle_of_length(g, 4, budget=-5),
+        lambda: has_cycle_of_length(g, 7, budget=-1),  # no work to do at all
+        lambda: longest_cycle(g, "any", budget=-5),
+        lambda: erdos_gallai_cycle(g, 5, budget=-5),
+    ):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            call()
+    # a zero budget is legal: trivial answers need no work, the rest run out
+    assert has_cycle_of_length(g, 7, budget=0) is None
     with pytest.raises(BudgetExceededError):
-        has_cycle_of_length(complete_graph(12), 12, budget=10)
+        has_cycle_of_length(g, 4, budget=0)
 
 
 def test_table_cap_refusal_is_distinct():

@@ -10,6 +10,7 @@ from cycleramsey.graphs import (
     HoleSpec,
     apply_holes_and_deletions,
     bipartition,
+    coloring_from_dict,
     complete_graph,
     components,
     degree_stats,
@@ -123,18 +124,54 @@ def test_components_partition_property(n, rnd):
     assert seen == set(range(n))
 
 
+def _coloring(n, k, colors, holes=(), deleted=()):
+    """A coloring built through the file form from a pair -> color map."""
+    return coloring_from_dict({
+        "n": n,
+        "k": k,
+        "holes": [sorted(h) for h in holes],
+        "deleted": [list(e) for e in deleted],
+        "edges": [[u, v, c] for (u, v), c in colors.items()],
+    })
+
+
 def test_coloring_validation():
-    EdgeColoring(3, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 1})
-    with pytest.raises(ValueError):  # missing edge color
-        EdgeColoring(3, 2, {(0, 1): 1, (0, 2): 2})
-    with pytest.raises(ValueError):  # color out of range
-        EdgeColoring(3, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 3})
-    with pytest.raises(ValueError):  # colored edge inside a hole
-        EdgeColoring(
-            3, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 1}, holes=HoleSpec(({1, 2},))
-        )
+    _coloring(3, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 1})
+    with pytest.raises(ValueError, match="no color"):  # missing edge color
+        _coloring(3, 2, {(0, 1): 1, (0, 2): 2})
+    for bad in (0, 3):  # color out of range
+        with pytest.raises(ValueError, match="outside 1..2"):
+            _coloring(3, 2, {(0, 1): 1, (0, 2): 2, (1, 2): bad})
+    with pytest.raises(ValueError, match="listed twice"):  # duplicate edge
+        load_coloring('{"n": 3, "k": 2, "edges": '
+                      '[[0, 1, 1], [0, 2, 2], [1, 2, 1], [1, 0, 2]]}')
+    with pytest.raises(ValueError, match="carries color"):  # edge inside a hole
+        _coloring(3, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 1}, holes=({1, 2},))
     # valid with the hole edge removed from the map
-    EdgeColoring(3, 2, {(0, 1): 1, (0, 2): 2}, holes=HoleSpec(({1, 2},)))
+    _coloring(3, 2, {(0, 1): 1, (0, 2): 2}, holes=({1, 2},))
+
+    # the same rules on class graphs directly
+    def classes(*edge_lists, n=3):
+        return tuple(Graph(n, edges) for edges in edge_lists)
+
+    EdgeColoring(3, 2, classes([(0, 1), (1, 2)], [(0, 2)]))
+    with pytest.raises(ValueError, match="two colors"):  # overlapping classes
+        EdgeColoring(3, 2, classes([(0, 1), (1, 2)], [(0, 2), (1, 2)]))
+    with pytest.raises(ValueError, match=r"absent edge \(1, 2\) carries color 1"):
+        EdgeColoring(3, 2, classes([(0, 1), (1, 2)], [(0, 2)]),
+                     holes=HoleSpec(({1, 2},)))
+    with pytest.raises(ValueError, match=r"absent edge \(0, 2\) carries color 2"):
+        EdgeColoring(3, 2, classes([(0, 1), (1, 2)], [(0, 2)]),
+                     deleted=frozenset({(2, 0)}))
+    EdgeColoring(3, 2, classes([(0, 1), (1, 2)], []), deleted=frozenset({(0, 2)}))
+    with pytest.raises(ValueError, match=r"present edge \(0, 2\) has no color"):
+        EdgeColoring(3, 2, classes([(0, 1), (1, 2)], []))
+    with pytest.raises(ValueError, match="3 color classes for k=2"):
+        EdgeColoring(3, 2, classes([(0, 1)], [(1, 2)], [(0, 2)]))
+    with pytest.raises(ValueError, match="1 color classes for k=2"):
+        EdgeColoring(3, 2, classes([(0, 1), (1, 2), (0, 2)]))
+    with pytest.raises(ValueError, match="has 4 vertices"):  # class on the wrong n
+        EdgeColoring(3, 2, (Graph(4, [(0, 1), (1, 2)]), Graph(3, [(0, 2)])))
 
 
 def test_color_classes_partition_host():
@@ -144,14 +181,16 @@ def test_color_classes_partition_host():
         k = rng.choice((2, 3))
         hole = frozenset(rng.sample(range(n), rng.randint(0, n)))
         holes = HoleSpec((hole,))
-        colors = {}
+        edges = [[] for _ in range(k)]
         for u in range(n):
             for v in range(u + 1, n):
                 if not (u in hole and v in hole):
-                    colors[(u, v)] = rng.randint(1, k)
-        col = EdgeColoring(n, k, colors, holes)
+                    edges[rng.randint(1, k) - 1].append((u, v))
+        col = EdgeColoring(n, k, tuple(Graph(n, e) for e in edges), holes)
         total = sum(col.color_class(i).num_edges for i in range(1, k + 1))
-        assert total == col.host_graph().num_edges == len(colors)
+        assert total == col.host_graph().num_edges == sum(map(len, edges))
+        for i, es in enumerate(edges, 1):
+            assert all(col.color_of(v, u) == i for u, v in es)
 
 
 def test_graph_file_roundtrip():
@@ -162,16 +201,30 @@ def test_graph_file_roundtrip():
 
 
 def test_coloring_file_roundtrip():
-    col = EdgeColoring(
-        4,
-        3,
-        {(0, 1): 1, (0, 3): 2, (1, 3): 3, (2, 3): 1},
-        holes=HoleSpec(({0, 2}, {1, 2})),
+    col = _coloring(
+        4, 3, {(0, 1): 1, (0, 3): 2, (1, 3): 3, (2, 3): 1}, holes=({0, 2}, {1, 2})
     )
     assert load_coloring(dump_coloring(col)) == col
     # deletions too
-    col2 = EdgeColoring(3, 2, {(0, 1): 1, (1, 2): 2}, deleted=frozenset({(0, 2)}))
+    col2 = _coloring(3, 2, {(0, 1): 1, (1, 2): 2}, deleted=((0, 2),))
     assert load_coloring(dump_coloring(col2)) == col2
     with pytest.raises(ValueError):  # edge list must cover present pairs exactly
         load_coloring('{"n": 3, "k": 2, "holes": [], "deleted": [], '
                       '"edges": [[0, 1, 1]]}')
+    # seeded colorings with overlapping holes and deletions
+    rng = random.Random(8)
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        k = rng.choice((2, 3))
+        holes = HoleSpec(tuple(
+            frozenset(rng.sample(range(n), rng.randint(0, n)))
+            for _ in range(rng.randint(0, 3))
+        ))
+        present = apply_holes_and_deletions(complete_graph(n), holes).edges()
+        deleted = rng.sample(present, rng.randint(0, len(present)))
+        colors = {e: rng.randint(1, k) for e in present if e not in deleted}
+        col = _coloring(n, k, colors, holes.holes, deleted)
+        text = dump_coloring(col)
+        assert load_coloring(text) == col and dump_coloring(load_coloring(text)) == text
+        assert all(col.color_of(*e) == c for e, c in colors.items())
+        assert all(col.color_of(*e) is None for e in deleted)

@@ -122,17 +122,17 @@ def test_evaluator_catches_genuine_counterexample():
     from cycleramsey.harness import _two_color_conclusion
 
     g = complete_graph(7)
-    colors = {}
-    for u in range(7):
-        for v in range(u + 1, 7):
-            colors[(u, v)] = 1 if (u >= 5 or v >= 5) else 2
+    # class masks: color 1 on every pair meeting {5, 6}, color 2 on the K5
+    dominating = 0b1100000
+    one = [dominating if v < 5 else g.adjacency_mask(v) for v in range(7)]
+    two = [g.adjacency_mask(v) & ~dominating if v < 5 else 0 for v in range(7)]
     thresh = (1 + EPS) * 4
     evaluate = _two_color_conclusion(g, thresh, thresh, False)
-    ok, margin = evaluate(colors)
+    ok, margin = evaluate([one, two])
     assert ok is False and margin < 0
     # flipping the demand to something the coloring does satisfy
     evaluate = _two_color_conclusion(g, Fraction(4), Fraction(4), False)
-    ok, _ = evaluate(colors)
+    ok, _ = evaluate([one, two])
     assert ok is True
 
 

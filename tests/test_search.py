@@ -201,7 +201,7 @@ def _oracle_arrows(inst):
     """Full enumeration over deletion patterns and colorings."""
     import itertools
 
-    from cycleramsey.graphs import EdgeColoring
+    from cycleramsey.graphs import EdgeColoring, Graph
 
     edges = inst.present_edges()
     k = inst.k
@@ -209,9 +209,12 @@ def _oracle_arrows(inst):
     for assignment in itertools.product(range(lowest, k + 1), repeat=len(edges)):
         if assignment.count(0) > inst.deleted_budget:
             continue
-        colors = {e: c for e, c in zip(edges, assignment) if c != 0}
+        classes = tuple(
+            Graph(inst.n, (e for e, c in zip(edges, assignment) if c == i))
+            for i in range(1, k + 1)
+        )
         deleted = frozenset(e for e, c in zip(edges, assignment) if c == 0)
-        col = EdgeColoring(inst.n, k, colors, inst.holes, deleted)
+        col = EdgeColoring(inst.n, k, classes, inst.holes, deleted)
         if coloring_avoids_all(col, inst.targets):
             return False
     return True
@@ -261,11 +264,17 @@ def _enumerate_path_lengths(adj, u, v, avoid):
     return lengths
 
 
+def _is_simple_path(adj, walk):
+    return len(set(walk)) == len(walk) and all(
+        adj[a] >> b & 1 for a, b in zip(walk, walk[1:])
+    )
+
+
 def test_path_kernel_matches_enumeration():
+    import itertools
     import random
 
-    from cycleramsey.cycles import _Budget
-    from cycleramsey.search import _simple_paths
+    from cycleramsey.cycles import _Budget, _simple_paths
 
     rng = random.Random(77)
     for _ in range(120):
@@ -286,10 +295,37 @@ def test_path_kernel_matches_enumeration():
             bud = _Budget(10**9)
             exact = lengths.count(steps)
             assert _simple_paths(adj, u, v, steps, avoid, bud, count=True) == exact
-            assert _simple_paths(adj, u, v, steps, avoid, bud) == (exact > 0)
+            inner = []
+            assert _simple_paths(adj, u, v, steps, avoid, bud, out=inner) == (exact > 0)
+            if exact:
+                # inner vertices, last first: the path reads u, inner reversed, v
+                walk = [u, *reversed(inner), v]
+                assert len(walk) == steps + 1 and _is_simple_path(adj, walk)
+                assert not any(avoid >> w & 1 for w in inner)
+            else:
+                assert inner == []
             assert _simple_paths(adj, u, v, steps, avoid, bud, atleast=True) == any(
                 ell >= steps for ell in lengths
             )
+        # u == v: closed paths are the cycles through u on vertices outside
+        # avoid, each counted once per direction
+        u = rng.randrange(n)
+        avoid = (2 << u) - 1
+        for steps in range(3, n + 1):
+            cycles = [
+                rest
+                for rest in itertools.permutations(
+                    [w for w in range(n) if not avoid >> w & 1], steps - 1
+                )
+                if _is_simple_path(adj, [u, *rest]) and adj[rest[-1]] >> u & 1
+            ]
+            bud = _Budget(10**9)
+            count = _simple_paths(adj, u, u, steps, avoid, bud, count=True)
+            assert count == len(cycles)
+            inner = []
+            found = _simple_paths(adj, u, u, steps, avoid, bud, out=inner)
+            assert found == (len(cycles) > 0)
+            assert inner[::-1] == (list(min(cycles)) if cycles else [])
 
 
 @pytest.mark.parametrize(
@@ -310,15 +346,17 @@ def test_search_tree_is_pinned(targets, n, nodes, presence_prunes):
 
 
 def test_budget_bounds_path_kernel_work(monkeypatch):
-    from cycleramsey import search
+    from cycleramsey import cycles, search
 
-    kernel = search._simple_paths
+    kernel = cycles._simple_paths
     calls = [0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return kernel(*args, **kwargs)
 
+    # recursive calls resolve in cycles, the search's own calls in search
+    monkeypatch.setattr(cycles, "_simple_paths", counted)
     monkeypatch.setattr(search, "_simple_paths", counted)
     budget = 1500
     inst = ArrowInstance(11, (CycleTarget(8), CycleTarget(8)))
