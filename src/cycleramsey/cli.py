@@ -33,7 +33,13 @@ from .constructions import (
     build_oee_four_part,
     verify_claims,
 )
-from .cycles import CycleCertificate, has_cycle_of_length, longest_cycle, verify_cycle
+from .cycles import (
+    CycleCertificate,
+    _check_budget,
+    has_cycle_of_length,
+    longest_cycle,
+    verify_cycle,
+)
 from .errors import BudgetExceededError, PreconditionViolated, TableCapExceeded
 from .graphs import (
     dump_coloring,
@@ -504,6 +510,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_budget(args.node_budget)  # every subcommand takes --node-budget
         return args.func(args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

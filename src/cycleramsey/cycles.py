@@ -9,7 +9,7 @@ subclass TableCapExceeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, Optional, Sequence
 
 from .errors import BudgetExceededError, PreconditionViolated, TableCapExceeded
 from .graphs import Graph, _bits, _component_masks, _reachable, components
@@ -135,6 +135,38 @@ def _simple_paths(
             return 1
         total += found
     return total
+
+
+def _long_cycle_edges(adj: Sequence[int], length: int, bud: _Budget) -> int:
+    """Edges in the components that hold a cycle of at least ``length``
+    vertices; 0 exactly when the graph has no such cycle.
+
+    A component of v >= ``length`` vertices with more than (length-1)(v-1)/2
+    edges holds one by the Erdos-Gallai theorem, with no search. In a sparser
+    one each anchor in ascending order asks the simple-path kernel for a
+    closed path of at least ``length`` edges through higher vertices only,
+    as ``has_cycle_of_length`` does; every kernel call spends one unit.
+    """
+    score = 0
+    for comp in _component_masks(adj, (1 << len(adj)) - 1):
+        size = comp.bit_count()
+        if size < length:
+            continue
+        edges2 = sum(adj[v].bit_count() for v in _bits(comp))
+        found = _density_holds(edges2, size, length)
+        rest = comp  # the anchor and the higher vertices of the component
+        while not found and rest.bit_count() >= length:
+            low = rest & -rest
+            rest ^= low
+            anchor = low.bit_length() - 1
+            found = (adj[anchor] & rest).bit_count() >= 2 and bool(
+                _simple_paths(
+                    adj, anchor, anchor, length, (low << 1) - 1, bud, atleast=True
+                )
+            )
+        if found:
+            score += edges2 // 2
+    return score
 
 
 def has_cycle_of_length(

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .cycles import (
+    DEFAULT_BUDGET,
     _Budget,
     _check_budget,
+    _long_cycle_edges,
     _simple_paths,
     has_cycle_of_length,
-    longest_cycle,
 )
 from .errors import BudgetExceededError
 from .graphs import EdgeColoring, Graph, HoleSpec, _bits, _toggle_edge, coloring_to_dict
@@ -207,11 +208,17 @@ def _header(inst: ArrowInstance, mode: str, **extra) -> dict:
 
 
 def target_present(class_graph: Graph, target: Target) -> bool:
+    """Does this color class realize its target?
+
+    An at-least cycle target is present when some component holds a cycle
+    of at least its length (``cycles._long_cycle_edges`` is positive), so no
+    longest cycle is computed and no host size is refused.
+    """
     if isinstance(target, CycleTarget):
         if target.exact:
             return has_cycle_of_length(class_graph, target.length) is not None
-        found = longest_cycle(class_graph, "any")
-        return found is not None and found[0] >= target.length
+        bud = _Budget(DEFAULT_BUDGET)
+        return _long_cycle_edges(class_graph._adj, target.length, bud) > 0
     return best_saturation(class_graph, target.nonbipartite) >= target.saturation
 
 
@@ -484,9 +491,14 @@ def _energy_of_color(n: int, adj: list[int], target: Target, bud: _Budget) -> in
     """How strongly this class realizes its target (0 iff the target is absent).
 
     Exact-cycle targets use the path-incidence sum (length * cycle count),
-    which admits cheap per-move deltas; other targets are scored globally.
+    which admits cheap per-move deltas. At-least cycle targets count the
+    edges of the components that hold a cycle of at least the target length
+    (``cycles._long_cycle_edges``), and matching targets score the excess
+    saturation; both are evaluated on the whole class.
     """
-    if isinstance(target, CycleTarget) and target.exact:
+    if isinstance(target, CycleTarget):
+        if not target.exact:
+            return _long_cycle_edges(adj, target.length, bud)
         total = 0
         for u in range(n):
             for v in _bits(adj[u] >> (u + 1) << (u + 1)):
@@ -495,11 +507,6 @@ def _energy_of_color(n: int, adj: list[int], target: Target, bud: _Budget) -> in
                 )
         return total
     g = Graph._from_masks(n, list(adj))
-    if isinstance(target, CycleTarget):
-        found = longest_cycle(g, "any")
-        if found is None or found[0] < target.length:
-            return 0
-        return found[0] - target.length + 1
     saturation = best_saturation(g, target.nonbipartite)
     return max(0, (saturation - target.saturation) // 2 + 1)
 
@@ -513,12 +520,29 @@ def arrow_randomized(
     """Search for a zero-violation coloring; returns a witness or unknown.
 
     Deterministic for a fixed seed: proposals are evaluated in one sequence.
+    An ``initial`` coloring seeds the first restart; it must have the
+    instance's n, k and holes and delete at most ``inst.deleted_budget``
+    of the present pairs, else ValueError.
     """
     schedule = schedule or AnnealSchedule()
+    edges = inst.present_edges()
+    if initial is not None:
+        if (initial.n, initial.k) != (inst.n, inst.k):
+            raise ValueError(
+                f"initial coloring has n={initial.n}, k={initial.k}; "
+                f"the instance has n={inst.n}, k={inst.k}"
+            )
+        if set(initial.holes.holes) != set(inst.holes.holes):
+            raise ValueError("initial coloring has different holes from the instance")
+        first = [initial.color_of(*e) or 0 for e in edges]
+        if first.count(0) > inst.deleted_budget:
+            raise ValueError(
+                f"initial coloring deletes {first.count(0)} pairs, more than the "
+                f"deletion budget {inst.deleted_budget}"
+            )
     rng = random.Random(seed)
     t0 = time.perf_counter()
     stats = SearchStats()
-    edges = inst.present_edges()
     n, k = inst.n, inst.k
     targets = inst.targets
     local = [isinstance(t, CycleTarget) and t.exact for t in targets]
@@ -542,7 +566,7 @@ def arrow_randomized(
     for restart in range(schedule.restarts):
         stats.restarts = restart + 1
         if restart == 0 and initial is not None:
-            assignment = [initial.color_of(*e) or 0 for e in edges]
+            assignment = first
         else:
             assignment = [rng.randint(1, k) for _ in edges]
         # adjs[0] holds the deleted pairs, so a move toggles two mask lists
@@ -599,7 +623,9 @@ def arrow_randomized(
                 adjs[new][v] ^= bu
         if total == 0:
             cand = _witness_coloring(inst, edges, assignment, adjs)
-            if not coloring_avoids_all(cand, targets):
+            if len(cand.deleted) > inst.deleted_budget or not coloring_avoids_all(
+                cand, targets
+            ):
                 raise AssertionError("internal: zero-energy coloring fails re-check")
             stats.best_energy = 0
             stats.elapsed = time.perf_counter() - t0

@@ -4,6 +4,8 @@ import pytest
 
 from cycleramsey.cycles import (
     CycleCertificate,
+    _Budget,
+    _long_cycle_edges,
     erdos_gallai_cycle,
     has_cycle_of_length,
     longest_cycle,
@@ -14,7 +16,7 @@ from cycleramsey.errors import (
     PreconditionViolated,
     TableCapExceeded,
 )
-from cycleramsey.graphs import Graph, complete_graph
+from cycleramsey.graphs import Graph, components, complete_graph
 
 from conftest import oracle_longest_cycle, random_graph
 
@@ -123,6 +125,43 @@ def test_longest_cycle_matches_permutation_oracle():
             if found is not None:
                 assert verify_cycle(g, found[1])
                 assert found[0] % 2 == (1 if parity == "odd" else 0)
+
+
+def test_long_cycle_edges_match_longest_cycle():
+    # The score is the edge count of the components whose longest cycle has
+    # at least L vertices, for every L; sparse graphs with several
+    # components reach the path kernel, dense ones the Erdos-Gallai count.
+    rng = random.Random(31)
+    for trial in range(160):
+        n = rng.randint(3, 16)
+        g = random_graph(rng, n, rng.uniform(0.5, 4.0) / n)
+        longest = []
+        for comp in components(g):
+            sub = g.subgraph_on(comp)
+            found = longest_cycle(sub, "any")
+            longest.append((0 if found is None else found[0], sub.num_edges))
+        brute = oracle_longest_cycle(g) if n <= 9 else None
+        for ell in range(3, n + 1):
+            score = _long_cycle_edges(g._adj, ell, _Budget(10**8))
+            assert score == sum(e for best, e in longest if best >= ell), (trial, ell)
+            if brute is not None:
+                assert (score > 0) == (brute >= ell), (trial, ell)
+
+
+def test_long_cycle_edges_examples():
+    # a 5-cycle beside a 6-cycle: every component that qualifies counts
+    two = Graph(11, [(i, (i + 1) % 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 1) % 6) for i in range(6)])
+    scores = [_long_cycle_edges(two._adj, ell, _Budget(10**8)) for ell in (3, 5, 6, 7)]
+    assert scores == [11, 11, 6, 0]
+    # K24 is settled by its edge count without any kernel call; the 24-cycle
+    # is sparse and needs the kernel, which no longest-cycle table could run
+    assert _long_cycle_edges(complete_graph(24)._adj, 5, _Budget(0)) == 276
+    c24 = cycle_graph(24)._adj
+    assert _long_cycle_edges(c24, 24, _Budget(10**8)) == 24
+    assert _long_cycle_edges(c24, 25, _Budget(0)) == 0  # too few vertices
+    with pytest.raises(BudgetExceededError):
+        _long_cycle_edges(c24, 24, _Budget(3))
 
 
 def test_found_cycle_implies_longest_at_least():

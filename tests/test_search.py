@@ -1,18 +1,24 @@
 import json
+import random
 
 import pytest
 
-from cycleramsey.graphs import HoleSpec
+from conftest import random_graph
+from cycleramsey.constructions import build_odd_triple
+from cycleramsey.cycles import _Budget, longest_cycle
+from cycleramsey.graphs import EdgeColoring, HoleSpec
 from cycleramsey.search import (
     AnnealSchedule,
     ArrowInstance,
     CycleTarget,
     MatchingTarget,
+    _energy_of_color,
     arrow_exhaustive,
     arrow_randomized,
     coloring_avoids_all,
     instance_from_dict,
     ramsey_number_exact,
+    target_present,
 )
 
 C3C3 = (CycleTarget(3), CycleTarget(3))
@@ -140,8 +146,6 @@ def test_randomized_finds_witness_and_agrees_with_exhaustive():
 
 
 def test_randomized_accepts_provided_coloring():
-    from cycleramsey.constructions import build_odd_triple
-
     report = build_odd_triple(5)
     inst = ArrowInstance(
         16, (CycleTarget(5), CycleTarget(5), CycleTarget(5))
@@ -149,6 +153,64 @@ def test_randomized_accepts_provided_coloring():
     verdict = arrow_randomized(inst, seed=1, initial=report.coloring)
     assert verdict.arrows is False
     assert verdict.stats.proposals == 0  # zero violations on arrival
+
+
+def test_randomized_checks_the_initial_coloring():
+    # color 1 is the triangle 0,1,2 and color 2 the star at vertex 3
+    k4 = EdgeColoring._from_masks(
+        4, [[0b0110, 0b0101, 0b0011, 0], [0b1000, 0b1000, 0b1000, 0b0111]]
+    )
+    with pytest.raises(ValueError, match="n=4, k=2"):
+        arrow_randomized(ArrowInstance(6, C3C3), initial=k4)
+    three = build_odd_triple(3).coloring  # n=8, three colors
+    with pytest.raises(ValueError, match="k=3"):
+        arrow_randomized(ArrowInstance(8, C3C3), initial=three)
+    holed = ArrowInstance(
+        8, (CycleTarget(4),) * 3, holes=HoleSpec((frozenset({0, 1}),))
+    )
+    with pytest.raises(ValueError, match="holes"):
+        arrow_randomized(holed, initial=three)
+    # deleting a pair of K4 needs a deletion budget of at least one
+    masks = [list(g._adj) for g in k4.classes]
+    masks[1][2] ^= 1 << 3
+    masks[1][3] ^= 1 << 2
+    sparse = EdgeColoring._from_masks(4, masks, deleted=[(2, 3)])
+    with pytest.raises(ValueError, match="deletes 1 pairs"):
+        arrow_randomized(ArrowInstance(4, C3C3), initial=sparse)
+    verdict = arrow_randomized(ArrowInstance(4, C3C3, deleted_budget=1), initial=sparse)
+    assert verdict.arrows is False and len(verdict.witness.deleted) <= 1
+
+
+def test_at_least_energy_is_zero_iff_target_absent():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(4, 12)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        found = longest_cycle(g, "any")
+        best = 0 if found is None else found[0]
+        for ell in range(3, n + 1):
+            target = CycleTarget(ell, exact=False)
+            energy = _energy_of_color(n, list(g._adj), target, _Budget(10**8))
+            assert (energy == 0) == (best < ell) == (not target_present(g, target))
+
+
+def test_at_least_targets_beyond_the_table_cap():
+    c5plus = (CycleTarget(5, exact=False),) * 2
+    # each class of a 2-coloring of K24 has >= 138 > 46 edges somewhere,
+    # so no coloring avoids C5+ twice and the search stays unknown
+    verdict = arrow_randomized(
+        ArrowInstance(24, c5plus), schedule=AnnealSchedule(steps=20, restarts=1)
+    )
+    assert verdict.arrows is None and verdict.stats.best_energy > 0
+    for seed in range(10):
+        verdict = arrow_randomized(
+            ArrowInstance(6, c5plus), schedule=AnnealSchedule(steps=200, restarts=2),
+            seed=seed,
+        )
+        assert verdict.arrows is False, seed
+        assert coloring_avoids_all(verdict.witness, c5plus)
+    verdict = arrow_exhaustive(ArrowInstance(7, c5plus))
+    assert verdict.arrows is True and verdict.stats.nodes == 1089
 
 
 def test_randomized_reaches_zero_on_construction_size():
