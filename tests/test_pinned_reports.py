@@ -12,8 +12,10 @@ before colorings were stored as one class graph per color and before
 ``has_cycle_of_length`` moved onto the shared simple-path kernel. The
 at-least cycle-target anneal reports were recorded when those targets moved
 from ``longest_cycle`` to the component presence score, which changed them
-by design (the K24 run raised TableCapExceeded before). None may be edited
-to make a refactor pass.
+by design (the K24 run raised TableCapExceeded before). The total charge of
+the at-least cycle score was recorded before its anchor loop moved into the
+helper that also serves ``has_cycle_of_length``. None may be edited to make
+a refactor pass.
 """
 
 import hashlib
@@ -24,7 +26,12 @@ from fractions import Fraction
 
 import pytest
 
-from cycleramsey.cycles import has_cycle_of_length, longest_cycle
+from cycleramsey.cycles import (
+    _Budget,
+    _long_cycle_edges,
+    has_cycle_of_length,
+    longest_cycle,
+)
 from cycleramsey.constructions import (
     build_eeo_four_part,
     build_eeo_three_part,
@@ -255,3 +262,18 @@ def test_longest_cycle_total_charge_is_pinned():
     with pytest.raises(BudgetExceededError) as err:
         longest_cycle(_petersen(), budget=237)
     assert err.value.nodes == 238
+
+
+def test_long_cycle_edges_total_charge_is_pinned():
+    # the seeded graphs of test_long_cycle_edges_match_longest_cycle and
+    # every L in 3..n: one unit per simple-path kernel call, 26 155 in all
+    rng = random.Random(31)
+    spent = 0
+    for _ in range(160):
+        n = rng.randint(3, 16)
+        g = _random_graph(rng, n, rng.uniform(0.5, 4.0) / n)
+        for ell in range(3, n + 1):
+            bud = _Budget(10**8)
+            _long_cycle_edges(g._adj, ell, bud)
+            spent += bud.spent
+    assert spent == 26155
