@@ -13,10 +13,12 @@ from typing import Optional
 from .cycles import (
     DEFAULT_BUDGET,
     CycleCertificate,
+    _anchored_cycle,
+    _Budget,
     _check_budget,
     longest_cycle,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, TableCapExceeded
 from .graphs import (
     EdgeColoring,
     Graph,
@@ -229,13 +231,13 @@ def _check_no_cycle_geq(
     g: Graph, bound: int, budget: int
 ) -> tuple[Optional[bool], str, Optional[CycleCertificate]]:
     methods = set()
+    bud = _Budget(budget)
     for comp in components(g):
         comp_mask = _mask_of(comp)
         if len(comp) < bound:
             methods.add("component-size")
             continue
-        sub = g.subgraph_on(comp_mask)
-        sides = bipartition(sub)
+        sides = bipartition(g.subgraph_on(comp_mask))
         if sides is not None:
             small = min(len(sides[0] & comp), len(sides[1] & comp))
             if 2 * small < bound:
@@ -245,13 +247,14 @@ def _check_no_cycle_geq(
         if 2 * (len(comp) - (ind & comp_mask).bit_count()) < bound:
             methods.add("independent-set")
             continue
+        length = max(bound, 3)  # a claim file may hold a smaller bound
         try:
-            found = longest_cycle(sub, "any", budget=budget)
+            cycle = _anchored_cycle(g._adj, comp_mask, length, bud, atleast=True)
         except BudgetExceededError:
             return None, "budget-exceeded", None
         methods.add("exact-search")
-        if found is not None and found[0] >= bound:
-            return False, "exact-search", found[1]
+        if cycle is not None:
+            return False, "exact-search", CycleCertificate(tuple(cycle))
     return True, "+".join(sorted(methods)) if methods else "empty", None
 
 
@@ -295,6 +298,8 @@ def _oee_stated_bound_note(report: ConstructionReport, budget: int) -> str:
     g = report.coloring.color_class(1)
     try:
         found = longest_cycle(g, "any", budget=budget)
+    except TableCapExceeded:
+        return f"stated stronger color-1 bound (<= {stated}): undecided (table cap)"
     except BudgetExceededError:
         return f"stated stronger color-1 bound (<= {stated}): undecided (budget)"
     length = 0 if found is None else found[0]

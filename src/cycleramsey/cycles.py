@@ -9,10 +9,10 @@ subclass TableCapExceeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import BudgetExceededError, PreconditionViolated, TableCapExceeded
-from .graphs import Graph, _bits, _component_masks, _reachable, components
+from .graphs import Graph, _bits, _component_masks, _mask_of, _reachable, components
 
 DEFAULT_BUDGET = 10**8
 TABLE_CAP = 22  # longest_cycle's largest component slice (2^22 table entries)
@@ -79,8 +79,9 @@ def _simple_paths(
     1 if one exists and 0 if none does. Each call spends one unit of ``bud``.
     With u == v and ``steps`` >= 3 the paths are the cycles through u whose
     other vertices avoid ``avoid``, counted once per direction. In plain
-    existence mode the inner vertices of the lexicographically first such
-    path are appended to ``out``, last first; a failure leaves ``out`` as is.
+    existence mode the inner vertices of one such path (the lexicographically
+    first for exact lengths) are appended to ``out``, last first; a failure
+    leaves ``out`` as is.
     """
     bud.spend()
     free = adj[u] & ~avoid
@@ -120,7 +121,10 @@ def _simple_paths(
     if not adj[v] & reach or reach.bit_count() < steps - 1:
         return 0
     if atleast and steps <= 2:
-        return 1  # any route from a free neighbour to v has >= 2 edges
+        # any route from a free neighbour to v has >= 2 edges
+        if out is not None:
+            out += _route(adj, free, adj[v], reach)
+        return 1
     total = 0
     while free:
         low = free & -free
@@ -137,15 +141,58 @@ def _simple_paths(
     return total
 
 
+def _route(adj: Sequence[int], start: int, end: int, allowed: int) -> list[int]:
+    """A shortest path inside ``allowed`` from a vertex of ``start`` to one of
+    ``end``, last vertex first; one must exist."""
+    layers = [start]
+    while not layers[-1] & end:
+        allowed &= ~layers[-1]
+        grow = 0
+        for x in _bits(layers[-1]):
+            grow |= adj[x]
+        layers.append(grow & allowed)
+    path = []
+    for layer in reversed(layers):
+        pick = layer & end
+        path.append((pick & -pick).bit_length() - 1)
+        end = adj[path[-1]]
+    return path
+
+
+def _anchored_cycle(
+    adj: Sequence[int], active: int, length: int, bud: _Budget, atleast: bool = False
+) -> Optional[list[int]]:
+    """A cycle of ``length`` vertices (at least ``length`` if ``atleast``)
+    inside ``active``, as a vertex list from its smallest vertex, or None.
+
+    Each anchor of ``active`` in ascending order asks the simple-path kernel
+    for a closed path of ``length`` edges through higher vertices of
+    ``active`` only. An exact length thus gives the lexicographically first
+    cycle through the smallest possible anchor.
+    """
+    every = (1 << len(adj)) - 1
+    rest = active  # the anchor and the higher vertices of ``active``
+    while rest.bit_count() >= length:
+        low = rest & -rest
+        rest ^= low
+        anchor = low.bit_length() - 1
+        if (adj[anchor] & rest).bit_count() < 2:
+            continue
+        inner: list[int] = []
+        if _simple_paths(
+            adj, anchor, anchor, length, every & ~rest, bud, atleast=atleast, out=inner
+        ):
+            return [anchor, *reversed(inner)]
+    return None
+
+
 def _long_cycle_edges(adj: Sequence[int], length: int, bud: _Budget) -> int:
     """Edges in the components that hold a cycle of at least ``length``
     vertices; 0 exactly when the graph has no such cycle.
 
     A component of v >= ``length`` vertices with more than (length-1)(v-1)/2
-    edges holds one by the Erdos-Gallai theorem, with no search. In a sparser
-    one each anchor in ascending order asks the simple-path kernel for a
-    closed path of at least ``length`` edges through higher vertices only,
-    as ``has_cycle_of_length`` does; every kernel call spends one unit.
+    edges holds one by the Erdos-Gallai theorem, with no search; a sparser
+    one is searched with ``_anchored_cycle``.
     """
     score = 0
     for comp in _component_masks(adj, (1 << len(adj)) - 1):
@@ -153,18 +200,9 @@ def _long_cycle_edges(adj: Sequence[int], length: int, bud: _Budget) -> int:
         if size < length:
             continue
         edges2 = sum(adj[v].bit_count() for v in _bits(comp))
-        found = _density_holds(edges2, size, length)
-        rest = comp  # the anchor and the higher vertices of the component
-        while not found and rest.bit_count() >= length:
-            low = rest & -rest
-            rest ^= low
-            anchor = low.bit_length() - 1
-            found = (adj[anchor] & rest).bit_count() >= 2 and bool(
-                _simple_paths(
-                    adj, anchor, anchor, length, (low << 1) - 1, bud, atleast=True
-                )
-            )
-        if found:
+        if _density_holds(edges2, size, length) or _anchored_cycle(
+            adj, comp, length, bud, atleast=True
+        ):
             score += edges2 // 2
     return score
 
@@ -174,23 +212,15 @@ def has_cycle_of_length(
 ) -> Optional[CycleCertificate]:
     """Find a simple cycle of exactly ``length`` vertices, or prove absence.
 
-    Each anchor in ascending order asks the simple-path kernel for a closed
-    path of ``length`` edges from the anchor back to itself through higher
-    vertices only, so the anchor is the cycle's smallest vertex. The
-    certificate is the lexicographically first such cycle through the
-    smallest possible anchor. The budget is charged one unit per kernel call.
+    The certificate is the lexicographically first such cycle through the
+    smallest possible anchor (``_anchored_cycle``). The budget is charged
+    one unit per simple-path kernel call.
     """
     bud = _Budget(budget)
     if length < 3:
         raise ValueError(f"cycle length {length} below 3")
-    for anchor in range(g.n - length + 1):
-        avoid = (2 << anchor) - 1
-        if (g._adj[anchor] & ~avoid).bit_count() < 2:
-            continue
-        inner: list[int] = []
-        if _simple_paths(g._adj, anchor, anchor, length, avoid, bud, out=inner):
-            return CycleCertificate((anchor, *reversed(inner)))
-    return None
+    cycle = _anchored_cycle(g._adj, g.vertices_mask(), length, bud)
+    return None if cycle is None else CycleCertificate(tuple(cycle))
 
 
 def longest_cycle(
@@ -297,8 +327,8 @@ def erdos_gallai_cycle(
     Reduction loop: strip vertices of degree <= (m-1)/2, restrict to a
     component that keeps the density invariant, split at cut vertices toward
     the denser side. The surviving core is 2-connected with minimum degree
-    >= ceil(m/2) and at least m vertices; a maximal-path closure loop (with a
-    budgeted exact search as last resort) extracts the cycle there.
+    >= ceil(m/2) and at least m vertices; a maximal-path closure loop (with
+    the budgeted ``_anchored_cycle`` as last resort) extracts the cycle there.
     """
     _check_budget(budget)
     if not 3 <= m <= g.n:
@@ -320,14 +350,15 @@ def erdos_gallai_cycle(
                     active &= ~(1 << v)
                     changed = True
         sub = g.subgraph_on(active)
-        comp = _densest_invariant_component(sub, active, m)
+        comp = _dense_part(sub, _component_masks(sub._adj, active), m)
         if comp != active:
             active = comp
             continue
         cut = _articulation_vertex(sub, active)
         if cut is None:
             break
-        active = _denser_side(sub, active, cut, m)
+        sides = _component_masks(sub._adj, active & ~(1 << cut))
+        active = _dense_part(sub, (side | 1 << cut for side in sides), m)
 
     core = g.subgraph_on(active)
     cycle = _closure_cycle(core, active, m, budget)
@@ -341,15 +372,13 @@ def _density_holds(edges2: int, nverts: int, m: int) -> bool:
     return edges2 > (m - 1) * (nverts - 1)
 
 
-def _densest_invariant_component(sub: Graph, active: int, m: int) -> int:
-    comps = list(_component_masks(sub._adj, active))
-    if len(comps) == 1:
-        return active
-    for comp in comps:
-        e2 = sum((sub._adj[v] & comp).bit_count() for v in _bits(comp))
-        if _density_holds(e2, comp.bit_count(), m):
-            return comp
-    raise AssertionError("internal: no component keeps the density invariant")
+def _dense_part(sub: Graph, parts: Iterable[int], m: int) -> int:
+    """The first vertex mask of ``parts`` that keeps the density invariant."""
+    for part in parts:
+        e2 = sum((sub._adj[v] & part).bit_count() for v in _bits(part))
+        if _density_holds(e2, part.bit_count(), m):
+            return part
+    raise AssertionError("internal: no part keeps the density invariant")
 
 
 def _articulation_vertex(sub: Graph, active: int) -> Optional[int]:
@@ -394,15 +423,6 @@ def _articulation_vertex(sub: Graph, active: int) -> Optional[int]:
     return art
 
 
-def _denser_side(sub: Graph, active: int, cut: int, m: int) -> int:
-    for comp in _component_masks(sub._adj, active & ~(1 << cut)):
-        side = comp | (1 << cut)
-        e2 = sum((sub._adj[v] & side).bit_count() for v in _bits(side))
-        if _density_holds(e2, side.bit_count(), m):
-            return side
-    raise AssertionError("internal: no cut side keeps the density invariant")
-
-
 def _examine_path(core: Graph, active: int, m: int, path: list[int]):
     """Classify a path: ('long', cycle >= m), ('grow', longer path), or stall.
 
@@ -410,9 +430,7 @@ def _examine_path(core: Graph, active: int, m: int, path: list[int]):
     tail ~ x_{i-1} gives a cycle through every path vertex), and the two
     single-endpoint closures.
     """
-    used = 0
-    for v in path:
-        used |= 1 << v
+    used = _mask_of(path)
     head, tail = path[0], path[-1]
     if core._adj[head] & active & ~used or core._adj[tail] & active & ~used:
         return "grow", _maximal_path(core, active, list(path))
@@ -482,54 +500,28 @@ def _closure_cycle(core: Graph, active: int, m: int, budget: int) -> list[int]:
                 break
             queue.extend(_rotations(core, p))
     # Rotation closure exhausted short of m (adversarial near-extremal cores).
-    if total <= TABLE_CAP:
-        found = longest_cycle(core, "any", budget=budget)
-        if found is None or found[0] < m:
-            raise AssertionError("internal: dense core lacks the guaranteed cycle")
-        return list(found[1].vertices)
-    # Larger cores: scan exact lengths downward from the degree bound.
-    min_deg = min((core._adj[v] & active).bit_count() for v in _bits(active))
-    high = min(total, 2 * min_deg)
-    slice_budget = max(10**5, budget // max(1, high - m + 1))
-    for ell in range(high, m - 1, -1):
-        try:
-            cert = has_cycle_of_length(core, ell, budget=slice_budget)
-        except BudgetExceededError:
-            continue
-        if cert is not None:
-            return list(cert.vertices)
-    raise BudgetExceededError(
-        "guaranteed cycle exists but was not extracted within budget"
-    )
+    cycle = _anchored_cycle(core._adj, active, m, _Budget(budget), atleast=True)
+    if cycle is None:
+        raise AssertionError("internal: dense core lacks the guaranteed cycle")
+    return cycle
 
 
 def _maximal_path(core: Graph, active: int, path: list[int]) -> list[int]:
-    used = 0
-    for v in path:
-        used |= 1 << v
-    while True:
-        ext = core._adj[path[-1]] & active & ~used
-        if not ext:
-            break
-        w = (ext & -ext).bit_length() - 1
-        path.append(w)
-        used |= 1 << w
-    while True:
-        ext = core._adj[path[0]] & active & ~used
-        if not ext:
-            break
-        w = (ext & -ext).bit_length() - 1
-        path.insert(0, w)
-        used |= 1 << w
+    """Extend ``path`` in place at its tail, then at its head, greedily by the
+    smallest free neighbour until neither end can grow."""
+    used = _mask_of(path)
+    for _end in range(2):
+        while ext := core._adj[path[-1]] & active & ~used:
+            w = (ext & -ext).bit_length() - 1
+            path.append(w)
+            used |= 1 << w
+        path.reverse()
     return path
 
 
 def _extend_from_cycle(core: Graph, active: int, cycle: list[int]):
     """Break a non-spanning cycle at an attachment point into a longer path."""
-    on_cycle = 0
-    for v in cycle:
-        on_cycle |= 1 << v
-    outside = active & ~on_cycle
+    outside = active & ~_mask_of(cycle)
     if not outside:
         return None
     for i, v in enumerate(cycle):

@@ -7,12 +7,16 @@ from cycleramsey.bounds import TargetTriple, construction_sizes
 from cycleramsey.constructions import (
     NO_CYCLE_GEQ,
     NO_ODD_CYCLE,
+    Claim,
+    ConstructionReport,
     build_eeo_four_part,
     build_eeo_three_part,
     build_odd_triple,
     build_oee_four_part,
     verify_claims,
 )
+from cycleramsey.cycles import verify_cycle
+from cycleramsey.graphs import EdgeColoring, Graph
 
 
 
@@ -90,6 +94,53 @@ def test_oee_stated_stronger_bound_is_reported_not_asserted():
     assert r.all_verified()  # the recorded (weaker) claims all hold
     note = next(n for n in r.notes if "stronger" in n)
     assert "violated" in note  # the literal stronger bound fails, by design
+
+
+def test_oee_note_tells_a_table_cap_from_a_budget():
+    # color 1 of oee_four_part(20, 21) has 29-vertex components, beyond the
+    # longest-cycle table; a small budget runs out on a 10-vertex one
+    notes = verify_claims(build_oee_four_part(20, 21)).notes
+    assert notes[-1].endswith("undecided (table cap)")
+    notes = verify_claims(build_oee_four_part(6, 5), budget=10).notes
+    assert notes[-1].endswith("undecided (budget)")
+
+
+def test_long_cycle_claims_beyond_the_table_cap():
+    # color 1: triangles {2i, 2i+1, 2i+2} chained at shared vertices, plus a
+    # pendant edge, on 30 vertices; color 2: the rest of K30
+    chain = {(28, 29)}
+    for i in range(14):
+        chain |= {(2 * i, 2 * i + 1), (2 * i, 2 * i + 2), (2 * i + 1, 2 * i + 2)}
+    rest = [(u, v) for u in range(30) for v in range(u + 1, 30) if (u, v) not in chain]
+    coloring = EdgeColoring(30, 2, (Graph(30, chain), Graph(30, rest)))
+    claims = (
+        Claim(1, NO_CYCLE_GEQ, 4),
+        Claim(1, NO_CYCLE_GEQ, 25),
+        Claim(2, NO_CYCLE_GEQ, 25),
+    )
+    report = ConstructionReport("triangle chain", {}, coloring, (), claims)
+    short, long, dense = verify_claims(report).claims
+    assert (short.verified, short.method) == (True, "exact-search")
+    assert (long.verified, long.method) == (True, "exact-search")
+    assert (dense.verified, dense.method) == (False, "exact-search")
+    assert dense.witness.length >= 25
+    assert verify_cycle(coloring.color_class(2), dense.witness)
+    # one unit per simple-path kernel call: 21 decide the 25 claim on color 1
+    alone = replace(report, claims=claims[1:2])
+    assert verify_claims(alone, budget=21).claims[0].verified is True
+    assert verify_claims(alone, budget=20).claims[0].method == "budget-exceeded"
+
+
+def test_long_cycle_claim_below_three_needs_a_real_cycle():
+    # a claim file may say "no cycle of 2 or more vertices"; the witness of
+    # its failure is still a cycle, here the triangle of color 1
+    coloring = EdgeColoring(4, 2, (
+        Graph(4, [(0, 1), (0, 2), (1, 2)]), Graph(4, [(0, 3), (1, 3), (2, 3)])
+    ))
+    claims = (Claim(1, NO_CYCLE_GEQ, 2),)
+    (claim,) = verify_claims(ConstructionReport("k3", {}, coloring, (), claims)).claims
+    assert (claim.verified, claim.method) == (False, "exact-search")
+    assert sorted(claim.witness.vertices) == [0, 1, 2]
 
 
 def test_builder_colorings_are_valid_total_colorings():

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from cycleramsey import cycles
 from cycleramsey.cycles import (
     CycleCertificate,
+    _anchored_cycle,
     _Budget,
     _long_cycle_edges,
     erdos_gallai_cycle,
@@ -164,6 +166,26 @@ def test_long_cycle_edges_examples():
         _long_cycle_edges(c24, 24, _Budget(3))
 
 
+def test_anchored_cycle_at_least_matches_longest_cycle():
+    # inside a random vertex subset, a cycle of at least L vertices is found
+    # exactly when the induced subgraph's longest cycle reaches L
+    rng = random.Random(37)
+    for trial in range(80):
+        n = rng.randint(3, 12)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.7))
+        active = rng.getrandbits(n) | rng.getrandbits(n)
+        found = longest_cycle(g.subgraph_on(active), "any")
+        best = 0 if found is None else found[0]
+        for ell in range(3, n + 1):
+            bud = _Budget(10**8)
+            cycle = _anchored_cycle(g._adj, active, ell, bud, atleast=True)
+            assert (cycle is not None) == (best >= ell), (trial, ell)
+            if cycle is not None:
+                assert len(cycle) >= ell and all(active >> v & 1 for v in cycle)
+                assert verify_cycle(g, CycleCertificate(tuple(cycle)))
+                assert cycle[0] == min(cycle)
+
+
 def test_found_cycle_implies_longest_at_least():
     rng = random.Random(4)
     for _ in range(40):
@@ -228,6 +250,33 @@ def test_erdos_gallai_clique_chain():
     g = Graph(9, edges)
     cert = erdos_gallai_cycle(g, 5)
     assert verify_cycle(g, cert) and cert.length >= 5
+
+
+def _stall_rotations(monkeypatch):
+    # every path looks stuck, so the anchored search has to find the cycle
+    monkeypatch.setattr(cycles, "_examine_path", lambda *args: ("stall", None))
+
+
+def test_erdos_gallai_fallback_finds_the_cycle(monkeypatch):
+    _stall_rotations(monkeypatch)
+    rng = random.Random(78)
+    for _ in range(40):
+        n = rng.randint(4, 30)
+        m = rng.randint(3, n)
+        g = _graph_meeting_threshold(rng, n, m)
+        cert = erdos_gallai_cycle(g, m)
+        assert verify_cycle(g, cert) and cert.length >= m, (n, m)
+
+
+@pytest.mark.parametrize("budget", [0, 5])
+def test_erdos_gallai_fallback_keeps_to_the_budget(monkeypatch, budget):
+    # the Hamiltonian cycle of K30 takes 29 kernel calls; a smaller budget
+    # runs out one unit past itself, with no minimum slice of work
+    _stall_rotations(monkeypatch)
+    with pytest.raises(BudgetExceededError) as err:
+        erdos_gallai_cycle(complete_graph(30), 30, budget=budget)
+    assert err.value.nodes == budget + 1
+    assert erdos_gallai_cycle(complete_graph(30), 30, budget=29).length == 30
 
 
 def _graph_meeting_threshold(rng, n, m):

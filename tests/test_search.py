@@ -366,9 +366,22 @@ def test_path_kernel_matches_enumeration():
                 assert not any(avoid >> w & 1 for w in inner)
             else:
                 assert inner == []
-            assert _simple_paths(adj, u, v, steps, avoid, bud, atleast=True) == any(
-                ell >= steps for ell in lengths
-            )
+            # at least ``steps`` edges: the same answer and charge with or
+            # without the path, which is simple, long enough and avoids avoid
+            bare, full = _Budget(10**9), _Budget(10**9)
+            found = _simple_paths(adj, u, v, steps, avoid, bare, atleast=True)
+            assert found == any(ell >= steps for ell in lengths)
+            inner = []
+            assert _simple_paths(
+                adj, u, v, steps, avoid, full, atleast=True, out=inner
+            ) == found
+            assert full.spent == bare.spent
+            walk = [u, *reversed(inner), v]
+            if found:
+                assert len(walk) >= steps + 1 and _is_simple_path(adj, walk)
+                assert not any(avoid >> w & 1 for w in inner)
+            else:
+                assert inner == []
         # u == v: closed paths are the cycles through u on vertices outside
         # avoid, each counted once per direction
         u = rng.randrange(n)
