@@ -13,6 +13,7 @@ from .errors import NoQualifyingComponent, PreconditionViolated
 from .graphs import (
     Graph,
     _bits,
+    _component_masks,
     _mask_of,
     bipartition,
     components,
@@ -272,15 +273,11 @@ def tutte_partition(g: Graph, n_target: int) -> TuttePartition:
     rest = g.vertices_mask() & ~s_mask
     threshold = math.isqrt(g.n)
     t_mask = u_mask = 0
-    sub = g.subgraph_on(rest)
-    for comp in components(sub):
-        comp_mask = _mask_of(comp)
-        if not comp_mask & rest:
-            continue  # an S vertex showing up as an isolated singleton
-        if len(comp) <= threshold:  # component size <= sqrt(|V|) goes to T
-            t_mask |= comp_mask
+    for comp in _component_masks(g._adj, rest):
+        if comp.bit_count() <= threshold:  # component size <= sqrt(|V|) goes to T
+            t_mask |= comp
         else:
-            u_mask |= comp_mask
+            u_mask |= comp
     part = TuttePartition(
         S=frozenset(_bits(s_mask)),
         T=frozenset(_bits(t_mask)),
