@@ -29,6 +29,7 @@ import pytest
 from cycleramsey.cycles import (
     _Budget,
     _long_cycle_edges,
+    erdos_gallai_cycle,
     has_cycle_of_length,
     longest_cycle,
 )
@@ -39,10 +40,19 @@ from cycleramsey.constructions import (
     build_oee_four_part,
     verify_claims,
 )
-from cycleramsey.errors import BudgetExceededError
-from cycleramsey.graphs import Graph, complete_graph
+from cycleramsey.errors import (
+    BudgetExceededError,
+    NoQualifyingComponent,
+    PreconditionViolated,
+)
+from cycleramsey.graphs import Graph, bipartition, complete_graph
 from cycleramsey.harness import _run_f1, _run_hole_lemma, lemma_harness
-from cycleramsey.matchings import maximum_matching, tutte_partition
+from cycleramsey.matchings import (
+    best_component_matching,
+    bipartite_split,
+    maximum_matching,
+    tutte_partition,
+)
 from cycleramsey.search import (
     AnnealSchedule,
     ArrowInstance,
@@ -117,6 +127,105 @@ def _tutte_partitions():
         part = tutte_partition(g, 2 * nu + 1 + rng.randint(0, 3))
         out.append([sorted(part.S), sorted(part.T), sorted(part.U), part.n_target])
     return out
+
+
+def _blocky_graph(rng, bipartite):
+    # random blocks on disjoint vertex sets, some vertices isolated; with
+    # ``bipartite`` every edge joins the two halves of a random split
+    n = rng.randint(4, 40)
+    blocks = rng.randint(1, 4)
+    where = [rng.randint(0, blocks) for _ in range(n)]  # block ``blocks``: isolated
+    half = [rng.randint(0, 1) for _ in range(n)]
+    p = rng.uniform(0.15, 0.7)
+    return Graph(n, [
+        (u, v) for u, v in itertools.combinations(range(n), 2)
+        if where[u] == where[v] < blocks
+        and (not bipartite or half[u] != half[v])
+        and rng.random() < p
+    ])
+
+
+def _blocky_graphs():
+    # 40 seeded graphs with 4 <= n <= 40, every other one bipartite
+    rng = random.Random(4005)
+    return [_blocky_graph(rng, i % 2 == 0) for i in range(40)]
+
+
+def _bipartitions():
+    out = []
+    for g in _blocky_graphs():
+        sides = bipartition(g)
+        out.append(None if sides is None else [sorted(sides[0]), sorted(sides[1])])
+    return out
+
+
+def _best_component_matchings(require_nonbipartite):
+    out = []
+    for g in _blocky_graphs():
+        try:
+            comp, match = best_component_matching(g, require_nonbipartite)
+        except NoQualifyingComponent:
+            out.append(None)
+            continue
+        out.append([sorted(comp), [list(e) for e in match.edges]])
+    return out
+
+
+def _bipartite_splits():
+    # a bound no component reaches, and a bound of 6 that some exceed
+    out = []
+    for g in _blocky_graphs():
+        for alpha in (g.n + 1, 6):
+            try:
+                split = bipartite_split(g, alpha, 1)
+            except PreconditionViolated as exc:
+                comp, match = exc.witness
+                out.append(["violated", sorted(comp), [list(e) for e in match.edges]])
+                continue
+            out.append([sorted(split.Vprime), sorted(split.Vdoubleprime),
+                        str(split.alpha_bound)])
+    return out
+
+
+def _restricted_matchings():
+    # two random vertex subsets per graph, one given as a list, one as a set
+    rng = random.Random(4006)
+    out = []
+    for g in _blocky_graphs():
+        for as_set in (False, True):
+            within = rng.sample(range(g.n), rng.randint(0, g.n))
+            if as_set:
+                within = set(within)
+            out.append([list(e) for e in maximum_matching(g, within=within).edges])
+    return out
+
+
+def _erdos_gallai_cycles():
+    # 24 seeded threshold graphs with 3 <= n <= 60, then 16 chains of cliques
+    # sharing cut vertices, topped up with random chords to the threshold
+    rng = random.Random(4007)
+    cases = []
+    for _ in range(24):
+        n = rng.randint(3, 60)
+        m = rng.randint(3, n)
+        need = ((m - 1) * (n - 1) + 3) // 2
+        pairs = list(itertools.combinations(range(n), 2))
+        count = min(len(pairs), need + rng.randint(0, 3))
+        cases.append((Graph(n, rng.sample(pairs, count)), m))
+    while len(cases) < 40:
+        m = rng.randrange(3, 12)
+        n = 1 + rng.randint(2, 5) * (m - 2)
+        if n > 60:
+            continue
+        edges = set()
+        for at in range(0, n - 1, m - 2):
+            edges.update(itertools.combinations(range(at, at + m - 1), 2))
+        pairs = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+        rng.shuffle(pairs)
+        while 2 * len(edges) < (m - 1) * (n - 1) + 2:
+            edges.add(pairs.pop())
+        cases.append((Graph(n, edges), m))
+    return [[g.n, m, list(erdos_gallai_cycle(g, m).vertices)] for g, m in cases]
 
 
 CASES = {
@@ -199,26 +308,38 @@ CASES = {
     "longest_cycle odd": lambda: _longest_cycles("odd"),
     "longest_cycle even": lambda: _longest_cycles("even"),
     "tutte_partition": _tutte_partitions,
+    "bipartition": _bipartitions,
+    "best_component_matching": lambda: _best_component_matchings(False),
+    "best_component_matching nonbipartite": lambda: _best_component_matchings(True),
+    "bipartite_split": _bipartite_splits,
+    "maximum_matching within": _restricted_matchings,
+    "erdos_gallai_cycle": _erdos_gallai_cycles,
 }
 
 DIGESTS = {
+    "best_component_matching": "079d993fed6f14b77121f036c37e050519105534e6b33a4bc20187d14ebc93fc",
+    "best_component_matching nonbipartite": "087a97f37ded221a92c97bbce82213aad199acf2845db36af9d4d57dfe695f88",
+    "bipartite_split": "5e9c9cbd45ee33e5c6a958c0c5fe0c6cbf1f4f4fff8d4f6f012b117adc530815",
+    "bipartition": "990150cffa2fcdcec85c42d372649ee81ace28911b02c10779fff2ba45ff8681",
     "eeo_four_part 4,4": "29c4b7e308882cb14ee4ca090cb984c855dceb17cafdbc955266d349ef5d5a41",
     "eeo_four_part 6,4": "2ca0096fd2a961a940b8b8e931dfecd4d5a46bb59e2b18c0add004d0e5583501",
     "eeo_three_part 4,4,3": "19a3a99a8bd2c77e4b540f2c59cd1065ad01254f0f148d150fba7fa10fda0a1c",
     "eeo_three_part 6,4,5": "7bdb61f89c9e07c15d9e9a1381b99a55b94021d08ea20834c627743b54d25c0b",
+    "erdos_gallai_cycle": "0d8a48cab9f218f96cbdd7f405d9076298291a8f29aed36a0e47fc208ae58492",
     "exhaustive M4,M4@5": "3d6b3620fb241d4054daf73f1c2533b8e7e6fe1ed2226f75200945c6815ff13b",
     "exhaustive M4,M4n@6": "15e036df184da46195c0671ec6d625347d59e62f6566c44ec6f393edcba8da6b",
     "exhaustive M4,M4n@7": "1a8c62c30185e4ad83f3be81eda6b00ae0f82f93a167d80e3693c31e8bc88564",
     "exhaustive M6,M4,C3@7": "a1b8ae4f6a8008be88b176e3355c9a8b38e844e622a4511e65a898b1ec7c48b7",
-    "has_cycle_of_length": "cab5c1c7568c8947423b592ec3ab5ed7d4376fcb1f50870785d40e8fc91f4719",
     "harness double": "36a2ef86150e7151f91a5940b3e3b3dd2ec878175e766fef2a43ae55ae1482c2",
     "harness dwa": "47c5f9bddc31d307e4c09134050e8c2d863ddc01d9a80a70c24b7d6cb2eddf6e",
     "harness f1": "177f7dae35a1b66032ec254cca38f6f828a9928e9d9edfdf532c87388d9df5c1",
     "harness l2": "584f4d7fb95963d1197e705e67fef35e8d926522b211dfa845751490bbc14092",
     "harness trzy": "791474bbac5be0d067bef4be5529330851f616ac7d9050e944eb0e6e17cd1710",
+    "has_cycle_of_length": "cab5c1c7568c8947423b592ec3ab5ed7d4376fcb1f50870785d40e8fc91f4719",
     "longest_cycle any": "3bbcabe8801601f62434a211c996546e27d41ff8a8d8bef5c24e7ae46505fe39",
     "longest_cycle even": "fa1b02752bd4eb89cb61ab59cb1c2a877946cf8c3902a384c27eb8514bb00dcd",
     "longest_cycle odd": "1d5beeadd660711a12664d1bb71622ea3c8121366788de3f42d881dbfcea31bc",
+    "maximum_matching within": "9950996bf10660f022146a380449a63a5f5ee569f137c2e7e92f3685837447ed",
     "odd_triple 3": "d366897753e5d37138f5db797254b689598cd2a140d78632425599127f87eb90",
     "odd_triple 5": "f6b1ee8fefe8f8900c66746503ec33c6b8ed6d6b9b9adc42603b684c0700e040",
     "oee_four_part 4,3": "781b727f20c5efcda35b6eccdefb697095c5b768d3ec4a38d671727324533063",
