@@ -515,9 +515,6 @@ def run(argv: list[str]) -> int:
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TableCapExceeded as exc:
-        print(f"unknown: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
     except BudgetExceededError as exc:
         print(f"budget exceeded after {exc.nodes} nodes", file=sys.stderr)
         return EXIT_UNKNOWN

@@ -16,9 +16,8 @@ from .cycles import (
     _anchored_cycle,
     _Budget,
     _check_budget,
-    longest_cycle,
 )
-from .errors import BudgetExceededError, TableCapExceeded
+from .errors import BudgetExceededError
 from .graphs import (
     EdgeColoring,
     Graph,
@@ -293,15 +292,14 @@ def verify_claims(
 def _oee_stated_bound_note(report: ConstructionReport, budget: int) -> str:
     # The source text asserts the stronger per-component bound m1/2 - 2 for
     # color 1; we report whether it actually holds rather than asserting it.
-    m1 = report.params["m1"]
-    stated = m1 // 2 - 2
+    # A violation names the length of the first cycle found beyond the bound.
+    stated = report.params["m1"] // 2 - 2
     g = report.coloring.color_class(1)
-    try:
-        found = longest_cycle(g, "any", budget=budget)
-    except TableCapExceeded:
-        return f"stated stronger color-1 bound (<= {stated}): undecided (table cap)"
-    except BudgetExceededError:
-        return f"stated stronger color-1 bound (<= {stated}): undecided (budget)"
-    length = 0 if found is None else found[0]
-    verdict = "holds" if length <= stated else f"violated (cycle of length {length})"
+    ok, _, witness = _check_no_cycle_geq(g, stated + 1, budget)
+    if ok is None:
+        verdict = "undecided (budget)"
+    elif ok:
+        verdict = "holds"
+    else:
+        verdict = f"violated (cycle of length {witness.length})"
     return f"stated stronger color-1 bound (<= {stated}): {verdict}"

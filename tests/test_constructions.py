@@ -96,12 +96,14 @@ def test_oee_stated_stronger_bound_is_reported_not_asserted():
     assert "violated" in note  # the literal stronger bound fails, by design
 
 
-def test_oee_note_tells_a_table_cap_from_a_budget():
+def test_oee_note_is_decided_by_the_claim_check():
     # color 1 of oee_four_part(20, 21) has 29-vertex components, beyond the
-    # longest-cycle table; a small budget runs out on a 10-vertex one
+    # longest-cycle table: the anchored search still finds a 9-cycle there
     notes = verify_claims(build_oee_four_part(20, 21)).notes
-    assert notes[-1].endswith("undecided (table cap)")
-    notes = verify_claims(build_oee_four_part(6, 5), budget=10).notes
+    assert notes[-1].endswith("violated (cycle of length 9)")
+    notes = verify_claims(build_oee_four_part(20, 21), budget=0).notes
+    assert notes[-1].endswith("undecided (budget)")
+    notes = verify_claims(build_oee_four_part(6, 5), budget=1).notes
     assert notes[-1].endswith("undecided (budget)")
 
 

@@ -343,7 +343,7 @@ DIGESTS = {
     "odd_triple 3": "d366897753e5d37138f5db797254b689598cd2a140d78632425599127f87eb90",
     "odd_triple 5": "f6b1ee8fefe8f8900c66746503ec33c6b8ed6d6b9b9adc42603b684c0700e040",
     "oee_four_part 4,3": "781b727f20c5efcda35b6eccdefb697095c5b768d3ec4a38d671727324533063",
-    "oee_four_part 6,5": "a9e380f7e31a8fc13012dcb26be5d93908f74bddd7cc176be5f4e08d8e112abb",
+    "oee_four_part 6,5": "9c735b820cd696070c2982b4896e09a4e31a26df500697bad2bab4936b5b120b",
     "randomized C5+,C5+@10": "0ce62ee6051808e792b590889cfaad369980b2f0d6ff7786426a33492621a952",
     "randomized C5+,C5+@24": "6502c7613293a4683872a48de47141e57f6a6e4fd895b3ee217821ad2b53462b",
     "randomized C5+,C5+@6": "8f2293848423ffaa6e7f86f90ea4c6849145db10cb9d445882a4c0403a288307",
