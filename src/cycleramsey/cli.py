@@ -34,6 +34,7 @@ from .constructions import (
     verify_claims,
 )
 from .cycles import (
+    DEFAULT_BUDGET,
     CycleCertificate,
     _check_budget,
     has_cycle_of_length,
@@ -46,7 +47,7 @@ from .graphs import (
     load_coloring,
     load_graph,
 )
-from .harness import LEMMA_IDS, lemma_harness
+from .harness import _ADVERSARY_STEPS, LEMMA_IDS, lemma_harness
 from .matchings import (
     best_component_matching,
     bipartite_split,
@@ -54,6 +55,7 @@ from .matchings import (
     tutte_partition,
 )
 from .search import (
+    DEFAULT_EXACT_CAP,
     DEFAULT_SEED,
     AnnealSchedule,
     ArrowInstance,
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for all randomness (fixed default, never wall clock)")
     common.add_argument("--format", choices=("human", "json", "csv"), default="human")
     common.add_argument("--out", help="write the report to this path instead of stdout")
-    common.add_argument("--node-budget", type=int, default=10**8,
+    common.add_argument("--node-budget", type=int, default=DEFAULT_BUDGET,
                         help="work bound for exact searches; exhaustive arrowing "
                         "counts search nodes plus path-kernel expansions")
     common.add_argument("--timings", action="store_true",
@@ -475,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--mode", choices=("exhaustive", "randomized"), default="exhaustive")
     p.add_argument("--range", help="N range lo..hi for a Ramsey number scan")
-    p.add_argument("--exact-cap", type=int, default=13)
+    p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP)
     p.add_argument("--no-symmetry", action="store_true")
-    p.add_argument("--steps", type=int, default=6000)
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--steps", type=int, default=AnnealSchedule.steps)
+    p.add_argument("--restarts", type=int, default=AnnealSchedule.restarts)
     p.set_defaults(func=_cmd_search)
 
     p = add_parser("lemma", help="property harness for the matching lemmas")
@@ -486,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--strict", action="store_true",
                    help="reject parameters violating asymptotic guards")
-    p.add_argument("--adversary-steps", type=int, default=20)
+    p.add_argument("--adversary-steps", type=int, default=_ADVERSARY_STEPS)
     p.add_argument("--alpha")
     p.add_argument("--beta")
     p.add_argument("--nu")

@@ -22,9 +22,9 @@ from .graphs import (
     EdgeColoring,
     Graph,
     _bits,
+    _component_masks,
     _mask_of,
-    bipartition,
-    components,
+    _two_color,
     odd_closed_walk,
 )
 
@@ -231,24 +231,23 @@ def _check_no_cycle_geq(
 ) -> tuple[Optional[bool], str, Optional[CycleCertificate]]:
     methods = set()
     bud = _Budget(budget)
-    for comp in components(g):
-        comp_mask = _mask_of(comp)
-        if len(comp) < bound:
+    for comp in _component_masks(g._adj, g.vertices_mask()):
+        size = comp.bit_count()
+        if size < bound:
             methods.add("component-size")
             continue
-        sides = bipartition(g.subgraph_on(comp_mask))
-        if sides is not None:
-            small = min(len(sides[0] & comp), len(sides[1] & comp))
+        side, _ = _two_color(g._adj, comp)
+        if side is not None:
+            small = min(side.bit_count(), size - side.bit_count())
             if 2 * small < bound:
                 methods.add("bipartite-sides")
                 continue
-        ind = _greedy_independent_set(g, comp_mask)
-        if 2 * (len(comp) - (ind & comp_mask).bit_count()) < bound:
+        if 2 * (size - _greedy_independent_set(g, comp).bit_count()) < bound:
             methods.add("independent-set")
             continue
         length = max(bound, 3)  # a claim file may hold a smaller bound
         try:
-            cycle = _anchored_cycle(g._adj, comp_mask, length, bud, atleast=True)
+            cycle = _anchored_cycle(g._adj, comp, length, bud, atleast=True)
         except BudgetExceededError:
             return None, "budget-exceeded", None
         methods.add("exact-search")
@@ -262,9 +261,9 @@ def _check_claim(
 ) -> Claim:
     g = coloring.color_class(claim.color)
     if claim.kind == NO_ODD_CYCLE:
-        if bipartition(g) is not None:
-            return replace(claim, verified=True, method="bipartite")
         walk = odd_closed_walk(g)
+        if walk is None:
+            return replace(claim, verified=True, method="bipartite")
         return replace(
             claim,
             verified=False,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import BudgetExceededError, PreconditionViolated, TableCapExceeded
-from .graphs import Graph, _bits, _component_masks, _mask_of, _reachable, components
+from .graphs import Graph, _bits, _component_masks, _mask_of, _reachable, _route
 
 DEFAULT_BUDGET = 10**8
 TABLE_CAP = 22  # longest_cycle's largest component slice (2^22 table entries)
@@ -141,24 +141,6 @@ def _simple_paths(
     return total
 
 
-def _route(adj: Sequence[int], start: int, end: int, allowed: int) -> list[int]:
-    """A shortest path inside ``allowed`` from a vertex of ``start`` to one of
-    ``end``, last vertex first; one must exist."""
-    layers = [start]
-    while not layers[-1] & end:
-        allowed &= ~layers[-1]
-        grow = 0
-        for x in _bits(layers[-1]):
-            grow |= adj[x]
-        layers.append(grow & allowed)
-    path = []
-    for layer in reversed(layers):
-        pick = layer & end
-        path.append((pick & -pick).bit_length() - 1)
-        end = adj[path[-1]]
-    return path
-
-
 def _anchored_cycle(
     adj: Sequence[int], active: int, length: int, bud: _Budget, atleast: bool = False
 ) -> Optional[list[int]]:
@@ -235,14 +217,16 @@ def longest_cycle(
     (S, endpoint) table entry. A component slice of more than TABLE_CAP
     vertices raises TableCapExceeded. Deterministic for a fixed graph.
     """
+    if parity not in ("any", "odd", "even"):
+        raise ValueError(f"parity must be any, odd or even, got {parity!r}")
     bud = _Budget(budget)
     best_len = 0
     best_path: Optional[tuple[int, ...]] = None
     want_odd = parity in ("any", "odd")
     want_even = parity in ("any", "even")
 
-    for comp in components(g):
-        members = sorted(comp)
+    for comp in _component_masks(g._adj, g.vertices_mask()):
+        members = list(_bits(comp))
         if len(members) < 3 or len(members) <= best_len:
             continue  # no cycle in here can beat the current best
         for ai, anchor in enumerate(members):
@@ -250,13 +234,9 @@ def longest_cycle(
             m = len(local)
             if m < 3 or m <= best_len:
                 break  # suffixes only shrink
+            suffix = comp >> anchor << anchor  # the vertices of ``local``
             idx = {v: i for i, v in enumerate(local)}
-            ladj = [0] * m
-            for i, v in enumerate(local):
-                for w in _bits(g._adj[v]):
-                    j = idx.get(w)
-                    if j is not None:
-                        ladj[i] |= 1 << j
+            ladj = [sum(1 << idx[w] for w in _bits(g._adj[v] & suffix)) for v in local]
             home = ladj[0] & ~1  # endpoints that close a cycle at the anchor
             if home.bit_count() < 2:
                 continue
@@ -349,19 +329,17 @@ def erdos_gallai_cycle(
                 if (g._adj[v] & active).bit_count() <= low:
                     active &= ~(1 << v)
                     changed = True
-        sub = g.subgraph_on(active)
-        comp = _dense_part(sub, _component_masks(sub._adj, active), m)
+        comp = _dense_part(g, _component_masks(g._adj, active), m)
         if comp != active:
             active = comp
             continue
-        cut = _articulation_vertex(sub, active)
+        cut = _articulation_vertex(g, active)
         if cut is None:
             break
-        sides = _component_masks(sub._adj, active & ~(1 << cut))
-        active = _dense_part(sub, (side | 1 << cut for side in sides), m)
+        sides = _component_masks(g._adj, active & ~(1 << cut))
+        active = _dense_part(g, (side | 1 << cut for side in sides), m)
 
-    core = g.subgraph_on(active)
-    cycle = _closure_cycle(core, active, m, budget)
+    cycle = _closure_cycle(g, active, m, budget)
     cert = CycleCertificate(tuple(cycle))
     if not (verify_cycle(g, cert) and cert.length >= m):
         raise AssertionError("internal: constructed cycle failed verification")
@@ -372,28 +350,26 @@ def _density_holds(edges2: int, nverts: int, m: int) -> bool:
     return edges2 > (m - 1) * (nverts - 1)
 
 
-def _dense_part(sub: Graph, parts: Iterable[int], m: int) -> int:
+def _dense_part(g: Graph, parts: Iterable[int], m: int) -> int:
     """The first vertex mask of ``parts`` that keeps the density invariant."""
     for part in parts:
-        e2 = sum((sub._adj[v] & part).bit_count() for v in _bits(part))
+        e2 = sum((g._adj[v] & part).bit_count() for v in _bits(part))
         if _density_holds(e2, part.bit_count(), m):
             return part
     raise AssertionError("internal: no part keeps the density invariant")
 
 
-def _articulation_vertex(sub: Graph, active: int) -> Optional[int]:
+def _articulation_vertex(g: Graph, active: int) -> Optional[int]:
     """Any articulation vertex of the (connected) active subgraph, else None."""
     verts = list(_bits(active))
     if len(verts) <= 2:
         return None
-    index = {}
+    index = {}  # DFS discovery order
     lowlink = {}
-    counter = [0]
     root = verts[0]
     # Iterative DFS computing lowpoints.
-    stack = [(root, -1, iter(_bits(sub._adj[root] & active)))]
+    stack = [(root, -1, iter(_bits(g._adj[root] & active)))]
     index[root] = lowlink[root] = 0
-    counter[0] = 1
     root_children = 0
     art = None
     while stack:
@@ -403,11 +379,10 @@ def _articulation_vertex(sub: Graph, active: int) -> Optional[int]:
             if w == parent:
                 continue
             if w not in index:
-                index[w] = lowlink[w] = counter[0]
-                counter[0] += 1
+                index[w] = lowlink[w] = len(index)
                 if v == root:
                     root_children += 1
-                stack.append((w, v, iter(_bits(sub._adj[w] & active))))
+                stack.append((w, v, iter(_bits(g._adj[w] & active))))
                 advanced = True
                 break
             lowlink[v] = min(lowlink[v], index[w])
@@ -423,7 +398,7 @@ def _articulation_vertex(sub: Graph, active: int) -> Optional[int]:
     return art
 
 
-def _examine_path(core: Graph, active: int, m: int, path: list[int]):
+def _examine_path(g: Graph, active: int, m: int, path: list[int]):
     """Classify a path: ('long', cycle >= m), ('grow', longer path), or stall.
 
     Checks endpoint extension, the crossing-pair closure (head ~ x_i with
@@ -432,18 +407,18 @@ def _examine_path(core: Graph, active: int, m: int, path: list[int]):
     """
     used = _mask_of(path)
     head, tail = path[0], path[-1]
-    if core._adj[head] & active & ~used or core._adj[tail] & active & ~used:
-        return "grow", _maximal_path(core, active, list(path))
+    if g._adj[head] & active & ~used or g._adj[tail] & active & ~used:
+        return "grow", _maximal_path(g, active, list(path))
     k = len(path)
     pos = {v: i for i, v in enumerate(path)}
-    head_hits = [pos[w] for w in _bits(core._adj[head]) if w in pos]
-    tail_hits = {pos[w] for w in _bits(core._adj[tail]) if w in pos}
+    head_hits = [pos[w] for w in _bits(g._adj[head]) if w in pos]
+    tail_hits = {pos[w] for w in _bits(g._adj[tail]) if w in pos}
     cross = next((i for i in head_hits if i >= 1 and (i - 1) in tail_hits), None)
     if cross is not None:
         cycle = path[:cross] + path[k - 1 : cross - 1 : -1]
         if len(cycle) >= m:
             return "long", cycle
-        grown = _extend_from_cycle(core, active, cycle)
+        grown = _extend_from_cycle(g, active, cycle)
         if grown is None:
             return "long", cycle  # spans the whole core, and core size >= m
         return "grow", grown
@@ -456,27 +431,28 @@ def _examine_path(core: Graph, active: int, m: int, path: list[int]):
     return "stall", None
 
 
-def _rotations(core: Graph, path: list[int]):
+def _rotations(g: Graph, path: list[int]):
     """All single head/tail rotations of a path (same vertex set)."""
     pos = {v: i for i, v in enumerate(path)}
     k = len(path)
-    for w in _bits(core._adj[path[0]]):
+    for w in _bits(g._adj[path[0]]):
         i = pos.get(w)
         if i is not None and i >= 2:
             yield path[i - 1 :: -1] + path[i:]
-    for w in _bits(core._adj[path[-1]]):
+    for w in _bits(g._adj[path[-1]]):
         j = pos.get(w)
         if j is not None and j <= k - 3:
             yield path[: j + 1] + path[k - 1 : j : -1]
 
 
-def _closure_cycle(core: Graph, active: int, m: int, budget: int) -> list[int]:
-    """Cycle of length >= m in a 2-connected min-degree >= ceil(m/2) core."""
+def _closure_cycle(g: Graph, active: int, m: int, budget: int) -> list[int]:
+    """Cycle of length >= m in the core ``active`` of g, which induces a
+    2-connected subgraph of minimum degree >= ceil(m/2)."""
     from collections import deque
 
     total = active.bit_count()
     start = (active & -active).bit_length() - 1
-    path = _maximal_path(core, active, [start])
+    path = _maximal_path(g, active, [start])
     grown = True
     while grown:
         grown = False
@@ -491,27 +467,27 @@ def _closure_cycle(core: Graph, active: int, m: int, budget: int) -> list[int]:
             if key in seen:
                 continue
             seen.add(key)
-            kind, payload = _examine_path(core, active, m, p)
+            kind, payload = _examine_path(g, active, m, p)
             if kind == "long":
                 return payload
             if kind == "grow":
                 path = payload
                 grown = True
                 break
-            queue.extend(_rotations(core, p))
+            queue.extend(_rotations(g, p))
     # Rotation closure exhausted short of m (adversarial near-extremal cores).
-    cycle = _anchored_cycle(core._adj, active, m, _Budget(budget), atleast=True)
+    cycle = _anchored_cycle(g._adj, active, m, _Budget(budget), atleast=True)
     if cycle is None:
         raise AssertionError("internal: dense core lacks the guaranteed cycle")
     return cycle
 
 
-def _maximal_path(core: Graph, active: int, path: list[int]) -> list[int]:
+def _maximal_path(g: Graph, active: int, path: list[int]) -> list[int]:
     """Extend ``path`` in place at its tail, then at its head, greedily by the
     smallest free neighbour until neither end can grow."""
     used = _mask_of(path)
     for _end in range(2):
-        while ext := core._adj[path[-1]] & active & ~used:
+        while ext := g._adj[path[-1]] & active & ~used:
             w = (ext & -ext).bit_length() - 1
             path.append(w)
             used |= 1 << w
@@ -519,14 +495,14 @@ def _maximal_path(core: Graph, active: int, path: list[int]) -> list[int]:
     return path
 
 
-def _extend_from_cycle(core: Graph, active: int, cycle: list[int]):
+def _extend_from_cycle(g: Graph, active: int, cycle: list[int]):
     """Break a non-spanning cycle at an attachment point into a longer path."""
     outside = active & ~_mask_of(cycle)
     if not outside:
         return None
     for i, v in enumerate(cycle):
-        att = core._adj[v] & outside
+        att = g._adj[v] & outside
         if att:
             w = (att & -att).bit_length() - 1
-            return _maximal_path(core, active, [w] + cycle[i:] + cycle[:i])
+            return _maximal_path(g, active, [w] + cycle[i:] + cycle[:i])
     raise AssertionError("internal: connected core has no cycle attachment")

@@ -277,6 +277,29 @@ def _reachable(adj: Sequence[int], start_mask: int, allowed: int) -> int:
     return comp
 
 
+def _route(adj: Sequence[int], start: int, end: int, allowed: int) -> list[int]:
+    """A shortest path from a vertex of ``start`` to one of ``end`` whose
+    other vertices lie in ``allowed``, last vertex first; one must exist.
+
+    BFS layers of masks grow from ``start`` until one meets ``end``; the path
+    steps back from the smallest vertex met there, through the smallest
+    neighbour in each earlier layer.
+    """
+    layers = [start]
+    while not layers[-1] & end:
+        allowed &= ~layers[-1]
+        grow = 0
+        for x in _bits(layers[-1]):
+            grow |= adj[x]
+        layers.append(grow & allowed)
+    path = []
+    for layer in reversed(layers):
+        pick = layer & end
+        path.append((pick & -pick).bit_length() - 1)
+        end = adj[path[-1]]
+    return path
+
+
 def _component_masks(adj: Sequence[int], active: int) -> Iterator[int]:
     """Components of the subgraph induced on ``active``, by smallest member."""
     while active:
@@ -290,63 +313,58 @@ def components(g: Graph) -> list[frozenset[int]]:
     return [frozenset(_bits(c)) for c in _component_masks(g._adj, g.vertices_mask())]
 
 
-def _two_color(g: Graph):
-    """BFS 2-coloring. Returns (side_mask, None) or (None, odd_cycle_vertices)."""
-    side = [-1] * g.n
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    side_mask = 0
-    for root in range(g.n):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        side_mask |= 1 << root
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in g.neighbors(v):
-                if side[w] == -1:
-                    side[w] = side[v] ^ 1
-                    if side[w] == 0:
-                        side_mask |= 1 << w
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    # Same-side edge: walk both vertices up to their meeting
-                    # point; the two branches plus edge (v,w) form an odd cycle.
-                    a, b = v, w
-                    pa, pb = [a], [b]
-                    while depth[a] > depth[b]:
-                        a = parent[a]
-                        pa.append(a)
-                    while depth[b] > depth[a]:
-                        b = parent[b]
-                        pb.append(b)
-                    while a != b:
-                        a = parent[a]
-                        b = parent[b]
-                        pa.append(a)
-                        pb.append(b)
-                    cycle = pa + pb[-2::-1]
-                    return None, cycle
-    return side_mask, None
+def _two_color(
+    adj: Sequence[int], active: int
+) -> tuple[Optional[int], Optional[list[int]]]:
+    """2-color the subgraph induced on ``active``: (side mask, None), or
+    (None, an odd cycle as a vertex list) when it is not bipartite.
+
+    Each component is split into BFS layers of masks from its smallest
+    vertex, and the side mask holds the even layers. An edge inside one
+    layer closes an odd cycle: both of its ends step back one layer at a
+    time, each to its smallest neighbour there, until they meet.
+    """
+    side = 0
+    while active:
+        layers = [active & -active]
+        reached = layers[0]
+        while layers[-1]:
+            layer = rest = layers[-1]
+            grow = 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                inside = adj[x] & layer
+                if inside:
+                    a, b = [x], [(inside & -inside).bit_length() - 1]
+                    for back in reversed(layers[:-1]):
+                        if a[-1] == b[-1]:
+                            break
+                        for ends in (a, b):
+                            prev = adj[ends[-1]] & back
+                            ends.append((prev & -prev).bit_length() - 1)
+                    return None, a + b[-2::-1]
+                grow |= adj[x]
+            layers.append(grow & active & ~reached)
+            reached |= layers[-1]
+        for layer in layers[::2]:
+            side |= layer
+        active &= ~reached
+    return side, None
 
 
 def bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """A global two-sided vertex split with no internal edges, if one exists."""
-    side_mask, _ = _two_color(g)
-    if side_mask is None:
+    side, _ = _two_color(g._adj, g.vertices_mask())
+    if side is None:
         return None
-    other = g.vertices_mask() & ~side_mask
-    return frozenset(_bits(side_mask)), frozenset(_bits(other))
+    return frozenset(_bits(side)), frozenset(_bits(g.vertices_mask() & ~side))
 
 
 def odd_closed_walk(g: Graph) -> Optional[list[int]]:
     """A simple odd cycle witnessing non-bipartiteness, or None if bipartite."""
-    _, cycle = _two_color(g)
+    _, cycle = _two_color(g._adj, g.vertices_mask())
     return cycle
 
 

@@ -23,12 +23,12 @@ from .graphs import (
     EdgeColoring,
     Graph,
     HoleSpec,
+    _component_masks,
     _toggle_edge,
+    _two_color,
     apply_holes_and_deletions,
-    bipartition,
     coloring_to_dict,
     complete_graph,
-    components,
     graph_to_dict,
 )
 from .matchings import best_saturation, maximum_matching
@@ -139,8 +139,9 @@ def _run_l2(
     size_thresh = (1 - 3 * eps) * (n1 + n2)
     card_thresh = (1 - 3 * eps) * n2
     ok = False
-    for comp in sorted(components(g), key=len, reverse=True):
-        if Fraction(len(comp)) < size_thresh:
+    comps = _component_masks(g._adj, g.vertices_mask())
+    for comp in sorted(comps, key=int.bit_count, reverse=True):
+        if comp.bit_count() < size_thresh:
             break
         if Fraction(len(maximum_matching(g, within=comp).edges)) >= card_thresh:
             ok = True
@@ -303,9 +304,10 @@ def _run_f1(
         )
     ok, _ = evaluate(classes)
     coloring = EdgeColoring._from_masks(g.n, classes, HoleSpec(), deletions)
-    g3 = coloring.color_class(3)
+    adj3 = coloring.color_class(3)._adj
     gprime = sum(
-        len(c) for c in components(g3) if bipartition(g3.subgraph_on(c)) is not None
+        c.bit_count() for c in _component_masks(adj3, g.vertices_mask())
+        if _two_color(adj3, c)[0] is not None
     )
     witness = {"coloring": coloring_to_dict(coloring), "bipartite_third_union": gprime}
     recheck = {
@@ -335,6 +337,7 @@ LEMMAS = {
 }
 LEMMA_IDS = tuple(LEMMAS)
 ADVERSARIAL_FRACTION = 0.15  # share of samples whose coloring the adversary tunes
+_ADVERSARY_STEPS = 20  # default moves of the adversary per tuned sample
 
 
 def lemma_harness(
@@ -343,7 +346,7 @@ def lemma_harness(
     samples: int,
     seed: int,
     strict: bool = False,
-    adversary_steps: int = 20,
+    adversary_steps: int = _ADVERSARY_STEPS,
 ) -> HarnessReport:
     """Sample instances meeting the lemma's hypotheses and test its conclusion."""
     if lemma not in LEMMAS:

@@ -6,7 +6,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Literal, Optional, Sequence
 
 from .cycles import CycleCertificate
 from .errors import NoQualifyingComponent, PreconditionViolated
@@ -15,10 +15,11 @@ from .graphs import (
     _bits,
     _component_masks,
     _mask_of,
-    bipartition,
-    components,
+    _reachable,
+    _route,
+    _toggle_edge,
+    _two_color,
     edge_key,
-    odd_closed_walk,
 )
 
 
@@ -49,16 +50,18 @@ class MatchingCertificate:
         return True
 
 
-def _alternating_search(n: int, adj: list[list[int]], verts, match: list[int]):
+def _alternating_search(adj: Sequence[int], mask: int, match: list[int]):
     """Edmonds' alternating-tree search with blossom contraction.
 
-    Works only on ``verts`` (ascending): ``adj`` must not leave them. Returns
-    ``(find_path, used)``. ``find_path(root)`` grows the tree of the exposed
-    vertex ``root``; if it meets another exposed vertex it augments ``match``
-    in place and returns True. Otherwise ``used`` then marks the even (outer)
-    vertices of root's tree, those reachable from ``root`` by an alternating
-    path of even length.
+    Works only on the vertices of ``mask``, reading their neighbours in
+    ``adj & mask``. Returns ``(find_path, used)``. ``find_path(root)`` grows
+    the tree of the exposed vertex ``root``; if it meets another exposed
+    vertex it augments ``match`` in place and returns True. Otherwise
+    ``used`` then marks the even (outer) vertices of root's tree, those
+    reachable from ``root`` by an alternating path of even length.
     """
+    n = len(adj)
+    verts = list(_bits(mask))
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
@@ -97,7 +100,11 @@ def _alternating_search(n: int, adj: list[list[int]], verts, match: list[int]):
         q = deque([root])
         while q:
             v = q.popleft()
-            for to in adj[v]:
+            rest = adj[v] & mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                to = low.bit_length() - 1
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
@@ -130,34 +137,29 @@ def _alternating_search(n: int, adj: list[list[int]], verts, match: list[int]):
     return find_path, used
 
 
-def _adj_lists(g: Graph, verts, mask: int) -> list[list[int]]:
-    adj: list[list[int]] = [[]] * g.n  # vertices outside ``verts`` stay bare
-    for v in verts:
-        adj[v] = list(_bits(g._adj[v] & mask))
-    return adj
-
-
-def maximum_matching(g: Graph, within: Optional[Iterable[int]] = None) -> MatchingCertificate:
+def maximum_matching(
+    g: Graph, within: Optional[Iterable[int] | int] = None
+) -> MatchingCertificate:
     """Maximum-cardinality matching (general graphs, blossom contraction).
 
-    With ``within``, the matching of the subgraph induced on those vertices;
-    the work is proportional to that subgraph, not to ``g``.
+    With ``within`` (vertices or a vertex mask), the matching of the
+    subgraph induced on those vertices; the work is proportional to that
+    subgraph, not to ``g``.
     """
     if within is None:
-        mask, verts = g.vertices_mask(), range(g.n)
+        mask = g.vertices_mask()
     else:
-        mask = _mask_of(within)
-        verts = list(_bits(mask))
-    adj = _adj_lists(g, verts, mask)
+        mask = within if isinstance(within, int) else _mask_of(within)
+    verts = list(_bits(mask))
     match = [-1] * g.n
-    for v in verts:  # greedy warm start
-        if match[v] == -1:
-            for w in adj[v]:
-                if match[w] == -1:
-                    match[v] = w
-                    match[w] = v
-                    break
-    find_path, _ = _alternating_search(g.n, adj, verts, match)
+    free = mask
+    for v in verts:  # greedy warm start: v takes its smallest free neighbour
+        pick = g._adj[v] & free if free >> v & 1 else 0
+        if pick:
+            w = (pick & -pick).bit_length() - 1
+            match[v], match[w] = w, v
+            free &= ~(1 << v | 1 << w)
+    find_path, _ = _alternating_search(g._adj, mask, match)
     for v in verts:
         if match[v] == -1:
             find_path(v)
@@ -173,17 +175,17 @@ def best_component_matching(
     Ties go to the component with the smallest member.
     """
     best = None
-    for comp in components(g):
-        if best is not None and len(comp) <= best[1].saturation:
+    for comp in _component_masks(g._adj, g.vertices_mask()):
+        if best is not None and comp.bit_count() <= best[1].saturation:
             continue  # saturation <= |comp|: this one cannot beat the best
-        if require_nonbipartite and bipartition(g.subgraph_on(comp)) is not None:
+        if require_nonbipartite and _two_color(g._adj, comp)[1] is None:
             continue
         match = maximum_matching(g, within=comp)
         if best is None or match.saturation > best[1].saturation:
             best = (comp, match)
     if best is None:
         raise NoQualifyingComponent("no non-bipartite component exists")
-    return best
+    return frozenset(_bits(best[0])), best[1]
 
 
 def best_saturation(g: Graph, require_nonbipartite: bool = False) -> int:
@@ -237,9 +239,7 @@ def _gallai_edmonds_d(g: Graph, matching: MatchingCertificate) -> int:
     for u, v in matching.edges:
         match[u], match[v] = v, u
     verts = range(g.n)
-    find_path, even = _alternating_search(
-        g.n, _adj_lists(g, verts, g.vertices_mask()), verts, match
-    )
+    find_path, even = _alternating_search(g._adj, g.vertices_mask(), match)
     d_mask = 0
     for root in verts:
         if match[root] != -1:
@@ -308,7 +308,7 @@ class BipartiteSplit:
             return False
         if any(g._adj[v] & vpp for v in self.Vprime):
             return False
-        if bipartition(g.subgraph_on(vp)) is None:
+        if _two_color(g._adj, vp)[0] is None:
             return False
         edges2 = sum((g._adj[v] & vpp).bit_count() for v in self.Vdoubleprime)
         return Fraction(edges2, 2) <= Fraction(1, 2) * self.alpha_bound * len(
@@ -324,11 +324,9 @@ def bipartite_split(g: Graph, alpha: Fraction | int, n_scale: int) -> BipartiteS
     matching attached.
     """
     bound = Fraction(alpha) * n_scale
-    vprime: set[int] = set()
-    vdouble: set[int] = set()
-    for comp in components(g):
-        sub = g.subgraph_on(comp)
-        if bipartition(sub) is not None:
+    vprime = vdouble = 0
+    for comp in _component_masks(g._adj, g.vertices_mask()):
+        if _two_color(g._adj, comp)[0] is not None:
             vprime |= comp
             continue
         match = maximum_matching(g, within=comp)
@@ -336,10 +334,10 @@ def bipartite_split(g: Graph, alpha: Fraction | int, n_scale: int) -> BipartiteS
             raise PreconditionViolated(
                 f"non-bipartite component has a matching saturating "
                 f"{match.saturation} >= {bound}",
-                witness=(comp, match),
+                witness=(frozenset(_bits(comp)), match),
             )
         vdouble |= comp
-    split = BipartiteSplit(frozenset(vprime), frozenset(vdouble), bound)
+    split = BipartiteSplit(frozenset(_bits(vprime)), frozenset(_bits(vdouble)), bound)
     if not split.verify(g):
         raise AssertionError("internal: bipartite split failed its invariants")
     return split
@@ -397,8 +395,11 @@ def closed_walk_through_matching(
     """Closed walk of the requested parity traversing every matching edge.
 
     Builds a connecting tree over the matching edges (plus, for odd parity,
-    a vertex of an odd cycle), doubles every tree edge, and splices the odd
-    cycle in at its anchor.
+    the first vertex of an odd cycle, its anchor): while the tree is in more
+    than one piece, ``_route`` joins the piece holding the first matching
+    edge to the nearest other piece by a shortest path through the
+    component. The walk then doubles every tree edge from the root and
+    splices the odd cycle in at its anchor. Vertex sets stay masks.
     """
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be odd or even, got {parity!r}")
@@ -406,18 +407,14 @@ def closed_walk_through_matching(
         raise PreconditionViolated("matching is empty; no component to anchor a walk")
     if not matching.check(g):
         raise PreconditionViolated("matching edges are not a matching of the graph")
-    comps = components(g)
-    endpoints = matching.vertices()
-    holders = [c for c in comps if c & endpoints]
-    if len(holders) != 1:
+    ends = _mask_of(matching.vertices())
+    comp = _reachable(g._adj, ends & -ends, g.vertices_mask())
+    if ends & ~comp:
         raise PreconditionViolated("matching edges span more than one component")
-    comp = holders[0]
-    comp_mask = _mask_of(comp)
-    sub = g.subgraph_on(comp_mask)
 
     cycle = None
     if parity == "odd":
-        cycle = odd_closed_walk(sub)
+        _, cycle = _two_color(g._adj, comp)
         if cycle is None:
             raise PreconditionViolated(
                 "odd walk requested but the component is bipartite"
@@ -428,75 +425,34 @@ def closed_walk_through_matching(
         if all(e in cycle_edges for e in matching.edges):
             return ClosedWalk(tuple(cycle))
 
-    # Forest of required pieces: one group per matching edge, plus the odd
-    # cycle anchor when needed.
-    groups: list[set[int]] = [set(e) for e in matching.edges]
-    tree_adj: dict[int, set[int]] = {}
-
-    def tree_add(u: int, v: int) -> None:
-        tree_adj.setdefault(u, set()).add(v)
-        tree_adj.setdefault(v, set()).add(u)
-
+    # The tree as adjacency masks; ``joined`` is its part that holds the
+    # first matching edge, and ``need`` the vertices that part must reach.
+    tree = [0] * g.n
     for u, v in matching.edges:
-        tree_add(u, v)
-    anchor = None
-    if parity == "odd":
-        anchor = cycle[0]
-        if not any(anchor in grp for grp in groups):
-            groups.append({anchor})
-
-    group_of = {}
-    for gi, grp in enumerate(groups):
-        for v in grp:
-            group_of[v] = gi
-
-    while len(groups) > 1:
-        # BFS from group 0 through the component to the closest other group.
-        sources = sorted(groups[0])
-        parent = {v: None for v in sources}
-        queue = deque(sources)
-        hit = None
-        while queue and hit is None:
-            v = queue.popleft()
-            for w in sorted(_bits(sub._adj[v])):
-                if w in parent:
-                    continue
-                parent[w] = v
-                if w in group_of and group_of[w] != 0:
-                    hit = w
-                    break
-                queue.append(w)
-        if hit is None:
-            raise AssertionError("internal: groups share a component but BFS failed")
-        other = group_of[hit]
-        path = [hit]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
+        _toggle_edge(u, v, tree)
+    need = ends | 1 << cycle[0] if parity == "odd" else ends
+    joined = _reachable(tree, ends & -ends, comp)
+    while need & ~joined:
+        path = _route(g._adj, joined, need & ~joined, comp)
         for a, b in zip(path, path[1:]):
-            tree_add(a, b)
-        merged = groups[0] | groups[other] | set(path)
-        groups = [merged] + [grp for i, grp in enumerate(groups) if i not in (0, other)]
-        group_of = {}
-        for gi, grp in enumerate(groups):
-            for v in grp:
-                group_of[v] = gi
+            _toggle_edge(a, b, tree)
+        joined = _reachable(tree, joined, comp)
 
-    root = anchor if anchor is not None else min(tree_adj)
+    root = cycle[0] if parity == "odd" else (joined & -joined).bit_length() - 1
     tour = [root]
 
-    def dfs(v: int, par: Optional[int]) -> None:
-        for w in sorted(tree_adj[v]):
-            if w != par:
-                tour.append(w)
-                dfs(w, v)
-                tour.append(v)
+    def dfs(v: int, par: int) -> None:
+        for w in _bits(tree[v] & ~par):
+            tour.append(w)
+            dfs(w, 1 << v)
+            tour.append(v)
 
-    dfs(root, None)
+    dfs(root, 0)
     # tour starts and ends at root with every tree edge used twice (even).
     walk = tour[:-1] if len(tour) > 1 else tour
     if parity == "odd":
         walk = walk + cycle  # cycle starts at the anchor == root: odd splice
     out = ClosedWalk(tuple(walk))
-    if not out.check(g, matching, parity, comp):
+    if not out.check(g, matching, parity, frozenset(_bits(comp))):
         raise AssertionError("internal: constructed walk failed its predicate")
     return out

@@ -26,7 +26,6 @@ from .errors import BudgetExceededError
 from .graphs import EdgeColoring, Graph, HoleSpec, _bits, _toggle_edge, coloring_to_dict
 from .matchings import best_saturation
 
-DEFAULT_SEARCH_BUDGET = 10**8
 DEFAULT_EXACT_CAP = 13
 DEFAULT_SEED = 1729
 # Canonical-extension checks run on clique prefixes of at most this many
@@ -312,7 +311,7 @@ def _color_groups(targets: tuple[Target, ...]) -> dict[int, list[int]]:
 
 def arrow_exhaustive(
     inst: ArrowInstance,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     symmetry: bool = True,
     exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> ArrowVerdict:
@@ -440,7 +439,7 @@ class RamseyResult:
 def ramsey_number_exact(
     targets: tuple[Target, ...],
     n_range: range,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     exact_cap: int = DEFAULT_EXACT_CAP,
     symmetry: bool = True,
 ) -> RamseyResult:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cycleramsey
-from cycleramsey.cli import run
+from cycleramsey.cli import _config_hash, build_parser, run
 from cycleramsey.graphs import dump_graph, load_coloring
 from cycleramsey.graphs import Graph, complete_graph
 
@@ -318,3 +318,14 @@ def test_timings_flag_controls_volatile_fields(capsys):
          "--timings"])
     timed = json.loads(capsys.readouterr().out)
     assert "elapsed_seconds" in timed["verdict"]["stats"]
+
+
+def test_default_config_hashes_are_pinned():
+    # the CLI takes its defaults (budget, exact cap, annealing schedule,
+    # adversary steps) from the library; a run on defaults keeps its hash
+    for argv, want in [
+        (["search", "--targets", "C5:1,C5:2", "--n", "8"], "a4c98387958ca2ab"),
+        (["lemma", "--id", "l2"], "cc53a533e1a4fb5e"),
+        (["cycles", "--graph", "g.json"], "893a87bb63eaa9cd"),
+    ]:
+        assert _config_hash(build_parser().parse_args(argv)) == want

@@ -54,6 +54,13 @@ def test_longest_cycle_examples(petersen):
     assert longest_cycle(tree, "any") is None
 
 
+def test_longest_cycle_rejects_an_unknown_parity():
+    # "Odd" is not "odd": refused, not answered with "no cycle"
+    for parity in ("Odd", "", "both", None):
+        with pytest.raises(ValueError, match="parity"):
+            longest_cycle(complete_graph(5), parity)
+
+
 def test_budget_exceeded_is_distinct():
     with pytest.raises(BudgetExceededError):
         longest_cycle(complete_graph(12), "any", budget=50)

@@ -123,6 +123,8 @@ def test_within_matches_induced_subgraph():
         assert maximum_matching(g, within=within) == maximum_matching(
             g.subgraph_on(within)
         )
+        mask = sum(1 << v for v in within)  # a vertex mask works the same
+        assert maximum_matching(g, within=mask) == maximum_matching(g, within=within)
         for comp in components(g):
             assert maximum_matching(g, within=comp) == maximum_matching(
                 g.subgraph_on(comp)
