@@ -399,7 +399,7 @@ def closed_walk_through_matching(
     than one piece, ``_route`` joins the piece holding the first matching
     edge to the nearest other piece by a shortest path through the
     component. The walk then doubles every tree edge from the root and
-    splices the odd cycle in at its anchor. Vertex sets stay masks.
+    splices the odd cycle in at its anchor.
     """
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be odd or even, got {parity!r}")
