@@ -371,7 +371,7 @@ def _cmd_search(args) -> int:
         return EXIT_OK if result.value is not None else EXIT_UNKNOWN
     if args.instance:
         inst = instance_from_dict(json.loads(_read(args.instance)))
-    elif args.targets and args.n:
+    elif args.targets and args.n is not None:
         inst = ArrowInstance(n=args.n, targets=_parse_targets(args.targets))
     else:
         print("search: pass --instance FILE or --targets SPEC --n N", file=sys.stderr)
@@ -418,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the report to this path instead of stdout")
     common.add_argument("--node-budget", type=int, default=DEFAULT_BUDGET,
                         help="work bound for exact searches; exhaustive arrowing "
-                        "counts search nodes plus path-kernel expansions")
+                        "counts search nodes, path-kernel expansions and "
+                        "canonical-check visits")
     common.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in reports (non-reproducible)")
     parser = argparse.ArgumentParser(

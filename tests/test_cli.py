@@ -65,6 +65,13 @@ def test_search_exit_codes(capsys):
     assert code == 2
 
 
+def test_search_rejects_vertex_count_zero(capsys):
+    code = run(["search", "--targets", "C3:1,C3:2", "--n", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "vertex count 0 outside 1..512" in err and "--instance" not in err
+
+
 def test_search_instance_file(tmp_path, capsys):
     inst = {
         "n": 5,

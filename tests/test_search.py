@@ -6,6 +6,7 @@ import pytest
 from conftest import random_graph
 from cycleramsey.constructions import build_odd_triple
 from cycleramsey.cycles import _Budget, longest_cycle
+from cycleramsey.errors import BudgetExceededError
 from cycleramsey.graphs import EdgeColoring, HoleSpec
 from cycleramsey.search import (
     AnnealSchedule,
@@ -237,6 +238,13 @@ def test_deletion_budget_counterexamples():
     verdict = arrow_exhaustive(ArrowInstance(2, targets, deleted_budget=1))
     assert verdict.arrows is False
     assert len(verdict.witness.deleted) == 1
+
+
+def test_instance_vertex_count_is_validated():
+    for n in (0, -3, 513):
+        with pytest.raises(ValueError, match=f"vertex count {n} outside 1..512"):
+            ArrowInstance(n, C3C3)
+    assert ArrowInstance(1, C3C3).present_edges() == []
 
 
 def test_instance_roundtrip():
@@ -491,7 +499,8 @@ def test_prefix_canonical_matches_relabelling_oracle():
     def check(vec, v_top, lexmin):
         # the check reads only the prefix, so trailing entries must not matter
         tail = [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
-        assert _prefix_is_canonical(vec + tail, v_top) == (vec == lexmin), (
+        bud = _Budget(10**6)
+        assert _prefix_is_canonical(vec + tail, v_top, bud) == (vec == lexmin), (
             v_top,
             vec,
         )
@@ -530,6 +539,80 @@ def test_prefix_canonical_matches_relabelling_oracle():
             for a in range(b)
         ]
         check_orbit(split, 6, 40)
+    # twin-rich prefixes: one color class a disjoint union of cliques, the
+    # next complete multipartite; with a third color, parts are grouped and
+    # pairs across groups take that color
+    for trial in range(300):
+        v_top = 2 + trial % 5
+        part = [rng.randrange(rng.randint(1, v_top + 1)) for _ in range(v_top + 1)]
+        group = [rng.randrange(2) for _ in range(v_top + 1)]
+        inside, across, far = rng.sample(range(4), 3)
+        three = rng.random() < 0.5
+        vec = [
+            inside
+            if part[a] == part[b]
+            else far
+            if three and group[part[a]] != group[part[b]]
+            else across
+            for b in range(v_top + 1)
+            for a in range(b)
+        ]
+        check_orbit(vec, v_top, 3)
+
+
+def _orbit_count(m, colors):
+    """Colorings of K_m with this many colors up to relabeling, by Burnside:
+    the mean over all permutations of colors**(cycles on the pairs)."""
+    import itertools
+
+    pairs = [(a, b) for b in range(m) for a in range(b)]
+    fixed = 0
+    perms = list(itertools.permutations(range(m)))
+    for p in perms:
+        seen = set()
+        cycles = 0
+        for start in pairs:
+            if start in seen:
+                continue
+            cycles += 1
+            pair = start
+            while pair not in seen:
+                seen.add(pair)
+                a, b = p[pair[0]], p[pair[1]]
+                pair = (min(a, b), max(a, b))
+        fixed += colors**cycles
+    return fixed // len(perms)
+
+
+@pytest.mark.parametrize(
+    "m, colors, orbits",
+    [(1, 2, 1), (2, 2, 2), (3, 2, 4), (4, 2, 11), (5, 2, 34), (6, 2, 156), (4, 3, 66)],
+)
+def test_prefix_canonical_picks_one_per_orbit(m, colors, orbits):
+    import itertools
+
+    from cycleramsey.search import _prefix_is_canonical
+
+    assert _orbit_count(m, colors) == orbits
+    bud = _Budget(10**9)
+    accepted = sum(
+        _prefix_is_canonical(list(vec), m - 1, bud)
+        for vec in itertools.product(range(1, colors + 1), repeat=m * (m - 1) // 2)
+    )
+    assert accepted == orbits
+
+
+def test_prefix_canonical_charges_its_visits():
+    from cycleramsey.search import _prefix_is_canonical
+
+    # every vertex of a monochromatic clique is a twin of every other, so
+    # one image per depth is tried
+    bud = _Budget(100)
+    assert _prefix_is_canonical([1] * 21, 6, bud)
+    assert 0 < bud.spent <= 8
+    # the check charges once, after its answer: a budget one short raises
+    with pytest.raises(BudgetExceededError):
+        _prefix_is_canonical([1] * 21, 6, _Budget(bud.spent - 1))
 
 
 def test_negative_budget_is_rejected():
@@ -554,3 +637,51 @@ def test_anneal_schedule_is_validated():
         ArrowInstance(6, C3C3), schedule=AnnealSchedule(steps=0, restarts=1)
     )
     assert verdict.arrows is None and verdict.stats.best_energy > 0
+
+
+def _has_cycle_brute(n, edges, length):
+    """Any cycle of exactly this many vertices, by walking every simple path
+    from each anchor through larger vertices only."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+
+    def walk(anchor, cur, seen):
+        if len(seen) == length:
+            return anchor in nbrs[cur]
+        return any(
+            walk(anchor, w, seen | {w})
+            for w in nbrs[cur]
+            if w > anchor and w not in seen
+        )
+
+    return any(walk(a, a, {a}) for a in range(n))
+
+
+# R(C_n, C_m) by Rosta (1973) and Faudree-Schelp (1974). None marks the
+# pairs with R = 13, whose "arrows" half takes 3-25 s; only their witness at
+# 12 is checked
+CYCLE_RAMSEY_TABLE = [
+    (3, 3, 6), (4, 3, 7), (5, 3, 9), (6, 3, 11), (4, 4, 6), (5, 4, 7),
+    (6, 4, 7), (7, 4, 8), (5, 5, 9), (6, 5, 11), (6, 6, 8), (7, 6, 11),
+    (7, 3, None), (7, 5, None), (7, 7, None),
+]
+
+
+@pytest.mark.parametrize("n, m, r", CYCLE_RAMSEY_TABLE)
+def test_cycle_ramsey_table(n, m, r):
+    from cycleramsey.graphs import coloring_to_dict
+
+    targets = (CycleTarget(n), CycleTarget(m))
+    if r is not None:
+        assert arrow_exhaustive(ArrowInstance(r, targets)).arrows is True
+    below = 12 if r is None else r - 1
+    verdict = arrow_exhaustive(ArrowInstance(below, targets))
+    assert verdict.arrows is False
+    data = coloring_to_dict(verdict.witness)
+    pairs = sorted((u, v) for u, v, _ in data["edges"])
+    assert pairs == [(u, v) for u in range(below) for v in range(u + 1, below)]
+    for color, length in enumerate((n, m), 1):
+        edges = [(u, v) for u, v, c in data["edges"] if c == color]
+        assert not _has_cycle_brute(below, edges, length), (color, length)
