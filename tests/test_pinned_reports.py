@@ -14,8 +14,10 @@ at-least cycle-target anneal reports were recorded when those targets moved
 from ``longest_cycle`` to the component presence score, which changed them
 by design (the K24 run raised TableCapExceeded before). The total charge of
 the at-least cycle score was recorded before its anchor loop moved into the
-helper that also serves ``has_cycle_of_length``. None may be edited to make
-a refactor pass.
+helper that also serves ``has_cycle_of_length``. The matching-target anneal
+runs and the 100-step trzy adversary were recorded while every move still
+recomputed both touched classes' maximum matchings. None may be edited to
+make a refactor pass.
 """
 
 import hashlib
@@ -71,6 +73,7 @@ M6_M4_C3 = ArrowInstance(7, (MatchingTarget(6), MatchingTarget(4), CycleTarget(3
 SHORT = AnnealSchedule(steps=300, restarts=2)
 C5PLUS = (CycleTarget(5, exact=False),) * 2
 ANNEAL = AnnealSchedule(steps=20, restarts=5)  # the benchmark's C5+ schedule
+M6 = MatchingTarget(6)
 HOLE = {"alpha": 1, "beta": 1, "nu": Fraction(1, 2), "eps": EPS, "n": 8}
 F1 = {"alpha1": 1, "alpha2": 1, "eps": EPS, "n": 8}
 
@@ -266,6 +269,9 @@ CASES = {
     "sample trzy adversarial": lambda: _run_hole_lemma(
         HOLE, random.Random(12), True, True, 20
     ),
+    "sample trzy adversarial 100 steps": lambda: _run_hole_lemma(
+        HOLE, random.Random(15), True, True, 100
+    ),
     "sample f1 adversarial": lambda: _run_f1(F1, random.Random(13), True, 20),
     "sample f1 uniform": lambda: _run_f1(F1, random.Random(14), False, 20),
     "exhaustive M4,M4@5": lambda: arrow_exhaustive(
@@ -278,6 +284,19 @@ CASES = {
     "exhaustive M6,M4,C3@7": lambda: arrow_exhaustive(M6_M4_C3),
     "randomized M4,M4n@6": lambda: arrow_randomized(M4_M4N, schedule=SHORT, seed=5),
     "randomized M6,M4,C3@7": lambda: arrow_randomized(M6_M4_C3, schedule=SHORT, seed=5),
+    # matching-target anneals: a witness, an unknown on K16, and deletion
+    # moves that flip an edge of one matching class only
+    "randomized M6,M6@7": lambda: arrow_randomized(
+        ArrowInstance(7, (M6, M6)), schedule=SHORT, seed=5
+    ),
+    "randomized M8,M8@16": lambda: arrow_randomized(
+        ArrowInstance(16, (MatchingTarget(8),) * 2),
+        schedule=AnnealSchedule(steps=200, restarts=1),
+        seed=1,
+    ),
+    "randomized M6,M6@8 deleting 4": lambda: arrow_randomized(
+        ArrowInstance(8, (M6, M6), deleted_budget=4), schedule=SHORT, seed=5
+    ),
     # cycle-target witnesses: the coloring a search returns, byte for byte
     "witness exhaustive C5,C5@8": lambda: arrow_exhaustive(
         ArrowInstance(8, (CycleTarget(5), CycleTarget(5)))
@@ -349,9 +368,13 @@ DIGESTS = {
     "randomized C5+,C5+@6": "8f2293848423ffaa6e7f86f90ea4c6849145db10cb9d445882a4c0403a288307",
     "randomized M4,M4n@6": "0d6d339c3ad28070c10eb9e3c90c709fba91ed727aa72f2d3c511814cdd75524",
     "randomized M6,M4,C3@7": "bbddd99b3298e2af8021c7edeaa01a95a926b458982b728a721d6424ad71594c",
+    "randomized M6,M6@7": "ea3cb023bf5bc846a0383d66d90c9494cd47b91c9a2a42624e02bdb356dc3104",
+    "randomized M6,M6@8 deleting 4": "828c641110a4c8b037c4b831eedc228b2003175b1f98837f8079d6f49c8bbd29",
+    "randomized M8,M8@16": "26af29a7454b59a6d691a4e054eee748cb13c3f09eb2d441e81de0d3830f81e0",
     "sample dwa adversarial": "ac0d2a8611ec68bd3b4106a5f827633d1144f1c91c5f5b6649928e54e83c09b3",
     "sample f1 adversarial": "6f4e9741bb83d2cc9301d9ad62ad1757f66e5ac5032108ad2f70b82223d38af5",
     "sample f1 uniform": "a144ed95d3f3508712d2d3033e53dd8d48a573cb91c46858d5fd209b3d295706",
+    "sample trzy adversarial 100 steps": "72a83b261248164410ba30924676a08c789318c442a1c4b43bee077a75aea125",
     "sample trzy adversarial": "a27b077554b511ca656b5ee81360fb9394939bdf53e0eb515f4bd7b30d5f23c8",
     "tutte_partition": "a090198df18686b2c63afd954843c4d3f862fd3369cceb8766306ffef77d79c6",
     "witness exhaustive C4,C4,C4@10": "ed73e204d9805a8d4b65424e3358a8fea19ad8f60db3ba7225f15fe33e6b4cf6",
