@@ -92,8 +92,10 @@ class Graph:
         out = []
         for u in range(self.n):
             m = self._adj[u] >> (u + 1) << (u + 1)
-            for v in _bits(m):
-                out.append((u, v))
+            while m:  # low bit first, as _bits, without a generator per row
+                low = m & -m
+                out.append((u, low.bit_length() - 1))
+                m ^= low
         return out
 
     def vertices_mask(self) -> int:

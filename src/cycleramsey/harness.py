@@ -31,6 +31,7 @@ from .graphs import (
     complete_graph,
     graph_to_dict,
 )
+from .matchings import _best_matched, _mates, _repair_matching
 from .matchings import best_saturation, maximum_matching
 
 
@@ -91,24 +92,28 @@ def _adversarial_two_coloring(
     rng: random.Random,
     edges: list,
     classes: list[list[int]],
-    margin: Callable[[list[list[int]]], Fraction],
+    evaluate: Callable[..., tuple[bool, Fraction]],
     steps: int,
-) -> None:
+) -> bool:
     """Greedy local search lowering the conclusion margin (tries to falsify).
 
     A move toggles an edge of ``edges`` in classes 1 and 2, swapping its color.
-    """
-    cur = margin(classes)
+    ``evaluate`` reads both classes' maximum matchings, which each move repairs
+    (``_repair_matching``: Berge's lemma); returns the final conclusion."""
+    mates = [_mates(adj) for adj in classes[:2]]
+    ok, cur = evaluate(classes, mates)
     for _ in range(steps):
         if not edges:
             break
         u, v = edges[rng.randrange(len(edges))]
         _toggle_edge(u, v, classes[0], classes[1])
-        new = margin(classes)
+        trial = [_repair_matching(a, m[:], u, v) for a, m in zip(classes, mates)]
+        ok_new, new = evaluate(classes, trial)
         if new <= cur:
-            cur = new
+            ok, cur, mates = ok_new, new, trial
         else:
             _toggle_edge(u, v, classes[0], classes[1])
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +222,12 @@ def _host_with_hole(
 
 
 def _two_color_conclusion(
-    g: Graph, thresh1: Fraction, thresh2: Fraction, nonbip2: bool
-) -> Callable[[list[list[int]]], tuple[bool, Fraction]]:
-    def evaluate(classes: list[list[int]]) -> tuple[bool, Fraction]:
-        s1 = best_saturation(Graph._from_masks(g.n, classes[0]))
-        s2 = best_saturation(Graph._from_masks(g.n, classes[1]), nonbip2)
+    thresh1: Fraction, thresh2: Fraction, nonbip2: bool
+) -> Callable[..., tuple[bool, Fraction]]:
+    """(ok, margin) of classes 1 and 2, read off their maximum matchings."""
+    def evaluate(classes: list[list[int]], mates) -> tuple[bool, Fraction]:
+        s1 = _best_matched(classes[0], mates[0])[0]
+        s2 = _best_matched(classes[1], mates[1], nonbip2)[0]
         ok = Fraction(s1) >= thresh1 or Fraction(s2) >= thresh2
         margin = max(Fraction(s1) - thresh1, Fraction(s2) - thresh2)
         return ok, margin
@@ -240,15 +246,14 @@ def _run_hole_lemma(
     g, w, deletions = _host_with_hole(rng, N, hole_size, budget)
     thresh1 = (hp.alpha + hp.epsilon) * n
     thresh2 = (hp.beta + hp.epsilon) * n
-    evaluate = _two_color_conclusion(g, thresh1, thresh2, nonbip2)
+    evaluate = _two_color_conclusion(thresh1, thresh2, nonbip2)
     classes = [[0] * g.n, [0] * g.n]
-    for u, v in g.edges():
+    edges = g.edges()
+    for u, v in edges:
         _toggle_edge(u, v, classes[rng.randint(1, 2) - 1])
-    if adversarial:
-        _adversarial_two_coloring(
-            rng, g.edges(), classes, lambda cs: evaluate(cs)[1], steps
-        )
-    ok, _ = evaluate(classes)
+    ok = _adversarial_two_coloring(
+        rng, edges, classes, evaluate, steps if adversarial else 0
+    )
     coloring = EdgeColoring._from_masks(g.n, classes, HoleSpec((w,)), deletions)
     witness = {
         "coloring": coloring_to_dict(coloring),
@@ -297,12 +302,10 @@ def _run_f1(
             c = rng.randint(1, 2)
             third_mutable.append((u, v))
         _toggle_edge(u, v, classes[c - 1])
-    evaluate = _two_color_conclusion(g, (a1 + eps) * n, (a2 + eps) * n, False)
-    if adversarial:
-        _adversarial_two_coloring(
-            rng, third_mutable, classes, lambda cs: evaluate(cs)[1], steps
-        )
-    ok, _ = evaluate(classes)
+    evaluate = _two_color_conclusion((a1 + eps) * n, (a2 + eps) * n, False)
+    ok = _adversarial_two_coloring(
+        rng, third_mutable, classes, evaluate, steps if adversarial else 0
+    )
     coloring = EdgeColoring._from_masks(g.n, classes, HoleSpec(), deletions)
     adj3 = coloring.color_class(3)._adj
     gprime = sum(
@@ -353,6 +356,8 @@ def lemma_harness(
         raise ValueError(f"unknown lemma id {lemma!r}; choose from {LEMMA_IDS}")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if adversary_steps < 0:
+        raise ValueError(f"need adversary_steps >= 0, got {adversary_steps}")
     check, run_sample = LEMMAS[lemma]
     warnings: list[str] = []
     check(params, strict, warnings)

@@ -137,6 +137,25 @@ def _alternating_search(adj: Sequence[int], mask: int, match: list[int]):
     return find_path, used
 
 
+def _mates(adj: Sequence[int], mask: Optional[int] = None) -> list[int]:
+    """Mate array (-1: exposed) of a maximum matching of ``adj`` on ``mask``."""
+    mask = (1 << len(adj)) - 1 if mask is None else mask
+    verts = list(_bits(mask))
+    match = [-1] * len(adj)
+    free = mask
+    for v in verts:  # greedy warm start: v takes its smallest free neighbour
+        pick = adj[v] & free if free >> v & 1 else 0
+        if pick:
+            w = (pick & -pick).bit_length() - 1
+            match[v], match[w] = w, v
+            free &= ~(1 << v | 1 << w)
+    find_path, _ = _alternating_search(adj, mask, match)
+    for v in verts:
+        if match[v] == -1 and adj[v] & mask:  # an isolated root cannot augment
+            find_path(v)
+    return match
+
+
 def maximum_matching(
     g: Graph, within: Optional[Iterable[int] | int] = None
 ) -> MatchingCertificate:
@@ -146,25 +165,54 @@ def maximum_matching(
     subgraph induced on those vertices; the work is proportional to that
     subgraph, not to ``g``.
     """
-    if within is None:
-        mask = g.vertices_mask()
+    if within is not None and not isinstance(within, int):
+        within = _mask_of(within)
+    match = _mates(g._adj, within)
+    return MatchingCertificate(tuple((v, w) for v, w in enumerate(match) if w > v))
+
+
+def _repair_matching(adj: Sequence[int], match: list[int], u: int, v: int) -> list[int]:
+    """Make ``match``, a maximum matching of ``adj`` before (u,v) was flipped,
+    maximum again, in place; returns it. By Berge's lemma a matching is
+    maximum iff it has no augmenting path; a flip moves the matching number
+    by at most one. Adding (u,v) keeps ``match`` valid, and a new augmenting
+    path uses (u,v): it lies in their component and starts at an exposed end
+    of (u,v) if there is one. Removing a matched (u,v) exposes u and v; an
+    augmenting path then ends at one of them, as any other was one before.
+    Edmonds' single-root search finds a path from its root if there is one."""
+    if adj[u] >> v & 1:
+        if match[u] == -1 == match[v]:
+            match[u], match[v] = v, u
+            return match
+    elif match[u] == v:
+        match[u] = match[v] = -1
     else:
-        mask = within if isinstance(within, int) else _mask_of(within)
-    verts = list(_bits(mask))
-    match = [-1] * g.n
-    free = mask
-    for v in verts:  # greedy warm start: v takes its smallest free neighbour
-        pick = g._adj[v] & free if free >> v & 1 else 0
-        if pick:
-            w = (pick & -pick).bit_length() - 1
-            match[v], match[w] = w, v
-            free &= ~(1 << v | 1 << w)
-    find_path, _ = _alternating_search(g._adj, mask, match)
-    for v in verts:
-        if match[v] == -1:
-            find_path(v)
-    edges = [(v, match[v]) for v in verts if match[v] > v]
-    return MatchingCertificate(tuple(edges))
+        return match  # removing an unmatched edge changes nothing
+    if match.count(-1) < 2:
+        return match  # checked before the component, as it is cheaper
+    comp = _reachable(adj, 1 << u | 1 << v, (1 << len(adj)) - 1)
+    exposed = [w for w in _bits(comp) if match[w] == -1]
+    if len(exposed) > 1:
+        find_path, _ = _alternating_search(adj, comp, match)
+        ends = [w for w in (u, v) if match[w] == -1]
+        any(find_path(root) for root in ends or exposed)  # one augmentation at most
+    return match
+
+
+def _best_matched(adj: Sequence[int], match: list[int], nonbip: bool = False):
+    """(saturation, mask) of the component (with ``nonbip``: non-bipartite) that
+    the maximum matching ``match`` saturates most, ties to the smallest member,
+    or (0, 0); components share no edges, so ``match`` is maximum on each."""
+    exposed = 0
+    for w, mate in enumerate(match):
+        if mate == -1:
+            exposed |= 1 << w
+    best, where = 0, 0
+    for comp in _component_masks(adj, (1 << len(adj)) - 1):
+        sat = comp.bit_count() - (exposed & comp).bit_count()
+        if (sat > best or not where) and (not nonbip or _two_color(adj, comp)[1]):
+            best, where = sat, comp
+    return best, where
 
 
 def best_component_matching(
@@ -174,26 +222,17 @@ def best_component_matching(
 
     Ties go to the component with the smallest member.
     """
-    best = None
-    for comp in _component_masks(g._adj, g.vertices_mask()):
-        if best is not None and comp.bit_count() <= best[1].saturation:
-            continue  # saturation <= |comp|: this one cannot beat the best
-        if require_nonbipartite and _two_color(g._adj, comp)[1] is None:
-            continue
-        match = maximum_matching(g, within=comp)
-        if best is None or match.saturation > best[1].saturation:
-            best = (comp, match)
-    if best is None:
+    match = _mates(g._adj)
+    comp = _best_matched(g._adj, match, require_nonbipartite)[1]
+    if not comp:
         raise NoQualifyingComponent("no non-bipartite component exists")
-    return frozenset(_bits(best[0])), best[1]
+    edges = tuple((v, match[v]) for v in _bits(comp) if match[v] > v)
+    return frozenset(_bits(comp)), MatchingCertificate(edges)
 
 
 def best_saturation(g: Graph, require_nonbipartite: bool = False) -> int:
     """Saturation of ``best_component_matching``, or 0 if no component qualifies."""
-    try:
-        return best_component_matching(g, require_nonbipartite)[1].saturation
-    except NoQualifyingComponent:
-        return 0
+    return _best_matched(g._adj, _mates(g._adj), require_nonbipartite)[0]
 
 
 # ---------------------------------------------------------------------------

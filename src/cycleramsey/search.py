@@ -32,7 +32,7 @@ from .graphs import (
     _toggle_edge,
     coloring_to_dict,
 )
-from .matchings import best_saturation
+from .matchings import _best_matched, _mates, _repair_matching, best_saturation
 
 DEFAULT_EXACT_CAP = 13
 DEFAULT_SEED = 1729
@@ -523,14 +523,17 @@ class AnnealSchedule:
             )
 
 
-def _energy_of_color(n: int, adj: list[int], target: Target, bud: _Budget) -> int:
+def _energy_of_color(
+    n: int, adj: list[int], target: Target, bud: _Budget, match=None
+) -> int:
     """How strongly this class realizes its target (0 iff the target is absent).
 
     Exact-cycle targets use the path-incidence sum (length * cycle count),
     which admits cheap per-move deltas. At-least cycle targets count the
     edges of the components that hold a cycle of at least the target length
-    (``cycles._long_cycle_edges``), and matching targets score the excess
-    saturation; both are evaluated on the whole class.
+    (``cycles._long_cycle_edges``). Matching targets score the excess
+    saturation, read off ``match``, a maximum matching of the class that
+    the annealer repairs per move (``matchings._repair_matching``).
     """
     if isinstance(target, CycleTarget):
         if not target.exact:
@@ -542,8 +545,7 @@ def _energy_of_color(n: int, adj: list[int], target: Target, bud: _Budget) -> in
                     adj, u, v, target.length - 1, 1 << u | 1 << v, bud, count=True
                 )
         return total
-    g = Graph._from_masks(n, list(adj))
-    saturation = best_saturation(g, target.nonbipartite)
+    saturation = _best_matched(adj, match, target.nonbipartite)[0]
     return max(0, (saturation - target.saturation) // 2 + 1)
 
 
@@ -610,7 +612,11 @@ def arrow_randomized(
         for (u, v), c in zip(edges, assignment):
             _toggle_edge(u, v, adjs[c])
         deleted_used = assignment.count(0)
-        energies = [_energy_of_color(n, adjs[c + 1], targets[c], bud) for c in range(k)]
+        # a maximum matching of each matching-target class, kept across moves
+        mates = [_mates(a) if isinstance(t, MatchingTarget) else None
+                 for a, t in zip(adjs, (None, *targets))]
+        energies = [_energy_of_color(n, adjs[c], targets[c - 1], bud, mates[c])
+                    for c in range(1, k + 1)]
         total = sum(energies)
         if best_energy is None or total < best_energy:
             best_energy = total
@@ -632,14 +638,18 @@ def arrow_randomized(
             adjs[old][v] ^= bu
             adjs[new][u] ^= bv
             adjs[new][v] ^= bu
-            updated = {}
+            updated, trial = {}, mates[:]
             for c, sign in ((old, -1), (new, 1)):
                 if c == 0:
                     continue
                 if local[c - 1]:
                     updated[c - 1] = energies[c - 1] + sign * incidence(c, adjs, u, v)
-                else:
-                    updated[c - 1] = _energy_of_color(n, adjs[c], targets[c - 1], bud)
+                    continue
+                if mates[c]:
+                    trial[c] = _repair_matching(adjs[c], mates[c][:], u, v)
+                updated[c - 1] = _energy_of_color(
+                    n, adjs[c], targets[c - 1], bud, trial[c]
+                )
             delta = sum(updated.values()) - sum(energies[c] for c in updated)
             accept = delta <= 0 or rng.random() < pow(
                 2.718281828459045, -delta / max(temp, 1e-9)
@@ -649,6 +659,7 @@ def arrow_randomized(
                 deleted_used += (new == 0) - (old == 0)
                 for c, e in updated.items():
                     energies[c] = e
+                mates = trial
                 total += delta
                 if total < best_energy:
                     best_energy = total

@@ -150,6 +150,14 @@ def test_cycle_commands_reject_negative_budgets(tmp_path, c6_file, capsys):
         capsys.readouterr()
 
 
+def test_lemma_rejects_negative_adversary_steps(capsys):
+    argv = ["lemma", "--id", "dwa", "--alpha", "1", "--beta", "1", "--nu", "1/2",
+            "--eps", "1/256", "--n", "10", "--samples", "7"]
+    assert run(argv + ["--adversary-steps", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert "adversary_steps" in captured.err and captured.out == ""
+
+
 def test_unbudgeted_commands_reject_negative_budgets(tmp_path, capsys):
     # --node-budget is checked once after parsing, whether or not the
     # subcommand does budgeted work

@@ -114,12 +114,27 @@ def test_unknown_lemma_id():
         lemma_harness("nope", {}, samples=1, seed=1)
 
 
+def test_negative_adversary_steps_are_refused(monkeypatch):
+    import cycleramsey.harness as harness
+
+    def no_sample(*args):
+        raise AssertionError("a sample ran")
+
+    monkeypatch.setitem(harness.LEMMAS, "dwa", (harness.LEMMAS["dwa"][0], no_sample))
+    with pytest.raises(ValueError, match="adversary_steps"):
+        lemma_harness(
+            "dwa", {"alpha": 1, "beta": 1, "nu": 0, "eps": EPS, "n": 10},
+            samples=3, seed=1, adversary_steps=-5,
+        )
+
+
 def test_evaluator_catches_genuine_counterexample():
     # below the statement's n0 the conclusion can genuinely fail: on K7 the
     # split "two dominating vertices" vs "K5 on the rest" keeps every
     # monochromatic component matching below (1+eps)*4 saturation
     from cycleramsey.graphs import complete_graph
     from cycleramsey.harness import _two_color_conclusion
+    from cycleramsey.matchings import _mates
 
     g = complete_graph(7)
     # class masks: color 1 on every pair meeting {5, 6}, color 2 on the K5
@@ -127,12 +142,13 @@ def test_evaluator_catches_genuine_counterexample():
     one = [dominating if v < 5 else g.adjacency_mask(v) for v in range(7)]
     two = [g.adjacency_mask(v) & ~dominating if v < 5 else 0 for v in range(7)]
     thresh = (1 + EPS) * 4
-    evaluate = _two_color_conclusion(g, thresh, thresh, False)
-    ok, margin = evaluate([one, two])
+    mates = [_mates(one), _mates(two)]
+    evaluate = _two_color_conclusion(thresh, thresh, False)
+    ok, margin = evaluate([one, two], mates)
     assert ok is False and margin < 0
     # flipping the demand to something the coloring does satisfy
-    evaluate = _two_color_conclusion(g, Fraction(4), Fraction(4), False)
-    ok, _ = evaluate([one, two])
+    evaluate = _two_color_conclusion(Fraction(4), Fraction(4), False)
+    ok, _ = evaluate([one, two], mates)
     assert ok is True
 
 

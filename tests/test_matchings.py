@@ -5,11 +5,21 @@ import pytest
 
 from cycleramsey.cycles import erdos_gallai_cycle
 from cycleramsey.errors import NoQualifyingComponent, PreconditionViolated
-from cycleramsey.graphs import Graph, bipartition, complete_graph, components
+from cycleramsey.graphs import (
+    Graph,
+    _mask_of,
+    _toggle_edge,
+    bipartition,
+    complete_graph,
+    components,
+)
 from cycleramsey.matchings import (
     ClosedWalk,
     MatchingCertificate,
+    _best_matched,
     _gallai_edmonds_d,
+    _mates,
+    _repair_matching,
     best_component_matching,
     best_saturation,
     bipartite_split,
@@ -95,6 +105,36 @@ def test_best_component_skip_matches_unskipped_reference():
             assert best_component_matching(g, nonbip) == ref
             assert best_saturation(g, nonbip) == ref[1].saturation
             assert ref[1].saturation == 2 * oracle_matching_size(g.subgraph_on(ref[0]))
+
+
+def test_repaired_matching_stays_maximum_across_toggles():
+    # seeded toggle sequences; half the toggles remove a matched edge when
+    # there is one, so every repair branch runs
+    rng = random.Random(20261)
+    for _ in range(60):
+        n = rng.randint(2, 14)
+        adj = list(random_graph(rng, n, rng.uniform(0.05, 0.6))._adj)
+        match = _mates(adj)
+        for _ in range(40):
+            matched = [(v, w) for v, w in enumerate(match) if w > v]
+            if matched and rng.random() < 0.5:
+                u, v = rng.choice(matched)
+            else:
+                u, v = rng.sample(range(n), 2)
+            _toggle_edge(u, v, adj)
+            _repair_matching(adj, match, u, v)
+            g = Graph._from_masks(n, list(adj))
+            kept = MatchingCertificate(
+                tuple((v, w) for v, w in enumerate(match) if w > v)
+            )
+            assert kept.check(g) and all(match[w] == v for v, w in kept.edges)
+            assert len(kept.edges) == len(maximum_matching(g).edges)
+            for nonbip in (False, True):
+                ref = _best_component_reference(g, nonbip)
+                want = (0, 0) if ref is None else (
+                    ref[1].saturation, _mask_of(ref[0])
+                )
+                assert _best_matched(adj, match, nonbip) == want
 
 
 def test_best_component_ties_and_bipartite_skip():
