@@ -180,16 +180,14 @@ def _repair_matching(adj: Sequence[int], match: list[int], u: int, v: int) -> li
     of (u,v) if there is one. Removing a matched (u,v) exposes u and v; an
     augmenting path then ends at one of them, as any other was one before.
     Edmonds' single-root search finds a path from its root if there is one."""
-    if adj[u] >> v & 1:
-        if match[u] == -1 == match[v]:
-            match[u], match[v] = v, u
-            return match
-    elif match[u] == v:
+    present = adj[u] >> v & 1
+    if present and match[u] == -1 == match[v]:
+        match[u], match[v] = v, u
+        return match
+    if not present and match[u] == v:
         match[u] = match[v] = -1
-    else:
-        return match  # removing an unmatched edge changes nothing
-    if match.count(-1) < 2:
-        return match  # checked before the component, as it is cheaper
+    elif not present or match.count(-1) < 2:  # counted before the costlier comp
+        return match  # an unmatched edge was removed, or nothing can augment
     comp = _reachable(adj, 1 << u | 1 << v, (1 << len(adj)) - 1)
     exposed = [w for w in _bits(comp) if match[w] == -1]
     if len(exposed) > 1:
