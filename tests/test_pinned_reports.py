@@ -16,8 +16,12 @@ by design (the K24 run raised TableCapExceeded before). The total charge of
 the at-least cycle score was recorded before its anchor loop moved into the
 helper that also serves ``has_cycle_of_length``. The matching-target anneal
 runs and the 100-step trzy adversary were recorded while every move still
-recomputed both touched classes' maximum matchings. None may be edited to
-make a refactor pass.
+recomputed both touched classes' maximum matchings. The construction grid
+(every builder report of ``test_grid_all_builders_all_claims``, unverified)
+and the exhaustive witnesses that need deleted pairs were recorded while
+each builder colored its blocks through a rule closure and the exhaustive
+search counted deletions apart from the color classes. None may be edited
+to make a refactor pass.
 """
 
 import hashlib
@@ -47,7 +51,7 @@ from cycleramsey.errors import (
     NoQualifyingComponent,
     PreconditionViolated,
 )
-from cycleramsey.graphs import Graph, bipartition, complete_graph
+from cycleramsey.graphs import Graph, HoleSpec, bipartition, complete_graph
 from cycleramsey.harness import _run_f1, _run_hole_lemma, lemma_harness
 from cycleramsey.matchings import (
     best_component_matching,
@@ -76,6 +80,7 @@ ANNEAL = AnnealSchedule(steps=20, restarts=5)  # the benchmark's C5+ schedule
 M6 = MatchingTarget(6)
 HOLE = {"alpha": 1, "beta": 1, "nu": Fraction(1, 2), "eps": EPS, "n": 8}
 F1 = {"alpha1": 1, "alpha2": 1, "eps": EPS, "n": 8}
+EVEN, ODD = (4, 6, 8), (3, 5, 7, 9)
 
 
 def _random_graph(rng, n, p):
@@ -241,6 +246,19 @@ CASES = {
     "oee_four_part 4,3": lambda: verify_claims(build_oee_four_part(4, 3)),
     "oee_four_part 6,5": lambda: verify_claims(build_oee_four_part(6, 5)),
     # 7 samples each: round(7 * 0.15) = 1 sample runs the adversary
+    # the parameter grid of test_grid_all_builders_all_claims, unverified
+    "grid odd_triple": lambda: [build_odd_triple(m1).to_dict() for m1 in ODD],
+    "grid eeo_four_part": lambda: [
+        build_eeo_four_part(m1, m2).to_dict()
+        for m1, m2 in itertools.product(EVEN, EVEN) if m1 >= m2
+    ],
+    "grid eeo_three_part": lambda: [
+        build_eeo_three_part(*ms).to_dict()
+        for ms in itertools.product(EVEN, EVEN, ODD)
+    ],
+    "grid oee_four_part": lambda: [
+        build_oee_four_part(*ms).to_dict() for ms in itertools.product(EVEN, ODD)
+    ],
     "harness l2": lambda: lemma_harness(
         "l2", {"n1": 12, "n2": 10, "eps": Fraction(1, 200)}, samples=7, seed=3
     ),
@@ -282,6 +300,19 @@ CASES = {
     ),
     "exhaustive M4,M4n@6": lambda: arrow_exhaustive(M4_M4N),
     "exhaustive M6,M4,C3@7": lambda: arrow_exhaustive(M6_M4_C3),
+    # witnesses that need their deletions: K6 minus (0,1) avoids C3 twice
+    # (401 nodes); K7 minus the hole {0,1,2} needs two deleted pairs (71 nodes)
+    "exhaustive C3,C3@6 deleting 1": lambda: arrow_exhaustive(
+        ArrowInstance(6, (CycleTarget(3),) * 2, deleted_budget=1)
+    ),
+    "exhaustive C4,M6@7 hole 012 deleting 2": lambda: arrow_exhaustive(
+        ArrowInstance(
+            7,
+            (CycleTarget(4), M6),
+            holes=HoleSpec((frozenset({0, 1, 2}),)),
+            deleted_budget=2,
+        )
+    ),
     "randomized M4,M4n@6": lambda: arrow_randomized(M4_M4N, schedule=SHORT, seed=5),
     "randomized M6,M4,C3@7": lambda: arrow_randomized(M6_M4_C3, schedule=SHORT, seed=5),
     # matching-target anneals: a witness, an unknown on K16, and deletion
@@ -345,10 +376,16 @@ DIGESTS = {
     "eeo_three_part 4,4,3": "19a3a99a8bd2c77e4b540f2c59cd1065ad01254f0f148d150fba7fa10fda0a1c",
     "eeo_three_part 6,4,5": "7bdb61f89c9e07c15d9e9a1381b99a55b94021d08ea20834c627743b54d25c0b",
     "erdos_gallai_cycle": "0d8a48cab9f218f96cbdd7f405d9076298291a8f29aed36a0e47fc208ae58492",
+    "exhaustive C3,C3@6 deleting 1": "4f1db58737fd8e8898d596ac49501c308d65b7357f1a10d516966876cdf9e726",
+    "exhaustive C4,M6@7 hole 012 deleting 2": "5bd6a533fc0c85e8cafbc80a75f2b49bd98aa562a11ee44a31bc6513f6f7e582",
     "exhaustive M4,M4@5": "3d6b3620fb241d4054daf73f1c2533b8e7e6fe1ed2226f75200945c6815ff13b",
     "exhaustive M4,M4n@6": "15e036df184da46195c0671ec6d625347d59e62f6566c44ec6f393edcba8da6b",
     "exhaustive M4,M4n@7": "1a8c62c30185e4ad83f3be81eda6b00ae0f82f93a167d80e3693c31e8bc88564",
     "exhaustive M6,M4,C3@7": "a1b8ae4f6a8008be88b176e3355c9a8b38e844e622a4511e65a898b1ec7c48b7",
+    "grid eeo_four_part": "e9d28bf29e1223c197f4185018cd9d32dbd4bdb22bbe16635e527bf6a67c5ddc",
+    "grid eeo_three_part": "abb60ad5ef8c0d9d9be08fa30aca1c7c451cc1b67fbae49a8bb262c62ba1cd88",
+    "grid odd_triple": "ffd794ce359fceb31c1997883b843e89ea5563a94c79de26936cdb7d9d8fe359",
+    "grid oee_four_part": "23ba279646a08cbeb6226260ee6980088e540dea04009b94107be82c59b8b9cb",
     "harness double": "36a2ef86150e7151f91a5940b3e3b3dd2ec878175e766fef2a43ae55ae1482c2",
     "harness dwa": "47c5f9bddc31d307e4c09134050e8c2d863ddc01d9a80a70c24b7d6cb2eddf6e",
     "harness f1": "177f7dae35a1b66032ec254cca38f6f828a9928e9d9edfdf532c87388d9df5c1",
