@@ -27,6 +27,8 @@ from .bounds import (
     xi,
 )
 from .constructions import (
+    Claim,
+    ConstructionReport,
     build_eeo_four_part,
     build_eeo_three_part,
     build_odd_triple,
@@ -213,8 +215,6 @@ def _cmd_verify(args) -> int:
     payload = {"valid": True, "n": coloring.n, "k": coloring.k}
     if args.report:
         report_data = json.loads(_read(args.report))
-        from .constructions import Claim, ConstructionReport
-
         claims = tuple(
             Claim(c["color"], c["kind"], c["bound"])
             for c in report_data["construction"]["claims"]

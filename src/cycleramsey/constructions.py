@@ -1,13 +1,15 @@
 """Builders and verifier for the extremal lower-bound colorings.
 
-Each builder colors a complete graph so that every color class provably
-avoids its target structure; the verifier checks every claim by the
+Each builder colors a complete graph by blocks, from a table of the colors
+inside and between its parts, so that every color class provably avoids
+its target structure; the verifier checks every claim by the
 cheapest sufficient method and attaches a cycle witness on failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional
 
 from .cycles import (
@@ -25,6 +27,7 @@ from .graphs import (
     _component_masks,
     _mask_of,
     _two_color,
+    coloring_to_dict,
     odd_closed_walk,
 )
 
@@ -55,8 +58,6 @@ class ConstructionReport:
         return all(c.verified is True for c in self.claims)
 
     def to_dict(self) -> dict:
-        from .graphs import coloring_to_dict
-
         return {
             "name": self.name,
             "params": dict(self.params),
@@ -78,51 +79,47 @@ class ConstructionReport:
         }
 
 
-def _parts_by_sizes(sizes: list[int]) -> tuple[frozenset[int], ...]:
-    # Parts occupy contiguous index ranges in declared order.
-    parts = []
-    at = 0
-    for s in sizes:
-        parts.append(frozenset(range(at, at + s)))
-        at += s
-    return tuple(parts)
+def _block_report(
+    name: str,
+    params: dict,
+    sizes: list[int],
+    table: tuple[str, ...],
+    claims: tuple[Claim, ...],
+) -> ConstructionReport:
+    """Color K_n, n = sum(sizes), by blocks and wrap it in an unverified report.
 
-
-def _color_complete(
-    n: int, parts: tuple[frozenset[int], ...], rule
-) -> EdgeColoring:
+    Part i occupies the next ``sizes[i]`` vertices, and every edge between
+    parts i and j (inside part i when i == j) gets color ``int(table[i][j])``.
+    The table must be symmetric: an asymmetric one would give the two ends
+    of an edge different colors, so it raises ValueError.
+    """
+    if any(row[j] != table[j][i] for i, row in enumerate(table) for j in range(i)):
+        raise ValueError(f"block table {table} is not symmetric")
+    n = sum(sizes)
+    ends = list(accumulate(sizes, initial=0))
+    parts = tuple(frozenset(range(a, b)) for a, b in zip(ends, ends[1:]))
     masks = [[0] * n for _ in range(3)]
-    part_masks = [_mask_of(p) for p in parts]
-    for i, p in enumerate(parts):
-        for j, q in enumerate(part_masks):
-            rows = masks[rule(i, j) - 1]
+    for p, row in zip(parts, table):
+        for q, color in zip(parts, row):
+            rows = masks[int(color) - 1]
+            block = _mask_of(q)
             for v in p:
-                rows[v] |= q & ~(1 << v)
-    return EdgeColoring._from_masks(n, masks)
+                rows[v] |= block & ~(1 << v)
+    coloring = EdgeColoring._from_masks(n, masks)
+    return ConstructionReport(name, params, coloring, parts, claims)
 
 
 def build_odd_triple(m1: int) -> ConstructionReport:
-    """Four equal parts of size m1-1; parts in color 1, a 4-cycle of pair
-    blocks in color 2, the remaining pair blocks in color 3."""
+    """Four equal parts of size m1-1, each in color 1; color 2 on the pair
+    blocks of the path V1V2V3V4, color 3 on the other three, which form the
+    path V3V1V4V2. Colors 2 and 3 are bipartite, color 1 has no cycle of
+    length m1 or more."""
     if m1 < 3 or m1 % 2 == 0:
         raise ValueError(f"m1 must be odd and >= 3, got {m1}")
-    size = m1 - 1
-    parts = _parts_by_sizes([size] * 4)
-    second = {(0, 1), (1, 2), (2, 3)}
-
-    def rule(i, j):
-        if i == j:
-            return 1
-        key = (min(i, j), max(i, j))
-        return 2 if key in second else 3
-
-    coloring = _color_complete(4 * size, parts, rule)
-    claims = (
-        Claim(1, NO_CYCLE_GEQ, m1),
-        Claim(2, NO_ODD_CYCLE),
-        Claim(3, NO_ODD_CYCLE),
+    return _block_report(
+        "odd_triple", {"m1": m1}, [m1 - 1] * 4, ("1233", "2123", "3212", "3321"),
+        (Claim(1, NO_CYCLE_GEQ, m1), Claim(2, NO_ODD_CYCLE), Claim(3, NO_ODD_CYCLE)),
     )
-    return ConstructionReport("odd_triple", {"m1": m1}, coloring, parts, claims)
 
 
 def build_eeo_four_part(m1: int, m2: int) -> ConstructionReport:
@@ -132,23 +129,11 @@ def build_eeo_four_part(m1: int, m2: int) -> ConstructionReport:
         raise ValueError(f"m1, m2 must be even and >= 4, got {m1}, {m2}")
     if m1 < m2:
         raise ValueError(f"need m1 >= m2, got m1={m1} < m2={m2}")
-    parts = _parts_by_sizes([m1 - 1, m1 - 1, m2 // 2 - 1, m2 // 2 - 1])
-    second = {(0, 2), (1, 3)}
-
-    def rule(i, j):
-        if i == j:
-            return 1
-        key = (min(i, j), max(i, j))
-        return 2 if key in second else 3
-
-    coloring = _color_complete(2 * m1 + m2 - 4, parts, rule)
-    claims = (
-        Claim(1, NO_CYCLE_GEQ, m1),
-        Claim(2, NO_CYCLE_GEQ, m2),
-        Claim(3, NO_ODD_CYCLE),
-    )
-    return ConstructionReport(
-        "eeo_four_part", {"m1": m1, "m2": m2}, coloring, parts, claims
+    return _block_report(
+        "eeo_four_part", {"m1": m1, "m2": m2},
+        [m1 - 1, m1 - 1, m2 // 2 - 1, m2 // 2 - 1], ("1323", "3132", "2313", "3231"),
+        (Claim(1, NO_CYCLE_GEQ, m1), Claim(2, NO_CYCLE_GEQ, m2),
+         Claim(3, NO_ODD_CYCLE)),
     )
 
 
@@ -159,23 +144,11 @@ def build_eeo_three_part(m1: int, m2: int, m3: int) -> ConstructionReport:
         raise ValueError(f"m1, m2 must be even and >= 4, got {m1}, {m2}")
     if m3 % 2 == 0 or m3 < 3:
         raise ValueError(f"m3 must be odd and >= 3, got {m3}")
-    parts = _parts_by_sizes([m1 // 2 - 1, m2 // 2 - 1, m3 - 1])
-
-    def rule(i, j):
-        if i == 2 and j == 2:
-            return 3
-        if i == 1 or j == 1:
-            return 2
-        return 1
-
-    coloring = _color_complete(m1 // 2 + m2 // 2 + m3 - 3, parts, rule)
-    claims = (
-        Claim(1, NO_CYCLE_GEQ, m1 - 1),
-        Claim(2, NO_CYCLE_GEQ, m2 - 1),
-        Claim(3, NO_CYCLE_GEQ, m3),
-    )
-    return ConstructionReport(
-        "eeo_three_part", {"m1": m1, "m2": m2, "m3": m3}, coloring, parts, claims
+    return _block_report(
+        "eeo_three_part", {"m1": m1, "m2": m2, "m3": m3},
+        [m1 // 2 - 1, m2 // 2 - 1, m3 - 1], ("121", "222", "123"),
+        (Claim(1, NO_CYCLE_GEQ, m1 - 1), Claim(2, NO_CYCLE_GEQ, m2 - 1),
+         Claim(3, NO_CYCLE_GEQ, m3)),
     )
 
 
@@ -186,26 +159,11 @@ def build_oee_four_part(m1: int, m2: int) -> ConstructionReport:
         raise ValueError(f"m1 must be even and >= 4, got {m1}")
     if m2 % 2 == 0 or m2 < 3:
         raise ValueError(f"m2 must be odd and >= 3, got {m2}")
-    parts = _parts_by_sizes([m1 // 2 - 1, m1 // 2 - 1, m2 - 1, m2 - 1])
-    first = {(0, 0), (1, 1), (0, 2), (1, 3)}
-    second = {(2, 2), (3, 3)}
-
-    def rule(i, j):
-        key = (min(i, j), max(i, j))
-        if key in first:
-            return 1
-        if key in second:
-            return 2
-        return 3
-
-    coloring = _color_complete(m1 + 2 * m2 - 4, parts, rule)
-    claims = (
-        Claim(1, NO_CYCLE_GEQ, m1),
-        Claim(2, NO_CYCLE_GEQ, m2),
-        Claim(3, NO_ODD_CYCLE),
-    )
-    return ConstructionReport(
-        "oee_four_part", {"m1": m1, "m2": m2}, coloring, parts, claims
+    return _block_report(
+        "oee_four_part", {"m1": m1, "m2": m2},
+        [m1 // 2 - 1, m1 // 2 - 1, m2 - 1, m2 - 1], ("1313", "3131", "1323", "3132"),
+        (Claim(1, NO_CYCLE_GEQ, m1), Claim(2, NO_CYCLE_GEQ, m2),
+         Claim(3, NO_ODD_CYCLE)),
     )
 
 

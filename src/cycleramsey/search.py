@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 from .cycles import (
@@ -54,9 +54,6 @@ class CycleTarget:
     length: int
     exact: bool = True
 
-    def key(self):
-        return ("cycle", self.length, self.exact)
-
 
 @dataclass(frozen=True)
 class MatchingTarget:
@@ -65,9 +62,6 @@ class MatchingTarget:
 
     saturation: int
     nonbipartite: bool = False
-
-    def key(self):
-        return ("matching", self.saturation, self.nonbipartite)
 
 
 Target = Union[CycleTarget, MatchingTarget]
@@ -121,15 +115,8 @@ class ArrowInstance:
             "deleted_budget": self.deleted_budget,
             "targets": [
                 {
-                    "kind": "cycle",
-                    "length": t.length,
-                    "exact": t.exact,
-                }
-                if isinstance(t, CycleTarget)
-                else {
-                    "kind": "matching",
-                    "saturation": t.saturation,
-                    "nonbipartite": t.nonbipartite,
+                    "kind": "cycle" if isinstance(t, CycleTarget) else "matching",
+                    **asdict(t),
                 }
                 for t in self.targets
             ],
@@ -169,17 +156,10 @@ class SearchStats:
     elapsed: float = 0.0
 
     def to_dict(self, include_timings: bool = False) -> dict:
-        out = {
-            "nodes": self.nodes,
-            "presence_prunes": self.presence_prunes,
-            "symmetry_prunes": self.symmetry_prunes,
-            "leaves": self.leaves,
-            "proposals": self.proposals,
-            "restarts": self.restarts,
-            "best_energy": self.best_energy,
-        }
+        out = asdict(self)
+        elapsed = out.pop("elapsed")
         if include_timings:
-            out["elapsed_seconds"] = self.elapsed
+            out["elapsed_seconds"] = elapsed
         return out
 
 
@@ -339,10 +319,13 @@ def _prefix_is_canonical(assignment: list[int], v_top: int, bud: _Budget) -> boo
 
 
 def _color_groups(targets: tuple[Target, ...]) -> dict[int, list[int]]:
-    """Colors sharing an identical target are interchangeable."""
-    groups: dict[tuple, list[int]] = {}
+    """Colors sharing an identical target are interchangeable.
+
+    Targets are frozen dataclasses, so equality compares the class and every
+    field: C5 and C5+ (or M4 and M4n) never share a group."""
+    groups: dict[Target, list[int]] = {}
     for i, t in enumerate(targets):
-        groups.setdefault(t.key(), []).append(i + 1)
+        groups.setdefault(t, []).append(i + 1)
     return {c: sorted(g) for g in groups.values() for c in g}
 
 
@@ -380,10 +363,10 @@ def arrow_exhaustive(
             if u == v - 1 and 2 <= v < PERM_PREFIX_CAP:
                 block_end[i] = v
 
-    adjs = [[0] * n for _ in range(k + 1)]  # index 0 unused (deletions)
+    # adjs[0] and used_count[0] hold the deleted pairs, as in the annealer
+    adjs = [[0] * n for _ in range(k + 1)]
     assignment = [None] * len(edges)
     used_count = [0] * (k + 1)
-    deletions_left = inst.deleted_budget
     bud = _Budget(budget)  # search nodes plus path-kernel expansions
     witness: Optional[EdgeColoring] = None
 
@@ -395,12 +378,12 @@ def arrow_exhaustive(
                 if any(used_count[d] == 0 and d < c for d in grp):
                     continue  # a symmetric earlier color is still unused
             opts.append(c)
-        if deletions_left > 0:
+        if used_count[0] < inst.deleted_budget:
             opts.append(0)
         return opts
 
     def descend(i: int) -> bool:
-        nonlocal deletions_left, witness
+        nonlocal witness
         if i == len(edges):
             stats.leaves += 1
             cand = _witness_coloring(inst, edges, assignment, adjs)
@@ -411,16 +394,14 @@ def arrow_exhaustive(
             witness = cand
             return True
         u, v = edges[i]
+        bu, bv = 1 << u, 1 << v
         for c in choices(i):
             stats.nodes += 1
             bud.spend()
             assignment[i] = c
-            if c == 0:
-                deletions_left -= 1
-            else:
-                adjs[c][u] |= 1 << v
-                adjs[c][v] |= 1 << u
-                used_count[c] += 1
+            adjs[c][u] ^= bv
+            adjs[c][v] ^= bu
+            used_count[c] += 1
             ok = True
             if c != 0 and _new_edge_creates_target(
                 n, adjs[c], targets[c - 1], u, v, bud
@@ -435,12 +416,9 @@ def arrow_exhaustive(
             if ok and descend(i + 1):
                 return True
             assignment[i] = None
-            if c == 0:
-                deletions_left += 1
-            else:
-                adjs[c][u] &= ~(1 << v)
-                adjs[c][v] &= ~(1 << u)
-                used_count[c] -= 1
+            adjs[c][u] ^= bv
+            adjs[c][v] ^= bu
+            used_count[c] -= 1
         return False
 
     header = _header(inst, "exhaustive", symmetry=symmetry, budget=budget)

@@ -9,6 +9,7 @@ from cycleramsey.constructions import (
     NO_ODD_CYCLE,
     Claim,
     ConstructionReport,
+    _block_report,
     build_eeo_four_part,
     build_eeo_three_part,
     build_odd_triple,
@@ -213,3 +214,14 @@ def test_grid_all_builders_all_claims():
     for report in reports:
         checked = verify_claims(report)
         assert checked.all_verified(), (report.name, report.params)
+
+
+def test_block_table_must_be_symmetric():
+    # EdgeColoring.validate does not compare the two ends of an edge, so an
+    # asymmetric table is refused before any mask is built
+    claims = (Claim(1, NO_ODD_CYCLE),)
+    with pytest.raises(ValueError, match="not symmetric"):
+        _block_report("bad", {}, [2, 2], ("12", "31"), claims)
+    report = _block_report("ok", {}, [2, 2], ("12", "21"), claims)
+    assert report.parts == (frozenset({0, 1}), frozenset({2, 3}))
+    assert report.coloring.color_of(1, 2) == 2 and report.coloring.color_of(2, 3) == 1

@@ -13,6 +13,7 @@ from cycleramsey.search import (
     ArrowInstance,
     CycleTarget,
     MatchingTarget,
+    _color_groups,
     _energy_of_color,
     arrow_exhaustive,
     arrow_randomized,
@@ -685,3 +686,14 @@ def test_cycle_ramsey_table(n, m, r):
     for color, length in enumerate((n, m), 1):
         edges = [(u, v) for u, v, c in data["edges"] if c == color]
         assert not _has_cycle_brute(below, edges, length), (color, length)
+
+
+def test_color_groups_separate_targets_that_differ_in_any_field():
+    # equal targets share a group; C5+ differs from C5 only in ``exact``,
+    # M4n from M4 only in ``nonbipartite``
+    c5, m4 = CycleTarget(5), MatchingTarget(4)
+    for same, other in ((c5, CycleTarget(5, exact=False)),
+                        (m4, MatchingTarget(4, nonbipartite=True))):
+        assert _color_groups((same, other, same)) == {1: [1, 3], 2: [2], 3: [1, 3]}
+    # a cycle and a matching target with the same number are not equal
+    assert _color_groups((CycleTarget(4), MatchingTarget(4))) == {1: [1], 2: [2]}
