@@ -20,8 +20,10 @@ recomputed both touched classes' maximum matchings. The construction grid
 (every builder report of ``test_grid_all_builders_all_claims``, unverified)
 and the exhaustive witnesses that need deleted pairs were recorded while
 each builder colored its blocks through a rule closure and the exhaustive
-search counted deletions apart from the color classes. None may be edited
-to make a refactor pass.
+search counted deletions apart from the color classes. The longest-cycle
+lengths (no vertices) in every parity were recorded while ``longest_cycle``
+still filled its 2^m reachability table. None may be edited to make a
+refactor pass.
 """
 
 import hashlib
@@ -104,6 +106,12 @@ def _longest_cycles(parity):
         found = longest_cycle(g, parity)
         out.append(None if found is None else [found[0], list(found[1].vertices)])
     return out
+
+
+def _longest_cycle_lengths():
+    # the lengths alone (0 for none) of _longest_cycles in every parity
+    return {parity: [0 if c is None else c[0] for c in _longest_cycles(parity)]
+            for parity in ("any", "odd", "even")}
 
 
 def _fixed_length_cycles():
@@ -357,6 +365,7 @@ CASES = {
     "longest_cycle any": lambda: _longest_cycles("any"),
     "longest_cycle odd": lambda: _longest_cycles("odd"),
     "longest_cycle even": lambda: _longest_cycles("even"),
+    "longest_cycle lengths": _longest_cycle_lengths,
     "tutte_partition": _tutte_partitions,
     "bipartition": _bipartitions,
     "best_component_matching": lambda: _best_component_matchings(False),
@@ -394,6 +403,7 @@ DIGESTS = {
     "has_cycle_of_length": "cab5c1c7568c8947423b592ec3ab5ed7d4376fcb1f50870785d40e8fc91f4719",
     "longest_cycle any": "3bbcabe8801601f62434a211c996546e27d41ff8a8d8bef5c24e7ae46505fe39",
     "longest_cycle even": "fa1b02752bd4eb89cb61ab59cb1c2a877946cf8c3902a384c27eb8514bb00dcd",
+    "longest_cycle lengths": "b885af543478f6c8e4c86cabcaca7c6730afef384d34d17ff065e91806fbcdb4",
     "longest_cycle odd": "1d5beeadd660711a12664d1bb71622ea3c8121366788de3f42d881dbfcea31bc",
     "maximum_matching within": "9950996bf10660f022146a380449a63a5f5ee569f137c2e7e92f3685837447ed",
     "odd_triple 3": "d366897753e5d37138f5db797254b689598cd2a140d78632425599127f87eb90",
