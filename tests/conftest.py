@@ -1,8 +1,8 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles deliberately use different algorithms from the library code
-(bitmask DP over vertex subsets for matchings, pruned permutation
-enumeration for cycles) so the two sides can check each other.
+(bitmask DP over vertex subsets for matchings and circumference, pruned
+permutation enumeration for cycles) so the two sides can check each other.
 """
 
 from __future__ import annotations
@@ -83,6 +83,36 @@ def oracle_longest_cycle(g: Graph, parity: str = "any") -> int:
                 if all(g.has_edge(perm[i], perm[i + 1]) for i in range(k - 2)):
                     return k
     return 0
+
+
+def oracle_circumference(g: Graph) -> dict[str, int]:
+    """Longest cycle length in each parity ("any", "odd", "even"; 0 for
+    none) by subset DP, with no budget.
+
+    For each anchor a, the layer of size k maps every k-vertex set S that a
+    simple path from a can visit exactly, through vertices above a only, to
+    the mask of that path's possible endpoints; S closes a cycle of k
+    vertices when one endpoint is adjacent to a.
+    """
+    best = {"odd": 0, "even": 0}
+    for a in range(g.n):
+        above = [g.adjacency_mask(v) >> a << a for v in range(g.n)]
+        layer = {1 << a: 1 << a}
+        while layer:
+            grown: dict[int, int] = {}
+            for s, ends in layer.items():
+                size = s.bit_count()
+                if size >= 3 and ends & above[a]:
+                    key = "odd" if size % 2 else "even"
+                    best[key] = max(best[key], size)
+                for v in range(a, g.n):
+                    step = above[v] & ~s if ends >> v & 1 else 0
+                    while step:
+                        low = step & -step
+                        grown[s | low] = grown.get(s | low, 0) | low
+                        step ^= low
+            layer = grown
+    return {"any": max(best.values()), **best}
 
 
 def oracle_deficiency(g: Graph) -> int:

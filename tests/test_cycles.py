@@ -20,7 +20,7 @@ from cycleramsey.errors import (
 )
 from cycleramsey.graphs import Graph, components, complete_graph
 
-from conftest import oracle_longest_cycle, random_graph
+from conftest import oracle_circumference, oracle_longest_cycle, random_graph
 
 
 def cycle_graph(n):
@@ -136,6 +136,47 @@ def test_longest_cycle_matches_permutation_oracle():
                 assert found[0] % 2 == (1 if parity == "odd" else 0)
 
 
+def _oracle_families(rng):
+    """Graphs with at most 16 vertices that each stress one bound of the
+    scan: random, bipartite, with pendant trees, split, and clique chains."""
+    for _ in range(12):
+        yield random_graph(rng, rng.randint(3, 16), rng.uniform(0.15, 0.6))
+    for a, b in ((3, 5), (4, 4), (5, 7), (6, 8), (2, 9)):
+        # random bipartite graphs between sides of a and b vertices
+        yield Graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)
+                            if rng.random() < 0.6])
+    for _ in range(6):
+        # a random core with a pendant path and a pendant star
+        n = rng.randint(9, 16)
+        core = random_graph(rng, n - 4, rng.uniform(0.3, 0.7))
+        yield Graph(n, core.edges() + [(0, n - 4), (n - 4, n - 3),
+                                       (1, n - 2), (1, n - 1)])
+    for k, rest in ((3, 9), (4, 12), (5, 11), (6, 10)):
+        # a clique on k vertices, an independent set of ``rest`` joined to it
+        n = k + rest
+        yield Graph(n, [(u, v) for u in range(k) for v in range(u + 1, n)
+                        if v < k or rng.random() < 0.7])
+    for k, size in ((2, 5), (3, 4), (3, 6), (2, 8)):
+        # k cliques of ``size`` vertices, consecutive ones sharing a vertex
+        step = size - 1
+        yield Graph(k * step + 1, [(u, v) for b in range(0, k * step, step)
+                                   for u in range(b, b + size)
+                                   for v in range(u + 1, b + size)])
+
+
+def test_longest_cycle_matches_circumference_oracle():
+    rng = random.Random(41)
+    for index, g in enumerate(_oracle_families(rng)):
+        want = oracle_circumference(g)
+        for parity in ("any", "odd", "even"):
+            found = longest_cycle(g, parity)
+            assert (0 if found is None else found[0]) == want[parity], (index, parity)
+            if found is not None:
+                assert verify_cycle(g, found[1]) and found[1].length == found[0]
+                if parity != "any":
+                    assert found[0] % 2 == (parity == "odd")
+
+
 def test_long_cycle_edges_match_longest_cycle():
     # The score is the edge count of the components whose longest cycle has
     # at least L vertices, for every L; sparse graphs with several
@@ -147,8 +188,7 @@ def test_long_cycle_edges_match_longest_cycle():
         longest = []
         for comp in components(g):
             sub = g.subgraph_on(comp)
-            found = longest_cycle(sub, "any")
-            longest.append((0 if found is None else found[0], sub.num_edges))
+            longest.append((oracle_circumference(sub)["any"], sub.num_edges))
         brute = oracle_longest_cycle(g) if n <= 9 else None
         for ell in range(3, n + 1):
             score = _long_cycle_edges(g._adj, ell, _Budget(10**8))
@@ -181,8 +221,7 @@ def test_anchored_cycle_at_least_matches_longest_cycle():
         n = rng.randint(3, 12)
         g = random_graph(rng, n, rng.uniform(0.2, 0.7))
         active = rng.getrandbits(n) | rng.getrandbits(n)
-        found = longest_cycle(g.subgraph_on(active), "any")
-        best = 0 if found is None else found[0]
+        best = oracle_circumference(g.subgraph_on(active))["any"]
         for ell in range(3, n + 1):
             bud = _Budget(10**8)
             cycle = _anchored_cycle(g._adj, active, ell, bud, atleast=True)
