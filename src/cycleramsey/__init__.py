@@ -74,6 +74,5 @@ from .errors import (  # noqa: F401
     HypothesisViolation,
     NoQualifyingComponent,
     PreconditionViolated,
-    TableCapExceeded,
     UndefinedTarget,
 )

@@ -2,9 +2,9 @@
 
 Batch-only and fully seeded: every run embeds its seed, package version and
 a config hash in the report so experiments can be replayed byte-for-byte.
-Exit codes: 0 decided/success, 2 unknown, budget exceeded or table cap
-exceeded, 1 usage or validation error, 3 internal error (a result failed
-its own certificate check).
+Exit codes: 0 decided/success, 2 unknown or budget exceeded, 1 usage or
+validation error, 3 internal error (a result failed its own certificate
+check).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .cycles import (
     longest_cycle,
     verify_cycle,
 )
-from .errors import BudgetExceededError, PreconditionViolated, TableCapExceeded
+from .errors import BudgetExceededError, PreconditionViolated
 from .graphs import (
     dump_coloring,
     load_coloring,
@@ -255,9 +255,6 @@ def _cmd_cycles(args) -> int:
                 "length": found[0] if found else None,
                 "cycle": list(found[1].vertices) if found else None,
             }
-    except TableCapExceeded as exc:
-        _emit(args, {"error": "table-cap", "vertices": exc.size, "cap": exc.cap})
-        return EXIT_UNKNOWN
     except BudgetExceededError as exc:
         _emit(args, {"error": "budget-exceeded", "nodes": exc.nodes})
         return EXIT_UNKNOWN

@@ -18,12 +18,12 @@ from .cycles import (
     _anchored_cycle,
     _Budget,
     _check_budget,
+    _greedy_independent_set,
 )
 from .errors import BudgetExceededError
 from .graphs import (
     EdgeColoring,
     Graph,
-    _bits,
     _component_masks,
     _mask_of,
     _two_color,
@@ -172,18 +172,6 @@ def build_oee_four_part(m1: int, m2: int) -> ConstructionReport:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_independent_set(g: Graph, comp_mask: int) -> int:
-    """Greedy independent set by ascending induced degree; mask of members."""
-    verts = sorted(
-        _bits(comp_mask), key=lambda v: ((g._adj[v] & comp_mask).bit_count(), v)
-    )
-    chosen = 0
-    for v in verts:
-        if not g._adj[v] & chosen:
-            chosen |= 1 << v
-    return chosen
-
-
 def _check_no_cycle_geq(
     g: Graph, bound: int, budget: int
 ) -> tuple[Optional[bool], str, Optional[CycleCertificate]]:
@@ -200,7 +188,7 @@ def _check_no_cycle_geq(
             if 2 * small < bound:
                 methods.add("bipartite-sides")
                 continue
-        if 2 * (size - _greedy_independent_set(g, comp).bit_count()) < bound:
+        if 2 * (size - _greedy_independent_set(g._adj, comp).bit_count()) < bound:
             methods.add("independent-set")
             continue
         length = max(bound, 3)  # a claim file may hold a smaller bound

@@ -1,9 +1,9 @@
 """Exact cycle detection by length and parity, and constructive dense-graph cycles.
 
-Exact searches carry a node-expansion budget; running out raises
-BudgetExceededError, which is reported distinctly from "no such cycle".
-A longest-cycle query on a component too large for its table raises the
-subclass TableCapExceeded.
+Every exact search runs on one simple-path kernel and carries a budget,
+charged one unit per kernel call; running out raises BudgetExceededError,
+which is reported distinctly from "no such cycle". No input is refused for
+its size.
 """
 
 from __future__ import annotations
@@ -11,11 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional, Sequence
 
-from .errors import BudgetExceededError, PreconditionViolated, TableCapExceeded
-from .graphs import Graph, _bits, _component_masks, _mask_of, _reachable, _route
+from .errors import BudgetExceededError, PreconditionViolated
+from .graphs import (
+    Graph,
+    _bits,
+    _component_masks,
+    _mask_of,
+    _reachable,
+    _route,
+    _two_color,
+)
 
 DEFAULT_BUDGET = 10**8
-TABLE_CAP = 22  # longest_cycle's largest component slice (2^22 table entries)
 
 Parity = Literal["any", "odd", "even"]
 
@@ -210,88 +217,62 @@ def longest_cycle(
 ) -> Optional[tuple[int, CycleCertificate]]:
     """Maximum-length simple cycle of the requested parity, with certificate.
 
-    Per component and per anchored minimum vertex, runs a set-reachability
-    table ends[S] = endpoints of simple paths from the anchor spanning
-    exactly S (Bellman/Held-Karp), filled by pushing the union of the
-    endpoints' neighbourhoods outside S. The budget is charged one unit per
-    (S, endpoint) table entry. A component slice of more than TABLE_CAP
-    vertices raises TableCapExceeded. Deterministic for a fixed graph.
+    Every cycle lies in one component of the 2-core. Such a component of v
+    vertices holds no cycle longer than v, than twice its smaller side if it
+    is bipartite (then every cycle is even), or than twice the vertices
+    outside a greedy independent set (a cycle holds at most half its
+    vertices from one). Below that bound, lengths of the requested parity
+    are asked of ``_anchored_cycle`` in descending order, down to one more
+    than the best cycle found so far; the first hit is the component's
+    longest. The budget is charged one unit per simple-path kernel call.
     """
     if parity not in ("any", "odd", "even"):
         raise ValueError(f"parity must be any, odd or even, got {parity!r}")
     bud = _Budget(budget)
-    best_len = 0
-    best_path: Optional[tuple[int, ...]] = None
-    want_odd = parity in ("any", "odd")
-    want_even = parity in ("any", "even")
-
-    for comp in _component_masks(g._adj, g.vertices_mask()):
-        members = list(_bits(comp))
-        if len(members) < 3 or len(members) <= best_len:
-            continue  # no cycle in here can beat the current best
-        for ai, anchor in enumerate(members):
-            local = members[ai:]
-            m = len(local)
-            if m < 3 or m <= best_len:
-                break  # suffixes only shrink
-            suffix = comp >> anchor << anchor  # the vertices of ``local``
-            idx = {v: i for i, v in enumerate(local)}
-            ladj = [sum(1 << idx[w] for w in _bits(g._adj[v] & suffix)) for v in local]
-            home = ladj[0] & ~1  # endpoints that close a cycle at the anchor
-            if home.bit_count() < 2:
+    adj = g._adj
+    best: Optional[list[int]] = None
+    for comp in _component_masks(adj, _strip(adj, g.vertices_mask(), 1)):
+        size = comp.bit_count()
+        bound = min(size, 2 * (size - _greedy_independent_set(adj, comp).bit_count()))
+        want = None if parity == "any" else int(parity == "odd")
+        side, _ = _two_color(adj, comp)
+        if side is not None:
+            if parity == "odd":
                 continue
-            if m > TABLE_CAP:
-                # the reachability table itself would dwarf the budget
-                raise TableCapExceeded(m, TABLE_CAP, nodes=bud.spent)
-            nbr = {1 << i: a for i, a in enumerate(ladj)}  # ends[S] holds endpoint bits
-            size = 1 << m
-            ends = [0] * size
-            ends[1] = 1
-            found_here = None  # (cycle length, mask, endpoint)
-            for mask in range(1, size, 2):  # anchor bit always set
-                ep = ends[mask]
-                if not ep:
-                    continue
-                bud.spend(ep.bit_count())
-                close = ep & home
-                if close:
-                    cnt = mask.bit_count()
-                    if (
-                        ((cnt & 1 and want_odd) or (not cnt & 1 and want_even))
-                        and cnt >= 3
-                        and (found_here is None or cnt > found_here[0])
-                    ):
-                        found_here = (cnt, mask, (close & -close).bit_length() - 1)
-                reach = 0
-                while ep:
-                    low = ep & -ep
-                    reach |= nbr[low]
-                    ep ^= low
-                reach &= ~mask
-                while reach:
-                    low = reach & -reach
-                    ends[mask | low] |= low
-                    reach ^= low
-            if found_here is not None and found_here[0] > best_len:
-                cnt, mask, v = found_here
-                best_len = cnt
-                best_path = tuple(local[i] for i in _reconstruct(ends, ladj, mask, v))
-    if best_path is None:
-        return None
-    return best_len, CycleCertificate(best_path)
+            want = 0
+            bound = min(bound, 2 * min(side.bit_count(), size - side.bit_count()))
+        if want is not None and bound % 2 != want:
+            bound -= 1
+        stop = len(best) if best else 2
+        for length in range(bound, stop, -1 if want is None else -2):
+            cycle = _anchored_cycle(adj, comp, length, bud)
+            if cycle is not None:
+                best = cycle
+                break
+    return None if best is None else (len(best), CycleCertificate(tuple(best)))
 
 
-def _reconstruct(ends, ladj, mask, v) -> list[int]:
-    path = [v]
-    cur = v
-    while cur != 0:
-        prev_mask = mask & ~(1 << cur)
-        cands = ends[prev_mask] & ladj[cur]
-        prev = (cands & -cands).bit_length() - 1
-        path.append(prev)
-        mask, cur = prev_mask, prev
-    path.reverse()
-    return path
+def _strip(adj: Sequence[int], active: int, low: int) -> int:
+    """``active`` less every vertex whose degree inside it falls to ``low``
+    or below, removed repeatedly until none is left."""
+    changed = True
+    while changed:
+        changed = False
+        for v in _bits(active):
+            if (adj[v] & active).bit_count() <= low:
+                active &= ~(1 << v)
+                changed = True
+    return active
+
+
+def _greedy_independent_set(adj: Sequence[int], comp: int) -> int:
+    """Greedy independent set of ``comp`` by ascending induced degree; mask
+    of members."""
+    chosen = 0
+    for v in sorted(_bits(comp), key=lambda v: ((adj[v] & comp).bit_count(), v)):
+        if not adj[v] & chosen:
+            chosen |= 1 << v
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +299,10 @@ def erdos_gallai_cycle(
             f"edge count {g.num_edges} below threshold (m-1)(n-1)/2+1"
         )
     active = g.vertices_mask()
-    low = (m - 1) // 2
 
     while True:
         # Strip low-degree vertices; each removal keeps 2e > (m-1)(n-1).
-        changed = True
-        while changed:
-            changed = False
-            for v in _bits(active):
-                if (g._adj[v] & active).bit_count() <= low:
-                    active &= ~(1 << v)
-                    changed = True
+        active = _strip(g._adj, active, (m - 1) // 2)
         comp = _dense_part(g, _component_masks(g._adj, active), m)
         if comp != active:
             active = comp

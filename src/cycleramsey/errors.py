@@ -12,23 +12,6 @@ class BudgetExceededError(RuntimeError):
         self.nodes = nodes
 
 
-class TableCapExceeded(BudgetExceededError):
-    """An exact method refused an input larger than its table cap.
-
-    "Too large for this method", not "ran out of budget"; a subclass so that
-    every handler of BudgetExceededError still treats it as undecided.
-    """
-
-    def __init__(self, size: int, cap: int, nodes: int = 0):
-        super().__init__(
-            f"component slice of {size} vertices exceeds the exact-search "
-            f"table cap of {cap}",
-            nodes=nodes,
-        )
-        self.size = size
-        self.cap = cap
-
-
 class PreconditionViolated(ValueError):
     """An operation was called on inputs outside its stated precondition.
 

@@ -209,12 +209,12 @@ def test_cycles_certificate_check_survives_optimize(c6_file):
     assert proc.stdout == ""
 
 
-def test_table_cap_is_reported_as_such(tmp_path, capsys):
+def test_large_hosts_are_decided(tmp_path, capsys):
     k23 = tmp_path / "k23.json"
     k23.write_text(dump_graph(complete_graph(23)))
-    assert run(["cycles", "--graph", str(k23), "--format", "json"]) == 2
+    assert run(["cycles", "--graph", str(k23), "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert (data["error"], data["vertices"], data["cap"]) == ("table-cap", 23, 22)
+    assert (data["found"], data["length"], len(data["cycle"])) == (True, 23, 23)
     # at-least targets never reach the table: annealing on a 24-vertex host
     # ends unknown, with the best energy in the report and no refusal
     code = run(["search", "--targets", "C5+:1,C5+:2", "--n", "24", "--mode",

@@ -13,11 +13,7 @@ from cycleramsey.cycles import (
     longest_cycle,
     verify_cycle,
 )
-from cycleramsey.errors import (
-    BudgetExceededError,
-    PreconditionViolated,
-    TableCapExceeded,
-)
+from cycleramsey.errors import BudgetExceededError, PreconditionViolated
 from cycleramsey.graphs import Graph, components, complete_graph
 
 from conftest import oracle_circumference, oracle_longest_cycle, random_graph
@@ -94,22 +90,26 @@ def test_negative_budgets_are_refused():
         has_cycle_of_length(g, 4, budget=0)
 
 
-def test_table_cap_refusal_is_distinct():
-    # a 23-vertex component slice is too large for the table: a refusal
-    # before any work, still a BudgetExceededError for existing handlers
-    with pytest.raises(TableCapExceeded) as err:
-        longest_cycle(complete_graph(23), "any")
-    assert isinstance(err.value, BudgetExceededError)
-    assert (err.value.size, err.value.cap, err.value.nodes) == (23, 22, 0)
-    assert "23 vertices" in str(err.value) and "table cap of 22" in str(err.value)
-    # an exhausted budget is not a table-cap refusal
-    with pytest.raises(BudgetExceededError) as err:
-        longest_cycle(complete_graph(12), "any", budget=50)
-    assert not isinstance(err.value, TableCapExceeded)
-    # at the cap the table is built (a K22 slice would need far more memory
-    # than a test should take, so a 22-vertex cycle stands in for it)
-    c22 = Graph(22, [(i, (i + 1) % 22) for i in range(22)])
-    assert longest_cycle(c22, "even")[0] == 22
+def test_large_inputs_are_decided():
+    # no input is refused for its size: K23, the 5x5 grid, the 5-cube and
+    # K10,30 get certified answers in every parity
+    grid = Graph(25, [(v, v + d) for v in range(25) for d in (1, 5)
+                      if v + d < 25 and (d == 5 or v % 5 < 4)])
+    cube = Graph(32, [(v, v ^ 1 << i) for v in range(32) for i in range(5)
+                      if v < v ^ 1 << i])
+    k10_30 = Graph(40, [(u, v) for u in range(10) for v in range(10, 40)])
+    expected = [
+        (complete_graph(23), (23, 23, 22)),
+        (grid, (24, 0, 24)),
+        (cube, (32, 0, 32)),
+        (k10_30, (20, 0, 20)),
+    ]
+    for g, lengths in expected:
+        for parity, want in zip(("any", "odd", "even"), lengths):
+            found = longest_cycle(g, parity)
+            assert (0 if found is None else found[0]) == want, (g.n, parity)
+            if found is not None:
+                assert verify_cycle(g, found[1]) and found[1].length == want
 
 
 def test_verify_cycle_rejects_bad_certificates():
