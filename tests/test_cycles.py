@@ -58,8 +58,12 @@ def test_longest_cycle_rejects_an_unknown_parity():
 
 
 def test_budget_exceeded_is_distinct():
+    # three K6 chained at shared vertices: refuting the lengths 16..7 needs
+    # far more than 50 kernel calls
+    chain = Graph(16, [(u, v) for b in (0, 5, 10)
+                       for u in range(b, b + 6) for v in range(u + 1, b + 6)])
     with pytest.raises(BudgetExceededError):
-        longest_cycle(complete_graph(12), "any", budget=50)
+        longest_cycle(chain, "any", budget=50)
 
 
 @pytest.mark.parametrize("length, charge", [(12, 10), (10, 190)])

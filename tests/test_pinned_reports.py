@@ -4,15 +4,14 @@ Each case builds a canonical report (``json.dumps(x.to_dict(),
 sort_keys=True)``, or the plain data a sample driver returns) and compares its sha256 with a recorded value, so any
 refactor that changes a construction, harness or search report byte-wise
 fails here. The report digests were recorded before the duplicate
-matching, reachability and host-size code was merged; the longest-cycle and
-barrier-partition digests and the budget pins were recorded before the
-single-pass Gallai-Edmonds set and the per-mask longest-cycle table; the
+matching, reachability and host-size code was merged; the barrier-partition
+digest was recorded before the single-pass Gallai-Edmonds set; the
 fixed-length cycle certificates and the cycle-target witnesses were recorded
 before colorings were stored as one class graph per color and before
 ``has_cycle_of_length`` moved onto the shared simple-path kernel. The
 at-least cycle-target anneal reports were recorded when those targets moved
 from ``longest_cycle`` to the component presence score, which changed them
-by design (the K24 run raised TableCapExceeded before). The total charge of
+by design (the K24 run hit the longest-cycle table cap before). The total charge of
 the at-least cycle score was recorded before its anchor loop moved into the
 helper that also serves ``has_cycle_of_length``. The matching-target anneal
 runs and the 100-step trzy adversary were recorded while every move still
@@ -22,8 +21,10 @@ and the exhaustive witnesses that need deleted pairs were recorded while
 each builder colored its blocks through a rule closure and the exhaustive
 search counted deletions apart from the color classes. The longest-cycle
 lengths (no vertices) in every parity were recorded while ``longest_cycle``
-still filled its 2^m reachability table. None may be edited to make a
-refactor pass.
+still filled a 2^m reachability table; its certificates and charge pins
+were re-recorded, by design, when it moved onto the anchored path search,
+which finds other cycles of the same lengths and charges one unit per
+kernel call. None may be edited to make a refactor pass.
 """
 
 import hashlib
@@ -401,10 +402,10 @@ DIGESTS = {
     "harness l2": "584f4d7fb95963d1197e705e67fef35e8d926522b211dfa845751490bbc14092",
     "harness trzy": "791474bbac5be0d067bef4be5529330851f616ac7d9050e944eb0e6e17cd1710",
     "has_cycle_of_length": "cab5c1c7568c8947423b592ec3ab5ed7d4376fcb1f50870785d40e8fc91f4719",
-    "longest_cycle any": "3bbcabe8801601f62434a211c996546e27d41ff8a8d8bef5c24e7ae46505fe39",
-    "longest_cycle even": "fa1b02752bd4eb89cb61ab59cb1c2a877946cf8c3902a384c27eb8514bb00dcd",
+    "longest_cycle any": "306a5e80661be173b8e63181b2ab6cfb5d4606eb0998499d12eee393f409e3b7",
+    "longest_cycle even": "dec52f7bc858149a34817fa314b2276d5d31ca7cc358ff9385d18c86cac2faba",
     "longest_cycle lengths": "b885af543478f6c8e4c86cabcaca7c6730afef384d34d17ff065e91806fbcdb4",
-    "longest_cycle odd": "1d5beeadd660711a12664d1bb71622ea3c8121366788de3f42d881dbfcea31bc",
+    "longest_cycle odd": "cf918b864bfccf3feda7284b02eeff33268c94ad26f49306a9191f43cd49829b",
     "maximum_matching within": "9950996bf10660f022146a380449a63a5f5ee569f137c2e7e92f3685837447ed",
     "odd_triple 3": "d366897753e5d37138f5db797254b689598cd2a140d78632425599127f87eb90",
     "odd_triple 5": "f6b1ee8fefe8f8900c66746503ec33c6b8ed6d6b9b9adc42603b684c0700e040",
@@ -439,20 +440,30 @@ def test_report_digest_is_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
 
 
+def _clique_chain():
+    # three copies of K6, consecutive ones sharing a vertex: 16 vertices
+    return Graph(16, [(u, v) for b in (0, 5, 10)
+                      for u, v in itertools.combinations(range(b, b + 6), 2)])
+
+
 @pytest.mark.parametrize("budget", [0, 1, 2, 7, 100, 5000])
 def test_longest_cycle_budget_exhaustion_is_pinned(budget):
     # running out reports one unit past the budget, whatever the budget
     with pytest.raises(BudgetExceededError) as err:
-        longest_cycle(complete_graph(12), budget=budget)
+        longest_cycle(_clique_chain(), budget=budget)
     assert err.value.nodes == budget + 1
 
 
 def test_longest_cycle_total_charge_is_pinned():
-    # the Petersen graph's table costs exactly 238 (subset, endpoint) entries
-    assert longest_cycle(_petersen(), budget=238)[0] == 9
-    with pytest.raises(BudgetExceededError) as err:
-        longest_cycle(_petersen(), budget=237)
-    assert err.value.nodes == 238
+    # one unit per simple-path kernel call: K12's Hamiltonian cycle is the
+    # first length tried, the Petersen graph refutes 10 before it finds 9,
+    # and the clique chain refutes every length from 16 down to 7
+    for g, length, charge in ((complete_graph(12), 12, 10), (_petersen(), 9, 197),
+                              (_clique_chain(), 6, 7323)):
+        assert longest_cycle(g, budget=charge)[0] == length
+        with pytest.raises(BudgetExceededError) as err:
+            longest_cycle(g, budget=charge - 1)
+        assert err.value.nodes == charge
 
 
 def test_long_cycle_edges_total_charge_is_pinned():
