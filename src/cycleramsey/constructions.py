@@ -8,7 +8,7 @@ cheapest sufficient method and attaches a cycle witness on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
 from typing import Optional
 
@@ -18,7 +18,7 @@ from .cycles import (
     _anchored_cycle,
     _Budget,
     _check_budget,
-    _greedy_independent_set,
+    _cycle_bounds,
 )
 from .errors import BudgetExceededError
 from .graphs import (
@@ -26,7 +26,6 @@ from .graphs import (
     Graph,
     _component_masks,
     _mask_of,
-    _two_color,
     coloring_to_dict,
     odd_closed_walk,
 )
@@ -64,14 +63,7 @@ class ConstructionReport:
             "n": self.coloring.n,
             "parts": [sorted(p) for p in self.parts],
             "claims": [
-                {
-                    "color": c.color,
-                    "kind": c.kind,
-                    "bound": c.bound,
-                    "verified": c.verified,
-                    "method": c.method,
-                    "witness": list(c.witness.vertices) if c.witness else None,
-                }
+                {**asdict(c), "witness": list(c.witness.vertices) if c.witness else None}
                 for c in self.claims
             ],
             "notes": list(self.notes),
@@ -178,18 +170,10 @@ def _check_no_cycle_geq(
     methods = set()
     bud = _Budget(budget)
     for comp in _component_masks(g._adj, g.vertices_mask()):
-        size = comp.bit_count()
-        if size < bound:
-            methods.add("component-size")
-            continue
-        side, _ = _two_color(g._adj, comp)
-        if side is not None:
-            small = min(side.bit_count(), size - side.bit_count())
-            if 2 * small < bound:
-                methods.add("bipartite-sides")
-                continue
-        if 2 * (size - _greedy_independent_set(g._adj, comp).bit_count()) < bound:
-            methods.add("independent-set")
+        bounds = _cycle_bounds(g._adj, comp)
+        method = next((m for m, b in bounds.items() if b < bound), None)
+        if method:
+            methods.add(method)
             continue
         length = max(bound, 3)  # a claim file may hold a smaller bound
         try:

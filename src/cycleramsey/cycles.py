@@ -217,14 +217,11 @@ def longest_cycle(
 ) -> Optional[tuple[int, CycleCertificate]]:
     """Maximum-length simple cycle of the requested parity, with certificate.
 
-    Every cycle lies in one component of the 2-core. Such a component of v
-    vertices holds no cycle longer than v, than twice its smaller side if it
-    is bipartite (then every cycle is even), or than twice the vertices
-    outside a greedy independent set (a cycle holds at most half its
-    vertices from one). Below that bound, lengths of the requested parity
-    are asked of ``_anchored_cycle`` in descending order, down to one more
-    than the best cycle found so far; the first hit is the component's
-    longest. The budget is charged one unit per simple-path kernel call.
+    Every cycle lies in one component of the 2-core. From the smallest of
+    the component's ``_cycle_bounds`` down to one more than the best cycle
+    found so far, lengths of the requested parity are asked of
+    ``_anchored_cycle``; the first hit is the component's longest. The
+    budget is charged one unit per simple-path kernel call.
     """
     if parity not in ("any", "odd", "even"):
         raise ValueError(f"parity must be any, odd or even, got {parity!r}")
@@ -232,15 +229,13 @@ def longest_cycle(
     adj = g._adj
     best: Optional[list[int]] = None
     for comp in _component_masks(adj, _strip(adj, g.vertices_mask(), 1)):
-        size = comp.bit_count()
-        bound = min(size, 2 * (size - _greedy_independent_set(adj, comp).bit_count()))
+        bounds = _cycle_bounds(adj, comp)
         want = None if parity == "any" else int(parity == "odd")
-        side, _ = _two_color(adj, comp)
-        if side is not None:
+        if "bipartite-sides" in bounds:
             if parity == "odd":
                 continue
             want = 0
-            bound = min(bound, 2 * min(side.bit_count(), size - side.bit_count()))
+        bound = min(bounds.values())
         if want is not None and bound % 2 != want:
             bound -= 1
         stop = len(best) if best else 2
@@ -265,14 +260,23 @@ def _strip(adj: Sequence[int], active: int, low: int) -> int:
     return active
 
 
-def _greedy_independent_set(adj: Sequence[int], comp: int) -> int:
-    """Greedy independent set of ``comp`` by ascending induced degree; mask
-    of members."""
+def _cycle_bounds(adj: Sequence[int], comp: int) -> dict[str, int]:
+    """Upper bounds on the length of every cycle inside the component
+    ``comp``, by method: its size; twice its smaller side, present exactly
+    when it is bipartite (every cycle is then even); and twice the vertices
+    outside a greedy independent set by ascending degree, since a cycle
+    holds at most half its vertices from an independent set."""
+    size = comp.bit_count()
+    bounds = {"component-size": size}
+    side, _ = _two_color(adj, comp)
+    if side is not None:
+        bounds["bipartite-sides"] = 2 * min(side.bit_count(), size - side.bit_count())
     chosen = 0
     for v in sorted(_bits(comp), key=lambda v: ((adj[v] & comp).bit_count(), v)):
         if not adj[v] & chosen:
             chosen |= 1 << v
-    return chosen
+    bounds["independent-set"] = 2 * (size - chosen.bit_count())
+    return bounds
 
 
 # ---------------------------------------------------------------------------
