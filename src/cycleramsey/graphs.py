@@ -223,7 +223,15 @@ class EdgeColoring:
         for i, g in enumerate(self.classes, 1):
             if g.n != self.n:
                 raise ValueError(f"color {i} class has {g.n} vertices, not {self.n}")
+            mirror = [0] * self.n  # the upper-triangle bits, transposed
             for u, row in enumerate(g._adj):
+                for v in _bits(row >> (u + 1) << (u + 1)):
+                    mirror[v] |= 1 << u
+            for u, row in enumerate(g._adj):
+                lone = (row & ((1 << u) - 1)) ^ mirror[u]  # held at one end only
+                if lone:
+                    e = edge_key(u, next(_bits(lone)))
+                    raise ValueError(f"color {i} holds edge {e} at one end only")
                 if row & union[u]:
                     e = edge_key(u, next(_bits(row & union[u])))
                     raise ValueError(f"edge {e} has two colors")

@@ -174,6 +174,19 @@ def test_coloring_validation():
         EdgeColoring(3, 2, (Graph(4, [(0, 1), (1, 2)]), Graph(3, [(0, 2)])))
 
 
+def test_class_masks_must_be_symmetric():
+    # pair (0, 1) held in color 1 by row 0 and in color 2 by row 1: each
+    # class holds it at one end only, and color_of would answer 1
+    with pytest.raises(ValueError, match=r"color 1 holds edge \(0, 1\) at one end only"):
+        EdgeColoring._from_masks(2, [[0b10, 0], [0, 0b01]])
+    with pytest.raises(ValueError, match=r"color 2 holds edge \(1, 3\) at one end only"):
+        EdgeColoring._from_masks(4, [[0b1110, 0b0101, 0b0011, 0b0001],
+                                     [0, 0b1000, 0b1000, 0b0100]])
+    # the symmetric masks of the same pairs are accepted
+    EdgeColoring._from_masks(4, [[0b1110, 0b0101, 0b0011, 0b0001],
+                                 [0, 0b1000, 0b1000, 0b0110]])
+
+
 def test_color_classes_partition_host():
     rng = random.Random(5)
     for _ in range(30):
