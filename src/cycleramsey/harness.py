@@ -12,7 +12,7 @@ hypothesis re-check of the offending instance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -43,15 +43,6 @@ class FailureRecord:
     witness: dict
     hypothesis_recheck: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "sample": self.sample,
-            "mode": self.mode,
-            "description": self.description,
-            "witness": self.witness,
-            "hypothesis_recheck": self.hypothesis_recheck,
-        }
-
 
 @dataclass
 class HarnessReport:
@@ -68,15 +59,7 @@ class HarnessReport:
         return [f for f in self.failures if f.hypothesis_recheck.get("ok")]
 
     def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "params": {k: str(v) for k, v in self.params.items()},
-            "samples": self.samples,
-            "passes": self.passes,
-            "failures": [f.to_dict() for f in self.failures],
-            "hypothesis_warnings": list(self.hypothesis_warnings),
-            "header": self.header,
-        }
+        return {**asdict(self), "params": {k: str(v) for k, v in self.params.items()}}
 
 
 def _sample_deletions(rng: random.Random, host: Graph, budget: int) -> list:
