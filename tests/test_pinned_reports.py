@@ -22,9 +22,9 @@ each builder colored its blocks through a rule closure and the exhaustive
 search counted deletions apart from the color classes. The longest-cycle
 lengths (no vertices) in every parity were recorded while ``longest_cycle``
 still filled a 2^m reachability table; its certificates and charge pins
-were re-recorded, by design, when it moved onto the anchored path search,
-which finds other cycles of the same lengths and charges one unit per
-kernel call. None may be edited to make a refactor pass.
+were re-recorded, by design, when it moved onto the anchored path search
+over each component relabelled by ascending degree, which finds other
+cycles of the same lengths and charges one unit per kernel call. None may be edited to make a refactor pass.
 """
 
 import hashlib
@@ -402,10 +402,10 @@ DIGESTS = {
     "harness l2": "584f4d7fb95963d1197e705e67fef35e8d926522b211dfa845751490bbc14092",
     "harness trzy": "791474bbac5be0d067bef4be5529330851f616ac7d9050e944eb0e6e17cd1710",
     "has_cycle_of_length": "cab5c1c7568c8947423b592ec3ab5ed7d4376fcb1f50870785d40e8fc91f4719",
-    "longest_cycle any": "306a5e80661be173b8e63181b2ab6cfb5d4606eb0998499d12eee393f409e3b7",
-    "longest_cycle even": "dec52f7bc858149a34817fa314b2276d5d31ca7cc358ff9385d18c86cac2faba",
+    "longest_cycle any": "d3941e331980b3deb1ce3e9336c9771e7f8fb7260065b263cb7a3249f1807534",
+    "longest_cycle even": "974c76ba3b61591aebba5d6baeae64a9aaaafe02aa35109f88cf4abf9e5704f6",
     "longest_cycle lengths": "b885af543478f6c8e4c86cabcaca7c6730afef384d34d17ff065e91806fbcdb4",
-    "longest_cycle odd": "cf918b864bfccf3feda7284b02eeff33268c94ad26f49306a9191f43cd49829b",
+    "longest_cycle odd": "845c65e488be67d35769cd630936d37eb676e5e5ec9f2ffc59728acf33d03f84",
     "maximum_matching within": "9950996bf10660f022146a380449a63a5f5ee569f137c2e7e92f3685837447ed",
     "odd_triple 3": "d366897753e5d37138f5db797254b689598cd2a140d78632425599127f87eb90",
     "odd_triple 5": "f6b1ee8fefe8f8900c66746503ec33c6b8ed6d6b9b9adc42603b684c0700e040",
@@ -457,9 +457,12 @@ def test_longest_cycle_budget_exhaustion_is_pinned(budget):
 def test_longest_cycle_total_charge_is_pinned():
     # one unit per simple-path kernel call: K12's Hamiltonian cycle is the
     # first length tried, the Petersen graph refutes 10 before it finds 9,
-    # and the clique chain refutes every length from 16 down to 7
+    # and the clique chain refutes every length from 16 down to 7; the
+    # seeded 22-vertex graph has a vertex of degree two, which the search
+    # anchors at, so its Hamiltonian cycle costs 20
+    hamiltonian = _random_graph(random.Random(22057), 22, 0.35)
     for g, length, charge in ((complete_graph(12), 12, 10), (_petersen(), 9, 197),
-                              (_clique_chain(), 6, 7323)):
+                              (_clique_chain(), 6, 7486), (hamiltonian, 22, 20)):
         assert longest_cycle(g, budget=charge)[0] == length
         with pytest.raises(BudgetExceededError) as err:
             longest_cycle(g, budget=charge - 1)
