@@ -217,38 +217,30 @@ def longest_cycle(
 ) -> Optional[tuple[int, CycleCertificate]]:
     """Maximum-length simple cycle of the requested parity, with certificate.
 
-    Every cycle lies in one component of the 2-core. From the smallest of
-    the component's ``_cycle_bounds`` down to one more than the best cycle
-    found so far, lengths of the requested parity are asked of
-    ``_anchored_cycle``; the first hit is the component's longest. The
-    component is relabelled by ascending degree first, so the kernel
-    anchors at, and extends through, low-degree vertices first: a
-    degree-two vertex whose neighbours a long path has used up otherwise
-    shows up dead only after the whole search beneath it (one 22-vertex
-    graph ran past a budget of 10^8 in input order). The budget is charged
-    one unit per simple-path kernel call.
+    The 2-core is relabelled by ascending degree, so that the kernel anchors
+    at and extends through low-degree vertices first (in input order, one
+    22-vertex graph ran past a budget of 10^8). In each of its components,
+    ``_anchored_cycle`` is asked for the lengths of the parity from the
+    smallest ``_cycle_bounds`` down to one more than the best cycle so far;
+    the first hit is the component's longest. One budget unit per
+    simple-path kernel call.
     """
     if parity not in ("any", "odd", "even"):
         raise ValueError(f"parity must be any, odd or even, got {parity!r}")
     bud = _Budget(budget)
-    adj = g._adj
+    core = _strip(g._adj, g.vertices_mask(), 1)
+    order = sorted(_bits(core), key=lambda v: ((g._adj[v] & core).bit_count(), v))
+    label = {v: i for i, v in enumerate(order)}
+    adj = [sum(1 << label[w] for w in _bits(g._adj[v] & core)) for v in order]
+    want_odd, want_even = parity != "even", parity != "odd"
     best: Optional[list[int]] = None
-    for comp in _component_masks(adj, _strip(adj, g.vertices_mask(), 1)):
+    for comp in _component_masks(adj, (1 << len(order)) - 1):
         bounds = _cycle_bounds(adj, comp)
-        want = None if parity == "any" else int(parity == "odd")
-        if "bipartite-sides" in bounds:
-            if parity == "odd":
+        odd = want_odd and "bipartite-sides" not in bounds  # else all even
+        for length in range(min(bounds.values()), len(best) if best else 2, -1):
+            if not (odd if length % 2 else want_even):
                 continue
-            want = 0
-        bound = min(bounds.values())
-        if want is not None and bound % 2 != want:
-            bound -= 1
-        order = sorted(_bits(comp), key=lambda v: ((adj[v] & comp).bit_count(), v))
-        label = {v: i for i, v in enumerate(order)}
-        local = [sum(1 << label[w] for w in _bits(adj[v] & comp)) for v in order]
-        stop = len(best) if best else 2
-        for length in range(bound, stop, -1 if want is None else -2):
-            cycle = _anchored_cycle(local, (1 << len(order)) - 1, length, bud)
+            cycle = _anchored_cycle(adj, comp, length, bud)
             if cycle is not None:
                 best = [order[i] for i in cycle]
                 break
@@ -269,11 +261,10 @@ def _strip(adj: Sequence[int], active: int, low: int) -> int:
 
 
 def _cycle_bounds(adj: Sequence[int], comp: int) -> dict[str, int]:
-    """Upper bounds on the length of every cycle inside the component
-    ``comp``, by method: its size; twice its smaller side, present exactly
-    when it is bipartite (every cycle is then even); and twice the vertices
-    outside a greedy independent set by ascending degree, since a cycle
-    holds at most half its vertices from an independent set."""
+    """Bounds on every cycle's length in the component ``comp``, by method:
+    its size; twice its smaller side, only if it is bipartite (all its
+    cycles are then even); twice the vertices outside a greedy independent
+    set, since a cycle alternates at best between such a set and the rest."""
     size = comp.bit_count()
     bounds = {"component-size": size}
     side, _ = _two_color(adj, comp)
