@@ -11,7 +11,7 @@ before colorings were stored as one class graph per color and before
 ``has_cycle_of_length`` moved onto the shared simple-path kernel. The
 at-least cycle-target anneal reports were recorded when those targets moved
 from ``longest_cycle`` to the component presence score, which changed them
-by design (the K24 run hit the longest-cycle table cap before). The total charge of
+by design (the K24 run hit the table cap before). The total charge of
 the at-least cycle score was recorded before its anchor loop moved into the
 helper that also serves ``has_cycle_of_length``. The matching-target anneal
 runs and the 100-step trzy adversary were recorded while every move still
@@ -23,8 +23,9 @@ search counted deletions apart from the color classes. The longest-cycle
 lengths (no vertices) in every parity were recorded while ``longest_cycle``
 still filled a 2^m reachability table; its certificates and charge pins
 were re-recorded, by design, when it moved onto the anchored path search
-over each component relabelled by ascending degree, which finds other
-cycles of the same lengths and charges one unit per kernel call. None may be edited to make a refactor pass.
+over the 2-core relabelled by ascending degree, which finds other cycles
+of the same lengths and charges one unit per kernel call. None may be
+edited to make a refactor pass.
 """
 
 import hashlib
