@@ -115,6 +115,26 @@ def oracle_circumference(g: Graph) -> dict[str, int]:
     return {"any": max(best.values()), **best}
 
 
+def has_cycle_brute(n, edges, length):
+    """Any cycle of exactly this many vertices, by walking every simple path
+    from each anchor through larger vertices only."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+
+    def walk(anchor, cur, seen):
+        if len(seen) == length:
+            return anchor in nbrs[cur]
+        return any(
+            walk(anchor, w, seen | {w})
+            for w in nbrs[cur]
+            if w > anchor and w not in seen
+        )
+
+    return any(walk(a, a, {a}) for a in range(n))
+
+
 def oracle_deficiency(g: Graph) -> int:
     """max over S of (odd components of g-S) - |S|, by full enumeration."""
     best = 0

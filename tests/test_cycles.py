@@ -16,7 +16,12 @@ from cycleramsey.cycles import (
 from cycleramsey.errors import BudgetExceededError, PreconditionViolated
 from cycleramsey.graphs import Graph, components, complete_graph
 
-from conftest import oracle_circumference, oracle_longest_cycle, random_graph
+from conftest import (
+    has_cycle_brute,
+    oracle_circumference,
+    oracle_longest_cycle,
+    random_graph,
+)
 
 
 def cycle_graph(n):
@@ -37,6 +42,35 @@ def test_petersen_girth(petersen):
     assert has_cycle_of_length(petersen, 4) is None
     found = has_cycle_of_length(petersen, 5)
     assert found is not None and verify_cycle(petersen, found)
+
+
+def _scattered_graph(rng, n):
+    """Up to three components on shuffled labels, each a random core with a
+    pendant tree hung from it, so that no vertex order is special."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, 2)))
+    edges = []
+    for part in (labels[a:b] for a, b in zip([0, *cuts], [*cuts, n])):
+        core = rng.randint((len(part) + 1) // 2, len(part))
+        p = rng.uniform(0.4, 0.9)
+        edges += [(part[i], part[j]) for i in range(core)
+                  for j in range(i + 1, core) if rng.random() < p]
+        edges += [(part[rng.randrange(j)], part[j]) for j in range(core, len(part))]
+    return Graph(n, edges)
+
+
+def test_has_cycle_matches_brute_force():
+    # every length 3..n: a certificate exactly when brute force finds a cycle
+    rng = random.Random(61)
+    for trial in range(200):
+        n = rng.randint(3, 11)
+        g = _scattered_graph(rng, n)
+        for ell in range(3, n + 1):
+            found = has_cycle_of_length(g, ell)
+            assert (found is not None) == has_cycle_brute(n, g.edges(), ell), (trial, ell)
+            if found is not None:
+                assert verify_cycle(g, found) and found.length == ell
 
 
 def test_longest_cycle_examples(petersen):

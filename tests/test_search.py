@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import oracle_circumference, random_graph
+from conftest import has_cycle_brute, oracle_circumference, random_graph
 from cycleramsey.constructions import build_odd_triple
 from cycleramsey.cycles import _Budget
 from cycleramsey.errors import BudgetExceededError
@@ -639,26 +639,6 @@ def test_anneal_schedule_is_validated():
     assert verdict.arrows is None and verdict.stats.best_energy > 0
 
 
-def _has_cycle_brute(n, edges, length):
-    """Any cycle of exactly this many vertices, by walking every simple path
-    from each anchor through larger vertices only."""
-    nbrs = [set() for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-
-    def walk(anchor, cur, seen):
-        if len(seen) == length:
-            return anchor in nbrs[cur]
-        return any(
-            walk(anchor, w, seen | {w})
-            for w in nbrs[cur]
-            if w > anchor and w not in seen
-        )
-
-    return any(walk(a, a, {a}) for a in range(n))
-
-
 # R(C_n, C_m) by Rosta (1973) and Faudree-Schelp (1974). None marks the
 # pairs with R = 13, whose "arrows" half takes 3-25 s; only their witness at
 # 12 is checked
@@ -684,7 +664,7 @@ def test_cycle_ramsey_table(n, m, r):
     assert pairs == [(u, v) for u in range(below) for v in range(u + 1, below)]
     for color, length in enumerate((n, m), 1):
         edges = [(u, v) for u, v, c in data["edges"] if c == color]
-        assert not _has_cycle_brute(below, edges, length), (color, length)
+        assert not has_cycle_brute(below, edges, length), (color, length)
 
 
 def test_color_groups_separate_targets_that_differ_in_any_field():
