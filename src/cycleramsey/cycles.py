@@ -16,7 +16,6 @@ from .graphs import (
     Graph,
     _bits,
     _component_masks,
-    _mask_of,
     _reachable,
     _route,
     _two_color,
@@ -201,15 +200,16 @@ def has_cycle_of_length(
 ) -> Optional[CycleCertificate]:
     """Find a simple cycle of exactly ``length`` vertices, or prove absence.
 
-    The certificate is the lexicographically first such cycle through the
-    smallest possible anchor (``_anchored_cycle``). The budget is charged
-    one unit per simple-path kernel call.
+    One ``_anchored_cycle`` runs on the 2-core relabelled by ascending
+    degree (``_by_degree``), so the certificate is the first such cycle in
+    that order. The budget is charged one unit per simple-path kernel call.
     """
     bud = _Budget(budget)
     if length < 3:
         raise ValueError(f"cycle length {length} below 3")
-    cycle = _anchored_cycle(g._adj, g.vertices_mask(), length, bud)
-    return None if cycle is None else CycleCertificate(tuple(cycle))
+    order, adj = _by_degree(g._adj, _strip(g._adj, g.vertices_mask(), 1))
+    cycle = _anchored_cycle(adj, (1 << len(order)) - 1, length, bud)
+    return None if cycle is None else CycleCertificate(tuple(order[i] for i in cycle))
 
 
 def longest_cycle(
@@ -217,21 +217,16 @@ def longest_cycle(
 ) -> Optional[tuple[int, CycleCertificate]]:
     """Maximum-length simple cycle of the requested parity, with certificate.
 
-    The 2-core is relabelled by ascending degree, so that the kernel anchors
-    at and extends through low-degree vertices first (in input order, one
-    22-vertex graph ran past a budget of 10^8). In each of its components,
-    ``_anchored_cycle`` is asked for the lengths of the parity from the
-    smallest ``_cycle_bounds`` down to one more than the best cycle so far;
-    the first hit is the component's longest. One budget unit per
-    simple-path kernel call.
+    The 2-core is relabelled by ascending degree (``_by_degree``). In each
+    of its components, ``_anchored_cycle`` is asked for the lengths of the
+    parity from the smallest ``_cycle_bounds`` down to one more than the
+    best cycle so far; the first hit is the component's longest. One budget
+    unit per simple-path kernel call.
     """
     if parity not in ("any", "odd", "even"):
         raise ValueError(f"parity must be any, odd or even, got {parity!r}")
     bud = _Budget(budget)
-    core = _strip(g._adj, g.vertices_mask(), 1)
-    order = sorted(_bits(core), key=lambda v: ((g._adj[v] & core).bit_count(), v))
-    label = {v: i for i, v in enumerate(order)}
-    adj = [sum(1 << label[w] for w in _bits(g._adj[v] & core)) for v in order]
+    order, adj = _by_degree(g._adj, _strip(g._adj, g.vertices_mask(), 1))
     want_odd, want_even = parity != "even", parity != "odd"
     best: Optional[list[int]] = None
     for comp in _component_masks(adj, (1 << len(order)) - 1):
@@ -258,6 +253,29 @@ def _strip(adj: Sequence[int], active: int, low: int) -> int:
                 active &= ~(1 << v)
                 changed = True
     return active
+
+
+def _by_degree(adj: Sequence[int], active: int) -> tuple[list[int], list[int]]:
+    """The vertices of ``active`` by ascending degree inside it (ties by
+    label), and the subgraph they induce relabelled in that order.
+
+    The anchored search then anchors at and extends through low-degree
+    vertices first, where a dead end shows soonest: in input order, one
+    Hamiltonian G(22, 0.35) ran past a budget of 10^8.
+    """
+    order = sorted(_bits(active), key=lambda v: ((adj[v] & active).bit_count(), v))
+    label = [0] * len(adj)
+    for i, v in enumerate(order):
+        label[v] = 1 << i
+    relabelled = []
+    for v in order:
+        nbrs, row = adj[v] & active, 0
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            row |= label[low.bit_length() - 1]
+        relabelled.append(row)
+    return order, relabelled
 
 
 def _cycle_bounds(adj: Sequence[int], comp: int) -> dict[str, int]:
@@ -291,10 +309,13 @@ def erdos_gallai_cycle(
     Reduction loop: strip vertices of degree <= (m-1)/2, restrict to a
     component that keeps the density invariant, split at cut vertices toward
     the denser side. The surviving core is 2-connected with minimum degree
-    >= ceil(m/2) and at least m vertices; a maximal-path closure loop (with
-    the budgeted ``_anchored_cycle`` as last resort) extracts the cycle there.
+    >= ceil(m/2) and at least m vertices; one ``_anchored_cycle`` of at
+    least m vertices on the core relabelled by ascending degree
+    (``_by_degree``) extracts the cycle, so the certificate is the first
+    one in that order. The whole extraction is charged to ``budget``, one
+    unit per simple-path kernel call.
     """
-    _check_budget(budget)
+    bud = _Budget(budget)
     if not 3 <= m <= g.n:
         raise PreconditionViolated(f"need 3 <= m <= n, got m={m}, n={g.n}")
     if 2 * g.num_edges < (m - 1) * (g.n - 1) + 2:
@@ -316,8 +337,11 @@ def erdos_gallai_cycle(
         sides = _component_masks(g._adj, active & ~(1 << cut))
         active = _dense_part(g, (side | 1 << cut for side in sides), m)
 
-    cycle = _closure_cycle(g, active, m, budget)
-    cert = CycleCertificate(tuple(cycle))
+    order, adj = _by_degree(g._adj, active)
+    cycle = _anchored_cycle(adj, (1 << len(order)) - 1, m, bud, atleast=True)
+    if cycle is None:
+        raise AssertionError("internal: dense core lacks the guaranteed cycle")
+    cert = CycleCertificate(tuple(order[i] for i in cycle))
     if not (verify_cycle(g, cert) and cert.length >= m):
         raise AssertionError("internal: constructed cycle failed verification")
     return cert
@@ -373,113 +397,3 @@ def _articulation_vertex(g: Graph, active: int) -> Optional[int]:
     if root_children >= 2:
         return root
     return art
-
-
-def _examine_path(g: Graph, active: int, m: int, path: list[int]):
-    """Classify a path: ('long', cycle >= m), ('grow', longer path), or stall.
-
-    Checks endpoint extension, the crossing-pair closure (head ~ x_i with
-    tail ~ x_{i-1} gives a cycle through every path vertex), and the two
-    single-endpoint closures.
-    """
-    used = _mask_of(path)
-    head, tail = path[0], path[-1]
-    if g._adj[head] & active & ~used or g._adj[tail] & active & ~used:
-        return "grow", _maximal_path(g, active, list(path))
-    k = len(path)
-    pos = {v: i for i, v in enumerate(path)}
-    head_hits = [pos[w] for w in _bits(g._adj[head]) if w in pos]
-    tail_hits = {pos[w] for w in _bits(g._adj[tail]) if w in pos}
-    cross = next((i for i in head_hits if i >= 1 and (i - 1) in tail_hits), None)
-    if cross is not None:
-        cycle = path[:cross] + path[k - 1 : cross - 1 : -1]
-        if len(cycle) >= m:
-            return "long", cycle
-        grown = _extend_from_cycle(g, active, cycle)
-        if grown is None:
-            return "long", cycle  # spans the whole core, and core size >= m
-        return "grow", grown
-    far_head = max(head_hits, default=-1)
-    if far_head + 1 >= m:
-        return "long", path[: far_head + 1]
-    near_tail = min(tail_hits, default=k)
-    if k - near_tail >= m:
-        return "long", path[near_tail:]
-    return "stall", None
-
-
-def _rotations(g: Graph, path: list[int]):
-    """All single head/tail rotations of a path (same vertex set)."""
-    pos = {v: i for i, v in enumerate(path)}
-    k = len(path)
-    for w in _bits(g._adj[path[0]]):
-        i = pos.get(w)
-        if i is not None and i >= 2:
-            yield path[i - 1 :: -1] + path[i:]
-    for w in _bits(g._adj[path[-1]]):
-        j = pos.get(w)
-        if j is not None and j <= k - 3:
-            yield path[: j + 1] + path[k - 1 : j : -1]
-
-
-def _closure_cycle(g: Graph, active: int, m: int, budget: int) -> list[int]:
-    """Cycle of length >= m in the core ``active`` of g, which induces a
-    2-connected subgraph of minimum degree >= ceil(m/2)."""
-    from collections import deque
-
-    total = active.bit_count()
-    start = (active & -active).bit_length() - 1
-    path = _maximal_path(g, active, [start])
-    grown = True
-    while grown:
-        grown = False
-        # Breadth-first over rotation variants of the current (maximal) path;
-        # a rotation can expose an extendable endpoint or a crossing.
-        seen = set()
-        cap = 8 * total + 16
-        queue = deque([path])
-        while queue and len(seen) < cap:
-            p = queue.popleft()
-            key = (p[0], p[-1])
-            if key in seen:
-                continue
-            seen.add(key)
-            kind, payload = _examine_path(g, active, m, p)
-            if kind == "long":
-                return payload
-            if kind == "grow":
-                path = payload
-                grown = True
-                break
-            queue.extend(_rotations(g, p))
-    # Rotation closure exhausted short of m (adversarial near-extremal cores).
-    cycle = _anchored_cycle(g._adj, active, m, _Budget(budget), atleast=True)
-    if cycle is None:
-        raise AssertionError("internal: dense core lacks the guaranteed cycle")
-    return cycle
-
-
-def _maximal_path(g: Graph, active: int, path: list[int]) -> list[int]:
-    """Extend ``path`` in place at its tail, then at its head, greedily by the
-    smallest free neighbour until neither end can grow."""
-    used = _mask_of(path)
-    for _end in range(2):
-        while ext := g._adj[path[-1]] & active & ~used:
-            w = (ext & -ext).bit_length() - 1
-            path.append(w)
-            used |= 1 << w
-        path.reverse()
-    return path
-
-
-def _extend_from_cycle(g: Graph, active: int, cycle: list[int]):
-    """Break a non-spanning cycle at an attachment point into a longer path."""
-    outside = active & ~_mask_of(cycle)
-    if not outside:
-        return None
-    for i, v in enumerate(cycle):
-        att = g._adj[v] & outside
-        if att:
-            w = (att & -att).bit_length() - 1
-            return _maximal_path(g, active, [w] + cycle[i:] + cycle[:i])
-    raise AssertionError("internal: connected core has no cycle attachment")

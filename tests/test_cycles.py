@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from cycleramsey import cycles
 from cycleramsey.cycles import (
     CycleCertificate,
     _anchored_cycle,
@@ -100,16 +99,18 @@ def test_budget_exceeded_is_distinct():
         longest_cycle(chain, "any", budget=50)
 
 
-@pytest.mark.parametrize("length, charge", [(12, 10), (10, 190)])
+@pytest.mark.parametrize("length, charge", [(12, 10), (10, 190), (22, 20)])
 def test_fixed_length_charge_is_pinned(petersen, length, charge):
-    # one unit per path-kernel call: K12's Hamiltonian cycle costs 10, and
-    # proving the Petersen graph has no 10-cycle costs 190
-    g = complete_graph(12) if length == 12 else petersen
+    # one unit per path-kernel call: K12's Hamiltonian cycle costs 10,
+    # proving the Petersen graph has no 10-cycle costs 190, and the seeded
+    # Hamiltonian G(22, 0.35) costs 20 from its vertex of degree two
+    g = {12: complete_graph(12), 10: petersen,
+         22: random_graph(random.Random(22057), 22, 0.35)}[length]
     with pytest.raises(BudgetExceededError) as err:
         has_cycle_of_length(g, length, budget=charge - 1)
     assert err.value.nodes == charge
     found = has_cycle_of_length(g, length, budget=charge)
-    assert (found is not None) == (length == 12)
+    assert (found is not None) == (length != 10)
 
 
 def test_negative_budgets_are_refused():
@@ -317,13 +318,14 @@ def test_erdos_gallai_precondition():
 
 
 def test_erdos_gallai_random_suite():
-    rng = random.Random(77)
-    for _ in range(60):
-        n = rng.randint(4, 14)
-        m = rng.randint(3, n)
-        g = _graph_meeting_threshold(rng, n, m)
-        cert = erdos_gallai_cycle(g, m)
-        assert verify_cycle(g, cert) and cert.length >= m
+    for seed, trials, top in ((77, 60, 14), (78, 40, 30)):
+        rng = random.Random(seed)
+        for _ in range(trials):
+            n = rng.randint(4, top)
+            m = rng.randint(3, n)
+            g = _graph_meeting_threshold(rng, n, m)
+            cert = erdos_gallai_cycle(g, m)
+            assert verify_cycle(g, cert) and cert.length >= m, (n, m)
 
 
 def test_erdos_gallai_clique_chain():
@@ -336,27 +338,10 @@ def test_erdos_gallai_clique_chain():
     assert verify_cycle(g, cert) and cert.length >= 5
 
 
-def _stall_rotations(monkeypatch):
-    # every path looks stuck, so the anchored search has to find the cycle
-    monkeypatch.setattr(cycles, "_examine_path", lambda *args: ("stall", None))
-
-
-def test_erdos_gallai_fallback_finds_the_cycle(monkeypatch):
-    _stall_rotations(monkeypatch)
-    rng = random.Random(78)
-    for _ in range(40):
-        n = rng.randint(4, 30)
-        m = rng.randint(3, n)
-        g = _graph_meeting_threshold(rng, n, m)
-        cert = erdos_gallai_cycle(g, m)
-        assert verify_cycle(g, cert) and cert.length >= m, (n, m)
-
-
 @pytest.mark.parametrize("budget", [0, 5])
-def test_erdos_gallai_fallback_keeps_to_the_budget(monkeypatch, budget):
+def test_erdos_gallai_keeps_to_the_budget(budget):
     # the Hamiltonian cycle of K30 takes 29 kernel calls; a smaller budget
     # runs out one unit past itself, with no minimum slice of work
-    _stall_rotations(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
         erdos_gallai_cycle(complete_graph(30), 30, budget=budget)
     assert err.value.nodes == budget + 1
@@ -421,3 +406,23 @@ def test_erdos_gallai_shared_edge_cliques():
         if 2 * g.num_edges >= (m - 1) * (g.n - 1) + 2:
             cert = erdos_gallai_cycle(g, m)
             assert verify_cycle(g, cert) and cert.length >= m
+
+
+def test_erdos_gallai_join_family():
+    # K_s joined to an independent set, topped up with random chords inside
+    # the set to the threshold for m = 2s + 1 or 2s + 2: near the extremal
+    # graphs, whose longest cycle has 2s vertices. The extraction costs at
+    # most n kernel calls.
+    rng = random.Random(12)
+    for _ in range(60):
+        s = rng.randint(1, 7)
+        n = rng.randint(2 * s + 2, 40)
+        m = 2 * s + rng.randint(1, 2)
+        edges = {(u, v) for u in range(s) for v in range(u + 1, n)}
+        chords = [(u, v) for u in range(s, n) for v in range(u + 1, n)]
+        rng.shuffle(chords)
+        while 2 * len(edges) < (m - 1) * (n - 1) + 2:
+            edges.add(chords.pop())
+        g = Graph(n, edges)
+        cert = erdos_gallai_cycle(g, m, budget=n)
+        assert verify_cycle(g, cert) and cert.length >= m, (s, n, m)
