@@ -24,8 +24,13 @@ lengths (no vertices) in every parity were recorded while ``longest_cycle``
 still filled a 2^m reachability table; its certificates and charge pins
 were re-recorded, by design, when it moved onto the anchored path search
 over the 2-core relabelled by ascending degree, which finds other cycles
-of the same lengths and charges one unit per kernel call. None may be
-edited to make a refactor pass.
+of the same lengths and charges one unit per kernel call. The fixed-length
+cycle certificates and the Erdos-Gallai cycles were re-recorded, by design,
+when ``has_cycle_of_length`` moved onto that degree-ordered 2-core and
+``erdos_gallai_cycle`` replaced its path-rotation closure by one
+degree-ordered anchored search on its dense core: each certificate is now
+the first cycle in degree order, with the same presence for every length
+and still at least m vertices. None may be edited to make a refactor pass.
 """
 
 import hashlib
@@ -386,7 +391,7 @@ DIGESTS = {
     "eeo_four_part 6,4": "2ca0096fd2a961a940b8b8e931dfecd4d5a46bb59e2b18c0add004d0e5583501",
     "eeo_three_part 4,4,3": "19a3a99a8bd2c77e4b540f2c59cd1065ad01254f0f148d150fba7fa10fda0a1c",
     "eeo_three_part 6,4,5": "7bdb61f89c9e07c15d9e9a1381b99a55b94021d08ea20834c627743b54d25c0b",
-    "erdos_gallai_cycle": "0d8a48cab9f218f96cbdd7f405d9076298291a8f29aed36a0e47fc208ae58492",
+    "erdos_gallai_cycle": "44aef9d9fea0eb03027b89de5ea93f06e2500dd35c5223c509d7207cce41cbba",
     "exhaustive C3,C3@6 deleting 1": "4f1db58737fd8e8898d596ac49501c308d65b7357f1a10d516966876cdf9e726",
     "exhaustive C4,M6@7 hole 012 deleting 2": "5bd6a533fc0c85e8cafbc80a75f2b49bd98aa562a11ee44a31bc6513f6f7e582",
     "exhaustive M4,M4@5": "3d6b3620fb241d4054daf73f1c2533b8e7e6fe1ed2226f75200945c6815ff13b",
@@ -402,7 +407,7 @@ DIGESTS = {
     "harness f1": "177f7dae35a1b66032ec254cca38f6f828a9928e9d9edfdf532c87388d9df5c1",
     "harness l2": "584f4d7fb95963d1197e705e67fef35e8d926522b211dfa845751490bbc14092",
     "harness trzy": "791474bbac5be0d067bef4be5529330851f616ac7d9050e944eb0e6e17cd1710",
-    "has_cycle_of_length": "cab5c1c7568c8947423b592ec3ab5ed7d4376fcb1f50870785d40e8fc91f4719",
+    "has_cycle_of_length": "7b9e64731af1dd81d402621d2db43ecb3c46eb6248a46cfc9b5a44c89a137bc3",
     "longest_cycle any": "d3941e331980b3deb1ce3e9336c9771e7f8fb7260065b263cb7a3249f1807534",
     "longest_cycle even": "974c76ba3b61591aebba5d6baeae64a9aaaafe02aa35109f88cf4abf9e5704f6",
     "longest_cycle lengths": "b885af543478f6c8e4c86cabcaca7c6730afef384d34d17ff065e91806fbcdb4",
