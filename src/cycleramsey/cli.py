@@ -148,8 +148,7 @@ def _parse_targets(text: str):
         if not color:
             raise ValueError(f"target {chunk!r} needs a ':color' suffix")
         color = int(color)
-        kind = spec[0].upper()
-        body = spec[1:]
+        kind, body = spec[:1].upper(), spec[1:]  # an empty spec has kind ''
         if kind == "C":
             exact = not body.endswith("+")
             length = int(body.rstrip("+"))

@@ -116,6 +116,13 @@ def test_search_range_is_validated(capsys):
     assert data["ramsey"]["bracket"] == [None, 6]
 
 
+def test_search_rejects_an_empty_target_spec(capsys):
+    # refused as a usage error, not an escaped IndexError
+    for extra in (["--n", "5"], ["--range", "3..7"]):
+        assert run(["search", "--targets", ":1,C3:2", *extra]) == 1
+        assert "error: unknown target kind '' in ':1'" in capsys.readouterr().err
+
+
 def test_search_rejects_negative_budgets_and_schedules(capsys):
     for extra in (
         ["--n", "6", "--node-budget", "-5"],
