@@ -318,13 +318,14 @@ def test_erdos_gallai_precondition():
 
 
 def test_erdos_gallai_random_suite():
+    # the extraction costs at most n kernel calls
     for seed, trials, top in ((77, 60, 14), (78, 40, 30)):
         rng = random.Random(seed)
         for _ in range(trials):
             n = rng.randint(4, top)
             m = rng.randint(3, n)
             g = _graph_meeting_threshold(rng, n, m)
-            cert = erdos_gallai_cycle(g, m)
+            cert = erdos_gallai_cycle(g, m, budget=n)
             assert verify_cycle(g, cert) and cert.length >= m, (n, m)
 
 
@@ -358,7 +359,7 @@ def _graph_meeting_threshold(rng, n, m):
 
 def test_erdos_gallai_clique_chain_family():
     # chains of cliques sharing cut vertices, topped up with random chords to
-    # the density threshold: the crossing-free stall case for path closures
+    # the density threshold: the reduction has to split at cut vertices
     rng = random.Random(5)
     checked = 0
     for _ in range(120):
@@ -389,7 +390,7 @@ def test_erdos_gallai_clique_chain_family():
             i += 1
         if 2 * g.num_edges < (m - 1) * (n - 1) + 2:
             continue
-        cert = erdos_gallai_cycle(g, m)
+        cert = erdos_gallai_cycle(g, m, budget=n)
         assert verify_cycle(g, cert) and cert.length >= m, (m, n)
         checked += 1
     assert checked > 50
