@@ -317,16 +317,25 @@ def test_erdos_gallai_precondition():
         erdos_gallai_cycle(complete_graph(4), 5)  # m > n
 
 
-def test_erdos_gallai_random_suite():
+def _check_threshold_graphs(seed, trials, top):
     # the extraction costs at most n kernel calls
-    for seed, trials, top in ((77, 60, 14), (78, 40, 30)):
-        rng = random.Random(seed)
-        for _ in range(trials):
-            n = rng.randint(4, top)
-            m = rng.randint(3, n)
-            g = _graph_meeting_threshold(rng, n, m)
-            cert = erdos_gallai_cycle(g, m, budget=n)
-            assert verify_cycle(g, cert) and cert.length >= m, (n, m)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        n = rng.randint(4, top)
+        m = rng.randint(3, n)
+        g = _graph_meeting_threshold(rng, n, m)
+        cert = erdos_gallai_cycle(g, m, budget=n)
+        assert verify_cycle(g, cert) and cert.length >= m, (n, m)
+
+
+def test_erdos_gallai_random_suite():
+    _check_threshold_graphs(77, 60, 14)
+
+
+def test_erdos_gallai_fallback_finds_the_cycle():
+    # the n <= 30 graphs on which a stalled rotation closure once fell back
+    # to the anchored search; the ordered search alone now finds the cycle
+    _check_threshold_graphs(78, 40, 30)
 
 
 def test_erdos_gallai_clique_chain():
