@@ -123,6 +123,11 @@ def test_search_rejects_an_empty_target_spec(capsys):
         assert "error: unknown target kind '' in ':1'" in capsys.readouterr().err
 
 
+def test_search_rejects_a_repeated_target_color(capsys):
+    assert run(["search", "--targets", "C3:1,C3:2,C3:1", "--n", "5"]) == 1
+    assert "color 1" in capsys.readouterr().err
+
+
 def test_search_rejects_negative_budgets_and_schedules(capsys):
     for extra in (
         ["--n", "6", "--node-budget", "-5"],

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 
@@ -18,6 +19,8 @@ from cycleramsey.constructions import (
 )
 from cycleramsey.cycles import verify_cycle
 from cycleramsey.graphs import EdgeColoring, Graph
+
+from conftest import random_graph
 
 
 
@@ -132,6 +135,20 @@ def test_long_cycle_claims_beyond_the_table_cap():
     alone = replace(report, claims=claims[1:2])
     assert verify_claims(alone, budget=21).claims[0].verified is True
     assert verify_claims(alone, budget=20).claims[0].method == "budget-exceeded"
+
+
+def test_long_cycle_claim_on_a_hamiltonian_random_graph():
+    # color 1: a Hamiltonian G(22, 0.35) with a vertex of degree two; color
+    # 2: its complement. The search anchors at low degree and refutes the
+    # claim with a 22-cycle in 22 kernel calls
+    g = random_graph(random.Random(22057), 22, 0.35)
+    rest = [(u, v) for u in range(22) for v in range(u + 1, 22) if not g.has_edge(u, v)]
+    coloring = EdgeColoring(22, 2, (g, Graph(22, rest)))
+    report = ConstructionReport("hamiltonian", {}, coloring, (), (Claim(1, NO_CYCLE_GEQ, 22),))
+    (claim,) = verify_claims(report, budget=22).claims
+    assert (claim.verified, claim.method) == (False, "exact-search")
+    assert claim.witness.length == 22 and verify_cycle(g, claim.witness)
+    assert verify_claims(report, budget=21).claims[0].method == "budget-exceeded"
 
 
 def test_long_cycle_claim_below_three_needs_a_real_cycle():

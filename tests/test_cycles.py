@@ -250,6 +250,13 @@ def test_long_cycle_edges_examples():
     assert _long_cycle_edges(c24, 25, _Budget(0)) == 0  # too few vertices
     with pytest.raises(BudgetExceededError):
         _long_cycle_edges(c24, 24, _Budget(3))
+    # a Hamiltonian G(22, 0.35) with a vertex of degree two: anchored there,
+    # the at-least search finds its 22-cycle in 22 kernel calls
+    ham = random_graph(random.Random(22057), 22, 0.35)._adj
+    assert _long_cycle_edges(ham, 22, _Budget(22)) == 81
+    with pytest.raises(BudgetExceededError) as err:
+        _long_cycle_edges(ham, 22, _Budget(21))
+    assert err.value.nodes == 22
 
 
 def test_anchored_cycle_at_least_matches_longest_cycle():
