@@ -148,6 +148,8 @@ def _parse_targets(text: str):
         if not color:
             raise ValueError(f"target {chunk!r} needs a ':color' suffix")
         color = int(color)
+        if color in by_color:
+            raise ValueError(f"color {color} has more than one target")
         kind, body = spec[:1].upper(), spec[1:]  # an empty spec has kind ''
         if kind == "C":
             exact = not body.endswith("+")

@@ -147,30 +147,49 @@ def _simple_paths(
     return total
 
 
+def _degree_order(adj: Sequence[int], active: int) -> list[int]:
+    """The vertices of ``active`` by ascending degree inside it, ties by label."""
+    return sorted(_bits(active), key=lambda v: ((adj[v] & active).bit_count(), v))
+
+
 def _anchored_cycle(
     adj: Sequence[int], active: int, length: int, bud: _Budget, atleast: bool = False
 ) -> Optional[list[int]]:
     """A cycle of ``length`` vertices (at least ``length`` if ``atleast``)
-    inside ``active``, as a vertex list from its smallest vertex, or None.
+    inside ``active``, as a vertex list from its anchor, or None.
 
-    Each anchor of ``active`` in ascending order asks the simple-path kernel
-    for a closed path of ``length`` edges through higher vertices of
-    ``active`` only. An exact length thus gives the lexicographically first
-    cycle through the smallest possible anchor.
+    The subgraph induced by ``active`` is relabelled in ``_degree_order``.
+    Each anchor in that order asks the simple-path kernel for a closed path
+    of ``length`` edges through later vertices only, extended in the same
+    order. Anchors and extensions thus try low-degree vertices first, where
+    a dead end shows soonest: in input order, a Hamiltonian G(22, 0.35) with
+    a vertex of degree two ran past a budget of 10^6. An exact length gives
+    the first cycle in that order through the earliest possible anchor.
     """
-    every = (1 << len(adj)) - 1
-    rest = active  # the anchor and the higher vertices of ``active``
+    order = _degree_order(adj, active)
+    label = [0] * len(adj)
+    for i, v in enumerate(order):
+        label[v] = 1 << i
+    rows = []
+    for v in order:
+        nbrs, row = adj[v] & active, 0
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            row |= label[low.bit_length() - 1]
+        rows.append(row)
+    every = rest = (1 << len(order)) - 1  # ``rest``: the anchor and later
     while rest.bit_count() >= length:
         low = rest & -rest
         rest ^= low
         anchor = low.bit_length() - 1
-        if (adj[anchor] & rest).bit_count() < 2:
+        if (rows[anchor] & rest).bit_count() < 2:
             continue
         inner: list[int] = []
         if _simple_paths(
-            adj, anchor, anchor, length, every & ~rest, bud, atleast=atleast, out=inner
+            rows, anchor, anchor, length, every & ~rest, bud, atleast=atleast, out=inner
         ):
-            return [anchor, *reversed(inner)]
+            return [order[anchor], *(order[i] for i in reversed(inner))]
     return None
 
 
@@ -180,7 +199,8 @@ def _long_cycle_edges(adj: Sequence[int], length: int, bud: _Budget) -> int:
 
     A component of v >= ``length`` vertices with more than (length-1)(v-1)/2
     edges holds one by the Erdos-Gallai theorem, with no search; a sparser
-    one is searched with ``_anchored_cycle``.
+    one is searched with ``_anchored_cycle``, in ascending degree order
+    inside the component.
     """
     score = 0
     for comp in _component_masks(adj, (1 << len(adj)) - 1):
@@ -200,16 +220,15 @@ def has_cycle_of_length(
 ) -> Optional[CycleCertificate]:
     """Find a simple cycle of exactly ``length`` vertices, or prove absence.
 
-    One ``_anchored_cycle`` runs on the 2-core relabelled by ascending
-    degree (``_by_degree``), so the certificate is the first such cycle in
-    that order. The budget is charged one unit per simple-path kernel call.
+    One ``_anchored_cycle`` runs on the 2-core, so the certificate is the
+    first such cycle in ascending degree order inside the 2-core. The budget
+    is charged one unit per simple-path kernel call.
     """
     bud = _Budget(budget)
     if length < 3:
         raise ValueError(f"cycle length {length} below 3")
-    order, adj = _by_degree(g._adj, _strip(g._adj, g.vertices_mask(), 1))
-    cycle = _anchored_cycle(adj, (1 << len(order)) - 1, length, bud)
-    return None if cycle is None else CycleCertificate(tuple(order[i] for i in cycle))
+    cycle = _anchored_cycle(g._adj, _strip(g._adj, g.vertices_mask(), 1), length, bud)
+    return None if cycle is None else CycleCertificate(tuple(cycle))
 
 
 def longest_cycle(
@@ -217,27 +236,26 @@ def longest_cycle(
 ) -> Optional[tuple[int, CycleCertificate]]:
     """Maximum-length simple cycle of the requested parity, with certificate.
 
-    The 2-core is relabelled by ascending degree (``_by_degree``). In each
-    of its components, ``_anchored_cycle`` is asked for the lengths of the
-    parity from the smallest ``_cycle_bounds`` down to one more than the
-    best cycle so far; the first hit is the component's longest. One budget
-    unit per simple-path kernel call.
+    In each component of the 2-core, ``_anchored_cycle`` (ascending degree
+    order inside the component) is asked for the lengths of the parity from
+    the smallest ``_cycle_bounds`` down to one more than the best cycle so
+    far; the first hit is the component's longest. One budget unit per
+    simple-path kernel call.
     """
     if parity not in ("any", "odd", "even"):
         raise ValueError(f"parity must be any, odd or even, got {parity!r}")
     bud = _Budget(budget)
-    order, adj = _by_degree(g._adj, _strip(g._adj, g.vertices_mask(), 1))
     want_odd, want_even = parity != "even", parity != "odd"
     best: Optional[list[int]] = None
-    for comp in _component_masks(adj, (1 << len(order)) - 1):
-        bounds = _cycle_bounds(adj, comp)
+    for comp in _component_masks(g._adj, _strip(g._adj, g.vertices_mask(), 1)):
+        bounds = _cycle_bounds(g._adj, comp)
         odd = want_odd and "bipartite-sides" not in bounds  # else all even
         for length in range(min(bounds.values()), len(best) if best else 2, -1):
             if not (odd if length % 2 else want_even):
                 continue
-            cycle = _anchored_cycle(adj, comp, length, bud)
+            cycle = _anchored_cycle(g._adj, comp, length, bud)
             if cycle is not None:
-                best = [order[i] for i in cycle]
+                best = cycle
                 break
     return None if best is None else (len(best), CycleCertificate(tuple(best)))
 
@@ -255,29 +273,6 @@ def _strip(adj: Sequence[int], active: int, low: int) -> int:
     return active
 
 
-def _by_degree(adj: Sequence[int], active: int) -> tuple[list[int], list[int]]:
-    """The vertices of ``active`` by ascending degree inside it (ties by
-    label), and the subgraph they induce relabelled in that order.
-
-    The anchored search then anchors at and extends through low-degree
-    vertices first, where a dead end shows soonest: in input order, one
-    Hamiltonian G(22, 0.35) ran past a budget of 10^8.
-    """
-    order = sorted(_bits(active), key=lambda v: ((adj[v] & active).bit_count(), v))
-    label = [0] * len(adj)
-    for i, v in enumerate(order):
-        label[v] = 1 << i
-    relabelled = []
-    for v in order:
-        nbrs, row = adj[v] & active, 0
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            row |= label[low.bit_length() - 1]
-        relabelled.append(row)
-    return order, relabelled
-
-
 def _cycle_bounds(adj: Sequence[int], comp: int) -> dict[str, int]:
     """Bounds on every cycle's length in the component ``comp``, by method:
     its size; twice its smaller side, only if it is bipartite (all its
@@ -289,7 +284,7 @@ def _cycle_bounds(adj: Sequence[int], comp: int) -> dict[str, int]:
     if side is not None:
         bounds["bipartite-sides"] = 2 * min(side.bit_count(), size - side.bit_count())
     chosen = 0
-    for v in sorted(_bits(comp), key=lambda v: ((adj[v] & comp).bit_count(), v)):
+    for v in _degree_order(adj, comp):
         if not adj[v] & chosen:
             chosen |= 1 << v
     bounds["independent-set"] = 2 * (size - chosen.bit_count())
@@ -310,10 +305,10 @@ def erdos_gallai_cycle(
     component that keeps the density invariant, split at cut vertices toward
     the denser side. The surviving core is 2-connected with minimum degree
     >= ceil(m/2) and at least m vertices; one ``_anchored_cycle`` of at
-    least m vertices on the core relabelled by ascending degree
-    (``_by_degree``) extracts the cycle, so the certificate is the first
-    one in that order. The whole extraction is charged to ``budget``, one
-    unit per simple-path kernel call.
+    least m vertices on the core extracts the cycle, so the certificate is
+    the first one in ascending degree order inside the core. The whole
+    extraction is charged to ``budget``, one unit per simple-path kernel
+    call.
     """
     bud = _Budget(budget)
     if not 3 <= m <= g.n:
@@ -337,11 +332,10 @@ def erdos_gallai_cycle(
         sides = _component_masks(g._adj, active & ~(1 << cut))
         active = _dense_part(g, (side | 1 << cut for side in sides), m)
 
-    order, adj = _by_degree(g._adj, active)
-    cycle = _anchored_cycle(adj, (1 << len(order)) - 1, m, bud, atleast=True)
+    cycle = _anchored_cycle(g._adj, active, m, bud, atleast=True)
     if cycle is None:
         raise AssertionError("internal: dense core lacks the guaranteed cycle")
-    cert = CycleCertificate(tuple(order[i] for i in cycle))
+    cert = CycleCertificate(tuple(cycle))
     if not (verify_cycle(g, cert) and cert.length >= m):
         raise AssertionError("internal: constructed cycle failed verification")
     return cert
