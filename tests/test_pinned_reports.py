@@ -477,7 +477,7 @@ def test_longest_cycle_total_charge_is_pinned():
 
 def test_long_cycle_edges_total_charge_is_pinned():
     # the seeded graphs of test_long_cycle_edges_match_longest_cycle and
-    # every L in 3..n: one unit per simple-path kernel call, 26 155 in all
+    # every L in 3..n: one unit per simple-path kernel call, 5 139 in all
     rng = random.Random(31)
     spent = 0
     for _ in range(160):
@@ -487,4 +487,4 @@ def test_long_cycle_edges_total_charge_is_pinned():
             bud = _Budget(10**8)
             _long_cycle_edges(g._adj, ell, bud)
             spent += bud.spent
-    assert spent == 26155
+    assert spent == 5139
