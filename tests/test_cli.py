@@ -65,6 +65,12 @@ def test_search_exit_codes(capsys):
     assert code == 2
 
 
+def test_search_decides_hosts_beyond_13_vertices(capsys):
+    # the budget is the only limit on an exhaustive search
+    assert run(["search", "--targets", "C3:1,C3:2", "--n", "14"]) == 0
+    assert "arrows: True" in capsys.readouterr().out
+
+
 def test_search_rejects_vertex_count_zero(capsys):
     code = run(["search", "--targets", "C3:1,C3:2", "--n", "0"])
     assert code == 1

@@ -90,6 +90,12 @@ def test_exact_cap_guard():
     arrow_exhaustive(ArrowInstance(5, C3C3), exact_cap=20)
 
 
+def test_exhaustive_search_is_bounded_only_by_its_budget():
+    # no host is refused for its size: K14 is searched at default arguments
+    verdict = arrow_exhaustive(ArrowInstance(14, C3C3))
+    assert verdict.arrows is True and verdict.witness is None
+
+
 def test_budget_gives_unknown():
     inst = ArrowInstance(9, (CycleTarget(5), CycleTarget(5), CycleTarget(5)))
     verdict = arrow_exhaustive(inst, budget=50)
@@ -613,6 +619,22 @@ def test_prefix_canonical_charges_its_visits():
     # the check charges once, after its answer: a budget one short raises
     with pytest.raises(BudgetExceededError):
         _prefix_is_canonical([1] * 21, 6, _Budget(bud.spent - 1))
+
+
+def test_prefix_canonical_stops_mid_check():
+    from cycleramsey.search import _prefix_is_canonical
+
+    # the 5-cycle/complement coloring of K5 has no twins; its check takes six
+    # visits, and a budget short of that stops it at the first visit past it
+    pentagon = [1 if b - a in (1, 4) else 2 for b in range(5) for a in range(b)]
+    for budget in range(6):
+        bud = _Budget(budget)
+        with pytest.raises(BudgetExceededError):
+            _prefix_is_canonical(pentagon, 4, bud)
+        assert bud.spent == budget + 1
+    bud = _Budget(6)
+    assert not _prefix_is_canonical(pentagon, 4, bud)
+    assert bud.spent == 6
 
 
 def test_negative_budget_is_rejected():
