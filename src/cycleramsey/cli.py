@@ -57,7 +57,6 @@ from .matchings import (
     tutte_partition,
 )
 from .search import (
-    DEFAULT_EXACT_CAP,
     DEFAULT_SEED,
     AnnealSchedule,
     ArrowInstance,
@@ -362,8 +361,7 @@ def _cmd_search(args) -> int:
     if args.range and args.targets:
         result = ramsey_number_exact(
             _parse_targets(args.targets), _parse_range(args.range),
-            budget=args.node_budget, exact_cap=args.exact_cap,
-            symmetry=not args.no_symmetry,
+            budget=args.node_budget, symmetry=not args.no_symmetry,
         )
         _emit(args, {"ramsey": result.to_dict(args.timings)})
         return EXIT_OK if result.value is not None else EXIT_UNKNOWN
@@ -379,8 +377,7 @@ def _cmd_search(args) -> int:
         verdict = arrow_randomized(inst, schedule=schedule, seed=args.seed)
     else:
         verdict = arrow_exhaustive(
-            inst, budget=args.node_budget, exact_cap=args.exact_cap,
-            symmetry=not args.no_symmetry,
+            inst, budget=args.node_budget, symmetry=not args.no_symmetry
         )
     _emit(args, {"verdict": verdict.to_dict(args.timings)})
     return EXIT_OK if verdict.arrows is not None else EXIT_UNKNOWN
@@ -476,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--mode", choices=("exhaustive", "randomized"), default="exhaustive")
     p.add_argument("--range", help="N range lo..hi for a Ramsey number scan")
-    p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP)
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--steps", type=int, default=AnnealSchedule.steps)
     p.add_argument("--restarts", type=int, default=AnnealSchedule.restarts)

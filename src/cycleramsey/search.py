@@ -34,14 +34,7 @@ from .graphs import (
 )
 from .matchings import _best_matched, _mates, _repair_matching, best_saturation
 
-DEFAULT_EXACT_CAP = 13
 DEFAULT_SEED = 1729
-# Canonical-extension checks run on clique prefixes of at most this many
-# vertices: each check backtracks over partial relabelings of the prefix,
-# trying one vertex per twin class at each depth: a monochromatic 7-clique
-# costs 8 visits, and the 2 187 checks of the benchmark's arrow-short
-# decisions average 12.
-PERM_PREFIX_CAP = 7
 # Annealing temperature falls geometrically from T_START to T_END.
 T_START = 1.5
 T_END = 0.05
@@ -265,8 +258,16 @@ def _prefix_is_canonical(assignment: list[int], v_top: int, bud: _Budget) -> boo
     prefix that fixes every image chosen so far, so the subtree that maps j
     to z yields exactly the relabeled vectors of the subtree that maps j to
     y. Twinship is transitive, so at each depth only the first unused member
-    of each twin class is tried. Each call charges its partial relabelings
-    (the calls of ``smaller``) to ``bud`` once, after the answer is known.
+    of each twin class is tried.
+
+    Soundness at every depth: take the representative of a target-free
+    coloring's orbit that is lex-min over vertex relabelings and over
+    permutations of same-target colors. Each of its clique prefixes is
+    lex-min too, since a smaller relabeling of a prefix, extended by fixing
+    the other vertices, would make the whole vector smaller; so this
+    representative passes the check on every prefix, and no prefix size
+    needs to be excluded. Each visit (call of ``smaller``) charges one unit
+    to ``bud``, so a check stops one unit past the budget.
     """
     m = v_top + 1
     # want[j]: the prefix's entries (a, j) for a < j
@@ -287,12 +288,10 @@ def _prefix_is_canonical(assignment: list[int], v_top: int, bud: _Budget) -> boo
                     break
     images: list[int] = []
     used = [False] * m
-    visits = 0
 
     def smaller(j: int) -> bool:
         # can images[:j], which tie the prefix, extend to a smaller relabeling?
-        nonlocal visits
-        visits += 1
+        bud.spend()
         if j == m:
             return False
         tried = set()
@@ -301,10 +300,12 @@ def _prefix_is_canonical(assignment: list[int], v_top: int, bud: _Budget) -> boo
                 continue
             tried.add(twin[y])
             row = color[y]
-            new = [row[x] for x in images]
-            if new < want[j]:
-                return True
-            if new == want[j]:
+            for x, c in zip(images, want[j]):
+                if row[x] != c:
+                    if row[x] < c:
+                        return True
+                    break
+            else:
                 used[y] = True
                 images.append(y)
                 if smaller(j + 1):
@@ -313,9 +314,7 @@ def _prefix_is_canonical(assignment: list[int], v_top: int, bud: _Budget) -> boo
                 used[y] = False
         return False
 
-    answer = not smaller(0)
-    bud.spend(visits)
-    return answer
+    return not smaller(0)
 
 
 def _color_groups(targets: tuple[Target, ...]) -> dict[int, list[int]]:
@@ -333,7 +332,6 @@ def arrow_exhaustive(
     inst: ArrowInstance,
     budget: int = DEFAULT_BUDGET,
     symmetry: bool = True,
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> ArrowVerdict:
     """Exact arrowing decision by backtracking over edge colorings.
 
@@ -343,10 +341,6 @@ def arrow_exhaustive(
     with identical targets.
     """
     _check_budget(budget)
-    if inst.n > exact_cap:
-        raise ValueError(
-            f"N={inst.n} beyond the exact cap {exact_cap}; pass exact_cap explicitly"
-        )
     t0 = time.perf_counter()
     stats = SearchStats()
     edges = inst.present_edges()
@@ -360,7 +354,7 @@ def arrow_exhaustive(
     block_end = {}
     if vertex_sym:
         for i, (u, v) in enumerate(edges):
-            if u == v - 1 and 2 <= v < PERM_PREFIX_CAP:
+            if u == v - 1 and v >= 2:
                 block_end[i] = v
 
     # adjs[0] and used_count[0] hold the deleted pairs, as in the annealer
@@ -455,7 +449,6 @@ def ramsey_number_exact(
     targets: tuple[Target, ...],
     n_range: range,
     budget: int = DEFAULT_BUDGET,
-    exact_cap: int = DEFAULT_EXACT_CAP,
     symmetry: bool = True,
 ) -> RamseyResult:
     """Least N in the range that arrows with N-1 refuted, else a bracket."""
@@ -466,7 +459,7 @@ def ramsey_number_exact(
     unknowns = []
     for n in n_range:
         inst = ArrowInstance(n=n, targets=tuple(targets))
-        v = arrow_exhaustive(inst, budget=budget, exact_cap=exact_cap, symmetry=symmetry)
+        v = arrow_exhaustive(inst, budget=budget, symmetry=symmetry)
         verdicts[n] = v
         if v.arrows is True:
             first_true = n

@@ -83,13 +83,6 @@ def test_monotone_in_host_size():
             assert decided[n + 1] is True
 
 
-def test_exact_cap_guard():
-    with pytest.raises(ValueError):
-        arrow_exhaustive(ArrowInstance(14, C3C3))
-    # explicit override allowed
-    arrow_exhaustive(ArrowInstance(5, C3C3), exact_cap=20)
-
-
 def test_exhaustive_search_is_bounded_only_by_its_budget():
     # no host is refused for its size: K14 is searched at default arguments
     verdict = arrow_exhaustive(ArrowInstance(14, C3C3))
@@ -317,7 +310,7 @@ def test_exhaustive_matches_enumeration_oracle():
             else HoleSpec()
         )
         inst = ArrowInstance(n, targets, holes, rng.randint(0, 1))
-        got = arrow_exhaustive(inst, exact_cap=20)
+        got = arrow_exhaustive(inst)
         assert got.arrows == _oracle_arrows(inst), inst
         if got.arrows is False:
             assert coloring_avoids_all(got.witness, inst.targets)
@@ -616,7 +609,7 @@ def test_prefix_canonical_charges_its_visits():
     bud = _Budget(100)
     assert _prefix_is_canonical([1] * 21, 6, bud)
     assert 0 < bud.spent <= 8
-    # the check charges once, after its answer: a budget one short raises
+    # the check charges one unit per visit: a budget one short raises
     with pytest.raises(BudgetExceededError):
         _prefix_is_canonical([1] * 21, 6, _Budget(bud.spent - 1))
 
@@ -661,13 +654,11 @@ def test_anneal_schedule_is_validated():
     assert verdict.arrows is None and verdict.stats.best_energy > 0
 
 
-# R(C_n, C_m) by Rosta (1973) and Faudree-Schelp (1974). None marks the
-# pairs with R = 13, whose "arrows" half takes 3-25 s; only their witness at
-# 12 is checked
+# R(C_n, C_m) by Rosta (1973) and Faudree-Schelp (1974)
 CYCLE_RAMSEY_TABLE = [
     (3, 3, 6), (4, 3, 7), (5, 3, 9), (6, 3, 11), (4, 4, 6), (5, 4, 7),
     (6, 4, 7), (7, 4, 8), (5, 5, 9), (6, 5, 11), (6, 6, 8), (7, 6, 11),
-    (7, 3, None), (7, 5, None), (7, 7, None),
+    (7, 3, 13), (7, 5, 13), (7, 7, 13),
 ]
 
 
@@ -676,9 +667,8 @@ def test_cycle_ramsey_table(n, m, r):
     from cycleramsey.graphs import coloring_to_dict
 
     targets = (CycleTarget(n), CycleTarget(m))
-    if r is not None:
-        assert arrow_exhaustive(ArrowInstance(r, targets)).arrows is True
-    below = 12 if r is None else r - 1
+    assert arrow_exhaustive(ArrowInstance(r, targets)).arrows is True
+    below = r - 1
     verdict = arrow_exhaustive(ArrowInstance(below, targets))
     assert verdict.arrows is False
     data = coloring_to_dict(verdict.witness)
