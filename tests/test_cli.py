@@ -354,10 +354,10 @@ def test_timings_flag_controls_volatile_fields(capsys):
 
 
 def test_default_config_hashes_are_pinned():
-    # the CLI takes its defaults (budget, exact cap, annealing schedule,
-    # adversary steps) from the library; a run on defaults keeps its hash
+    # the CLI takes its defaults (budget, annealing schedule, adversary
+    # steps) from the library; a run on defaults keeps its hash
     for argv, want in [
-        (["search", "--targets", "C5:1,C5:2", "--n", "8"], "a4c98387958ca2ab"),
+        (["search", "--targets", "C5:1,C5:2", "--n", "8"], "256997cb88dd40b0"),
         (["lemma", "--id", "l2"], "cc53a533e1a4fb5e"),
         (["cycles", "--graph", "g.json"], "893a87bb63eaa9cd"),
     ]:

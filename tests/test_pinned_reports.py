@@ -431,7 +431,7 @@ DIGESTS = {
     "sample trzy adversarial 100 steps": "72a83b261248164410ba30924676a08c789318c442a1c4b43bee077a75aea125",
     "sample trzy adversarial": "a27b077554b511ca656b5ee81360fb9394939bdf53e0eb515f4bd7b30d5f23c8",
     "tutte_partition": "a090198df18686b2c63afd954843c4d3f862fd3369cceb8766306ffef77d79c6",
-    "witness exhaustive C4,C4,C4@10": "ed73e204d9805a8d4b65424e3358a8fea19ad8f60db3ba7225f15fe33e6b4cf6",
+    "witness exhaustive C4,C4,C4@10": "4c8e13cf972c53b750aaa1291ec8b10fb4df4a19a393c7cb84cf034528930844",
     "witness exhaustive C5,C5@8": "fa2718e75c9e650348839caa386ec10709f8a42ec316ee60d25db841ec3928b7",
     "witness randomized C4,C4,C4@8 from odd_triple 3": "d666f4af38c8071f58885e46cd365cfa3c41d6ec48811bf7ad77488b1477f9f1",
     "witness randomized C5,C5@8": "0c3c77a41e24954393173b398989d1345a6a6387fb0ecbf434240566d3044fdd",

@@ -413,10 +413,10 @@ def test_path_kernel_matches_enumeration():
 @pytest.mark.parametrize(
     "targets, n, nodes, presence_prunes",
     [
-        ((CycleTarget(5), CycleTarget(5)), 9, 2007, 792),
+        ((CycleTarget(5), CycleTarget(5)), 9, 1815, 688),
         ((CycleTarget(6), CycleTarget(6)), 8, 4855, 1604),
-        ((CycleTarget(4), CycleTarget(4), CycleTarget(4)), 10, 8616, 5727),
-        ((CycleTarget(7), CycleTarget(5)), 12, 1991, 980),
+        ((CycleTarget(4), CycleTarget(4), CycleTarget(4)), 10, 5946, 3937),
+        ((CycleTarget(7), CycleTarget(5)), 12, 977, 463),
         ((CycleTarget(5, exact=False), CycleTarget(5, exact=False)), 7, 1089, 385),
     ],
 )
@@ -453,7 +453,7 @@ def test_budget_bounds_path_kernel_work(monkeypatch):
     [
         ((CycleTarget(5), CycleTarget(4)), 7, 498, 184, 66),
         ((CycleTarget(7), CycleTarget(4)), 8, 2648, 891, 434),
-        ((CycleTarget(5), CycleTarget(5)), 9, 2007, 792, 212),
+        ((CycleTarget(5), CycleTarget(5)), 9, 1815, 688, 220),
         ((CycleTarget(6), CycleTarget(6)), 8, 4855, 1604, 824),
     ],
 )
