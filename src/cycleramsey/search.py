@@ -265,9 +265,9 @@ def _prefix_is_canonical(assignment: list[int], v_top: int, bud: _Budget) -> boo
     permutations of same-target colors. Each of its clique prefixes is
     lex-min too, since a smaller relabeling of a prefix, extended by fixing
     the other vertices, would make the whole vector smaller; so this
-    representative passes the check on every prefix, and no prefix size
-    needs to be excluded. Each visit (call of ``smaller``) charges one unit
-    to ``bud``, so a check stops one unit past the budget.
+    representative passes the check on every prefix, of any size. Each
+    visit (call of ``smaller``) charges one unit to ``bud``, so a check
+    stops one unit past the budget.
     """
     m = v_top + 1
     # want[j]: the prefix's entries (a, j) for a < j
