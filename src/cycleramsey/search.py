@@ -362,7 +362,6 @@ def arrow_exhaustive(
     assignment = [None] * len(edges)
     used_count = [0] * (k + 1)
     bud = _Budget(budget)  # search nodes plus path-kernel expansions
-    witness: Optional[EdgeColoring] = None
 
     def choices(i: int) -> list[int]:
         opts = []
@@ -376,53 +375,60 @@ def arrow_exhaustive(
             opts.append(0)
         return opts
 
-    def descend(i: int) -> bool:
-        nonlocal witness
-        if i == len(edges):
-            stats.leaves += 1
-            cand = _witness_coloring(inst, edges, assignment, adjs)
-            if not coloring_avoids_all(cand, targets):
-                raise AssertionError(
-                    "internal: incremental and independent checks disagree"
-                )
-            witness = cand
-            return True
-        u, v = edges[i]
-        bu, bv = 1 << u, 1 << v
-        for c in choices(i):
+    def descend() -> Optional[EdgeColoring]:
+        # Depth first with an explicit stack, pending[i] holding the colors
+        # still to try at edge i, so that the budget alone bounds the depth.
+        pending: list[list[int]] = []
+        i = 0
+        while i >= 0:
+            if i == len(edges):
+                stats.leaves += 1
+                cand = _witness_coloring(inst, edges, assignment, adjs)
+                if not coloring_avoids_all(cand, targets):
+                    raise AssertionError(
+                        "internal: incremental and independent checks disagree"
+                    )
+                return cand
+            u, v = edges[i]
+            bu, bv = 1 << u, 1 << v
+            if len(pending) == i:
+                pending.append(choices(i)[::-1])
+            else:  # back at edge i: take its last color off
+                c = assignment[i]
+                adjs[c][u] ^= bv
+                adjs[c][v] ^= bu
+                used_count[c] -= 1
+            if not pending[i]:
+                assignment[i] = None
+                pending.pop()
+                i -= 1
+                continue
+            c = assignment[i] = pending[i].pop()
             stats.nodes += 1
             bud.spend()
-            assignment[i] = c
             adjs[c][u] ^= bv
             adjs[c][v] ^= bu
             used_count[c] += 1
-            ok = True
             if c != 0 and _new_edge_creates_target(
                 n, adjs[c], targets[c - 1], u, v, bud
             ):
                 stats.presence_prunes += 1
-                ok = False
-            if ok and i in block_end and not _prefix_is_canonical(
+            elif i in block_end and not _prefix_is_canonical(
                 assignment, block_end[i], bud
             ):
                 stats.symmetry_prunes += 1
-                ok = False
-            if ok and descend(i + 1):
-                return True
-            assignment[i] = None
-            adjs[c][u] ^= bv
-            adjs[c][v] ^= bu
-            used_count[c] -= 1
-        return False
+            else:
+                i += 1
+        return None
 
     header = _header(inst, "exhaustive", symmetry=symmetry, budget=budget)
     try:
-        found = descend(0)
+        witness = descend()
     except BudgetExceededError:
         stats.elapsed = time.perf_counter() - t0
         return ArrowVerdict(None, None, stats, header)
     stats.elapsed = time.perf_counter() - t0
-    if found:
+    if witness is not None:
         return ArrowVerdict(False, witness, stats, header)
     return ArrowVerdict(True, None, stats, header)
 

@@ -71,6 +71,13 @@ def test_search_decides_hosts_beyond_13_vertices(capsys):
     assert "arrows: True" in capsys.readouterr().out
 
 
+def test_search_depth_is_not_bounded_by_the_recursion_limit(capsys):
+    # no C50 fits in K46, so color 1 is accepted at each of its 1035 edges:
+    # the search goes deeper than Python's default recursion limit
+    assert run(["search", "--targets", "C50:1,C50:2", "--n", "46"]) == 0
+    assert "arrows: False" in capsys.readouterr().out
+
+
 def test_search_rejects_vertex_count_zero(capsys):
     code = run(["search", "--targets", "C3:1,C3:2", "--n", "0"])
     assert code == 1

@@ -7,7 +7,7 @@ from conftest import has_cycle_brute, oracle_circumference, random_graph
 from cycleramsey.constructions import build_odd_triple
 from cycleramsey.cycles import _Budget
 from cycleramsey.errors import BudgetExceededError
-from cycleramsey.graphs import EdgeColoring, HoleSpec
+from cycleramsey.graphs import MAX_VERTICES, EdgeColoring, HoleSpec
 from cycleramsey.search import (
     AnnealSchedule,
     ArrowInstance,
@@ -628,6 +628,17 @@ def test_prefix_canonical_stops_mid_check():
     bud = _Budget(6)
     assert not _prefix_is_canonical(pentagon, 4, bud)
     assert bud.spent == 6
+
+
+def test_prefix_canonical_on_the_largest_host():
+    from cycleramsey.search import _prefix_is_canonical
+
+    # all vertices of a one-color K512 are twins: one image per depth, so the
+    # check goes 512 levels deep in 513 visits
+    n = MAX_VERTICES
+    bud = _Budget(10**6)
+    assert _prefix_is_canonical([1] * (n * (n - 1) // 2), n - 1, bud)
+    assert bud.spent == n + 1
 
 
 def test_negative_budget_is_rejected():
