@@ -114,7 +114,7 @@ def _check_l2_params(p: dict, strict: bool, warnings: list[str]) -> None:
 
 def _run_l2(
     p: dict, rng: random.Random, adversarial: bool, steps: int
-) -> tuple[bool, dict]:
+) -> tuple[bool, Callable[[], dict]]:
     del adversarial, steps  # no coloring here: random deletions are the only freedom
     n1, n2, eps = p["n1"], p["n2"], Fraction(p["eps"])
     n = n1 + n2
@@ -134,14 +134,18 @@ def _run_l2(
         if Fraction(len(maximum_matching(g, within=comp).edges)) >= card_thresh:
             ok = True
             break
-    witness = {"graph": graph_to_dict(g), "deletions": sorted(deletions)}
-    recheck = {
-        "ok": g.num_edges >= (1 - eps) * n1 * n2,
-        "violations": []
-        if g.num_edges >= (1 - eps) * n1 * n2
-        else ["edge count below (1-eps)|V1||V2|"],
-    }
-    return ok, {"witness": witness, "recheck": recheck}
+
+    def record() -> dict:
+        witness = {"graph": graph_to_dict(g), "deletions": sorted(deletions)}
+        recheck = {
+            "ok": g.num_edges >= (1 - eps) * n1 * n2,
+            "violations": []
+            if g.num_edges >= (1 - eps) * n1 * n2
+            else ["edge count below (1-eps)|V1||V2|"],
+        }
+        return {"witness": witness, "recheck": recheck}
+
+    return ok, record
 
 
 def _check_double_params(p: dict, strict: bool, warnings: list[str]) -> None:
@@ -160,7 +164,7 @@ def _check_double_params(p: dict, strict: bool, warnings: list[str]) -> None:
 
 def _run_double(
     p: dict, rng: random.Random, adversarial: bool, steps: int
-) -> tuple[bool, dict]:
+) -> tuple[bool, Callable[[], dict]]:
     del adversarial, steps  # hole placement and deletions are the only freedom
     N = p["N"]
     nu1, nu2, eps = Fraction(p["nu1"]), Fraction(p["nu2"]), Fraction(p["eps"])
@@ -178,15 +182,19 @@ def _run_double(
         thresh = (2 - 7 * eps) * N - 2 * len(u2)
         branch = "large-hole"
     ok = best_saturation(g) >= thresh
-    witness = {
-        "graph": graph_to_dict(g),
-        "U1": sorted(u1),
-        "U2": sorted(u2),
-        "branch": branch,
-        "threshold": str(thresh),
-    }
-    recheck = {"ok": len(deletions) <= budget, "violations": []}
-    return ok, {"witness": witness, "recheck": recheck}
+
+    def record() -> dict:
+        witness = {
+            "graph": graph_to_dict(g),
+            "U1": sorted(u1),
+            "U2": sorted(u2),
+            "branch": branch,
+            "threshold": str(thresh),
+        }
+        recheck = {"ok": len(deletions) <= budget, "violations": []}
+        return {"witness": witness, "recheck": recheck}
+
+    return ok, record
 
 
 def _check_hole_params(p: dict, strict: bool, warnings: list[str]) -> HoleParams:
@@ -220,7 +228,7 @@ def _two_color_conclusion(
 
 def _run_hole_lemma(
     p: dict, rng: random.Random, adversarial: bool, nonbip2: bool, steps: int
-) -> tuple[bool, dict]:
+) -> tuple[bool, Callable[[], dict]]:
     hp = HoleParams(p["alpha"], p["beta"], p["nu"], p["eps"])
     n = p["n"]
     N = lemma_trzy_host_size(hp, n) if nonbip2 else lemma_dwa_host_size(hp, n)
@@ -237,17 +245,21 @@ def _run_hole_lemma(
     ok = _adversarial_two_coloring(
         rng, edges, classes, evaluate, steps if adversarial else 0
     )
-    coloring = EdgeColoring._from_masks(g.n, classes, HoleSpec((w,)), deletions)
-    witness = {
-        "coloring": coloring_to_dict(coloring),
-        "hole": sorted(w),
-        "thresholds": [str(thresh1), str(thresh2)],
-    }
-    recheck = {
-        "ok": len(w) == hole_size and len(deletions) <= budget,
-        "violations": [],
-    }
-    return ok, {"witness": witness, "recheck": recheck}
+
+    def record() -> dict:
+        coloring = EdgeColoring._from_masks(g.n, classes, HoleSpec((w,)), deletions)
+        witness = {
+            "coloring": coloring_to_dict(coloring),
+            "hole": sorted(w),
+            "thresholds": [str(thresh1), str(thresh2)],
+        }
+        recheck = {
+            "ok": len(w) == hole_size and len(deletions) <= budget,
+            "violations": [],
+        }
+        return {"witness": witness, "recheck": recheck}
+
+    return ok, record
 
 
 def _check_f1_params(p: dict, strict: bool, warnings: list[str]) -> None:
@@ -260,7 +272,7 @@ def _check_f1_params(p: dict, strict: bool, warnings: list[str]) -> None:
 
 def _run_f1(
     p: dict, rng: random.Random, adversarial: bool, steps: int
-) -> tuple[bool, dict]:
+) -> tuple[bool, Callable[[], dict]]:
     a1, a2, eps = Fraction(p["alpha1"]), Fraction(p["alpha2"]), Fraction(p["eps"])
     n = p["n"]
     nverts = _host_size(2 * a1 + a2, 9, eps, n)
@@ -289,25 +301,35 @@ def _run_f1(
     ok = _adversarial_two_coloring(
         rng, third_mutable, classes, evaluate, steps if adversarial else 0
     )
-    coloring = EdgeColoring._from_masks(g.n, classes, HoleSpec(), deletions)
-    adj3 = coloring.color_class(3)._adj
-    gprime = sum(
-        c.bit_count() for c in _component_masks(adj3, g.vertices_mask())
-        if _two_color(adj3, c)[0] is not None
-    )
-    witness = {"coloring": coloring_to_dict(coloring), "bipartite_third_union": gprime}
-    recheck = {
-        "ok": gprime >= t3 and len(deletions) <= budget,
-        "violations": [] if gprime >= t3 else ["bipartite third-color union too small"],
-    }
-    return ok, {"witness": witness, "recheck": recheck}
+
+    def record() -> dict:
+        coloring = EdgeColoring._from_masks(g.n, classes, HoleSpec(), deletions)
+        adj3 = coloring.color_class(3)._adj
+        gprime = sum(
+            c.bit_count() for c in _component_masks(adj3, g.vertices_mask())
+            if _two_color(adj3, c)[0] is not None
+        )
+        witness = {
+            "coloring": coloring_to_dict(coloring), "bipartite_third_union": gprime
+        }
+        recheck = {
+            "ok": gprime >= t3 and len(deletions) <= budget,
+            "violations": []
+            if gprime >= t3
+            else ["bipartite third-color union too small"],
+        }
+        return {"witness": witness, "recheck": recheck}
+
+    return ok, record
 
 
 # ---------------------------------------------------------------------------
 # Entry point.
 # ---------------------------------------------------------------------------
 
-# lemma id -> (parameter check, sample driver(params, rng, adversarial, steps))
+# lemma id -> (parameter check, sample driver(params, rng, adversarial, steps)).
+# A driver returns (ok, record): ``record()`` builds the failure record,
+# {"witness": ..., "recheck": ...}, and runs only for a failing sample.
 LEMMAS = {
     "l2": (_check_l2_params, _run_l2),
     "double": (_check_double_params, _run_double),
@@ -334,7 +356,12 @@ def lemma_harness(
     strict: bool = False,
     adversary_steps: int = _ADVERSARY_STEPS,
 ) -> HarnessReport:
-    """Sample instances meeting the lemma's hypotheses and test its conclusion."""
+    """Sample instances meeting the lemma's hypotheses and test its conclusion.
+
+    Each sample draws from its own ``random.Random(seed * 1_000_003 + i)``;
+    its driver returns ``(ok, record)`` and ``record()``, which builds the
+    witness and the hypothesis re-check, is called only when ``ok`` is
+    False, so a passing sample pays for no record."""
     if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}; choose from {LEMMA_IDS}")
     if samples < 1:
@@ -352,10 +379,11 @@ def lemma_harness(
         rng = random.Random(seed * 1_000_003 + i)
         adversarial = i < n_adv
         mode = "adversarial" if adversarial else "uniform"
-        ok, info = run_sample(params, rng, adversarial, adversary_steps)
+        ok, record = run_sample(params, rng, adversarial, adversary_steps)
         if ok:
             passes += 1
         else:
+            info = record()
             failures.append(
                 FailureRecord(
                     sample=i,

@@ -138,7 +138,15 @@ def _alternating_search(adj: Sequence[int], mask: int, match: list[int]):
 
 
 def _mates(adj: Sequence[int], mask: Optional[int] = None) -> list[int]:
-    """Mate array (-1: exposed) of a maximum matching of ``adj`` on ``mask``."""
+    """Mate array (-1: exposed) of a maximum matching of ``adj`` on ``mask``.
+
+    A greedy warm start, then Edmonds' search from each exposed root. By
+    Berge's lemma an augmenting path joins two exposed vertices, each with a
+    neighbour in ``mask``; so the roots stop once fewer than two such
+    vertices remain, and each augmentation matches two of them. Stopping
+    changes no result: a failing ``find_path`` only grows and contracts its
+    tree (``p``, ``base``, ``used``) and never writes ``match``.
+    """
     mask = (1 << len(adj)) - 1 if mask is None else mask
     verts = list(_bits(mask))
     match = [-1] * len(adj)
@@ -149,10 +157,14 @@ def _mates(adj: Sequence[int], mask: Optional[int] = None) -> list[int]:
             w = (pick & -pick).bit_length() - 1
             match[v], match[w] = w, v
             free &= ~(1 << v | 1 << w)
-    find_path, _ = _alternating_search(adj, mask, match)
-    for v in verts:
-        if match[v] == -1 and adj[v] & mask:  # an isolated root cannot augment
-            find_path(v)
+    exposed = sum(1 for v in _bits(free) if adj[v] & mask)  # possible path ends
+    if exposed > 1:
+        find_path, _ = _alternating_search(adj, mask, match)
+        for v in verts:
+            if match[v] == -1 and adj[v] & mask and find_path(v):
+                exposed -= 2
+                if exposed < 2:
+                    break
     return match
 
 

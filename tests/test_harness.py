@@ -166,3 +166,61 @@ def test_failure_records_and_clean_filter():
     assert report.clean_failures() == [good]
     payload = report.to_dict()
     assert payload["failures"][1]["hypothesis_recheck"]["ok"] is False
+
+
+# Tier-1 sizes of the five lemmas; 7 samples give round(7 * 0.15) = 1
+# adversarial sample each.
+TIER1_PARAMS = {
+    "l2": {"n1": 20, "n2": 20, "eps": Fraction(1, 200)},
+    "double": {"N": 40, "nu1": Fraction(3, 10), "nu2": Fraction(3, 10),
+               "eps": Fraction(1, 50)},
+    "dwa": {"alpha": 1, "beta": 1, "nu": Fraction(1, 2), "eps": EPS, "n": 16},
+    "trzy": {"alpha": 1, "beta": 1, "nu": 1, "eps": EPS, "n": 16},
+    "f1": {"alpha1": 1, "alpha2": 1, "eps": EPS, "n": 12},
+}
+
+
+def test_passing_samples_build_no_record(monkeypatch):
+    import cycleramsey.harness as harness
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("a passing sample built its failure record")
+
+    monkeypatch.setattr(harness, "coloring_to_dict", no_record)
+    monkeypatch.setattr(harness, "graph_to_dict", no_record)
+    monkeypatch.setattr(harness.EdgeColoring, "_from_masks", no_record)
+    for lemma, params in TIER1_PARAMS.items():
+        report = lemma_harness(lemma, params, samples=7, seed=2)
+        assert report.header["adversarial_samples"] >= 1, lemma
+        assert report.passes == report.samples and not report.failures, lemma
+
+
+@pytest.mark.parametrize("lemma", ["dwa", "f1"])
+def test_forced_failure_records_match_the_driver(monkeypatch, lemma):
+    import random
+
+    import cycleramsey.harness as harness
+    from cycleramsey.graphs import coloring_from_dict, coloring_to_dict
+
+    real = harness._adversarial_two_coloring
+
+    def failing(*args):
+        real(*args)  # draws the same random numbers as the real adversary
+        return False
+
+    monkeypatch.setattr(harness, "_adversarial_two_coloring", failing)
+    params, seed, samples = TIER1_PARAMS[lemma], 5, 7
+    report = lemma_harness(lemma, params, samples=samples, seed=seed)
+    assert report.passes == 0 and len(report.failures) == samples
+    run_sample = harness.LEMMAS[lemma][1]
+    n_adv = report.header["adversarial_samples"]
+    for i, failure in enumerate(report.failures):
+        assert failure.sample == i
+        rng = random.Random(seed * 1_000_003 + i)
+        ok, record = run_sample(params, rng, i < n_adv, harness._ADVERSARY_STEPS)
+        info = record()
+        assert ok is False
+        assert failure.witness == info["witness"]
+        assert failure.hypothesis_recheck == info["recheck"]
+        stored = failure.witness["coloring"]
+        assert coloring_to_dict(coloring_from_dict(stored)) == stored

@@ -59,6 +59,29 @@ def test_matching_oracle_equivalence():
         assert len(m.edges) == oracle_matching_size(g)
 
 
+def test_mates_runs_no_search_without_a_partner(monkeypatch):
+    # the greedy start leaves one vertex of an odd clique exposed, and an
+    # augmenting path needs two: no root search may run
+    import cycleramsey.matchings as matchings
+
+    calls = []
+    real = matchings._alternating_search
+
+    def counting(adj, mask, match):
+        find_path, used = real(adj, mask, match)
+
+        def find_path_counted(root):
+            calls.append(root)
+            return find_path(root)
+
+        return find_path_counted, used
+
+    monkeypatch.setattr(matchings, "_alternating_search", counting)
+    for n in range(3, 14, 2):
+        assert len(maximum_matching(complete_graph(n)).edges) == n // 2
+    assert calls == []
+
+
 def test_berge_duality_spot_check():
     rng = random.Random(42)
     for _ in range(25):

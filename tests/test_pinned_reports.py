@@ -1,9 +1,12 @@
 """Seeded reports pinned by digest.
 
 Each case builds a canonical report (``json.dumps(x.to_dict(),
-sort_keys=True)``, or the plain data a sample driver returns) and compares its sha256 with a recorded value, so any
-refactor that changes a construction, harness or search report byte-wise
-fails here. The report digests were recorded before the duplicate
+sort_keys=True)``, or the plain data a sample driver returns) and compares
+its sha256 with a recorded value, so any refactor that changes a
+construction, harness or search report byte-wise fails here. The ``sample``
+digests were recorded while the drivers built their failure record for
+every sample; the cases now call the ``record()`` a driver returns, so they
+pin the same bytes. The report digests were recorded before the duplicate
 matching, reachability and host-size code was merged; the barrier-partition
 digest was recorded before the single-pass Gallai-Edmonds set; the
 fixed-length cycle certificates and the cycle-target witnesses were recorded
@@ -90,6 +93,12 @@ M6 = MatchingTarget(6)
 HOLE = {"alpha": 1, "beta": 1, "nu": Fraction(1, 2), "eps": EPS, "n": 8}
 F1 = {"alpha1": 1, "alpha2": 1, "eps": EPS, "n": 8}
 EVEN, ODD = (4, 6, 8), (3, 5, 7, 9)
+
+
+def _eager(sample):
+    """A sample driver's ``(ok, record)`` with its record built."""
+    ok, record = sample
+    return ok, record()
 
 
 def _random_graph(rng, n, p):
@@ -295,18 +304,18 @@ CASES = {
         "f1", {"alpha1": 1, "alpha2": 1, "eps": EPS, "n": 8}, samples=7, seed=3
     ),
     # Harness reports only show the witnesses of failed samples; the sample
-    # drivers' (ok, info) pairs also pin the colorings the adversary leaves.
-    "sample dwa adversarial": lambda: _run_hole_lemma(
+    # drivers' (ok, record()) pairs also pin the colorings the adversary leaves.
+    "sample dwa adversarial": lambda: _eager(_run_hole_lemma(
         HOLE, random.Random(11), True, False, 20
-    ),
-    "sample trzy adversarial": lambda: _run_hole_lemma(
+    )),
+    "sample trzy adversarial": lambda: _eager(_run_hole_lemma(
         HOLE, random.Random(12), True, True, 20
-    ),
-    "sample trzy adversarial 100 steps": lambda: _run_hole_lemma(
+    )),
+    "sample trzy adversarial 100 steps": lambda: _eager(_run_hole_lemma(
         HOLE, random.Random(15), True, True, 100
-    ),
-    "sample f1 adversarial": lambda: _run_f1(F1, random.Random(13), True, 20),
-    "sample f1 uniform": lambda: _run_f1(F1, random.Random(14), False, 20),
+    )),
+    "sample f1 adversarial": lambda: _eager(_run_f1(F1, random.Random(13), True, 20)),
+    "sample f1 uniform": lambda: _eager(_run_f1(F1, random.Random(14), False, 20)),
     "exhaustive M4,M4@5": lambda: arrow_exhaustive(
         ArrowInstance(5, (MatchingTarget(4), MatchingTarget(4)))
     ),
