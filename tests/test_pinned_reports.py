@@ -33,7 +33,11 @@ when ``has_cycle_of_length`` moved onto that degree-ordered 2-core and
 ``erdos_gallai_cycle`` replaced its path-rotation closure by one
 degree-ordered anchored search on its dense core: each certificate is now
 the first cycle in degree order, with the same presence for every length
-and still at least m vertices. None may be edited to make a refactor pass.
+and still at least m vertices. The uniform hole-lemma samples, the l2 and
+double samples with nonzero deletion budgets and the deletions drawn on
+holed hosts were recorded while the harness drew one ``randint`` per host
+edge and sampled deletions from the host's edge list. None may be edited to
+make a refactor pass.
 """
 
 import hashlib
@@ -63,8 +67,21 @@ from cycleramsey.errors import (
     NoQualifyingComponent,
     PreconditionViolated,
 )
-from cycleramsey.graphs import Graph, HoleSpec, bipartition, complete_graph
-from cycleramsey.harness import _run_f1, _run_hole_lemma, lemma_harness
+from cycleramsey.graphs import (
+    Graph,
+    HoleSpec,
+    apply_holes_and_deletions,
+    bipartition,
+    complete_graph,
+)
+from cycleramsey.harness import (
+    _run_double,
+    _run_f1,
+    _run_hole_lemma,
+    _run_l2,
+    _sample_deletions,
+    lemma_harness,
+)
 from cycleramsey.matchings import (
     best_component_matching,
     bipartite_split,
@@ -92,6 +109,9 @@ ANNEAL = AnnealSchedule(steps=20, restarts=5)  # the benchmark's C5+ schedule
 M6 = MatchingTarget(6)
 HOLE = {"alpha": 1, "beta": 1, "nu": Fraction(1, 2), "eps": EPS, "n": 8}
 F1 = {"alpha1": 1, "alpha2": 1, "eps": EPS, "n": 8}
+L2 = {"n1": 30, "n2": 20, "eps": Fraction(1, 99)}  # deletion budget 6
+# eps outside (0, 0.01*nu1) relaxes only a guard; deletion budget 6
+DOUBLE = {"N": 30, "nu1": Fraction(3, 10), "nu2": Fraction(3, 5), "eps": Fraction(1, 4)}
 EVEN, ODD = (4, 6, 8), (3, 5, 7, 9)
 
 
@@ -99,6 +119,32 @@ def _eager(sample):
     """A sample driver's ``(ok, record)`` with its record built."""
     ok, record = sample
     return ok, record()
+
+
+def _holed_deletions():
+    # 24 seeded complete hosts minus one random hole, each with a deletion
+    # budget from 1 to past its edge count; the deletions in the order drawn,
+    # then the rng's next draw, which pins the stream they consumed
+    rng = random.Random(4008)
+    out = []
+    for _ in range(24):
+        n = rng.randint(2, 40)
+        hole = frozenset(rng.sample(range(n), rng.randint(0, n)))
+        host = apply_holes_and_deletions(complete_graph(n), HoleSpec((hole,)))
+        budget = rng.choice([1, 2, 7, host.num_edges, host.num_edges + 5])
+        deletions = _sample_deletions(rng, host, budget)
+        out.append([n, sorted(hole), budget, [list(e) for e in deletions],
+                    rng.random()])
+    return out
+
+
+def _uniform_hole_samples(nonbip2):
+    # uniform colorings (no adversary) at every hole fraction
+    return [
+        _eager(_run_hole_lemma({**HOLE, "nu": nu, "n": 10}, random.Random(seed),
+                               False, nonbip2, 20))
+        for seed, nu in enumerate((0, Fraction(1, 2), 1, Fraction(1, 2)), 16)
+    ]
 
 
 def _random_graph(rng, n, p):
@@ -311,11 +357,23 @@ CASES = {
     "sample trzy adversarial": lambda: _eager(_run_hole_lemma(
         HOLE, random.Random(12), True, True, 20
     )),
+    "sample l2 deleting": "5998bb17f087c2445beffd8c7581dac93911126bee76768eeebc545fecb1bc7b",
     "sample trzy adversarial 100 steps": lambda: _eager(_run_hole_lemma(
         HOLE, random.Random(15), True, True, 100
     )),
     "sample f1 adversarial": lambda: _eager(_run_f1(F1, random.Random(13), True, 20)),
     "sample f1 uniform": lambda: _eager(_run_f1(F1, random.Random(14), False, 20)),
+    "sample dwa uniform": lambda: _uniform_hole_samples(False),
+    "sample trzy uniform": lambda: _uniform_hole_samples(True),
+    # nonzero deletion budgets: passing reports do not show their deletions
+    "sample l2 deleting": lambda: [
+        _eager(_run_l2(L2, random.Random(seed), False, 20)) for seed in range(16, 20)
+    ],
+    "sample double deleting": lambda: [
+        _eager(_run_double(DOUBLE, random.Random(seed), False, 20))
+        for seed in range(16, 20)
+    ],
+    "sample_deletions holed": _holed_deletions,
     "exhaustive M4,M4@5": lambda: arrow_exhaustive(
         ArrowInstance(5, (MatchingTarget(4), MatchingTarget(4)))
     ),
@@ -434,11 +492,16 @@ DIGESTS = {
     "randomized M6,M6@7": "ea3cb023bf5bc846a0383d66d90c9494cd47b91c9a2a42624e02bdb356dc3104",
     "randomized M6,M6@8 deleting 4": "828c641110a4c8b037c4b831eedc228b2003175b1f98837f8079d6f49c8bbd29",
     "randomized M8,M8@16": "26af29a7454b59a6d691a4e054eee748cb13c3f09eb2d441e81de0d3830f81e0",
+    "sample double deleting": "e3d89070dad0eff4e72d8dc281fc3ee2329419231e2843c1c2307425675715c6",
     "sample dwa adversarial": "ac0d2a8611ec68bd3b4106a5f827633d1144f1c91c5f5b6649928e54e83c09b3",
+    "sample dwa uniform": "40af7e960e2d2c90d2b8eeb59a7113104ded82908cae8278b062660299d0da11",
     "sample f1 adversarial": "6f4e9741bb83d2cc9301d9ad62ad1757f66e5ac5032108ad2f70b82223d38af5",
     "sample f1 uniform": "a144ed95d3f3508712d2d3033e53dd8d48a573cb91c46858d5fd209b3d295706",
+    "sample l2 deleting": "5998bb17f087c2445beffd8c7581dac93911126bee76768eeebc545fecb1bc7b",
     "sample trzy adversarial 100 steps": "72a83b261248164410ba30924676a08c789318c442a1c4b43bee077a75aea125",
     "sample trzy adversarial": "a27b077554b511ca656b5ee81360fb9394939bdf53e0eb515f4bd7b30d5f23c8",
+    "sample trzy uniform": "c8c08f7f8d6b80b9e098e2bb68b0b88cfa39c6a7703e3b35ba9750b172a79ae4",
+    "sample_deletions holed": "6575f8d695ebc74f4c021a509dc24f33c33b4a178a89c2f4eb76afb0b2bdab53",
     "tutte_partition": "a090198df18686b2c63afd954843c4d3f862fd3369cceb8766306ffef77d79c6",
     "witness exhaustive C4,C4,C4@10": "4c8e13cf972c53b750aaa1291ec8b10fb4df4a19a393c7cb84cf034528930844",
     "witness exhaustive C5,C5@8": "fa2718e75c9e650348839caa386ec10709f8a42ec316ee60d25db841ec3928b7",
