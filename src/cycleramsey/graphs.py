@@ -1,16 +1,17 @@
 """Dense simple graphs, vertex holes and edge colorings.
 
 Vertices are integers ``0..n-1``. Adjacency is kept as one Python int
-bitmask per vertex, which keeps neighborhood set operations (union,
-intersection, difference) single -instruction-ish and the whole structure
-cache resident up to the 512-vertex cap. An edge coloring is one such graph
-per color, its class graph; the pair-to-color map appears only in the
-coloring file format.
+bitmask per vertex, which makes each neighborhood set operation (union,
+intersection, difference) one C-level pass over a few machine words and
+keeps the whole structure cache resident up to the 512-vertex cap. An edge
+coloring is one such graph per color, its class graph; the pair-to-color
+map appears only in the coloring file format.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -38,6 +39,29 @@ def _toggle_edge(u: int, v: int, *classes: list[int]) -> None:
     for masks in classes:
         masks[u] ^= 1 << v
         masks[v] ^= 1 << u
+
+
+_TOP_BITS_COLOR = bytes(1 + (b >> 6) for b in range(256))
+
+
+def _uniform_colors(rng: random.Random, count: int, k: int) -> bytes:
+    """``count`` uniform colors in 1..k (k in {2, 3}), leaving ``rng`` in the
+    state that ``count`` calls of ``rng.randint(1, k)`` would leave.
+
+    ``randint(1, k)`` takes the top two bits of one 32-bit Mersenne Twister
+    word per attempt and rejects an attempt that reads k or more. The words
+    of ``getrandbits(32 * r)`` come lowest first, so every 4th of its
+    little-endian bytes is the top byte of one attempt; ``translate`` keeps
+    the accepted ones as colors. r attempts keep at most r colors, so no
+    word past the last color needed is drawn.
+    """
+    rejected = bytes(range(64 * k, 256))
+    out = b""
+    while len(out) < count:
+        r = count - len(out)
+        words = rng.getrandbits(32 * r).to_bytes(4 * r, "little")
+        out += words[3::4].translate(_TOP_BITS_COLOR, rejected)
+    return out
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -75,9 +99,6 @@ class Graph:
     def adjacency_mask(self, v: int) -> int:
         return self._adj[v]
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return _bits(self._adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj[u] >> v & 1) if u != v else False
 
@@ -101,13 +122,6 @@ class Graph:
     def vertices_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def with_edge(self, u: int, v: int) -> "Graph":
-        u, v = edge_key(u, v)
-        masks = list(self._adj)
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        return Graph._from_masks(self.n, masks)
-
     def subgraph_on(self, vertices: Iterable[int] | int) -> "Graph":
         """Graph on the same vertex range keeping only edges inside ``vertices``."""
         keep = vertices if isinstance(vertices, int) else _mask_of(vertices)
@@ -115,9 +129,6 @@ class Graph:
             (self._adj[v] & keep) if (keep >> v & 1) else 0 for v in range(self.n)
         ]
         return Graph._from_masks(self.n, masks)
-
-    def without_vertex(self, v: int) -> "Graph":
-        return self.subgraph_on(self.vertices_mask() & ~(1 << v))
 
     def __eq__(self, other) -> bool:
         return (
@@ -259,17 +270,6 @@ class EdgeColoring:
         if not 1 <= i <= self.k:
             raise ValueError(f"color {i} outside 1..{self.k}")
         return self.classes[i - 1]
-
-    def recolored(self, edge: tuple[int, int], color: int) -> "EdgeColoring":
-        u, v = edge_key(*edge)
-        old = self.color_of(u, v)
-        if old is None:
-            raise ValueError(f"edge {(u, v)} is not present in the coloring")
-        if not 1 <= color <= self.k:
-            raise ValueError(f"color {color} outside 1..{self.k}")
-        masks = [list(g._adj) for g in self.classes]
-        _toggle_edge(u, v, masks[old - 1], masks[color - 1])
-        return EdgeColoring._from_masks(self.n, masks, self.holes, self.deleted)
 
 
 def _reachable(adj: Sequence[int], start_mask: int, allowed: int) -> int:

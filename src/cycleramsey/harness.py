@@ -12,7 +12,9 @@ hypothesis re-check of the offending instance.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from fractions import Fraction
 from typing import Callable
 
@@ -26,6 +28,7 @@ from .graphs import (
     _component_masks,
     _toggle_edge,
     _two_color,
+    _uniform_colors,
     apply_holes_and_deletions,
     coloring_to_dict,
     complete_graph,
@@ -63,12 +66,59 @@ class HarnessReport:
 
 
 def _sample_deletions(rng: random.Random, host: Graph, budget: int) -> list:
+    """Up to ``budget`` distinct edges of ``host``, sampled by their index in
+    ``host.edges()`` order: the same draws and edges as sampling that list."""
     if budget <= 0:
         return []
     count = rng.randint(0, budget)
     if count == 0:
         return []
-    return rng.sample(host.edges(), min(count, host.num_edges))
+    picks = rng.sample(range(host.num_edges), min(count, host.num_edges))
+    uppers = [row >> (u + 1) << (u + 1) for u, row in enumerate(host._adj)]
+    firsts = list(accumulate((m.bit_count() for m in uppers), initial=0))
+    out = []
+    for i in picks:
+        u = bisect_right(firsts, i) - 1  # the row holding edge i
+        m = uppers[u]
+        for _ in range(i - firsts[u]):
+            m &= m - 1
+        out.append((u, (m & -m).bit_length() - 1))
+    return out
+
+
+_SECOND_COLOR_BIT = bytes.maketrans(b"\x01\x02", b"01")
+
+
+def _second_color_rows(adj: tuple[int, ...], colors: bytes) -> list[int]:
+    """Adjacency masks of the edges colored 2, where ``colors`` holds one color
+    (1 or 2) per edge of ``adj`` in ``Graph.edges()`` order.
+
+    Each row's upper triangle becomes n binary digits, bit v at digit n-1-v,
+    and the rows are stacked from n-1 down to 0. Read flat, that string lists
+    the edges in reverse ``edges()`` order, so the reversed colors fill it
+    row by row: a row whose upper neighbours form one run takes one slice,
+    and a row with gaps (a hole row) takes its slice through one ``%`` on its
+    digit pattern, so the cost is per row, not per edge. Digits n-1-u, n-1-u
+    + n, ... then spell row u's lower triangle: one transpose.
+    """
+    n = len(adj)
+    bits = colors[::-1].translate(_SECOND_COLOR_BIT).decode()
+    rows, at = [], 0
+    for u in range(n - 1, -1, -1):
+        m = adj[u] >> (u + 1) << (u + 1)
+        d = m.bit_count()
+        if m & (m + (m & -m)):  # more than one run
+            pattern = format(m, f"0{n}b").replace("1", "%c")
+            rows.append(pattern % tuple(bits[at : at + d]))
+        else:
+            low = (m & -m).bit_length() - 1 if m else 0
+            rows.append("0" * (n - low - d) + bits[at : at + d] + "0" * low)
+        at += d
+    flat = "".join(rows)
+    return [
+        int(flat[(n - 1 - u) * n : (n - u) * n], 2) | int(flat[n - 1 - u :: n], 2)
+        for u in range(n)
+    ]
 
 
 def _adversarial_two_coloring(
@@ -118,9 +168,8 @@ def _run_l2(
     del adversarial, steps  # no coloring here: random deletions are the only freedom
     n1, n2, eps = p["n1"], p["n2"], Fraction(p["eps"])
     n = n1 + n2
-    host = Graph(
-        n, [(u, n1 + v) for u in range(n1) for v in range(n2)]
-    )
+    left = (1 << n1) - 1
+    host = Graph._from_masks(n, [left ^ ((1 << n) - 1)] * n1 + [left] * n2)
     budget = int(eps * n1 * n2)
     deletions = _sample_deletions(rng, host, budget)
     g = apply_holes_and_deletions(host, HoleSpec(), deletions)
@@ -238,13 +287,10 @@ def _run_hole_lemma(
     thresh1 = (hp.alpha + hp.epsilon) * n
     thresh2 = (hp.beta + hp.epsilon) * n
     evaluate = _two_color_conclusion(thresh1, thresh2, nonbip2)
-    classes = [[0] * g.n, [0] * g.n]
-    edges = g.edges()
-    for u, v in edges:
-        _toggle_edge(u, v, classes[rng.randint(1, 2) - 1])
-    ok = _adversarial_two_coloring(
-        rng, edges, classes, evaluate, steps if adversarial else 0
-    )
+    second = _second_color_rows(g._adj, _uniform_colors(rng, g.num_edges, 2))
+    classes = [[a ^ b for a, b in zip(g._adj, second)], second]
+    moves = g.edges() if adversarial else []  # a uniform sample makes no move
+    ok = _adversarial_two_coloring(rng, moves, classes, evaluate, steps)
 
     def record() -> dict:
         coloring = EdgeColoring._from_masks(g.n, classes, HoleSpec((w,)), deletions)
@@ -288,15 +334,23 @@ def _run_f1(
     g = apply_holes_and_deletions(host, HoleSpec(), deletions)
     classes = [[0] * g.n for _ in range(3)]
     third_mutable = []
+    xys = xs | ys
+    getrandbits = rng.getrandbits
+    # c is the 0-based color: randint(1, k) - 1 draws getrandbits(2) until < k
     for u, v in g.edges():
         if (u in xs and v in ys) or (u in ys and v in xs):
-            c = 3
-        elif u not in xs | ys and v not in xs | ys:
-            c = rng.randint(1, 3)
+            c = 2
+        elif u not in xys and v not in xys:
+            c = getrandbits(2)
+            while c == 3:
+                c = getrandbits(2)
         else:
-            c = rng.randint(1, 2)
+            c = getrandbits(2)
+            while c >= 2:
+                c = getrandbits(2)
             third_mutable.append((u, v))
-        _toggle_edge(u, v, classes[c - 1])
+        classes[c][u] |= 1 << v
+        classes[c][v] |= 1 << u
     evaluate = _two_color_conclusion((a1 + eps) * n, (a2 + eps) * n, False)
     ok = _adversarial_two_coloring(
         rng, third_mutable, classes, evaluate, steps if adversarial else 0

@@ -30,6 +30,7 @@ from .graphs import (
     HoleSpec,
     _bits,
     _toggle_edge,
+    _uniform_colors,
     coloring_to_dict,
 )
 from .matchings import _best_matched, _mates, _repair_matching, best_saturation
@@ -583,7 +584,7 @@ def arrow_randomized(
         if restart == 0 and initial is not None:
             assignment = first
         else:
-            assignment = [rng.randint(1, k) for _ in edges]
+            assignment = list(_uniform_colors(rng, len(edges), k))
         # adjs[0] holds the deleted pairs, so a move toggles two mask lists
         adjs = [[0] * n for _ in range(k + 1)]
         for (u, v), c in zip(edges, assignment):

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from cycleramsey.graphs import Graph
+from cycleramsey.graphs import EdgeColoring, Graph, _bits, _toggle_edge, edge_key
 
 
 @pytest.fixture
@@ -24,6 +24,31 @@ def petersen() -> Graph:
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     )
     return Graph(10, edges)
+
+
+def with_edge(g: Graph, u: int, v: int) -> Graph:
+    """``g`` plus the edge (u, v)."""
+    masks = list(g._adj)
+    masks[u] |= 1 << v
+    masks[v] |= 1 << u
+    return Graph._from_masks(g.n, masks)
+
+
+def without_vertex(g: Graph, v: int) -> Graph:
+    """``g`` with every edge at ``v`` removed (``v`` stays, isolated)."""
+    return g.subgraph_on(g.vertices_mask() & ~(1 << v))
+
+
+def neighbors(g: Graph, v: int) -> set[int]:
+    return set(_bits(g.adjacency_mask(v)))
+
+
+def recolored(c: EdgeColoring, edge: tuple[int, int], color: int) -> EdgeColoring:
+    """``c`` with the present ``edge`` moved into class ``color``."""
+    u, v = edge_key(*edge)
+    masks = [list(g._adj) for g in c.classes]
+    _toggle_edge(u, v, masks[c.color_of(u, v) - 1], masks[color - 1])
+    return EdgeColoring._from_masks(c.n, masks, c.holes, c.deleted)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

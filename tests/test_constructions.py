@@ -20,7 +20,7 @@ from cycleramsey.constructions import (
 from cycleramsey.cycles import verify_cycle
 from cycleramsey.graphs import EdgeColoring, Graph
 
-from conftest import random_graph
+from conftest import random_graph, recolored
 
 
 
@@ -195,7 +195,7 @@ def test_builder_sizes_match_construction_sizes():
 def test_mutation_yields_failure_with_witness():
     r = build_odd_triple(5)
     # moving one cross edge (V1-V3) into color 2 creates an odd triangle there
-    corrupted = replace(r, coloring=r.coloring.recolored((0, 8), 2))
+    corrupted = replace(r, coloring=recolored(r.coloring, (0, 8), 2))
     checked = verify_claims(corrupted)
     assert not checked.all_verified()
     failed = [c for c in checked.claims if c.verified is False]

@@ -8,6 +8,7 @@ from cycleramsey.graphs import (
     EdgeColoring,
     Graph,
     HoleSpec,
+    _uniform_colors,
     apply_holes_and_deletions,
     bipartition,
     coloring_from_dict,
@@ -21,7 +22,7 @@ from cycleramsey.graphs import (
     odd_closed_walk,
 )
 
-from conftest import random_graph
+from conftest import neighbors, random_graph
 
 
 def test_complete_graph_edge_counts():
@@ -120,7 +121,7 @@ def test_components_partition_property(n, rnd):
         seen |= comp
         # no edges leave the component
         for v in comp:
-            assert set(g.neighbors(v)) <= comp
+            assert neighbors(g, v) <= comp
     assert seen == set(range(n))
 
 
@@ -241,3 +242,16 @@ def test_coloring_file_roundtrip():
         assert load_coloring(text) == col and dump_coloring(load_coloring(text)) == text
         assert all(col.color_of(*e) == c for e, c in colors.items())
         assert all(col.color_of(*e) is None for e in deleted)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("count", [0, 1, 6007])
+def test_uniform_colors_draw_the_randint_stream(k, count):
+    # same colors as count calls of randint(1, k), and the rng left in the
+    # same state; tier-1 runs on every supported interpreter, so a
+    # getrandbits word layout that differs would show here
+    for seed in range(40 if count > 1 else 400):
+        ours, ref = random.Random(seed), random.Random(seed)
+        colors = _uniform_colors(ours, count, k)
+        assert list(colors) == [ref.randint(1, k) for _ in range(count)]
+        assert ours.random() == ref.random()

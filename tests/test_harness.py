@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from cycleramsey.errors import HypothesisViolation
-from cycleramsey.harness import lemma_harness
+from cycleramsey.graphs import _toggle_edge
+from cycleramsey.harness import _sample_deletions, _second_color_rows, lemma_harness
+
+from conftest import random_graph
 
 EPS = Fraction(1, 256)  # sqrt is exactly 1/16
 
@@ -224,3 +228,32 @@ def test_forced_failure_records_match_the_driver(monkeypatch, lemma):
         assert failure.hypothesis_recheck == info["recheck"]
         stored = failure.witness["coloring"]
         assert coloring_to_dict(coloring_from_dict(stored)) == stored
+
+
+def test_mask_rows_match_edge_by_edge_coloring():
+    # the uniform 2-coloring as class-2 mask rows, against toggling each edge
+    # of the host in edges() order; random hosts give rows of many runs
+    rng = random.Random(23)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 40), rng.uniform(0, 1))
+        colors = bytes(rng.randint(1, 2) for _ in range(g.num_edges))
+        ref = [[0] * g.n, [0] * g.n]
+        for (u, v), c in zip(g.edges(), colors):
+            _toggle_edge(u, v, ref[c - 1])
+        assert _second_color_rows(g._adj, colors) == ref[1]
+
+
+def test_deletions_are_sampled_from_the_edge_list_stream():
+    # sampling indices and mapping them to edges draws what sampling the
+    # edge list drew, and picks the same edges in the same order
+    rng = random.Random(29)
+    for _ in range(60):
+        host = random_graph(rng, rng.randint(1, 30), rng.uniform(0, 1))
+        budget = rng.randint(0, host.num_edges + 3)
+        seed = rng.randrange(10**6)
+        ours, ref = random.Random(seed), random.Random(seed)
+        got = _sample_deletions(ours, host, budget)
+        count = ref.randint(0, budget) if budget > 0 else 0
+        want = ref.sample(host.edges(), min(count, host.num_edges)) if count else []
+        assert got == want
+        assert ours.random() == ref.random()

@@ -29,7 +29,12 @@ from cycleramsey.matchings import (
     tutte_partition,
 )
 
-from conftest import oracle_deficiency, oracle_matching_size, random_graph
+from conftest import (
+    oracle_deficiency,
+    oracle_matching_size,
+    random_graph,
+    without_vertex,
+)
 
 
 def cycle_graph(n):
@@ -199,7 +204,7 @@ def _d_by_definition(g):
     """Vertices whose deletion keeps the matching number (missed by some maximum one)."""
     nu = len(maximum_matching(g).edges)
     return {
-        v for v in range(g.n) if len(maximum_matching(g.without_vertex(v)).edges) == nu
+        v for v in range(g.n) if len(maximum_matching(without_vertex(g, v)).edges) == nu
     }
 
 
