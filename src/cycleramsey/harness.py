@@ -12,9 +12,7 @@ hypothesis re-check of the offending instance.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import accumulate
 from fractions import Fraction
 from typing import Callable
 
@@ -66,24 +64,12 @@ class HarnessReport:
 
 
 def _sample_deletions(rng: random.Random, host: Graph, budget: int) -> list:
-    """Up to ``budget`` distinct edges of ``host``, sampled by their index in
-    ``host.edges()`` order: the same draws and edges as sampling that list."""
     if budget <= 0:
         return []
     count = rng.randint(0, budget)
     if count == 0:
         return []
-    picks = rng.sample(range(host.num_edges), min(count, host.num_edges))
-    uppers = [row >> (u + 1) << (u + 1) for u, row in enumerate(host._adj)]
-    firsts = list(accumulate((m.bit_count() for m in uppers), initial=0))
-    out = []
-    for i in picks:
-        u = bisect_right(firsts, i) - 1  # the row holding edge i
-        m = uppers[u]
-        for _ in range(i - firsts[u]):
-            m &= m - 1
-        out.append((u, (m & -m).bit_length() - 1))
-    return out
+    return rng.sample(host.edges(), min(count, host.num_edges))
 
 
 _SECOND_COLOR_BIT = bytes.maketrans(b"\x01\x02", b"01")
@@ -290,7 +276,9 @@ def _run_hole_lemma(
     second = _second_color_rows(g._adj, _uniform_colors(rng, g.num_edges, 2))
     classes = [[a ^ b for a, b in zip(g._adj, second)], second]
     moves = g.edges() if adversarial else []  # a uniform sample makes no move
-    ok = _adversarial_two_coloring(rng, moves, classes, evaluate, steps)
+    ok = _adversarial_two_coloring(
+        rng, moves, classes, evaluate, steps if adversarial else 0
+    )
 
     def record() -> dict:
         coloring = EdgeColoring._from_masks(g.n, classes, HoleSpec((w,)), deletions)
@@ -335,22 +323,16 @@ def _run_f1(
     classes = [[0] * g.n for _ in range(3)]
     third_mutable = []
     xys = xs | ys
-    getrandbits = rng.getrandbits
-    # c is the 0-based color: randint(1, k) - 1 draws getrandbits(2) until < k
     for u, v in g.edges():
         if (u in xs and v in ys) or (u in ys and v in xs):
-            c = 2
+            c = 3
         elif u not in xys and v not in xys:
-            c = getrandbits(2)
-            while c == 3:
-                c = getrandbits(2)
+            c = rng.randint(1, 3)
         else:
-            c = getrandbits(2)
-            while c >= 2:
-                c = getrandbits(2)
+            c = rng.randint(1, 2)
             third_mutable.append((u, v))
-        classes[c][u] |= 1 << v
-        classes[c][v] |= 1 << u
+        classes[c - 1][u] |= 1 << v
+        classes[c - 1][v] |= 1 << u
     evaluate = _two_color_conclusion((a1 + eps) * n, (a2 + eps) * n, False)
     ok = _adversarial_two_coloring(
         rng, third_mutable, classes, evaluate, steps if adversarial else 0

@@ -5,7 +5,7 @@ import pytest
 
 from cycleramsey.errors import HypothesisViolation
 from cycleramsey.graphs import _toggle_edge
-from cycleramsey.harness import _sample_deletions, _second_color_rows, lemma_harness
+from cycleramsey.harness import _second_color_rows, lemma_harness
 
 from conftest import random_graph
 
@@ -243,18 +243,3 @@ def test_mask_rows_match_edge_by_edge_coloring():
                 _toggle_edge(u, v, ref)
         assert _second_color_rows(g._adj, colors) == ref
 
-
-def test_deletions_are_sampled_from_the_edge_list_stream():
-    # sampling indices and mapping them to edges draws what sampling the
-    # edge list drew, and picks the same edges in the same order
-    rng = random.Random(29)
-    for _ in range(60):
-        host = random_graph(rng, rng.randint(1, 30), rng.uniform(0, 1))
-        budget = rng.randint(0, host.num_edges + 3)
-        seed = rng.randrange(10**6)
-        ours, ref = random.Random(seed), random.Random(seed)
-        got = _sample_deletions(ours, host, budget)
-        count = ref.randint(0, budget) if budget > 0 else 0
-        want = ref.sample(host.edges(), min(count, host.num_edges)) if count else []
-        assert got == want
-        assert ours.random() == ref.random()

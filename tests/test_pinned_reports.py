@@ -357,7 +357,6 @@ CASES = {
     "sample trzy adversarial": lambda: _eager(_run_hole_lemma(
         HOLE, random.Random(12), True, True, 20
     )),
-    "sample l2 deleting": "5998bb17f087c2445beffd8c7581dac93911126bee76768eeebc545fecb1bc7b",
     "sample trzy adversarial 100 steps": lambda: _eager(_run_hole_lemma(
         HOLE, random.Random(15), True, True, 100
     )),
