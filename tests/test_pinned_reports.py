@@ -36,8 +36,10 @@ the first cycle in degree order, with the same presence for every length
 and still at least m vertices. The uniform hole-lemma samples, the l2 and
 double samples with nonzero deletion budgets and the deletions drawn on
 holed hosts were recorded while the harness drew one ``randint`` per host
-edge and sampled deletions from the host's edge list. None may be edited to
-make a refactor pass.
+edge and sampled deletions from the host's edge list. The Erdos-Gallai
+cycles on long clique chains were recorded while each reduction round took
+a dense component, then split it at one articulation vertex at a time. None
+may be edited to make a refactor pass.
 """
 
 import hashlib
@@ -306,6 +308,24 @@ def _erdos_gallai_cycles():
     return [[g.n, m, list(erdos_gallai_cycle(g, m).vertices)] for g, m in cases]
 
 
+def _erdos_gallai_long_chains():
+    # chains of K_{m-1} blocks sharing cut vertices with n near 400, each
+    # topped up with random chords to the threshold: one dense block spans
+    # the chords, and the reduction must cut away up to ~100 blocks around it
+    rng = random.Random(4009)
+    out = []
+    for m, blocks in ((6, 99), (6, 99), (11, 44), (11, 44), (4, 199), (8, 66)):
+        n = 1 + blocks * (m - 2)
+        edges = set()
+        for at in range(0, n - 1, m - 2):
+            edges.update(itertools.combinations(range(at, at + m - 1), 2))
+        while 2 * len(edges) < (m - 1) * (n - 1) + 2:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        cert = erdos_gallai_cycle(Graph(n, edges), m, budget=n)
+        out.append([n, m, list(cert.vertices)])
+    return out
+
+
 CASES = {
     "odd_triple 3": lambda: verify_claims(build_odd_triple(3)),
     "odd_triple 5": lambda: verify_claims(build_odd_triple(5)),
@@ -446,6 +466,7 @@ CASES = {
     "bipartite_split": _bipartite_splits,
     "maximum_matching within": _restricted_matchings,
     "erdos_gallai_cycle": _erdos_gallai_cycles,
+    "erdos_gallai_cycle long chains": _erdos_gallai_long_chains,
 }
 
 DIGESTS = {
@@ -458,6 +479,7 @@ DIGESTS = {
     "eeo_three_part 4,4,3": "19a3a99a8bd2c77e4b540f2c59cd1065ad01254f0f148d150fba7fa10fda0a1c",
     "eeo_three_part 6,4,5": "7bdb61f89c9e07c15d9e9a1381b99a55b94021d08ea20834c627743b54d25c0b",
     "erdos_gallai_cycle": "44aef9d9fea0eb03027b89de5ea93f06e2500dd35c5223c509d7207cce41cbba",
+    "erdos_gallai_cycle long chains": "847f65277a32d62b6a4c7f478e567e1fa9d8a97444435433fe1e280b70d4ac85",
     "exhaustive C3,C3@6 deleting 1": "4f1db58737fd8e8898d596ac49501c308d65b7357f1a10d516966876cdf9e726",
     "exhaustive C4,M6@7 hole 012 deleting 2": "5bd6a533fc0c85e8cafbc80a75f2b49bd98aa562a11ee44a31bc6513f6f7e582",
     "exhaustive M4,M4@5": "3d6b3620fb241d4054daf73f1c2533b8e7e6fe1ed2226f75200945c6815ff13b",
