@@ -177,7 +177,7 @@ def _check_no_cycle_geq(
             continue
         length = max(bound, 3)  # a claim file may hold a smaller bound
         try:
-            cycle = _anchored_cycle(g._adj, comp, length, bud, atleast=True)
+            cycle = _anchored_cycle(g._adj, comp, (length,), bud, atleast=True)
         except BudgetExceededError:
             return None, "budget-exceeded", None
         methods.add("exact-search")

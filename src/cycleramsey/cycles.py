@@ -15,6 +15,7 @@ from .errors import BudgetExceededError, PreconditionViolated
 from .graphs import (
     Graph,
     _bits,
+    _blocks,
     _component_masks,
     _reachable,
     _route,
@@ -153,17 +154,20 @@ def _degree_order(adj: Sequence[int], active: int) -> list[int]:
 
 
 def _anchored_cycle(
-    adj: Sequence[int], active: int, length: int, bud: _Budget, atleast: bool = False
+    adj: Sequence[int], active: int, lengths: Sequence[int], bud: _Budget,
+    atleast: bool = False,
 ) -> Optional[list[int]]:
-    """A cycle of ``length`` vertices (at least ``length`` if ``atleast``)
-    inside ``active``, as a vertex list from its anchor, or None.
+    """For the first length in ``lengths`` that a cycle inside ``active``
+    has (or exceeds, if ``atleast``), such a cycle as a vertex list from its
+    anchor; None if no length has one.
 
-    The subgraph induced by ``active`` is relabelled in ``_degree_order``.
-    Each anchor in that order asks the simple-path kernel for a closed path
-    of ``length`` edges through later vertices only, extended in the same
-    order. Anchors and extensions thus try low-degree vertices first, where
-    a dead end shows soonest: in input order, a Hamiltonian G(22, 0.35) with
-    a vertex of degree two ran past a budget of 10^6. An exact length gives
+    The subgraph induced by ``active`` is relabelled once, in
+    ``_degree_order``; the lengths are then tried in turn. For each, every
+    anchor in that order asks the simple-path kernel for a closed path of
+    that many edges through later vertices only, extended in the same order.
+    Anchors and extensions thus try low-degree vertices first, where a dead
+    end shows soonest: in input order, a Hamiltonian G(22, 0.35) with a
+    vertex of degree two ran past a budget of 10^6. An exact length gives
     the first cycle in that order through the earliest possible anchor.
     """
     order = _degree_order(adj, active)
@@ -178,18 +182,19 @@ def _anchored_cycle(
             nbrs ^= low
             row |= label[low.bit_length() - 1]
         rows.append(row)
-    every = rest = (1 << len(order)) - 1  # ``rest``: the anchor and later
-    while rest.bit_count() >= length:
-        low = rest & -rest
-        rest ^= low
-        anchor = low.bit_length() - 1
-        if (rows[anchor] & rest).bit_count() < 2:
-            continue
-        inner: list[int] = []
-        if _simple_paths(
-            rows, anchor, anchor, length, every & ~rest, bud, atleast=atleast, out=inner
-        ):
-            return [order[anchor], *(order[i] for i in reversed(inner))]
+    every = (1 << len(order)) - 1
+    for length in lengths:
+        rest = every  # the anchor and later
+        while rest.bit_count() >= length:
+            low = rest & -rest
+            rest ^= low
+            anchor = low.bit_length() - 1
+            if (rows[anchor] & rest).bit_count() < 2:
+                continue
+            inner: list[int] = []
+            if _simple_paths(rows, anchor, anchor, length, every & ~rest, bud,
+                             atleast=atleast, out=inner):
+                return [order[anchor], *(order[i] for i in reversed(inner))]
     return None
 
 
@@ -209,7 +214,7 @@ def _long_cycle_edges(adj: Sequence[int], length: int, bud: _Budget) -> int:
             continue
         edges2 = sum(adj[v].bit_count() for v in _bits(comp))
         if _density_holds(edges2, size, length) or _anchored_cycle(
-            adj, comp, length, bud, atleast=True
+            adj, comp, (length,), bud, atleast=True
         ):
             score += edges2 // 2
     return score
@@ -227,7 +232,8 @@ def has_cycle_of_length(
     bud = _Budget(budget)
     if length < 3:
         raise ValueError(f"cycle length {length} below 3")
-    cycle = _anchored_cycle(g._adj, _strip(g._adj, g.vertices_mask(), 1), length, bud)
+    core = _strip(g._adj, g.vertices_mask(), 1)
+    cycle = _anchored_cycle(g._adj, core, (length,), bud)
     return None if cycle is None else CycleCertificate(tuple(cycle))
 
 
@@ -236,11 +242,11 @@ def longest_cycle(
 ) -> Optional[tuple[int, CycleCertificate]]:
     """Maximum-length simple cycle of the requested parity, with certificate.
 
-    In each component of the 2-core, ``_anchored_cycle`` (ascending degree
-    order inside the component) is asked for the lengths of the parity from
-    the smallest ``_cycle_bounds`` down to one more than the best cycle so
-    far; the first hit is the component's longest. One budget unit per
-    simple-path kernel call.
+    Each component of the 2-core is relabelled once by one
+    ``_anchored_cycle`` call (ascending degree order inside the component),
+    which tries the lengths of the parity from the smallest ``_cycle_bounds``
+    down to one more than the best cycle so far; the first hit is the
+    component's longest. One budget unit per simple-path kernel call.
     """
     if parity not in ("any", "odd", "even"):
         raise ValueError(f"parity must be any, odd or even, got {parity!r}")
@@ -250,13 +256,10 @@ def longest_cycle(
     for comp in _component_masks(g._adj, _strip(g._adj, g.vertices_mask(), 1)):
         bounds = _cycle_bounds(g._adj, comp)
         odd = want_odd and "bipartite-sides" not in bounds  # else all even
-        for length in range(min(bounds.values()), len(best) if best else 2, -1):
-            if not (odd if length % 2 else want_even):
-                continue
-            cycle = _anchored_cycle(g._adj, comp, length, bud)
-            if cycle is not None:
-                best = cycle
-                break
+        stop = len(best) if best else 2
+        lengths = [ell for ell in range(min(bounds.values()), stop, -1)
+                   if (odd if ell % 2 else want_even)]
+        best = _anchored_cycle(g._adj, comp, lengths, bud) or best
     return None if best is None else (len(best), CycleCertificate(tuple(best)))
 
 
@@ -301,14 +304,18 @@ def erdos_gallai_cycle(
 ) -> CycleCertificate:
     """A cycle of length >= m in any graph with > (m-1)(n-1)/2 edges.
 
-    Reduction loop: strip vertices of degree <= (m-1)/2, restrict to a
-    component that keeps the density invariant, split at cut vertices toward
-    the denser side. The surviving core is 2-connected with minimum degree
-    >= ceil(m/2) and at least m vertices; one ``_anchored_cycle`` of at
-    least m vertices on the core extracts the cycle, so the certificate is
-    the first one in ascending degree order inside the core. The whole
-    extraction is charged to ``budget``, one unit per simple-path kernel
-    call.
+    Each reduction round strips the vertices of degree <= (m-1)/2, then
+    keeps the first block (``_blocks``) that still has 2e > (m-1)(n-1),
+    with e and n its own edge and vertex counts. Stripping a vertex of
+    degree d keeps the invariant, as 2d <= m-1. Some block keeps it too:
+    over the blocks B of a graph with c components, the sum of |B|-1 is
+    n - c <= n - 1, so if every block had 2e_B <= (m-1)(|B|-1), then
+    2e <= (m-1)(n-1). Rounds repeat until the kept block is the whole
+    active set. That core is 2-connected with minimum degree >= ceil(m/2)
+    and at least m vertices; one ``_anchored_cycle`` of at least m vertices
+    on it extracts the cycle, so the certificate is the first one in
+    ascending degree order inside the core. The whole extraction is charged
+    to ``budget``, one unit per simple-path kernel call.
     """
     bud = _Budget(budget)
     if not 3 <= m <= g.n:
@@ -317,22 +324,11 @@ def erdos_gallai_cycle(
         raise PreconditionViolated(
             f"edge count {g.num_edges} below threshold (m-1)(n-1)/2+1"
         )
-    active = g.vertices_mask()
-
-    while True:
-        # Strip low-degree vertices; each removal keeps 2e > (m-1)(n-1).
-        active = _strip(g._adj, active, (m - 1) // 2)
-        comp = _dense_part(g, _component_masks(g._adj, active), m)
-        if comp != active:
-            active = comp
-            continue
-        cut = _articulation_vertex(g, active)
-        if cut is None:
-            break
-        sides = _component_masks(g._adj, active & ~(1 << cut))
-        active = _dense_part(g, (side | 1 << cut for side in sides), m)
-
-    cycle = _anchored_cycle(g._adj, active, m, bud, atleast=True)
+    active, block = 0, g.vertices_mask()
+    while block != active:
+        active = _strip(g._adj, block, (m - 1) // 2)
+        block = _dense_part(g, _blocks(g._adj, active), m)
+    cycle = _anchored_cycle(g._adj, active, (m,), bud, atleast=True)
     if cycle is None:
         raise AssertionError("internal: dense core lacks the guaranteed cycle")
     cert = CycleCertificate(tuple(cycle))
@@ -353,41 +349,3 @@ def _dense_part(g: Graph, parts: Iterable[int], m: int) -> int:
             return part
     raise AssertionError("internal: no part keeps the density invariant")
 
-
-def _articulation_vertex(g: Graph, active: int) -> Optional[int]:
-    """Any articulation vertex of the (connected) active subgraph, else None."""
-    verts = list(_bits(active))
-    if len(verts) <= 2:
-        return None
-    index = {}  # DFS discovery order
-    lowlink = {}
-    root = verts[0]
-    # Iterative DFS computing lowpoints.
-    stack = [(root, -1, iter(_bits(g._adj[root] & active)))]
-    index[root] = lowlink[root] = 0
-    root_children = 0
-    art = None
-    while stack:
-        v, parent, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w == parent:
-                continue
-            if w not in index:
-                index[w] = lowlink[w] = len(index)
-                if v == root:
-                    root_children += 1
-                stack.append((w, v, iter(_bits(g._adj[w] & active))))
-                advanced = True
-                break
-            lowlink[v] = min(lowlink[v], index[w])
-        if not advanced:
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                lowlink[pv] = min(lowlink[pv], lowlink[v])
-                if pv != root and lowlink[v] >= index[pv] and art is None:
-                    art = pv
-    if root_children >= 2:
-        return root
-    return art

@@ -318,6 +318,43 @@ def _component_masks(adj: Sequence[int], active: int) -> Iterator[int]:
         active &= ~comp
 
 
+def _blocks(adj: Sequence[int], active: int) -> Iterator[int]:
+    """Vertex masks of the blocks (maximal 2-connected pieces and bridges) of
+    the subgraph induced on ``active``, as an iterative Hopcroft-Tarjan DFS
+    completes them. Each component's DFS starts at its smallest vertex and
+    takes neighbours smallest first; an isolated vertex yields no block."""
+    num, low = [0] * len(adj), [0] * len(adj)  # DFS numbers from 1; 0 unvisited
+    count, left = 0, active  # ``left``: the vertices no DFS has reached
+    while left:
+        root = (left & -left).bit_length() - 1
+        left ^= 1 << root
+        count += 1
+        num[root] = low[root] = count
+        stack = [[root, adj[root] & active, 1 << root]]  # [v, unexplored, open subtree]
+        while stack:
+            v, todo, sub = top = stack[-1]
+            if todo:
+                top[1] = todo & (todo - 1)
+                w = (todo & -todo).bit_length() - 1
+                if not num[w]:
+                    count += 1
+                    num[w] = low[w] = count
+                    left ^= 1 << w
+                    stack.append([w, adj[w] & active, 1 << w])
+                elif num[w] < low[v]:
+                    low[v] = num[w]
+                continue
+            stack.pop()
+            if stack:
+                parent = stack[-1]
+                u = parent[0]
+                if low[v] >= num[u]:  # u cuts v's subtree off: one block closes
+                    yield sub | 1 << u
+                else:
+                    parent[2] |= sub
+                    low[u] = min(low[u], low[v])
+
+
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
     return [frozenset(_bits(c)) for c in _component_masks(g._adj, g.vertices_mask())]

@@ -272,7 +272,7 @@ def test_anchored_cycle_at_least_matches_longest_cycle():
         best = oracle_circumference(g.subgraph_on(active))["any"]
         for ell in range(3, n + 1):
             bud = _Budget(10**8)
-            cycle = _anchored_cycle(g._adj, active, ell, bud, atleast=True)
+            cycle = _anchored_cycle(g._adj, active, (ell,), bud, atleast=True)
             assert (cycle is not None) == (best >= ell), (trial, ell)
             if cycle is not None:
                 assert len(cycle) >= ell and all(active >> v & 1 for v in cycle)

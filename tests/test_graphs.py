@@ -8,6 +8,7 @@ from cycleramsey.graphs import (
     EdgeColoring,
     Graph,
     HoleSpec,
+    _blocks,
     _uniform_colors,
     apply_holes_and_deletions,
     bipartition,
@@ -123,6 +124,45 @@ def test_components_partition_property(n, rnd):
         for v in comp:
             assert neighbors(g, v) <= comp
     assert seen == set(range(n))
+
+
+def _component_count(g, vertices):
+    """Components of the subgraph of g induced on the set ``vertices``."""
+    left, count = set(vertices), 0
+    while left:
+        count += 1
+        frontier = [left.pop()]
+        while frontier:
+            near = neighbors(g, frontier.pop()) & left
+            left -= near
+            frontier += near
+    return count
+
+
+def test_blocks_match_a_deletion_oracle():
+    # seeded graphs with isolated vertices and several components, restricted
+    # to random vertex subsets; each block is checked against its definition
+    rng = random.Random(61)
+    for trial in range(1500):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.6))
+        active = {v for v in range(n) if rng.random() < 0.8}
+        mask = sum(1 << v for v in active)
+        blocks = [{v for v in range(n) if b >> v & 1} for b in _blocks(g._adj, mask)]
+        # the blocks partition the edges inside ``active``
+        for u, v in g.edges():
+            if u in active and v in active:
+                assert sum(u in b and v in b for b in blocks) == 1, (trial, u, v)
+        for b in blocks:
+            assert len(b) >= 2 and b <= active, trial
+            # connected, and still connected without any one of its vertices
+            assert _component_count(g, b) == 1, trial
+            assert all(_component_count(g, b - {v}) == 1 for v in b), trial
+        # the vertices in two or more blocks are exactly the cut vertices
+        shared = {v for v in active if sum(v in b for b in blocks) >= 2}
+        whole = _component_count(g, active)
+        cuts = {v for v in active if _component_count(g, active - {v}) > whole}
+        assert shared == cuts, trial
 
 
 def _coloring(n, k, colors, holes=(), deleted=()):
