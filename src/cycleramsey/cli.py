@@ -195,12 +195,8 @@ def _cmd_construct(args) -> int:
         report = build_eeo_four_part(*args.eeo_four)
     elif args.eeo_three is not None:
         report = build_eeo_three_part(*args.eeo_three)
-    elif args.oee_four is not None:
+    else:  # the parser requires exactly one family
         report = build_oee_four_part(*args.oee_four)
-    else:
-        print("construct: choose one of --odd-triple/--eeo-four/--eeo-three/--oee-four",
-              file=sys.stderr)
-        return EXIT_USAGE
     report = verify_claims(report, budget=args.node_budget)
     if args.coloring_out:
         Path(args.coloring_out).write_text(dump_coloring(report.coloring))
@@ -238,6 +234,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
+    if args.length is not None and args.parity != "any":
+        print("cycles: --length fixes the parity; drop --parity", file=sys.stderr)
+        return EXIT_USAGE
     g = load_graph(_read(args.graph))
     try:
         if args.length is not None:
@@ -266,6 +265,9 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_matching(args) -> int:
+    if args.require_nonbipartite and not args.best_component:
+        print("matching: --require-nonbipartite needs --best-component", file=sys.stderr)
+        return EXIT_USAGE
     g = load_graph(_read(args.graph))
     if args.best_component:
         comp, match = best_component_matching(g, args.require_nonbipartite)
@@ -428,10 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kw)
 
     p = add_parser("construct", help="build an extremal coloring and verify it")
-    p.add_argument("--odd-triple", type=int, metavar="M1")
-    p.add_argument("--eeo-four", type=int, nargs=2, metavar=("M1", "M2"))
-    p.add_argument("--eeo-three", type=int, nargs=3, metavar=("M1", "M2", "M3"))
-    p.add_argument("--oee-four", type=int, nargs=2, metavar=("M1", "M2"))
+    family = p.add_mutually_exclusive_group(required=True)
+    family.add_argument("--odd-triple", type=int, metavar="M1")
+    family.add_argument("--eeo-four", type=int, nargs=2, metavar=("M1", "M2"))
+    family.add_argument("--eeo-three", type=int, nargs=3, metavar=("M1", "M2", "M3"))
+    family.add_argument("--oee-four", type=int, nargs=2, metavar=("M1", "M2"))
     p.add_argument("--coloring-out", help="also write the coloring file here")
     p.set_defaults(func=_cmd_construct)
 

@@ -301,6 +301,28 @@ def test_usage_errors(capsys):
     assert run(["nonsense"]) == 1
 
 
+def test_contradictory_options_are_refused(tmp_path, capsys):
+    # each of these asks two questions at once, so any one answer would mislead
+    c4 = tmp_path / "c4.json"
+    c4.write_text(dump_graph(Graph(4, [(i, (i + 1) % 4) for i in range(4)])))
+    for argv in (
+        ["construct", "--odd-triple", "5", "--eeo-four", "6", "4"],
+        ["construct", "--eeo-three", "6", "4", "7", "--oee-four", "6", "7"],
+        ["cycles", "--graph", str(c4), "--length", "4", "--parity", "odd"],
+        ["cycles", "--graph", str(c4), "--length", "3", "--parity", "even"],
+        ["matching", "--graph", str(c4), "--require-nonbipartite"],
+    ):
+        assert run(argv + ["--format", "json"]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err, argv
+    # parity "any" is the default and contradicts no length
+    assert run(["cycles", "--graph", str(c4), "--length", "4", "--parity", "any"]) == 0
+    assert "found: True" in capsys.readouterr().out
+    assert run(["matching", "--graph", str(c4), "--best-component",
+                "--require-nonbipartite"]) == 1  # C4 has no odd component
+    assert "error: " in capsys.readouterr().err
+
+
 def test_search_matching_and_randomized_modes(capsys):
     # matching targets run through the exhaustive search like cycle targets
     code = run(["search", "--targets", "M4:1,M4:2", "--n", "4", "--format", "json"])
@@ -367,5 +389,8 @@ def test_default_config_hashes_are_pinned():
         (["search", "--targets", "C5:1,C5:2", "--n", "8"], "256997cb88dd40b0"),
         (["lemma", "--id", "l2"], "cc53a533e1a4fb5e"),
         (["cycles", "--graph", "g.json"], "893a87bb63eaa9cd"),
+        (["construct", "--odd-triple", "5"], "10ae3672c79d86d7"),
+        (["matching", "--graph", "g.json", "--best-component",
+          "--require-nonbipartite"], "26a289b71d467009"),
     ]:
         assert _config_hash(build_parser().parse_args(argv)) == want
