@@ -388,6 +388,11 @@ def test_default_config_hashes_are_pinned():
     for argv, want in [
         (["search", "--targets", "C5:1,C5:2", "--n", "8"], "256997cb88dd40b0"),
         (["lemma", "--id", "l2"], "cc53a533e1a4fb5e"),
+        # rationals stay strings in the namespace; --host-n fills the key N
+        (["lemma", "--id", "dwa", "--alpha", "1", "--beta", "1", "--nu", "0.5",
+          "--eps", "1/256", "--n", "10"], "a41aa151d079c15c"),
+        (["lemma", "--id", "double", "--host-n", "60", "--nu1", "3/10",
+          "--nu2", "3/10", "--eps", "1/50"], "5aa35f66d92ea5e9"),
         (["cycles", "--graph", "g.json"], "893a87bb63eaa9cd"),
         (["construct", "--odd-triple", "5"], "10ae3672c79d86d7"),
         (["matching", "--graph", "g.json", "--best-component",
