@@ -43,14 +43,15 @@ from .cycles import (
     longest_cycle,
     verify_cycle,
 )
-from .errors import BudgetExceededError, PreconditionViolated
+from .errors import BudgetExceededError, NoQualifyingComponent, PreconditionViolated
 from .graphs import (
     dump_coloring,
     load_coloring,
     load_graph,
 )
-from .harness import _ADVERSARY_STEPS, LEMMA_IDS, lemma_harness
+from .harness import _ADVERSARY_STEPS, LEMMA_IDS, LEMMAS, lemma_harness
 from .matchings import (
+    MatchingCertificate,
     best_component_matching,
     bipartite_split,
     maximum_matching,
@@ -131,10 +132,6 @@ def _human(payload: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line) + ("\n" if indent == 0 else "")
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _parse_targets(text: str):
     """Targets like 'C3:1,C4:2' (cycles) or 'M4:1,M6n:2' (matchings).
 
@@ -181,6 +178,11 @@ def _parse_range(text: str) -> range:
 
 def _read(path: str) -> str:
     return Path(path).read_text()
+
+
+def _usage(message: str) -> int:
+    print(message, file=sys.stderr)
+    return EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +237,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cycles(args) -> int:
     if args.length is not None and args.parity != "any":
-        print("cycles: --length fixes the parity; drop --parity", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("cycles: --length fixes the parity; drop --parity")
     g = load_graph(_read(args.graph))
     try:
         if args.length is not None:
@@ -266,27 +267,26 @@ def _cmd_cycles(args) -> int:
 
 def _cmd_matching(args) -> int:
     if args.require_nonbipartite and not args.best_component:
-        print("matching: --require-nonbipartite needs --best-component", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("matching: --require-nonbipartite needs --best-component")
     g = load_graph(_read(args.graph))
+    payload = {}
     if args.best_component:
-        comp, match = best_component_matching(g, args.require_nonbipartite)
-        payload = {
-            "component": sorted(comp),
-            "matching": [list(e) for e in match.edges],
-            "saturation": match.saturation,
-        }
+        try:
+            comp, match = best_component_matching(g, args.require_nonbipartite)
+            payload["component"] = sorted(comp)
+        except NoQualifyingComponent:  # a valid answer: no component qualifies
+            match, payload["component"] = MatchingCertificate(()), None
     else:
         match = maximum_matching(g)
-        payload = {
-            "matching": [list(e) for e in match.edges],
-            "saturation": match.saturation,
-        }
+    payload["matching"] = [list(e) for e in match.edges]
+    payload["saturation"] = match.saturation
     _emit(args, payload)
     return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
+    if args.n_target is not None and args.n_scale != 1:
+        return _usage("decompose: --n-scale scales --alpha; drop it with --n-target")
     g = load_graph(_read(args.graph))
     try:
         if args.n_target is not None:
@@ -300,7 +300,7 @@ def _cmd_decompose(args) -> int:
                     "verified": part.verify(g),
                 }
             }
-        elif args.alpha is not None:
+        else:  # the parser requires exactly one of --n-target and --alpha
             split = bipartite_split(g, Fraction(args.alpha), args.n_scale)
             payload = {
                 "bipartite_split": {
@@ -310,9 +310,6 @@ def _cmd_decompose(args) -> int:
                     "verified": split.verify(g),
                 }
             }
-        else:
-            print("decompose: pass --n-target or --alpha", file=sys.stderr)
-            return EXIT_USAGE
     except PreconditionViolated as exc:
         _emit(args, {"error": "precondition-violated", "detail": str(exc)})
         return EXIT_USAGE
@@ -321,12 +318,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    if bool(args.parities) != bool(args.alphas):
+        return _usage("bound: --parities and --alphas go together")
     payload = {}
-    if args.parities and args.alphas:
+    if args.parities:
         parities = tuple(
             {"e": "even", "o": "odd"}[ch] for ch in args.parities.lower()
         )
-        alphas = tuple(_parse_fraction(a) for a in args.alphas.split(","))
+        alphas = tuple(Fraction(a) for a in args.alphas.split(","))
         triple = TargetTriple(alphas, parities, args.n)
         coeff = theorem_coefficient(triple)
         _, case, perm = triple.canonical()
@@ -352,14 +351,18 @@ def _cmd_bound(args) -> int:
             "two_color_nonbipartite": lemma_trzy_host_size(hp, args.n),
         }
     if not payload:
-        print("bound: pass --parities/--alphas, --xi, or --hole-params",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("bound: pass --parities/--alphas, --xi, or --hole-params")
     _emit(args, payload)
     return EXIT_OK
 
 
 def _cmd_search(args) -> int:
+    if args.instance and (args.targets or args.n is not None or args.range):
+        return _usage("search: --instance takes no --targets, --n or --range")
+    if args.range and (args.n is not None or args.mode == "randomized"):
+        return _usage("search: --range takes no --n and no --mode randomized")
+    if args.no_symmetry and args.mode == "randomized":
+        return _usage("search: --no-symmetry prunes exhaustive search only")
     if args.range and args.targets:
         result = ramsey_number_exact(
             _parse_targets(args.targets), _parse_range(args.range),
@@ -372,8 +375,7 @@ def _cmd_search(args) -> int:
     elif args.targets and args.n is not None:
         inst = ArrowInstance(n=args.n, targets=_parse_targets(args.targets))
     else:
-        print("search: pass --instance FILE or --targets SPEC --n N", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("search: pass --instance FILE or --targets SPEC --n N")
     if args.mode == "randomized":
         schedule = AnnealSchedule(steps=args.steps, restarts=args.restarts)
         verdict = arrow_randomized(inst, schedule=schedule, seed=args.seed)
@@ -385,16 +387,20 @@ def _cmd_search(args) -> int:
     return EXIT_OK if verdict.arrows is not None else EXIT_UNKNOWN
 
 
+# every lemma parameter and its kind, from the harness table
+_LEMMA_PARAMETERS = {k: kind for *_, ks in LEMMAS.values() for k, kind in ks.items()}
+
+
+def _lemma_dest(name: str) -> str:
+    return "host_n" if name == "N" else name  # the one flag spelled apart: --host-n
+
+
 def _cmd_lemma(args) -> int:
-    params = {}
-    for key in ("alpha", "beta", "nu", "eps", "alpha1", "alpha2", "nu1", "nu2"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = Fraction(value)
-    for key in ("n", "n1", "n2", "N"):
-        value = getattr(args, key if key != "N" else "host_n")
-        if value is not None:
-            params[key] = value
+    params = {}  # the lemma's own parameters first, in the table's order
+    for name, kind in {**LEMMAS[args.id][2], **_LEMMA_PARAMETERS}.items():
+        value = getattr(args, _lemma_dest(name))
+        if value is not None:  # the harness refuses a parameter the lemma lacks
+            params[name] = Fraction(value) if kind is Fraction else value
     report = lemma_harness(
         args.id,
         params,
@@ -457,8 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("decompose", help="barrier partition or bipartite split")
     p.add_argument("--graph", required=True)
-    p.add_argument("--n-target", type=int)
-    p.add_argument("--alpha", help="bipartite split bound (rational)")
+    question = p.add_mutually_exclusive_group(required=True)
+    question.add_argument("--n-target", type=int)
+    question.add_argument("--alpha", help="bipartite split bound (rational)")
     p.add_argument("--n-scale", type=int, default=1)
     p.set_defaults(func=_cmd_decompose)
 
@@ -487,18 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="reject parameters violating asymptotic guards")
     p.add_argument("--adversary-steps", type=int, default=_ADVERSARY_STEPS)
-    p.add_argument("--alpha")
-    p.add_argument("--beta")
-    p.add_argument("--nu")
-    p.add_argument("--eps")
-    p.add_argument("--alpha1")
-    p.add_argument("--alpha2")
-    p.add_argument("--nu1")
-    p.add_argument("--nu2")
-    p.add_argument("--n", type=int)
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--host-n", type=int, help="host size N (two-hole lemma)")
+    for name, kind in _LEMMA_PARAMETERS.items():
+        # rationals stay strings here, so a run's config hash keeps its text
+        p.add_argument("--" + _lemma_dest(name).replace("_", "-"),
+                       type=int if kind is int else str,
+                       help="host size N (two-hole lemma)" if name == "N" else None)
     p.set_defaults(func=_cmd_lemma)
     return parser
 

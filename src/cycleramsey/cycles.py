@@ -60,12 +60,11 @@ class _Budget:
         self.left = amount
         self.spent = 0
 
-    def spend(self, k: int = 1) -> None:
-        self.left -= k
-        self.spent += k
-        if self.left < 0:
-            # one unit past the budget, however large the last charge
-            raise BudgetExceededError(nodes=self.spent + self.left + 1)
+    def spend(self) -> None:
+        self.left -= 1
+        self.spent += 1
+        if self.left < 0:  # one unit past the budget
+            raise BudgetExceededError(nodes=self.spent)
 
 
 def _simple_paths(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import __version__
@@ -32,8 +33,7 @@ from .graphs import (
     complete_graph,
     graph_to_dict,
 )
-from .matchings import _best_matched, _mates, _repair_matching
-from .matchings import best_saturation, maximum_matching
+from .matchings import _best_matched, _mates, _repair_matching, best_saturation
 
 
 @dataclass
@@ -107,37 +107,44 @@ def _second_color_rows(adj: tuple[int, ...], colors: bytes) -> list[int]:
     ]
 
 
+def _two_color_margin(classes, mates, thresholds, nonbip2: bool) -> Fraction:
+    """max(s1 - t1, s2 - t2), s_i the best component saturation of class i
+    under its maximum matching ``mates[i]``; the conclusion holds iff >= 0."""
+    s1 = _best_matched(classes[0], mates[0])[0]
+    s2 = _best_matched(classes[1], mates[1], nonbip2)[0]
+    return max(s1 - thresholds[0], s2 - thresholds[1])
+
+
 def _adversarial_two_coloring(
-    rng: random.Random,
-    edges: list,
-    classes: list[list[int]],
-    evaluate: Callable[..., tuple[bool, Fraction]],
-    steps: int,
+    rng: random.Random, edges: list, classes: list[list[int]],
+    thresholds: tuple[Fraction, Fraction], nonbip2: bool, steps: int,
 ) -> bool:
     """Greedy local search lowering the conclusion margin (tries to falsify).
 
     A move toggles an edge of ``edges`` in classes 1 and 2, swapping its color.
-    ``evaluate`` reads both classes' maximum matchings, which each move repairs
+    The margin reads both classes' maximum matchings, which each move repairs
     (``_repair_matching``: Berge's lemma); returns the final conclusion."""
     mates = [_mates(adj) for adj in classes[:2]]
-    ok, cur = evaluate(classes, mates)
+    cur = _two_color_margin(classes, mates, thresholds, nonbip2)
     for _ in range(steps):
         if not edges:
             break
         u, v = edges[rng.randrange(len(edges))]
         _toggle_edge(u, v, classes[0], classes[1])
         trial = [_repair_matching(a, m[:], u, v) for a, m in zip(classes, mates)]
-        ok_new, new = evaluate(classes, trial)
+        new = _two_color_margin(classes, trial, thresholds, nonbip2)
         if new <= cur:
-            ok, cur, mates = ok_new, new, trial
+            cur, mates = new, trial
         else:
             _toggle_edge(u, v, classes[0], classes[1])
-    return ok
+    return cur >= 0
 
 
 # ---------------------------------------------------------------------------
 # Per-lemma drivers.
 # ---------------------------------------------------------------------------
+
+_Sample = tuple[bool, Callable[[], dict]]  # a driver's (ok, record)
 
 
 def _check_l2_params(p: dict, strict: bool, warnings: list[str]) -> None:
@@ -148,10 +155,8 @@ def _check_l2_params(p: dict, strict: bool, warnings: list[str]) -> None:
         raise HypothesisViolation("need 0 < eps < 0.01")
 
 
-def _run_l2(
-    p: dict, rng: random.Random, adversarial: bool, steps: int
-) -> tuple[bool, Callable[[], dict]]:
-    del adversarial, steps  # no coloring here: random deletions are the only freedom
+def _run_l2(p: dict, rng: random.Random, steps: int) -> _Sample:
+    # no coloring here, so ``steps`` is unused: deletions are the only freedom
     n1, n2, eps = p["n1"], p["n2"], Fraction(p["eps"])
     n = n1 + n2
     left = (1 << n1) - 1
@@ -161,23 +166,20 @@ def _run_l2(
     g = apply_holes_and_deletions(host, HoleSpec(), deletions)
     size_thresh = (1 - 3 * eps) * (n1 + n2)
     card_thresh = (1 - 3 * eps) * n2
-    ok = False
-    comps = _component_masks(g._adj, g.vertices_mask())
-    for comp in sorted(comps, key=int.bit_count, reverse=True):
-        if comp.bit_count() < size_thresh:
-            break
-        if Fraction(len(maximum_matching(g, within=comp).edges)) >= card_thresh:
-            ok = True
-            break
+    # a maximum matching of g is maximum on each component: a component
+    # saturates its size minus its exposed vertices
+    exposed = sum(1 << v for v, mate in enumerate(_mates(g._adj)) if mate == -1)
+    ok = any(
+        comp.bit_count() >= size_thresh
+        and comp.bit_count() - (comp & exposed).bit_count() >= 2 * card_thresh
+        for comp in _component_masks(g._adj, g.vertices_mask())
+    )
 
     def record() -> dict:
         witness = {"graph": graph_to_dict(g), "deletions": sorted(deletions)}
-        recheck = {
-            "ok": g.num_edges >= (1 - eps) * n1 * n2,
-            "violations": []
-            if g.num_edges >= (1 - eps) * n1 * n2
-            else ["edge count below (1-eps)|V1||V2|"],
-        }
+        dense = g.num_edges >= (1 - eps) * n1 * n2
+        violations = [] if dense else ["edge count below (1-eps)|V1||V2|"]
+        recheck = {"ok": dense, "violations": violations}
         return {"witness": witness, "recheck": recheck}
 
     return ok, record
@@ -197,10 +199,8 @@ def _check_double_params(p: dict, strict: bool, warnings: list[str]) -> None:
     warnings.extend(f"asymptotic guard relaxed: {gd}" for gd in guard)
 
 
-def _run_double(
-    p: dict, rng: random.Random, adversarial: bool, steps: int
-) -> tuple[bool, Callable[[], dict]]:
-    del adversarial, steps  # hole placement and deletions are the only freedom
+def _run_double(p: dict, rng: random.Random, steps: int) -> _Sample:
+    # no coloring here, so ``steps`` is unused: holes and deletions are the freedom
     N = p["N"]
     nu1, nu2, eps = Fraction(p["nu1"]), Fraction(p["nu2"]), Fraction(p["eps"])
     u1 = frozenset(rng.sample(range(N), int(nu1 * N)))
@@ -247,45 +247,25 @@ def _host_with_hole(
     return g, w, deletions
 
 
-def _two_color_conclusion(
-    thresh1: Fraction, thresh2: Fraction, nonbip2: bool
-) -> Callable[..., tuple[bool, Fraction]]:
-    """(ok, margin) of classes 1 and 2, read off their maximum matchings."""
-    def evaluate(classes: list[list[int]], mates) -> tuple[bool, Fraction]:
-        s1 = _best_matched(classes[0], mates[0])[0]
-        s2 = _best_matched(classes[1], mates[1], nonbip2)[0]
-        ok = Fraction(s1) >= thresh1 or Fraction(s2) >= thresh2
-        margin = max(Fraction(s1) - thresh1, Fraction(s2) - thresh2)
-        return ok, margin
-
-    return evaluate
-
-
-def _run_hole_lemma(
-    p: dict, rng: random.Random, adversarial: bool, nonbip2: bool, steps: int
-) -> tuple[bool, Callable[[], dict]]:
+def _run_hole_lemma(p: dict, rng: random.Random, steps: int, nonbip2: bool) -> _Sample:
     hp = HoleParams(p["alpha"], p["beta"], p["nu"], p["eps"])
     n = p["n"]
     N = lemma_trzy_host_size(hp, n) if nonbip2 else lemma_dwa_host_size(hp, n)
     hole_size = int(hp.nu * n)
     budget = int(hp.epsilon**3 * n * n)
     g, w, deletions = _host_with_hole(rng, N, hole_size, budget)
-    thresh1 = (hp.alpha + hp.epsilon) * n
-    thresh2 = (hp.beta + hp.epsilon) * n
-    evaluate = _two_color_conclusion(thresh1, thresh2, nonbip2)
+    thresholds = ((hp.alpha + hp.epsilon) * n, (hp.beta + hp.epsilon) * n)
     second = _second_color_rows(g._adj, _uniform_colors(rng, g.num_edges, 2))
     classes = [[a ^ b for a, b in zip(g._adj, second)], second]
-    moves = g.edges() if adversarial else []  # a uniform sample makes no move
-    ok = _adversarial_two_coloring(
-        rng, moves, classes, evaluate, steps if adversarial else 0
-    )
+    moves = g.edges() if steps > 0 else []
+    ok = _adversarial_two_coloring(rng, moves, classes, thresholds, nonbip2, steps)
 
     def record() -> dict:
         coloring = EdgeColoring._from_masks(g.n, classes, HoleSpec((w,)), deletions)
         witness = {
             "coloring": coloring_to_dict(coloring),
             "hole": sorted(w),
-            "thresholds": [str(thresh1), str(thresh2)],
+            "thresholds": [str(t) for t in thresholds],
         }
         recheck = {
             "ok": len(w) == hole_size and len(deletions) <= budget,
@@ -304,9 +284,7 @@ def _check_f1_params(p: dict, strict: bool, warnings: list[str]) -> None:
         raise HypothesisViolation("need 0 < eps < 0.01*alpha2")
 
 
-def _run_f1(
-    p: dict, rng: random.Random, adversarial: bool, steps: int
-) -> tuple[bool, Callable[[], dict]]:
+def _run_f1(p: dict, rng: random.Random, steps: int) -> _Sample:
     a1, a2, eps = Fraction(p["alpha1"]), Fraction(p["alpha2"]), Fraction(p["eps"])
     n = p["n"]
     nverts = _host_size(2 * a1 + a2, 9, eps, n)
@@ -333,9 +311,9 @@ def _run_f1(
             third_mutable.append((u, v))
         classes[c - 1][u] |= 1 << v
         classes[c - 1][v] |= 1 << u
-    evaluate = _two_color_conclusion((a1 + eps) * n, (a2 + eps) * n, False)
+    thresholds = ((a1 + eps) * n, (a2 + eps) * n)
     ok = _adversarial_two_coloring(
-        rng, third_mutable, classes, evaluate, steps if adversarial else 0
+        rng, third_mutable, classes, thresholds, False, steps
     )
 
     def record() -> dict:
@@ -348,11 +326,10 @@ def _run_f1(
         witness = {
             "coloring": coloring_to_dict(coloring), "bipartite_third_union": gprime
         }
+        big = gprime >= t3
         recheck = {
-            "ok": gprime >= t3 and len(deletions) <= budget,
-            "violations": []
-            if gprime >= t3
-            else ["bipartite third-color union too small"],
+            "ok": big and len(deletions) <= budget,
+            "violations": [] if big else ["bipartite third-color union too small"],
         }
         return {"witness": witness, "recheck": recheck}
 
@@ -363,21 +340,23 @@ def _run_f1(
 # Entry point.
 # ---------------------------------------------------------------------------
 
-# lemma id -> (parameter check, sample driver(params, rng, adversarial, steps)).
-# A driver returns (ok, record): ``record()`` builds the failure record,
-# {"witness": ..., "recheck": ...}, and runs only for a failing sample.
+_HOLE = {"alpha": Fraction, "beta": Fraction, "nu": Fraction, "eps": Fraction, "n": int}
+
+# lemma id -> (parameter check, sample driver(params, rng, steps), parameters).
+# ``parameters`` maps each parameter the lemma takes to its kind; the CLI
+# builds its ``lemma`` flags from these and passes a lemma's parameters in
+# this order (rationals first). A driver makes ``steps`` adversary
+# moves (0: a uniform sample) and returns (ok, record): ``record()`` builds
+# the failure record, {"witness": ..., "recheck": ...}, and runs only for a
+# failing sample.
 LEMMAS = {
-    "l2": (_check_l2_params, _run_l2),
-    "double": (_check_double_params, _run_double),
-    "dwa": (
-        _check_hole_params,
-        lambda p, rng, adv, steps: _run_hole_lemma(p, rng, adv, False, steps),
-    ),
-    "trzy": (
-        _check_hole_params,
-        lambda p, rng, adv, steps: _run_hole_lemma(p, rng, adv, True, steps),
-    ),
-    "f1": (_check_f1_params, _run_f1),
+    "l2": (_check_l2_params, _run_l2, {"eps": Fraction, "n1": int, "n2": int}),
+    "double": (_check_double_params, _run_double,
+               {"eps": Fraction, "nu1": Fraction, "nu2": Fraction, "N": int}),
+    "dwa": (_check_hole_params, partial(_run_hole_lemma, nonbip2=False), _HOLE),
+    "trzy": (_check_hole_params, partial(_run_hole_lemma, nonbip2=True), _HOLE),
+    "f1": (_check_f1_params, _run_f1,
+           {"eps": Fraction, "alpha1": Fraction, "alpha2": Fraction, "n": int}),
 }
 LEMMA_IDS = tuple(LEMMAS)
 ADVERSARIAL_FRACTION = 0.15  # share of samples whose coloring the adversary tunes
@@ -397,14 +376,18 @@ def lemma_harness(
     Each sample draws from its own ``random.Random(seed * 1_000_003 + i)``;
     its driver returns ``(ok, record)`` and ``record()``, which builds the
     witness and the hypothesis re-check, is called only when ``ok`` is
-    False, so a passing sample pays for no record."""
+    False, so a passing sample pays for no record. ``params`` must hold
+    exactly the parameters that ``LEMMAS`` names for the lemma."""
     if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}; choose from {LEMMA_IDS}")
+    check, run_sample, parameters = LEMMAS[lemma]
+    if params.keys() != parameters.keys():
+        got = ", ".join(sorted(params)) or "none"
+        raise ValueError(f"lemma {lemma!r} takes {', '.join(parameters)}; got {got}")
     if samples < 1:
         raise ValueError("need at least one sample")
     if adversary_steps < 0:
         raise ValueError(f"need adversary_steps >= 0, got {adversary_steps}")
-    check, run_sample = LEMMAS[lemma]
     warnings: list[str] = []
     check(params, strict, warnings)
 
@@ -415,7 +398,7 @@ def lemma_harness(
         rng = random.Random(seed * 1_000_003 + i)
         adversarial = i < n_adv
         mode = "adversarial" if adversarial else "uniform"
-        ok, record = run_sample(params, rng, adversarial, adversary_steps)
+        ok, record = run_sample(params, rng, adversary_steps if adversarial else 0)
         if ok:
             passes += 1
         else:

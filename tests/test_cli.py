@@ -318,9 +318,55 @@ def test_contradictory_options_are_refused(tmp_path, capsys):
     # parity "any" is the default and contradicts no length
     assert run(["cycles", "--graph", str(c4), "--length", "4", "--parity", "any"]) == 0
     assert "found: True" in capsys.readouterr().out
+
+
+def test_options_that_would_be_ignored_are_refused(tmp_path, capsys):
+    # each of these used to exit 0 with the answer to another question
+    star = tmp_path / "star.json"
+    star.write_text(dump_graph(Graph(6, [(0, i) for i in range(1, 6)])))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "n": 5, "holes": [], "deleted_budget": 0,
+        "targets": [{"kind": "cycle", "length": 3, "exact": True}] * 2,
+    }))
+    for argv in (
+        ["decompose", "--graph", str(star), "--n-target", "9", "--alpha", "1"],
+        ["decompose", "--graph", str(star), "--n-target", "9", "--n-scale", "7"],
+        ["search", "--targets", "C3:1,C3:2", "--range", "5..6", "--mode", "randomized"],
+        ["search", "--targets", "C3:1,C3:2", "--range", "5..6", "--n", "6"],
+        ["search", "--instance", str(inst), "--range", "3..9"],
+        ["search", "--instance", str(inst), "--targets", "C4:1,C4:2", "--n", "9"],
+        ["search", "--instance", str(inst), "--n", "9"],
+        ["search", "--targets", "C3:1,C3:2", "--n", "5", "--mode", "randomized",
+         "--no-symmetry"],
+        ["bound", "--parities", "eeo", "--xi", "1,1,0"],
+        ["bound", "--alphas", "1,1,1", "--xi", "1,1,0"],
+    ):
+        assert run(argv + ["--format", "json"]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err, argv
+    # the defaults they are checked against ask nothing more
+    for argv in (
+        ["decompose", "--graph", str(star), "--n-target", "9", "--n-scale", "1"],
+        ["search", "--targets", "C3:1,C3:2", "--range", "5..6", "--mode",
+         "exhaustive"],
+        ["search", "--instance", str(inst), "--no-symmetry"],
+        ["bound", "--parities", "eeo", "--alphas", "1,1,1", "--xi", "1,1,0"],
+    ):
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_matching_without_a_qualifying_component_answers_none(tmp_path, capsys):
+    # C4 has no non-bipartite component: a valid input whose answer is "none"
+    c4 = tmp_path / "c4.json"
+    c4.write_text(dump_graph(Graph(4, [(i, (i + 1) % 4) for i in range(4)])))
     assert run(["matching", "--graph", str(c4), "--best-component",
-                "--require-nonbipartite"]) == 1  # C4 has no odd component
-    assert "error: " in capsys.readouterr().err
+                "--require-nonbipartite", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert (data["component"], data["matching"], data["saturation"]) == (None, [], 0)
+    assert captured.err == ""
 
 
 def test_search_matching_and_randomized_modes(capsys):

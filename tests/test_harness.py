@@ -118,13 +118,33 @@ def test_unknown_lemma_id():
         lemma_harness("nope", {}, samples=1, seed=1)
 
 
+def test_lemma_parameters_must_match(capsys):
+    # the harness table names each lemma's parameters; a missing or a
+    # foreign one is refused before any sample, from the library and the CLI
+    from cycleramsey.cli import run
+
+    l2 = {"n1": 10, "n2": 10, "eps": Fraction(1, 200)}
+    for params in ({"n1": 10, "n2": 10}, {**l2, "alpha": Fraction(7)}):
+        with pytest.raises(ValueError, match="lemma 'l2' takes eps, n1, n2"):
+            lemma_harness("l2", params, samples=1, seed=1)
+    argv = ["lemma", "--id", "l2", "--n1", "10", "--n2", "10", "--eps", "1/200"]
+    assert run(argv + ["--alpha", "7"]) == 1
+    captured = capsys.readouterr()
+    assert "takes eps, n1, n2; got alpha, eps, n1, n2" in captured.err
+    assert captured.out == ""
+    assert run(["lemma", "--id", "l2"]) == 1
+    assert "got none" in capsys.readouterr().err
+    assert run(argv + ["--format", "json"]) == 0
+
+
 def test_negative_adversary_steps_are_refused(monkeypatch):
     import cycleramsey.harness as harness
 
     def no_sample(*args):
         raise AssertionError("a sample ran")
 
-    monkeypatch.setitem(harness.LEMMAS, "dwa", (harness.LEMMAS["dwa"][0], no_sample))
+    check, _, parameters = harness.LEMMAS["dwa"]
+    monkeypatch.setitem(harness.LEMMAS, "dwa", (check, no_sample, parameters))
     with pytest.raises(ValueError, match="adversary_steps"):
         lemma_harness(
             "dwa", {"alpha": 1, "beta": 1, "nu": 0, "eps": EPS, "n": 10},
@@ -137,7 +157,7 @@ def test_evaluator_catches_genuine_counterexample():
     # split "two dominating vertices" vs "K5 on the rest" keeps every
     # monochromatic component matching below (1+eps)*4 saturation
     from cycleramsey.graphs import complete_graph
-    from cycleramsey.harness import _two_color_conclusion
+    from cycleramsey.harness import _two_color_margin
     from cycleramsey.matchings import _mates
 
     g = complete_graph(7)
@@ -147,13 +167,9 @@ def test_evaluator_catches_genuine_counterexample():
     two = [g.adjacency_mask(v) & ~dominating if v < 5 else 0 for v in range(7)]
     thresh = (1 + EPS) * 4
     mates = [_mates(one), _mates(two)]
-    evaluate = _two_color_conclusion(thresh, thresh, False)
-    ok, margin = evaluate([one, two], mates)
-    assert ok is False and margin < 0
+    assert _two_color_margin([one, two], mates, (thresh, thresh), False) < 0
     # flipping the demand to something the coloring does satisfy
-    evaluate = _two_color_conclusion(Fraction(4), Fraction(4), False)
-    ok, _ = evaluate([one, two], mates)
-    assert ok is True
+    assert _two_color_margin([one, two], mates, (Fraction(4),) * 2, False) >= 0
 
 
 def test_failure_records_and_clean_filter():
@@ -221,7 +237,8 @@ def test_forced_failure_records_match_the_driver(monkeypatch, lemma):
     for i, failure in enumerate(report.failures):
         assert failure.sample == i
         rng = random.Random(seed * 1_000_003 + i)
-        ok, record = run_sample(params, rng, i < n_adv, harness._ADVERSARY_STEPS)
+        steps = harness._ADVERSARY_STEPS if i < n_adv else 0
+        ok, record = run_sample(params, rng, steps)
         info = record()
         assert ok is False
         assert failure.witness == info["witness"]

@@ -144,7 +144,7 @@ def _uniform_hole_samples(nonbip2):
     # uniform colorings (no adversary) at every hole fraction
     return [
         _eager(_run_hole_lemma({**HOLE, "nu": nu, "n": 10}, random.Random(seed),
-                               False, nonbip2, 20))
+                               0, nonbip2))
         for seed, nu in enumerate((0, Fraction(1, 2), 1, Fraction(1, 2)), 16)
     ]
 
@@ -372,24 +372,24 @@ CASES = {
     # Harness reports only show the witnesses of failed samples; the sample
     # drivers' (ok, record()) pairs also pin the colorings the adversary leaves.
     "sample dwa adversarial": lambda: _eager(_run_hole_lemma(
-        HOLE, random.Random(11), True, False, 20
+        HOLE, random.Random(11), 20, False
     )),
     "sample trzy adversarial": lambda: _eager(_run_hole_lemma(
-        HOLE, random.Random(12), True, True, 20
+        HOLE, random.Random(12), 20, True
     )),
     "sample trzy adversarial 100 steps": lambda: _eager(_run_hole_lemma(
-        HOLE, random.Random(15), True, True, 100
+        HOLE, random.Random(15), 100, True
     )),
-    "sample f1 adversarial": lambda: _eager(_run_f1(F1, random.Random(13), True, 20)),
-    "sample f1 uniform": lambda: _eager(_run_f1(F1, random.Random(14), False, 20)),
+    "sample f1 adversarial": lambda: _eager(_run_f1(F1, random.Random(13), 20)),
+    "sample f1 uniform": lambda: _eager(_run_f1(F1, random.Random(14), 0)),
     "sample dwa uniform": lambda: _uniform_hole_samples(False),
     "sample trzy uniform": lambda: _uniform_hole_samples(True),
     # nonzero deletion budgets: passing reports do not show their deletions
     "sample l2 deleting": lambda: [
-        _eager(_run_l2(L2, random.Random(seed), False, 20)) for seed in range(16, 20)
+        _eager(_run_l2(L2, random.Random(seed), 0)) for seed in range(16, 20)
     ],
     "sample double deleting": lambda: [
-        _eager(_run_double(DOUBLE, random.Random(seed), False, 20))
+        _eager(_run_double(DOUBLE, random.Random(seed), 0))
         for seed in range(16, 20)
     ],
     "sample_deletions holed": _holed_deletions,
