@@ -177,9 +177,12 @@ def _run_l2(p: dict, rng: random.Random, steps: int) -> _Sample:
 
     def record() -> dict:
         witness = {"graph": graph_to_dict(g), "deletions": sorted(deletions)}
-        dense = g.num_edges >= (1 - eps) * n1 * n2
-        violations = [] if dense else ["edge count below (1-eps)|V1||V2|"]
-        recheck = {"ok": dense, "violations": violations}
+        recheck = {
+            "ok": g.num_edges >= (1 - eps) * n1 * n2,
+            "violations": []
+            if g.num_edges >= (1 - eps) * n1 * n2
+            else ["edge count below (1-eps)|V1||V2|"],
+        }
         return {"witness": witness, "recheck": recheck}
 
     return ok, record
@@ -326,10 +329,11 @@ def _run_f1(p: dict, rng: random.Random, steps: int) -> _Sample:
         witness = {
             "coloring": coloring_to_dict(coloring), "bipartite_third_union": gprime
         }
-        big = gprime >= t3
         recheck = {
-            "ok": big and len(deletions) <= budget,
-            "violations": [] if big else ["bipartite third-color union too small"],
+            "ok": gprime >= t3 and len(deletions) <= budget,
+            "violations": []
+            if gprime >= t3
+            else ["bipartite third-color union too small"],
         }
         return {"witness": witness, "recheck": recheck}
 
