@@ -10,6 +10,7 @@ check).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -73,6 +74,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNKNOWN = 2
 EXIT_INTERNAL = 3
+
+_BOUND_N = 100  # bound --n: the n that --parities/--alphas and --hole-params scale
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -320,6 +323,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_bound(args) -> int:
     if bool(args.parities) != bool(args.alphas):
         return _usage("bound: --parities and --alphas go together")
+    if args.n != _BOUND_N and not (args.parities or args.hole_params):
+        return _usage("bound: --n scales --parities/--alphas and --hole-params only")
     payload = {}
     if args.parities:
         parities = tuple(
@@ -363,6 +368,9 @@ def _cmd_search(args) -> int:
         return _usage("search: --range takes no --n and no --mode randomized")
     if args.no_symmetry and args.mode == "randomized":
         return _usage("search: --no-symmetry prunes exhaustive search only")
+    default = (AnnealSchedule.steps, AnnealSchedule.restarts)
+    if args.mode == "exhaustive" and (args.steps, args.restarts) != default:
+        return _usage("search: --steps and --restarts schedule --mode randomized only")
     if args.range and args.targets:
         result = ramsey_number_exact(
             _parse_targets(args.targets), _parse_range(args.range),
@@ -413,7 +421,12 @@ def _cmd_lemma(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cycleramsey`` parser, built once per process and shared by every
+    ``run``: ``parse_args`` makes a new namespace from the defaults on each
+    call and never writes to the parser. ``set_defaults(func=...)`` binds the
+    ``_cmd_*`` functions when the parser is first built."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for all randomness (fixed default, never wall clock)")
@@ -472,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("bound", help="exact bound formulas")
     p.add_argument("--parities", help="three letters from {e,o}, e.g. eeo")
     p.add_argument("--alphas", help="comma-separated rationals, e.g. 1,1/2,2")
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=int, default=_BOUND_N)
     p.add_argument("--xi", help="alpha,beta,nu")
     p.add_argument("--hole-params", help="alpha,beta,nu,eps")
     p.set_defaults(func=_cmd_bound)

@@ -53,9 +53,6 @@ class ConstructionReport:
     claims: tuple[Claim, ...]
     notes: tuple[str, ...] = ()
 
-    def all_verified(self) -> bool:
-        return all(c.verified is True for c in self.claims)
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

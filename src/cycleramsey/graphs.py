@@ -96,9 +96,6 @@ class Graph:
         g._adj = tuple(masks)
         return g
 
-    def adjacency_mask(self, v: int) -> int:
-        return self._adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj[u] >> v & 1) if u != v else False
 
@@ -121,14 +118,6 @@ class Graph:
 
     def vertices_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def subgraph_on(self, vertices: Iterable[int] | int) -> "Graph":
-        """Graph on the same vertex range keeping only edges inside ``vertices``."""
-        keep = vertices if isinstance(vertices, int) else _mask_of(vertices)
-        masks = [
-            (self._adj[v] & keep) if (keep >> v & 1) else 0 for v in range(self.n)
-        ]
-        return Graph._from_masks(self.n, masks)
 
     def __eq__(self, other) -> bool:
         return (
@@ -261,10 +250,6 @@ class EdgeColoring:
                 if g._adj[u] >> v & 1:
                     return i
         return None
-
-    def host_graph(self) -> Graph:
-        rows = zip(*(g._adj for g in self.classes))
-        return Graph._from_masks(self.n, [sum(r) for r in rows])  # disjoint classes
 
     def color_class(self, i: int) -> Graph:
         if not 1 <= i <= self.k:

@@ -12,9 +12,12 @@ hypothesis re-check of the offending instance.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from typing import Callable
 
 from . import __version__
@@ -63,13 +66,44 @@ class HarnessReport:
         return {**asdict(self), "params": {k: str(v) for k, v in self.params.items()}}
 
 
+class _EdgeView(Sequence):
+    """``Graph.edges()`` of the rows ``adj`` without the list: ``view[i]`` is
+    found through per-row prefix counts of upper neighbours and a bisect.
+
+    ``random.sample`` and ``randrange`` read only the length, so drawing from
+    the view draws the same edges from the same random stream as drawing
+    from the list. A small population ``random.sample`` copies by iterating
+    until ``IndexError``, which the view raises past its end.
+    """
+
+    def __init__(self, adj: tuple[int, ...]):
+        self._adj = adj
+        upper = ((row >> (u + 1)).bit_count() for u, row in enumerate(adj))
+        self._ends = list(accumulate(upper))  # edges in rows 0..u
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("edge index out of range")
+        u = bisect_right(self._ends, i)
+        m = self._adj[u] >> (u + 1) << (u + 1)
+        for _ in range(i - (self._ends[u - 1] if u else 0)):
+            m &= m - 1  # drop the lowest neighbour
+        return u, (m & -m).bit_length() - 1
+
+
 def _sample_deletions(rng: random.Random, host: Graph, budget: int) -> list:
     if budget <= 0:
         return []
     count = rng.randint(0, budget)
     if count == 0:
         return []
-    return rng.sample(host.edges(), min(count, host.num_edges))
+    edges = _EdgeView(host._adj)
+    return rng.sample(edges, min(count, len(edges)))
 
 
 _SECOND_COLOR_BIT = bytes.maketrans(b"\x01\x02", b"01")
@@ -116,19 +150,24 @@ def _two_color_margin(classes, mates, thresholds, nonbip2: bool) -> Fraction:
 
 
 def _adversarial_two_coloring(
-    rng: random.Random, edges: list, classes: list[list[int]],
+    rng: random.Random, edges: Sequence, classes: list[list[int]],
     thresholds: tuple[Fraction, Fraction], nonbip2: bool, steps: int,
 ) -> bool:
     """Greedy local search lowering the conclusion margin (tries to falsify).
 
     A move toggles an edge of ``edges`` in classes 1 and 2, swapping its color.
     The margin reads both classes' maximum matchings, which each move repairs
-    (``_repair_matching``: Berge's lemma); returns the final conclusion."""
+    (``_repair_matching``: Berge's lemma); returns the final conclusion.
+    With no move to make, the conclusion ``margin >= 0`` is ``s1 >= t1 or
+    s2 >= t2``, and class 2 is matched only when class 1 falls short."""
+    if not (steps and edges):
+        one, two = classes[:2]
+        if _best_matched(one, _mates(one))[0] >= thresholds[0]:
+            return True
+        return _best_matched(two, _mates(two), nonbip2)[0] >= thresholds[1]
     mates = [_mates(adj) for adj in classes[:2]]
     cur = _two_color_margin(classes, mates, thresholds, nonbip2)
     for _ in range(steps):
-        if not edges:
-            break
         u, v = edges[rng.randrange(len(edges))]
         _toggle_edge(u, v, classes[0], classes[1])
         trial = [_repair_matching(a, m[:], u, v) for a, m in zip(classes, mates)]
@@ -260,7 +299,7 @@ def _run_hole_lemma(p: dict, rng: random.Random, steps: int, nonbip2: bool) -> _
     thresholds = ((hp.alpha + hp.epsilon) * n, (hp.beta + hp.epsilon) * n)
     second = _second_color_rows(g._adj, _uniform_colors(rng, g.num_edges, 2))
     classes = [[a ^ b for a, b in zip(g._adj, second)], second]
-    moves = g.edges() if steps > 0 else []
+    moves = _EdgeView(g._adj)  # the adversary draws a few edges by index
     ok = _adversarial_two_coloring(rng, moves, classes, thresholds, nonbip2, steps)
 
     def record() -> dict:
@@ -381,7 +420,9 @@ def lemma_harness(
     its driver returns ``(ok, record)`` and ``record()``, which builds the
     witness and the hypothesis re-check, is called only when ``ok`` is
     False, so a passing sample pays for no record. ``params`` must hold
-    exactly the parameters that ``LEMMAS`` names for the lemma."""
+    exactly the parameters that ``LEMMAS`` names for the lemma; ``l2`` and
+    ``double`` color nothing, so they take ``adversary_steps`` only at its
+    default."""
     if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}; choose from {LEMMA_IDS}")
     check, run_sample, parameters = LEMMAS[lemma]
@@ -392,6 +433,8 @@ def lemma_harness(
         raise ValueError("need at least one sample")
     if adversary_steps < 0:
         raise ValueError(f"need adversary_steps >= 0, got {adversary_steps}")
+    if lemma in ("l2", "double") and adversary_steps != _ADVERSARY_STEPS:
+        raise ValueError(f"lemma {lemma!r} colors nothing; adversary_steps is unused")
     warnings: list[str] = []
     check(params, strict, warnings)
 

@@ -54,18 +54,25 @@ def _alternating_search(adj: Sequence[int], mask: int, match: list[int]):
     """Edmonds' alternating-tree search with blossom contraction.
 
     Works only on the vertices of ``mask``, reading their neighbours in
-    ``adj & mask``. Returns ``(find_path, used)``. ``find_path(root)`` grows
-    the tree of the exposed vertex ``root``; if it meets another exposed
-    vertex it augments ``match`` in place and returns True. Otherwise
-    ``used`` then marks the even (outer) vertices of root's tree, those
-    reachable from ``root`` by an alternating path of even length.
+    ``adj & mask``. Returns ``(find_path, used, tree)``. ``find_path(root)``
+    grows the tree of the exposed vertex ``root``; if it meets another
+    exposed vertex it augments ``match`` in place and returns True.
+    Otherwise ``tree`` then lists the vertices of root's tree (root, its odd
+    vertices and their mates), and ``used`` marks its even (outer) ones,
+    those reachable from ``root`` by an alternating path of even length.
+
+    Only tree vertices are ever parents, bases or blossom members, so each
+    root resets, and each contraction scans, only the previous tree: the
+    cost of a root is that of its tree, not of ``mask``. A contraction
+    queues the tree's new even vertices in ascending order, as a scan of
+    ``mask`` would, so the search takes the same steps.
     """
     n = len(adj)
-    verts = list(_bits(mask))
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
     blossom = [False] * n
+    tree: list[int] = []
 
     def mark_path(v: int, b: int, child: int) -> None:
         while base[v] != b:
@@ -92,10 +99,11 @@ def _alternating_search(adj: Sequence[int], mask: int, match: list[int]):
             v = p[match[v]]
 
     def find_path(root: int) -> bool:
-        for i in verts:
+        for i in tree:
             used[i] = False
             p[i] = -1
             base[i] = i
+        tree[:] = [root]
         used[root] = True
         q = deque([root])
         while q:
@@ -109,11 +117,12 @@ def _alternating_search(adj: Sequence[int], mask: int, match: list[int]):
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     curbase = lca(v, to)
-                    for i in verts:
+                    for i in tree:
                         blossom[i] = False
                     mark_path(v, curbase, to)
                     mark_path(to, curbase, v)
-                    for i in verts:
+                    tree.sort()  # ascending, as a scan of the mask would go
+                    for i in tree:
                         if blossom[base[i]]:
                             base[i] = curbase
                             if not used[i]:
@@ -121,6 +130,7 @@ def _alternating_search(adj: Sequence[int], mask: int, match: list[int]):
                                 q.append(i)
                 elif p[to] == -1:
                     p[to] = v
+                    tree.append(to)
                     if match[to] == -1:
                         u = to
                         while u != -1:
@@ -131,10 +141,11 @@ def _alternating_search(adj: Sequence[int], mask: int, match: list[int]):
                             u = ppv
                         return True
                     used[match[to]] = True
+                    tree.append(match[to])
                     q.append(match[to])
         return False
 
-    return find_path, used
+    return find_path, used, tree
 
 
 def _mates(adj: Sequence[int], mask: Optional[int] = None) -> list[int]:
@@ -159,7 +170,7 @@ def _mates(adj: Sequence[int], mask: Optional[int] = None) -> list[int]:
             free &= ~(1 << v | 1 << w)
     exposed = sum(1 for v in _bits(free) if adj[v] & mask)  # possible path ends
     if exposed > 1:
-        find_path, _ = _alternating_search(adj, mask, match)
+        find_path = _alternating_search(adj, mask, match)[0]
         for v in verts:
             if match[v] == -1 and adj[v] & mask and find_path(v):
                 exposed -= 2
@@ -203,7 +214,7 @@ def _repair_matching(adj: Sequence[int], match: list[int], u: int, v: int) -> li
     comp = _reachable(adj, 1 << u | 1 << v, (1 << len(adj)) - 1)
     exposed = [w for w in _bits(comp) if match[w] == -1]
     if len(exposed) > 1:
-        find_path, _ = _alternating_search(adj, comp, match)
+        find_path = _alternating_search(adj, comp, match)[0]
         ends = [w for w in (u, v) if match[w] == -1]
         any(find_path(root) for root in ends or exposed)  # one augmentation at most
     return match
@@ -287,15 +298,14 @@ def _gallai_edmonds_d(g: Graph, matching: MatchingCertificate) -> int:
     match = [-1] * g.n
     for u, v in matching.edges:
         match[u], match[v] = v, u
-    verts = range(g.n)
-    find_path, even = _alternating_search(g._adj, g.vertices_mask(), match)
+    find_path, even, tree = _alternating_search(g._adj, g.vertices_mask(), match)
     d_mask = 0
-    for root in verts:
+    for root in range(g.n):
         if match[root] != -1:
             continue
         if find_path(root):
             raise AssertionError("internal: a maximum matching has an augmenting path")
-        d_mask |= _mask_of(v for v in verts if even[v])
+        d_mask |= _mask_of(v for v in tree if even[v])
     return d_mask
 
 

@@ -13,7 +13,15 @@ from itertools import combinations, permutations
 
 import pytest
 
-from cycleramsey.graphs import EdgeColoring, Graph, _bits, _toggle_edge, edge_key
+from cycleramsey.constructions import ConstructionReport
+from cycleramsey.graphs import (
+    EdgeColoring,
+    Graph,
+    _bits,
+    _mask_of,
+    _toggle_edge,
+    edge_key,
+)
 
 
 @pytest.fixture
@@ -34,13 +42,31 @@ def with_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph._from_masks(g.n, masks)
 
 
+def subgraph_on(g: Graph, vertices) -> Graph:
+    """``g`` on the same vertex range, keeping only the edges inside
+    ``vertices`` (vertices or a vertex mask)."""
+    keep = vertices if isinstance(vertices, int) else _mask_of(vertices)
+    return Graph._from_masks(g.n, [row & keep if keep >> v & 1 else 0
+                                   for v, row in enumerate(g._adj)])
+
+
+def host_graph(c: EdgeColoring) -> Graph:
+    """The union of ``c``'s color classes: its present pairs."""
+    rows = zip(*(g._adj for g in c.classes))
+    return Graph._from_masks(c.n, [sum(r) for r in rows])  # disjoint classes
+
+
+def all_verified(report: ConstructionReport) -> bool:
+    return all(c.verified is True for c in report.claims)
+
+
 def without_vertex(g: Graph, v: int) -> Graph:
     """``g`` with every edge at ``v`` removed (``v`` stays, isolated)."""
-    return g.subgraph_on(g.vertices_mask() & ~(1 << v))
+    return subgraph_on(g, g.vertices_mask() & ~(1 << v))
 
 
 def neighbors(g: Graph, v: int) -> set[int]:
-    return set(_bits(g.adjacency_mask(v)))
+    return set(_bits(g._adj[v]))
 
 
 def recolored(c: EdgeColoring, edge: tuple[int, int], color: int) -> EdgeColoring:
@@ -60,7 +86,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 def oracle_matching_size(g: Graph) -> int:
     """Maximum matching size by exhaustive subset DP (independent of blossom)."""
-    adj = [g.adjacency_mask(v) for v in range(g.n)]
+    adj = [g._adj[v] for v in range(g.n)]
 
     @lru_cache(maxsize=None)
     def best(mask: int) -> int:
@@ -121,7 +147,7 @@ def oracle_circumference(g: Graph) -> dict[str, int]:
     """
     best = {"odd": 0, "even": 0}
     for a in range(g.n):
-        above = [g.adjacency_mask(v) >> a << a for v in range(g.n)]
+        above = [g._adj[v] >> a << a for v in range(g.n)]
         layer = {1 << a: 1 << a}
         while layer:
             grown: dict[int, int] = {}
@@ -180,7 +206,7 @@ def oracle_deficiency(g: Graph) -> int:
                     m = frontier
                     while m:
                         b = m & -m
-                        grow |= g.adjacency_mask(b.bit_length() - 1)
+                        grow |= g._adj[b.bit_length() - 1]
                         m ^= b
                     frontier = grow & rest & ~comp
                     comp |= frontier

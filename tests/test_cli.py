@@ -357,6 +357,42 @@ def test_options_that_would_be_ignored_are_refused(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_options_an_answer_never_reads_are_refused(capsys):
+    # the annealing schedule in an exhaustive search, --n beside --xi alone,
+    # and adversary steps for lemmas that color nothing
+    l2 = ["lemma", "--id", "l2", "--n1", "10", "--n2", "10", "--eps", "1/200",
+          "--samples", "2"]
+    double = ["lemma", "--id", "double", "--host-n", "40", "--nu1", "3/10",
+              "--nu2", "3/10", "--eps", "1/50", "--samples", "2"]
+    search = ["search", "--targets", "C3:1,C3:2"]
+    for argv in (
+        search + ["--n", "5", "--steps", "7"],
+        search + ["--n", "5", "--restarts", "9"],
+        search + ["--n", "5", "--mode", "exhaustive", "--steps", "7",
+                  "--restarts", "9"],
+        search + ["--range", "5..6", "--steps", "7"],
+        ["bound", "--xi", "1,1,0", "--n", "7"],
+        l2 + ["--adversary-steps", "3"],
+        double + ["--adversary-steps", "0"],
+    ):
+        assert run(argv + ["--format", "json"]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err, argv
+    # at their defaults, and where the answer reads them, they are accepted
+    for argv in (
+        search + ["--n", "5", "--steps", "6000", "--restarts", "3"],
+        search + ["--n", "5", "--mode", "randomized", "--steps", "7"],
+        ["bound", "--xi", "1,1,0", "--n", "100"],
+        ["bound", "--xi", "1,1,0", "--hole-params", "1,1,1/2,1/256", "--n", "7"],
+        ["bound", "--parities", "eeo", "--alphas", "1,1,1", "--n", "7"],
+        l2 + ["--adversary-steps", "20"],
+        ["lemma", "--id", "dwa", "--alpha", "1", "--beta", "1", "--nu", "0",
+         "--eps", "1/256", "--n", "10", "--samples", "2", "--adversary-steps", "3"],
+    ):
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+
+
 def test_matching_without_a_qualifying_component_answers_none(tmp_path, capsys):
     # C4 has no non-bipartite component: a valid input whose answer is "none"
     c4 = tmp_path / "c4.json"
@@ -445,3 +481,37 @@ def test_default_config_hashes_are_pinned():
           "--require-nonbipartite"], "26a289b71d467009"),
     ]:
         assert _config_hash(build_parser().parse_args(argv)) == want
+        # the parser shared by every run hashes as a freshly built one does
+        assert _config_hash(build_parser.__wrapped__().parse_args(argv)) == want
+
+
+def _help_text(parser, argv, capsys) -> str:
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return capsys.readouterr().out
+
+
+def test_the_parser_is_built_once_and_helps_as_a_fresh_one(capsys):
+    assert build_parser() is build_parser()
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert len(commands) == 8
+    for argv in [["--help"]] + [[name, "--help"] for name in commands]:
+        shared = _help_text(build_parser(), argv, capsys)
+        assert shared.startswith("usage: cycleramsey"), argv
+        assert shared == _help_text(build_parser.__wrapped__(), argv, capsys), argv
+        assert run(argv) == 0
+        assert capsys.readouterr().out == shared, argv
+
+
+def test_consecutive_runs_share_no_state(capsys):
+    # one parser serves both runs: an option of the first is not kept
+    argv = ["lemma", "--id", "double", "--host-n", "60", "--nu1", "3/10",
+            "--nu2", "3/10", "--eps", "1/50", "--samples", "2"]
+    assert run(argv) == 0
+    before = capsys.readouterr().out
+    assert run(argv + ["--strict", "--format", "json", "--seed", "5"]) == 1
+    assert "N below 4/eps" in capsys.readouterr().err
+    assert run(argv) == 0
+    after = capsys.readouterr().out
+    assert after == before and "asymptotic guard relaxed" in after
+    assert build_parser().parse_args(argv).strict is False

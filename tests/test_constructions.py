@@ -20,7 +20,7 @@ from cycleramsey.constructions import (
 from cycleramsey.cycles import verify_cycle
 from cycleramsey.graphs import EdgeColoring, Graph
 
-from conftest import random_graph, recolored
+from conftest import all_verified, random_graph, recolored
 
 
 
@@ -32,11 +32,11 @@ def _sides_of(report, *part_groups):
 
 def test_odd_triple_examples():
     r = verify_claims(build_odd_triple(5))
-    assert r.coloring.n == 16 and r.all_verified()
+    assert r.coloring.n == 16 and all_verified(r)
     r = verify_claims(build_odd_triple(3))
-    assert r.coloring.n == 8 and r.all_verified()
+    assert r.coloring.n == 8 and all_verified(r)
     r = verify_claims(build_odd_triple(7))
-    assert r.coloring.n == 24 and r.all_verified()
+    assert r.coloring.n == 24 and all_verified(r)
     # structural verification only: no exact search needed at this size
     assert all("exact" not in (c.method or "") for c in r.claims)
 
@@ -54,9 +54,9 @@ def test_odd_triple_declared_bipartitions():
 
 def test_eeo_four_part_examples():
     r = verify_claims(build_eeo_four_part(4, 4))
-    assert r.coloring.n == 8 and r.all_verified()
+    assert r.coloring.n == 8 and all_verified(r)
     r = verify_claims(build_eeo_four_part(6, 4))
-    assert r.coloring.n == 12 and r.all_verified()
+    assert r.coloring.n == 12 and all_verified(r)
     with pytest.raises(ValueError):
         build_eeo_four_part(4, 6)  # requires m1 >= m2
     # declared color-3 bipartition {V1+V3, V2+V4}
@@ -69,20 +69,20 @@ def test_eeo_four_part_examples():
 
 def test_eeo_three_part_examples():
     r = verify_claims(build_eeo_three_part(4, 4, 5))
-    assert r.coloring.n == 6 and r.all_verified()
+    assert r.coloring.n == 6 and all_verified(r)
     r = verify_claims(build_eeo_three_part(4, 4, 3))
-    assert r.coloring.n == 4 and r.all_verified()
+    assert r.coloring.n == 4 and all_verified(r)
     r = verify_claims(build_eeo_three_part(6, 4, 5))
-    assert r.coloring.n == 7 and r.all_verified()
+    assert r.coloring.n == 7 and all_verified(r)
 
 
 def test_oee_four_part_examples():
     r = verify_claims(build_oee_four_part(4, 5))
-    assert r.coloring.n == 10 and r.all_verified()
+    assert r.coloring.n == 10 and all_verified(r)
     r = verify_claims(build_oee_four_part(4, 3))
-    assert r.coloring.n == 6 and r.all_verified()
+    assert r.coloring.n == 6 and all_verified(r)
     r = verify_claims(build_oee_four_part(6, 5))
-    assert r.coloring.n == 12 and r.all_verified()
+    assert r.coloring.n == 12 and all_verified(r)
     g3 = r.coloring.color_class(3)
     a, b = _sides_of(r, (0, 2), (1, 3))
     assert not any(g3.has_edge(u, v) for u in a for v in a if u < v)
@@ -95,7 +95,7 @@ def test_oee_four_part_examples():
 
 def test_oee_stated_stronger_bound_is_reported_not_asserted():
     r = verify_claims(build_oee_four_part(6, 5))
-    assert r.all_verified()  # the recorded (weaker) claims all hold
+    assert all_verified(r)  # the recorded (weaker) claims all hold
     note = next(n for n in r.notes if "stronger" in n)
     assert "violated" in note  # the literal stronger bound fails, by design
 
@@ -197,7 +197,7 @@ def test_mutation_yields_failure_with_witness():
     # moving one cross edge (V1-V3) into color 2 creates an odd triangle there
     corrupted = replace(r, coloring=recolored(r.coloring, (0, 8), 2))
     checked = verify_claims(corrupted)
-    assert not checked.all_verified()
+    assert not all_verified(checked)
     failed = [c for c in checked.claims if c.verified is False]
     assert failed and all(c.witness is not None for c in failed)
     for c in failed:
@@ -230,7 +230,7 @@ def test_grid_all_builders_all_claims():
             reports.append(build_oee_four_part(m1, m2))
     for report in reports:
         checked = verify_claims(report)
-        assert checked.all_verified(), (report.name, report.params)
+        assert all_verified(checked), (report.name, report.params)
 
 
 def test_block_table_must_be_symmetric():

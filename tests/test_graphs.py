@@ -23,7 +23,7 @@ from cycleramsey.graphs import (
     odd_closed_walk,
 )
 
-from conftest import neighbors, random_graph
+from conftest import host_graph, neighbors, random_graph
 
 
 def test_complete_graph_edge_counts():
@@ -242,7 +242,7 @@ def test_color_classes_partition_host():
                     edges[rng.randint(1, k) - 1].append((u, v))
         col = EdgeColoring(n, k, tuple(Graph(n, e) for e in edges), holes)
         total = sum(col.color_class(i).num_edges for i in range(1, k + 1))
-        assert total == col.host_graph().num_edges == sum(map(len, edges))
+        assert total == host_graph(col).num_edges == sum(map(len, edges))
         for i, es in enumerate(edges, 1):
             assert all(col.color_of(v, u) == i for u, v in es)
 

@@ -152,6 +152,14 @@ def test_negative_adversary_steps_are_refused(monkeypatch):
         )
 
 
+def test_adversary_steps_are_refused_where_nothing_is_colored():
+    l2 = {"n1": 10, "n2": 10, "eps": Fraction(1, 200)}
+    for steps in (0, 3):
+        with pytest.raises(ValueError, match="colors nothing"):
+            lemma_harness("l2", l2, samples=2, seed=1, adversary_steps=steps)
+    assert lemma_harness("l2", l2, samples=2, seed=1, adversary_steps=20).passes == 2
+
+
 def test_evaluator_catches_genuine_counterexample():
     # below the statement's n0 the conclusion can genuinely fail: on K7 the
     # split "two dominating vertices" vs "K5 on the rest" keeps every
@@ -163,8 +171,8 @@ def test_evaluator_catches_genuine_counterexample():
     g = complete_graph(7)
     # class masks: color 1 on every pair meeting {5, 6}, color 2 on the K5
     dominating = 0b1100000
-    one = [dominating if v < 5 else g.adjacency_mask(v) for v in range(7)]
-    two = [g.adjacency_mask(v) & ~dominating if v < 5 else 0 for v in range(7)]
+    one = [dominating if v < 5 else g._adj[v] for v in range(7)]
+    two = [g._adj[v] & ~dominating if v < 5 else 0 for v in range(7)]
     thresh = (1 + EPS) * 4
     mates = [_mates(one), _mates(two)]
     assert _two_color_margin([one, two], mates, (thresh, thresh), False) < 0
@@ -260,3 +268,93 @@ def test_mask_rows_match_edge_by_edge_coloring():
                 _toggle_edge(u, v, ref)
         assert _second_color_rows(g._adj, colors) == ref
 
+
+
+def _hole_host(rng, n, hole):
+    """A complete graph on n vertices less the pairs inside a random hole."""
+    from cycleramsey.graphs import HoleSpec, apply_holes_and_deletions, complete_graph
+
+    return apply_holes_and_deletions(
+        complete_graph(n), HoleSpec((rng.sample(range(n), hole),))
+    )
+
+
+def _bipartite_host(n1, n2):
+    from cycleramsey.graphs import Graph
+
+    return Graph(n1 + n2, [(u, n1 + v) for u in range(n1) for v in range(n2)])
+
+
+def test_edge_view_reads_the_edge_list_by_index():
+    from cycleramsey.graphs import Graph
+    from cycleramsey.harness import _EdgeView
+
+    rng = random.Random(31)
+    sizes = ((1, 0), (9, 4), (40, 20), (113, 40))
+    hosts = [_hole_host(rng, n, hole) for n, hole in sizes]
+    hosts += [_bipartite_host(n1, n2) for n1, n2 in ((1, 1), (3, 5), (40, 40))]
+    hosts += [Graph(1), Graph(7), random_graph(rng, 30, 0.2)]
+    for g in hosts:
+        edges, view = g.edges(), _EdgeView(g._adj)
+        assert len(view) == len(edges) == g.num_edges
+        assert [view[i] for i in range(len(view))] == edges
+        for past in (len(edges), len(edges) + 1, -len(edges) - 1):
+            with pytest.raises(IndexError):
+                view[past]
+        assert list(view) == edges and (not view) == (not edges)
+        if edges:
+            assert view[-1] == edges[-1] and view[-len(edges)] == edges[0]
+
+
+def test_sampling_the_edge_view_draws_what_the_list_draws():
+    # random.sample copies a small population through iteration and draws
+    # a large one by index; both read the same random stream
+    from cycleramsey.harness import _EdgeView
+
+    rng = random.Random(5)
+    for g, k in ((_hole_host(rng, 9, 3), 8), (_hole_host(rng, 12, 0), 66),
+                 (_bipartite_host(3, 4), 12), (_bipartite_host(40, 40), 8),
+                 (_hole_host(rng, 113, 40), 20), (_hole_host(rng, 60, 18), 1)):
+        for seed in range(5):
+            want = random.Random(seed).sample(g.edges(), k)
+            a, b = random.Random(seed), random.Random(seed)
+            assert a.sample(_EdgeView(g._adj), k) == want
+            b.sample(g.edges(), k)
+            assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("lemma", ["dwa", "trzy", "f1"])
+def test_uniform_shortcut_agrees_with_the_margin(monkeypatch, lemma):
+    # with no move to make, the adversary stops at class 1 when it meets its
+    # threshold; the answer must be the full margin's, for the real
+    # thresholds and for ones around each class's best saturation
+    import cycleramsey.harness as harness
+    from cycleramsey.harness import (
+        _adversarial_two_coloring,
+        _best_matched,
+        _mates,
+        _two_color_margin,
+    )
+
+    seen = []
+
+    def keep(rng, edges, classes, thresholds, nonbip2, steps):
+        seen.append(([row[:] for row in classes], thresholds, nonbip2))
+        return _adversarial_two_coloring(
+            rng, edges, classes, thresholds, nonbip2, steps
+        )
+
+    monkeypatch.setattr(harness, "_adversarial_two_coloring", keep)
+    lemma_harness(lemma, TIER1_PARAMS[lemma], samples=7, seed=3, adversary_steps=0)
+    assert len(seen) == 7
+    for classes, thresholds, nonbip2 in seen:
+        mates = [_mates(adj) for adj in classes[:2]]
+        s1 = _best_matched(classes[0], mates[0])[0]
+        s2 = _best_matched(classes[1], mates[1], nonbip2)[0]
+        for t in [thresholds] + [(a, b) for a in (s1, s1 + 1) for b in (s2, s2 + 1)]:
+            want = _two_color_margin(classes, mates, t, nonbip2) >= 0
+            for steps, edges in ((0, [(0, 1)]), (5, ())):
+                got = _adversarial_two_coloring(
+                    random.Random(0), edges, [r[:] for r in classes], t, nonbip2, steps
+                )
+                assert got is want, (t, steps)

@@ -16,6 +16,7 @@ from cycleramsey.graphs import (
 from cycleramsey.matchings import (
     ClosedWalk,
     MatchingCertificate,
+    _alternating_search,
     _best_matched,
     _gallai_edmonds_d,
     _mates,
@@ -33,6 +34,7 @@ from conftest import (
     oracle_deficiency,
     oracle_matching_size,
     random_graph,
+    subgraph_on,
     without_vertex,
 )
 
@@ -109,7 +111,7 @@ def _best_component_reference(g, require_nonbipartite):
     """Every qualifying component matched, none skipped; first maximum wins."""
     best = None
     for comp in components(g):
-        if require_nonbipartite and bipartition(g.subgraph_on(comp)) is not None:
+        if require_nonbipartite and bipartition(subgraph_on(g, comp)) is not None:
             continue
         match = maximum_matching(g, within=comp)
         if best is None or match.saturation > best[1].saturation:
@@ -132,7 +134,7 @@ def test_best_component_skip_matches_unskipped_reference():
                 continue
             assert best_component_matching(g, nonbip) == ref
             assert best_saturation(g, nonbip) == ref[1].saturation
-            assert ref[1].saturation == 2 * oracle_matching_size(g.subgraph_on(ref[0]))
+            assert ref[1].saturation == 2 * oracle_matching_size(subgraph_on(g, ref[0]))
 
 
 def test_repaired_matching_stays_maximum_across_toggles():
@@ -190,13 +192,13 @@ def test_within_matches_induced_subgraph():
         g = random_graph(rng, n, rng.uniform(0.02, 0.5))
         within = [v for v in range(n) if rng.random() < 0.6]
         assert maximum_matching(g, within=within) == maximum_matching(
-            g.subgraph_on(within)
+            subgraph_on(g, within)
         )
         mask = sum(1 << v for v in within)  # a vertex mask works the same
         assert maximum_matching(g, within=mask) == maximum_matching(g, within=within)
         for comp in components(g):
             assert maximum_matching(g, within=comp) == maximum_matching(
-                g.subgraph_on(comp)
+                subgraph_on(g, comp)
             )
 
 
@@ -241,6 +243,67 @@ def test_gallai_edmonds_d_matches_definition():
     assert _one_pass_d(star) == set(range(1, 7))
     assert _one_pass_d(triangles) == set(range(11))
     assert _one_pass_d(nested) == set(range(7)) - {5}
+
+
+def _sparse_many_pieces(rng, n_min, n_max):
+    """A sparse graph of n_min..n_max vertices made of many small pieces whose
+    matchings need blossoms or long alternating paths, randomly relabelled."""
+    pieces = [
+        lambda k: (k, [(i, (i + 1) % k) for i in range(k)]),  # a cycle
+        lambda k: (7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0), (4, 5),
+                       (5, 6)]),  # a triangle inside a 5-cycle, with a stem
+        lambda k: (k + 5, [(i, (i + 1) % 5) for i in range(5)]
+                   + [(j, j + 1) for j in range(4, k + 4)]),  # C5 with a tail
+        lambda k: (k, [(i, i + 1) for i in range(k - 1)]),  # a path
+        lambda k: (k + 6, [(0, 1), (1, 2), (2, 0), (k + 3, k + 4), (k + 4, k + 5),
+                           (k + 5, k + 3)]
+                   + [(j, j + 1) for j in range(2, k + 3)]),  # triangles + path
+        lambda k: (k + 1, [(0, j) for j in range(1, k + 1)]),  # a star
+        lambda k: (10, [(0, 1), (0, 4), (0, 7)] + [
+            (t + a, t + b) for t in (1, 4, 7) for a, b in ((0, 1), (1, 2), (2, 0))
+        ]),  # three triangles on a hub: two exposed vertices, one component
+        lambda k: (k, [e for e in ((u, v) for u in range(k) for v in range(u + 1, k))
+                       if rng.random() < 0.45]),  # a small dense graph
+        lambda k: (k + 5, [e for e in ((u, v) for u in range(k + 5)
+                                        for v in range(u + 1, k + 5))
+                           if rng.random() < 0.25]),  # a small sparse graph
+        lambda k: (1, []),  # an isolated vertex
+    ]
+    parts, total = [], 0
+    target = rng.randint(n_min, n_max)
+    while total < target:
+        k, edges = rng.choice(pieces)(rng.randint(3, 9))
+        parts.append((total, edges))
+        total += k
+    label = rng.sample(range(total), total)  # the pieces' vertices interleave
+    return Graph(total, [(label[a + u], label[a + v]) for a, es in parts for u, v in es])
+
+
+def test_tree_only_resets_leave_no_stale_blossom():
+    # one alternating search serves every exposed root of a whole graph, so
+    # a base, parent or blossom mark left over from an earlier root's tree
+    # would show in a later component's matching or in D
+    rng = random.Random(2024)
+    for _ in range(6):
+        g = _sparse_many_pieces(rng, 100, 300)
+        # from an empty matching, without the greedy start, one search tries
+        # every vertex as a root: augmenting and failing searches interleave
+        bare = [-1] * g.n
+        find_path = _alternating_search(g._adj, g.vertices_mask(), bare)[0]
+        for root in range(g.n):
+            if bare[root] == -1:
+                find_path(root)
+        for mates in (_mates(g._adj), bare):
+            assert all(w == -1 or (mates[w] == v and g.has_edge(v, w))
+                       for v, w in enumerate(mates))
+            for comp in components(g):
+                vs = sorted(comp)
+                at = {v: i for i, v in enumerate(vs)}
+                piece = Graph(len(vs), [(at[u], at[v]) for u, v in g.edges()
+                                        if u in comp])
+                matched = sum(mates[v] != -1 for v in vs)
+                assert matched == 2 * oracle_matching_size(piece), vs
+        assert _one_pass_d(g) == _d_by_definition(g)
 
 
 def test_tutte_partition_runs_one_blossom(monkeypatch):
@@ -312,7 +375,7 @@ def test_bipartite_split_random_suite():
         # choose a bound just above the worst non-bipartite component
         worst = 0
         for comp in components(g):
-            if bipartition(g.subgraph_on(comp)) is None:
+            if bipartition(subgraph_on(g, comp)) is None:
                 worst = max(
                     worst, maximum_matching(g, within=comp).saturation
                 )
@@ -368,7 +431,7 @@ def test_closed_walk_random_suite():
         if not comps:
             continue
         comp = comps[rng.randrange(len(comps))]
-        sub = g.subgraph_on(comp)
+        sub = subgraph_on(g, comp)
         m = maximum_matching(g, within=comp)
         if not m.edges:
             continue
