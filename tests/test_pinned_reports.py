@@ -38,8 +38,11 @@ double samples with nonzero deletion budgets and the deletions drawn on
 holed hosts were recorded while the harness drew one ``randint`` per host
 edge and sampled deletions from the host's edge list. The Erdos-Gallai
 cycles on long clique chains were recorded while each reduction round took
-a dense component, then split it at one articulation vertex at a time. None
-may be edited to make a refactor pass.
+a dense component, then split it at one articulation vertex at a time. The
+anneals at the benchmark's schedules and the cycle-target anneals with
+deletions were recorded while each proposal copied the mate arrays of all
+classes and collected the touched classes' energies in a dict. None may be
+edited to make a refactor pass.
 """
 
 import hashlib
@@ -454,6 +457,36 @@ CASES = {
     "randomized C5+,C5+@24": lambda: arrow_randomized(
         ArrowInstance(24, C5PLUS), schedule=ANNEAL, seed=1
     ),
+    # the benchmark's heaviest anneals at their own schedules, and cycle
+    # targets of every kind with deletions, so that moves into and out of
+    # class 0 meet exact, at-least and matching classes
+    "randomized C3,C3,C3@16": lambda: arrow_randomized(
+        ArrowInstance(16, (CycleTarget(3),) * 3), schedule=AnnealSchedule(), seed=1
+    ),
+    "randomized C7,C7@12": lambda: arrow_randomized(
+        ArrowInstance(12, (CycleTarget(7),) * 2),
+        schedule=AnnealSchedule(steps=200, restarts=1),
+        seed=1,
+    ),
+    "randomized M8,M8@16 benchmark schedule": lambda: arrow_randomized(
+        ArrowInstance(16, (MatchingTarget(8),) * 2),
+        schedule=AnnealSchedule(steps=700, restarts=3),
+        seed=1,
+    ),
+    "randomized C4,C4@8 deleting 3": lambda: arrow_randomized(
+        ArrowInstance(8, (CycleTarget(4),) * 2, deleted_budget=3),
+        schedule=SHORT,
+        seed=5,
+    ),
+    "randomized C3,C5+,M4@8 deleting 2": lambda: arrow_randomized(
+        ArrowInstance(
+            8,
+            (CycleTarget(3), CycleTarget(5, exact=False), MatchingTarget(4)),
+            deleted_budget=2,
+        ),
+        schedule=SHORT,
+        seed=5,
+    ),
     "has_cycle_of_length": _fixed_length_cycles,
     "longest_cycle any": lambda: _longest_cycles("any"),
     "longest_cycle odd": lambda: _longest_cycles("odd"),
@@ -505,22 +538,27 @@ DIGESTS = {
     "odd_triple 5": "f6b1ee8fefe8f8900c66746503ec33c6b8ed6d6b9b9adc42603b684c0700e040",
     "oee_four_part 4,3": "781b727f20c5efcda35b6eccdefb697095c5b768d3ec4a38d671727324533063",
     "oee_four_part 6,5": "9c735b820cd696070c2982b4896e09a4e31a26df500697bad2bab4936b5b120b",
+    "randomized C3,C3,C3@16": "b05f11d5f39a71fcb1254acb6e667d96566b945f88356c939f2da05426978364",
+    "randomized C3,C5+,M4@8 deleting 2": "8992a32318eed1a51c9b148eae348f1aced83ca98604fb60e2ff5ac63e00c2d5",
+    "randomized C4,C4@8 deleting 3": "0fa05f64d01062273d1d86ed600ed46c0f04b51d1cd77cc31112af741d0ab065",
     "randomized C5+,C5+@10": "0ce62ee6051808e792b590889cfaad369980b2f0d6ff7786426a33492621a952",
     "randomized C5+,C5+@24": "6502c7613293a4683872a48de47141e57f6a6e4fd895b3ee217821ad2b53462b",
     "randomized C5+,C5+@6": "8f2293848423ffaa6e7f86f90ea4c6849145db10cb9d445882a4c0403a288307",
+    "randomized C7,C7@12": "65c0381ade3a3b7cc7acbd92ca5fb49e9363688aca1f4e4b3cfc617611a025e4",
     "randomized M4,M4n@6": "0d6d339c3ad28070c10eb9e3c90c709fba91ed727aa72f2d3c511814cdd75524",
     "randomized M6,M4,C3@7": "bbddd99b3298e2af8021c7edeaa01a95a926b458982b728a721d6424ad71594c",
     "randomized M6,M6@7": "ea3cb023bf5bc846a0383d66d90c9494cd47b91c9a2a42624e02bdb356dc3104",
     "randomized M6,M6@8 deleting 4": "828c641110a4c8b037c4b831eedc228b2003175b1f98837f8079d6f49c8bbd29",
     "randomized M8,M8@16": "26af29a7454b59a6d691a4e054eee748cb13c3f09eb2d441e81de0d3830f81e0",
+    "randomized M8,M8@16 benchmark schedule": "86ba6b01a1fdad157b369551fea73e50817301422c8e288bfbcbfc1bbcc36210",
     "sample double deleting": "e3d89070dad0eff4e72d8dc281fc3ee2329419231e2843c1c2307425675715c6",
     "sample dwa adversarial": "ac0d2a8611ec68bd3b4106a5f827633d1144f1c91c5f5b6649928e54e83c09b3",
     "sample dwa uniform": "40af7e960e2d2c90d2b8eeb59a7113104ded82908cae8278b062660299d0da11",
     "sample f1 adversarial": "6f4e9741bb83d2cc9301d9ad62ad1757f66e5ac5032108ad2f70b82223d38af5",
     "sample f1 uniform": "a144ed95d3f3508712d2d3033e53dd8d48a573cb91c46858d5fd209b3d295706",
     "sample l2 deleting": "5998bb17f087c2445beffd8c7581dac93911126bee76768eeebc545fecb1bc7b",
-    "sample trzy adversarial 100 steps": "72a83b261248164410ba30924676a08c789318c442a1c4b43bee077a75aea125",
     "sample trzy adversarial": "a27b077554b511ca656b5ee81360fb9394939bdf53e0eb515f4bd7b30d5f23c8",
+    "sample trzy adversarial 100 steps": "72a83b261248164410ba30924676a08c789318c442a1c4b43bee077a75aea125",
     "sample trzy uniform": "c8c08f7f8d6b80b9e098e2bb68b0b88cfa39c6a7703e3b35ba9750b172a79ae4",
     "sample_deletions holed": "6575f8d695ebc74f4c021a509dc24f33c33b4a178a89c2f4eb76afb0b2bdab53",
     "tutte_partition": "a090198df18686b2c63afd954843c4d3f862fd3369cceb8766306ffef77d79c6",
