@@ -14,13 +14,26 @@ from itertools import combinations, permutations
 import pytest
 
 from cycleramsey.constructions import ConstructionReport
+from cycleramsey.cycles import _Budget
 from cycleramsey.graphs import (
     EdgeColoring,
     Graph,
     _bits,
     _mask_of,
     _toggle_edge,
+    _uniform_colors,
     edge_key,
+)
+from cycleramsey.matchings import _mates
+from cycleramsey.search import (
+    T_END,
+    T_START,
+    ArrowVerdict,
+    MatchingTarget,
+    SearchStats,
+    _energy_of_color,
+    _header,
+    _witness_coloring,
 )
 
 
@@ -215,3 +228,65 @@ def oracle_deficiency(g: Graph) -> int:
                 unseen &= ~comp
             best = max(best, odd - r)
     return best
+
+
+def reference_anneal(inst, schedule, seed, initial=None) -> dict:
+    """``arrow_randomized(inst, schedule, seed, initial).to_dict()`` without
+    incremental energies: the same random stream, but after each proposal
+    every class is rebuilt from the assignment and rescored from scratch,
+    with a fresh maximum matching for each matching target."""
+    edges = inst.present_edges()
+    n, k, targets = inst.n, inst.k, inst.targets
+    bud = _Budget(float("inf"))
+
+    def classes(assignment):
+        masks = [[0] * n for _ in range(k + 1)]
+        for (u, v), c in zip(edges, assignment):
+            _toggle_edge(u, v, masks[c])
+        return masks
+
+    def energy(assignment):
+        masks = classes(assignment)
+        return sum(
+            _energy_of_color(n, masks[c], t, bud,
+                             _mates(masks[c]) if isinstance(t, MatchingTarget) else None)
+            for c, t in enumerate(targets, 1)
+        )
+
+    rng = random.Random(seed)
+    stats = SearchStats()
+    header = _header(inst, "randomized", seed=seed, schedule={
+        "steps": schedule.steps, "restarts": schedule.restarts})
+    best = None
+    for restart in range(schedule.restarts):
+        stats.restarts = restart + 1
+        if restart == 0 and initial is not None:
+            assignment = [initial.color_of(*e) or 0 for e in edges]
+        else:
+            assignment = list(_uniform_colors(rng, len(edges), k))
+        total = energy(assignment)
+        best = total if best is None else min(best, total)
+        for step in range(schedule.steps):
+            if total == 0:
+                break
+            stats.proposals += 1
+            frac = step / max(1, schedule.steps - 1)
+            temp = T_START * (T_END / T_START) ** frac
+            i = rng.randrange(len(edges))
+            opts = [c for c in range(1, k + 1) if c != assignment[i]]
+            if assignment[i] != 0 and assignment.count(0) < inst.deleted_budget:
+                opts.append(0)
+            trial = assignment[:]
+            trial[i] = rng.choice(opts)
+            delta = energy(trial) - total
+            if delta <= 0 or rng.random() < pow(
+                2.718281828459045, -delta / max(temp, 1e-9)
+            ):
+                assignment, total = trial, total + delta
+                best = min(best, total)
+        if total == 0:
+            stats.best_energy = 0
+            witness = _witness_coloring(inst, edges, assignment, classes(assignment))
+            return ArrowVerdict(False, witness, stats, header).to_dict()
+    stats.best_energy = best
+    return ArrowVerdict(None, None, stats, header).to_dict()

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from conftest import has_cycle_brute, oracle_circumference, random_graph
+from conftest import (
+    has_cycle_brute,
+    oracle_circumference,
+    random_graph,
+    reference_anneal,
+)
 from cycleramsey.constructions import build_odd_triple
 from cycleramsey.cycles import _Budget
 from cycleramsey.errors import BudgetExceededError
@@ -228,6 +233,43 @@ def test_seeded_determinism_across_runs():
         for _ in range(3)
     }
     assert len(reports) == 1
+
+
+def _random_initial(rng, inst):
+    # a uniform coloring of the present pairs with up to the budget deleted
+    edges = inst.present_edges()
+    deleted = rng.sample(edges, rng.randint(0, inst.deleted_budget))
+    masks = [[0] * inst.n for _ in range(inst.k)]
+    for u, v in edges:
+        if (u, v) not in deleted:
+            c = rng.randrange(inst.k)
+            masks[c][u] |= 1 << v
+            masks[c][v] |= 1 << u
+    return EdgeColoring._from_masks(inst.n, masks, inst.holes, deleted)
+
+
+def test_randomized_matches_from_scratch_rescoring():
+    # 40 seeded instances on at most 8 vertices: exact and at-least cycles,
+    # matchings with and without the non-bipartite demand, two and three
+    # colors, deletion budgets 0..3, with and without an initial coloring
+    pool = [CycleTarget(3), CycleTarget(4), CycleTarget(5), CycleTarget(3, False),
+            CycleTarget(4, False), CycleTarget(5, False), MatchingTarget(4),
+            MatchingTarget(6), MatchingTarget(4, nonbipartite=True)]
+    rng = random.Random(2207)
+    kinds = set()
+    for case in range(40):
+        k = 2 + case % 2
+        targets = tuple(rng.choice(pool) for _ in range(k))
+        inst = ArrowInstance(rng.randint(6, 8), targets, deleted_budget=case % 4)
+        initial = _random_initial(rng, inst) if case % 3 == 0 else None
+        schedule = AnnealSchedule(steps=rng.randint(40, 160), restarts=rng.randint(1, 3))
+        seed = rng.randrange(10**6)
+        got = arrow_randomized(inst, schedule=schedule, seed=seed, initial=initial)
+        assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(
+            reference_anneal(inst, schedule, seed, initial), sort_keys=True
+        ), (case, inst, schedule, seed)
+        kinds.update(map(repr, targets))
+    assert kinds == set(map(repr, pool))
 
 
 def test_deletion_budget_counterexamples():
