@@ -535,7 +535,18 @@ def arrow_randomized(
 ) -> ArrowVerdict:
     """Search for a zero-violation coloring; returns a witness or unknown.
 
-    Deterministic for a fixed seed: proposals are evaluated in one sequence.
+    Deterministic for a fixed seed. Each restart but a first one seeded by
+    ``initial`` draws a uniform coloring (``graphs._uniform_colors``); then
+    each proposal draws, in this order, the contract the pinned reports
+    rely on:
+
+    1. ``randrange(len(edges))``, the pair to recolor;
+    2. ``choice`` over the other colors 1..k, ascending, with 0 (deletion)
+       last while the deletion budget lasts;
+    3. ``random()``, only on an uphill move, against
+       ``pow(2.718281828459045, -delta / temperature)``.
+
+    A move rescores only the class the pair leaves and the class it enters.
     An ``initial`` coloring seeds the first restart; it must have the
     instance's n, k and holes and delete at most ``inst.deleted_budget``
     of the present pairs, else ValueError.
@@ -557,11 +568,20 @@ def arrow_randomized(
                 f"deletion budget {inst.deleted_budget}"
             )
     rng = random.Random(seed)
+    randrange, choice, random_ = rng.randrange, rng.choice, rng.random
     t0 = time.perf_counter()
     stats = SearchStats()
-    n, k = inst.n, inst.k
-    targets = inst.targets
-    local = [isinstance(t, CycleTarget) and t.exact for t in targets]
+    n, k, targets = inst.n, inst.k, inst.targets
+    # ell[c]: the length of class c's exact cycle target, else 0 (class 0 is
+    # the deleted pairs and has no target)
+    ell = [0] + [t.length if isinstance(t, CycleTarget) and t.exact else 0
+                 for t in targets]
+    # the colors a pair of class old may move to: recolor[old], and while the
+    # deletion budget lasts, delete[old], which adds deletion (0) last
+    recolor = [tuple(c for c in range(1, k + 1) if c != old) for old in range(k + 1)]
+    delete = [to + (0,) if old else to for old, to in enumerate(recolor)]
+    m, steps, budget = len(edges), schedule.steps, inst.deleted_budget
+    ratio, span = T_END / T_START, max(1, steps - 1)
     bud = _Budget(float("inf"))  # annealing is bounded by its schedule
     header = _header(
         inst,
@@ -570,13 +590,20 @@ def arrow_randomized(
         schedule={"steps": schedule.steps, "restarts": schedule.restarts},
     )
 
-    def incidence(c: int, adjs, u: int, v: int) -> int:
-        # length times the cycles of the demanded exact length through edge
-        # (u,v) in class c; independent of whether (u,v) itself is present.
-        ell = targets[c - 1].length
-        return ell * _simple_paths(
-            adjs[c], u, v, ell - 1, 1 << u | 1 << v, bud, count=True
-        )
+    def score(c: int, sign: int, u: int, v: int):
+        # class c's energy after (u,v) entered (sign 1) or left (sign -1) it,
+        # and, for a matching target, its repaired mate array (else None)
+        a = adjs[c]
+        if ell[c] == 3:  # the triangles through (u,v): common neighbours of u, v
+            return energies[c] + sign * 3 * (a[u] & a[v]).bit_count(), None
+        if ell[c]:  # length times the cycles through (u,v), present or not
+            return energies[c] + sign * ell[c] * _simple_paths(
+                a, u, v, ell[c] - 1, 1 << u | 1 << v, bud, count=True
+            ), None
+        if not c:
+            return 0, None
+        match = mates[c] and _repair_matching(a, mates[c][:], u, v)
+        return _energy_of_color(n, a, targets[c - 1], bud, match), match
 
     best_energy = None
     for restart in range(schedule.restarts):
@@ -584,68 +611,56 @@ def arrow_randomized(
         if restart == 0 and initial is not None:
             assignment = first
         else:
-            assignment = list(_uniform_colors(rng, len(edges), k))
+            assignment = list(_uniform_colors(rng, m, k))
         # adjs[0] holds the deleted pairs, so a move toggles two mask lists
         adjs = [[0] * n for _ in range(k + 1)]
         for (u, v), c in zip(edges, assignment):
             _toggle_edge(u, v, adjs[c])
         deleted_used = assignment.count(0)
+        moves = delete if deleted_used < budget else recolor
         # a maximum matching of each matching-target class, kept across moves
         mates = [_mates(a) if isinstance(t, MatchingTarget) else None
                  for a, t in zip(adjs, (None, *targets))]
-        energies = [_energy_of_color(n, adjs[c], targets[c - 1], bud, mates[c])
-                    for c in range(1, k + 1)]
+        energies = [0] + [_energy_of_color(n, adjs[c], targets[c - 1], bud, mates[c])
+                          for c in range(1, k + 1)]
         total = sum(energies)
         if best_energy is None or total < best_energy:
             best_energy = total
-        for step in range(schedule.steps):
+        for step in range(steps):
             if total == 0:
                 break
             stats.proposals += 1
-            frac = step / max(1, schedule.steps - 1)
-            temp = T_START * (T_END / T_START) ** frac
-            i = rng.randrange(len(edges))
+            i = randrange(m)
             u, v = edges[i]
             old = assignment[i]
-            opts = [c for c in range(1, k + 1) if c != old]
-            if old != 0 and deleted_used < inst.deleted_budget:
-                opts.append(0)
-            new = rng.choice(opts)
+            new = choice(moves[old])
             bu, bv = 1 << u, 1 << v
-            adjs[old][u] ^= bv
-            adjs[old][v] ^= bu
-            adjs[new][u] ^= bv
-            adjs[new][v] ^= bu
-            updated, trial = {}, mates[:]
-            for c, sign in ((old, -1), (new, 1)):
-                if c == 0:
-                    continue
-                if local[c - 1]:
-                    updated[c - 1] = energies[c - 1] + sign * incidence(c, adjs, u, v)
-                    continue
-                if mates[c]:
-                    trial[c] = _repair_matching(adjs[c], mates[c][:], u, v)
-                updated[c - 1] = _energy_of_color(
-                    n, adjs[c], targets[c - 1], bud, trial[c]
-                )
-            delta = sum(updated.values()) - sum(energies[c] for c in updated)
-            accept = delta <= 0 or rng.random() < pow(
-                2.718281828459045, -delta / max(temp, 1e-9)
-            )
-            if accept:
+            a_old, a_new = adjs[old], adjs[new]
+            a_old[u] ^= bv
+            a_old[v] ^= bu
+            a_new[u] ^= bv
+            a_new[v] ^= bu
+            e_old, match_old = score(old, -1, u, v)
+            e_new, match_new = score(new, 1, u, v)
+            delta = e_old + e_new - energies[old] - energies[new]
+            if delta <= 0 or random_() < pow(
+                2.718281828459045,
+                -delta / max(T_START * ratio ** (step / span), 1e-9),
+            ):
                 assignment[i] = new
-                deleted_used += (new == 0) - (old == 0)
-                for c, e in updated.items():
-                    energies[c] = e
-                mates = trial
+                energies[old], energies[new] = e_old, e_new
+                mates[old], mates[new] = match_old, match_new  # None but for M
+                if not old or not new:
+                    deleted_used += 1 if not new else -1
+                    moves = delete if deleted_used < budget else recolor
                 total += delta
                 if total < best_energy:
                     best_energy = total
             else:
-                adjs[old][u] ^= bv
-                adjs[old][v] ^= bu
-                adjs[new][u] ^= bv
-                adjs[new][v] ^= bu
+                a_old[u] ^= bv
+                a_old[v] ^= bu
+                a_new[u] ^= bv
+                a_new[v] ^= bu
         if total == 0:
             cand = _witness_coloring(inst, edges, assignment, adjs)
             if len(cand.deleted) > inst.deleted_budget or not coloring_avoids_all(

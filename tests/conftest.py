@@ -248,8 +248,8 @@ def reference_anneal(inst, schedule, seed, initial=None) -> dict:
     def energy(assignment):
         masks = classes(assignment)
         return sum(
-            _energy_of_color(n, masks[c], t, bud,
-                             _mates(masks[c]) if isinstance(t, MatchingTarget) else None)
+            _energy_of_color(n, masks[c], t, bud, _mates(masks[c])
+                             if isinstance(t, MatchingTarget) else None)
             for c, t in enumerate(targets, 1)
         )
 

@@ -262,7 +262,7 @@ def test_randomized_matches_from_scratch_rescoring():
         targets = tuple(rng.choice(pool) for _ in range(k))
         inst = ArrowInstance(rng.randint(6, 8), targets, deleted_budget=case % 4)
         initial = _random_initial(rng, inst) if case % 3 == 0 else None
-        schedule = AnnealSchedule(steps=rng.randint(40, 160), restarts=rng.randint(1, 3))
+        schedule = AnnealSchedule(rng.randint(40, 160), rng.randint(1, 3))
         seed = rng.randrange(10**6)
         got = arrow_randomized(inst, schedule=schedule, seed=seed, initial=initial)
         assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(
