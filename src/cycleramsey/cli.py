@@ -371,6 +371,9 @@ def _cmd_search(args) -> int:
     default = (AnnealSchedule.steps, AnnealSchedule.restarts)
     if args.mode == "exhaustive" and (args.steps, args.restarts) != default:
         return _usage("search: --steps and --restarts schedule --mode randomized only")
+    if args.mode == "randomized" and args.node_budget != DEFAULT_BUDGET:
+        return _usage("search: --node-budget bounds exhaustive search; its schedule "
+                      "bounds --mode randomized")
     if args.range and args.targets:
         result = ramsey_number_exact(
             _parse_targets(args.targets), _parse_range(args.range),

@@ -358,8 +358,9 @@ def test_options_that_would_be_ignored_are_refused(tmp_path, capsys):
 
 
 def test_options_an_answer_never_reads_are_refused(capsys):
-    # the annealing schedule in an exhaustive search, --n beside --xi alone,
-    # and adversary steps for lemmas that color nothing
+    # the annealing schedule in an exhaustive search, a node budget in a
+    # randomized one, --n beside --xi alone, and adversary steps for lemmas
+    # that color nothing
     l2 = ["lemma", "--id", "l2", "--n1", "10", "--n2", "10", "--eps", "1/200",
           "--samples", "2"]
     double = ["lemma", "--id", "double", "--host-n", "40", "--nu1", "3/10",
@@ -371,6 +372,8 @@ def test_options_an_answer_never_reads_are_refused(capsys):
         search + ["--n", "5", "--mode", "exhaustive", "--steps", "7",
                   "--restarts", "9"],
         search + ["--range", "5..6", "--steps", "7"],
+        search + ["--n", "6", "--mode", "randomized", "--steps", "50",
+                  "--node-budget", "5"],
         ["bound", "--xi", "1,1,0", "--n", "7"],
         l2 + ["--adversary-steps", "3"],
         double + ["--adversary-steps", "0"],
@@ -382,6 +385,8 @@ def test_options_an_answer_never_reads_are_refused(capsys):
     for argv in (
         search + ["--n", "5", "--steps", "6000", "--restarts", "3"],
         search + ["--n", "5", "--mode", "randomized", "--steps", "7"],
+        search + ["--n", "5", "--mode", "randomized", "--steps", "7",
+                  "--node-budget", str(10**8)],
         ["bound", "--xi", "1,1,0", "--n", "100"],
         ["bound", "--xi", "1,1,0", "--hole-params", "1,1,1/2,1/256", "--n", "7"],
         ["bound", "--parities", "eeo", "--alphas", "1,1,1", "--n", "7"],
