@@ -3,7 +3,10 @@
 Every exact search runs on one simple-path kernel and carries a budget,
 charged one unit per kernel call; running out raises BudgetExceededError,
 which is reported distinctly from "no such cycle". No input is refused for
-its size.
+its size. Counting paths for the annealer's exact-cycle energies is the one
+unbudgeted exception (``_count_paths``): it is not a search, and the
+annealer is bounded by its schedule, so a budget there would only cost
+time per call.
 """
 
 from __future__ import annotations
@@ -74,20 +77,18 @@ def _simple_paths(
     steps: int,
     avoid: int,
     bud: _Budget,
-    count: bool = False,
     atleast: bool = False,
     out: Optional[list[int]] = None,
 ) -> int:
-    """Simple u->v paths of exactly ``steps`` edges whose inner vertices avoid
-    ``avoid`` (a mask holding u and v); at least ``steps`` edges if ``atleast``.
+    """1 if a simple u->v path of exactly ``steps`` edges (at least ``steps``
+    if ``atleast``) has its inner vertices outside ``avoid`` (a mask holding
+    u and v), else 0. Each call spends one unit of ``bud``.
 
-    Returns the number of such paths in count mode (exact lengths only), else
-    1 if one exists and 0 if none does. Each call spends one unit of ``bud``.
     With u == v and ``steps`` >= 3 the paths are the cycles through u whose
-    other vertices avoid ``avoid``, counted once per direction. In plain
-    existence mode the inner vertices of one such path (the lexicographically
-    first for exact lengths) are appended to ``out``, last first; a failure
-    leaves ``out`` as is.
+    other vertices avoid ``avoid``. The inner vertices of one such path (the
+    lexicographically first for exact lengths) are appended to ``out``, last
+    first; a failure leaves ``out`` as is. Counting paths is
+    ``_count_paths``.
     """
     bud.spend()
     free = adj[u] & ~avoid
@@ -102,22 +103,18 @@ def _simple_paths(
         last = adj[v] & ~avoid
         if steps == 2:
             mids = free & last
-            if count:
-                return mids.bit_count()
             if mids and out is not None:
                 out.append((mids & -mids).bit_length() - 1)
             return int(mids != 0)
-        total = 0
         while free:
             low = free & -free
             free ^= low
             common = adj[low.bit_length() - 1] & last
-            if common and not count:
+            if common:
                 if out is not None:
                     out += ((common & -common).bit_length() - 1, low.bit_length() - 1)
                 return 1
-            total += common.bit_count()
-        return total
+        return 0
     # Every inner vertex lies in the region u's free neighbours reach without
     # entering ``avoid``, and the last one is adjacent to v. Testing this from
     # four remaining edges on, rather than only from five or six, measured
@@ -131,19 +128,60 @@ def _simple_paths(
         if out is not None:
             out += _route(adj, free, adj[v], reach)
         return 1
-    total = 0
     while free:
         low = free & -free
         free ^= low
         w = low.bit_length() - 1
-        found = _simple_paths(
-            adj, w, v, steps - 1, avoid | low, bud, count, atleast, out
-        )
-        if found and not count:
+        if _simple_paths(adj, w, v, steps - 1, avoid | low, bud, atleast, out):
             if out is not None:
                 out.append(w)
             return 1
-        total += found
+    return 0
+
+
+def _count_paths(adj: list[int], u: int, v: int, steps: int, avoid: int) -> int:
+    """The number of simple u->v paths of exactly ``steps`` >= 1 edges whose
+    inner vertices avoid ``avoid`` (a mask holding u and v); with u == v and
+    ``steps`` >= 3, of the cycles through u, counted once per direction.
+
+    No budget: counting is not a search, and the annealer that calls it is
+    bounded by its schedule. From four edges on, one flood guards the walk:
+    v must be adjacent to the region u's free neighbours reach outside
+    ``avoid``, and ``steps`` - 1 inner vertices must fit in it, or a target
+    longer than the host would walk every simple path from u. Each level of
+    ``_count_walk`` adds one vertex to ``avoid`` and removes one step, so
+    the fit holds there with no further flood.
+    """
+    free, last = adj[u] & ~avoid, adj[v] & ~avoid
+    if steps == 1:
+        return adj[u] >> v & 1
+    if steps == 2:
+        return (free & last).bit_count()
+    if steps >= 4:
+        reach = _reachable(adj, free, ~avoid)
+        if not last & reach or reach.bit_count() < steps - 1:
+            return 0
+    return _count_walk(adj, 1 << u, last, steps, avoid)
+
+
+def _count_walk(adj: list[int], free: int, last: int, steps: int, avoid: int) -> int:
+    """The simple paths of ``steps`` >= 3 edges from a vertex w of ``free``
+    to v whose inner vertices avoid ``avoid`` and w, summed over w; ``last``
+    holds v's neighbours outside ``avoid``. Three edges from w close on the
+    common neighbours of v and each free neighbour of w."""
+    total = 0
+    while free:
+        low = free & -free
+        free ^= low
+        inner, end = avoid | low, last & ~low
+        nbrs = adj[low.bit_length() - 1] & ~inner
+        if steps > 3:
+            total += _count_walk(adj, nbrs, end, steps - 1, inner)
+        else:
+            while nbrs:
+                mid = nbrs & -nbrs
+                nbrs ^= mid
+                total += (adj[mid.bit_length() - 1] & end).bit_count()
     return total
 
 

@@ -18,6 +18,7 @@ from .cycles import (
     DEFAULT_BUDGET,
     _Budget,
     _check_budget,
+    _count_paths,
     _long_cycle_edges,
     _simple_paths,
     has_cycle_of_length,
@@ -507,8 +508,9 @@ def _energy_of_color(
     """How strongly this class realizes its target (0 iff the target is absent).
 
     Exact-cycle targets use the path-incidence sum (length * cycle count),
-    which admits cheap per-move deltas. At-least cycle targets count the
-    edges of the components that hold a cycle of at least the target length
+    which admits cheap per-move deltas; ``cycles._count_paths`` counts the
+    paths, with no budget. At-least cycle targets count the edges of the
+    components that hold a cycle of at least the target length
     (``cycles._long_cycle_edges``). Matching targets score the excess
     saturation, read off ``match``, a maximum matching of the class that
     the annealer repairs per move (``matchings._repair_matching``).
@@ -519,9 +521,7 @@ def _energy_of_color(
         total = 0
         for u in range(n):
             for v in _bits(adj[u] >> (u + 1) << (u + 1)):
-                total += _simple_paths(
-                    adj, u, v, target.length - 1, 1 << u | 1 << v, bud, count=True
-                )
+                total += _count_paths(adj, u, v, target.length - 1, 1 << u | 1 << v)
         return total
     saturation = _best_matched(adj, match, target.nonbipartite)[0]
     return max(0, (saturation - target.saturation) // 2 + 1)
@@ -597,8 +597,8 @@ def arrow_randomized(
         if ell[c] == 3:  # the triangles through (u,v): common neighbours of u, v
             return energies[c] + sign * 3 * (a[u] & a[v]).bit_count(), None
         if ell[c]:  # length times the cycles through (u,v), present or not
-            return energies[c] + sign * ell[c] * _simple_paths(
-                a, u, v, ell[c] - 1, 1 << u | 1 << v, bud, count=True
+            return energies[c] + sign * ell[c] * _count_paths(
+                a, u, v, ell[c] - 1, 1 << u | 1 << v
             ), None
         if not c:
             return 0, None

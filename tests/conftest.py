@@ -29,6 +29,7 @@ from cycleramsey.search import (
     T_END,
     T_START,
     ArrowVerdict,
+    CycleTarget,
     MatchingTarget,
     SearchStats,
     _energy_of_color,
@@ -199,6 +200,24 @@ def has_cycle_brute(n, edges, length):
     return any(walk(a, a, {a}) for a in range(n))
 
 
+def count_cycles_brute(adj, length):
+    """The cycles of exactly this many vertices in the graph of mask rows
+    ``adj``, by walking every simple path from each anchor through larger
+    vertices only; each cycle is walked once in each direction."""
+    nbrs = [[w for w in range(len(adj)) if row >> w & 1] for row in adj]
+
+    def walk(anchor, cur, seen):
+        if len(seen) == length:
+            return int(anchor in nbrs[cur])
+        return sum(
+            walk(anchor, w, seen | {w})
+            for w in nbrs[cur]
+            if w > anchor and w not in seen
+        )
+
+    return sum(walk(a, a, {a}) for a in range(len(adj))) // 2
+
+
 def oracle_deficiency(g: Graph) -> int:
     """max over S of (odd components of g-S) - |S|, by full enumeration."""
     best = 0
@@ -234,7 +253,10 @@ def reference_anneal(inst, schedule, seed, initial=None) -> dict:
     """``arrow_randomized(inst, schedule, seed, initial).to_dict()`` without
     incremental energies: the same random stream, but after each proposal
     every class is rebuilt from the assignment and rescored from scratch,
-    with a fresh maximum matching for each matching target."""
+    with a fresh maximum matching for each matching target. An exact
+    ``C<len>`` class scores len times its len-cycles, counted by
+    ``count_cycles_brute``, so the replay shares no code with the
+    annealer's path counter."""
     edges = inst.present_edges()
     n, k, targets = inst.n, inst.k, inst.targets
     bud = _Budget(float("inf"))
@@ -245,13 +267,15 @@ def reference_anneal(inst, schedule, seed, initial=None) -> dict:
             _toggle_edge(u, v, masks[c])
         return masks
 
+    def score(adj, t):
+        if isinstance(t, CycleTarget) and t.exact:
+            return t.length * count_cycles_brute(adj, t.length)
+        match = _mates(adj) if isinstance(t, MatchingTarget) else None
+        return _energy_of_color(n, adj, t, bud, match)
+
     def energy(assignment):
         masks = classes(assignment)
-        return sum(
-            _energy_of_color(n, masks[c], t, bud, _mates(masks[c])
-                             if isinstance(t, MatchingTarget) else None)
-            for c, t in enumerate(targets, 1)
-        )
+        return sum(score(masks[c], t) for c, t in enumerate(targets, 1))
 
     rng = random.Random(seed)
     stats = SearchStats()

@@ -385,7 +385,7 @@ def test_path_kernel_matches_enumeration():
     import itertools
     import random
 
-    from cycleramsey.cycles import _Budget, _simple_paths
+    from cycleramsey.cycles import _Budget, _count_paths, _simple_paths
 
     rng = random.Random(77)
     for _ in range(120):
@@ -402,10 +402,12 @@ def test_path_kernel_matches_enumeration():
         for w in rng.sample(range(n), rng.randint(0, n // 3)):
             avoid |= 1 << w
         lengths = _enumerate_path_lengths(adj, u, v, avoid)
+        # no simple path of n or more edges fits on n vertices
+        for steps in range(1, n + 3):
+            assert _count_paths(adj, u, v, steps, avoid) == lengths.count(steps)
         for steps in range(1, n):
             bud = _Budget(10**9)
             exact = lengths.count(steps)
-            assert _simple_paths(adj, u, v, steps, avoid, bud, count=True) == exact
             inner = []
             assert _simple_paths(adj, u, v, steps, avoid, bud, out=inner) == (exact > 0)
             if exact:
@@ -432,10 +434,10 @@ def test_path_kernel_matches_enumeration():
             else:
                 assert inner == []
         # u == v: closed paths are the cycles through u on vertices outside
-        # avoid, each counted once per direction
+        # avoid, each counted once per direction; none has more than n edges
         u = rng.randrange(n)
         avoid = (2 << u) - 1
-        for steps in range(3, n + 1):
+        for steps in range(3, n + 3):
             cycles = [
                 rest
                 for rest in itertools.permutations(
@@ -443,13 +445,46 @@ def test_path_kernel_matches_enumeration():
                 )
                 if _is_simple_path(adj, [u, *rest]) and adj[rest[-1]] >> u & 1
             ]
-            bud = _Budget(10**9)
-            count = _simple_paths(adj, u, u, steps, avoid, bud, count=True)
-            assert count == len(cycles)
+            assert _count_paths(adj, u, u, steps, avoid) == len(cycles)
+            if steps > n:
+                continue
             inner = []
-            found = _simple_paths(adj, u, u, steps, avoid, bud, out=inner)
+            found = _simple_paths(adj, u, u, steps, avoid, _Budget(10**9), out=inner)
             assert found == (len(cycles) > 0)
             assert inner[::-1] == (list(min(cycles)) if cycles else [])
+
+
+def test_count_paths_guard_refuses_targets_longer_than_the_host(monkeypatch):
+    from cycleramsey import cycles
+
+    kernel = cycles._count_paths
+    walks = []
+    walk = cycles._count_walk
+
+    def counted(adj, free, last, steps, avoid):
+        walks.append(steps)
+        return walk(adj, free, last, steps, avoid)
+
+    monkeypatch.setattr(cycles, "_count_walk", counted)
+    # on K16, at most 14 inner vertices fit outside {0, 1}, so the guard
+    # refuses a 0-1 path of 16 or more edges before any walk
+    full = (1 << 16) - 1
+    adj = [full & ~(1 << w) for w in range(16)]
+    for steps in (16, 17, 19, 40):
+        assert kernel(adj, 0, 1, steps, 0b11) == 0
+    assert walks == []
+    # paths of 5 edges fit: one walk from 0, one through its 14 neighbours,
+    # and one from each of those, which closes the last three edges inline
+    assert kernel(adj, 0, 1, 5, 0b11) == 14 * 13 * 12 * 11
+    assert walks == [5, 4, *[3] * 14]
+
+    # exact targets longer than the host: every coloring avoids them, and
+    # no energy walks a single path
+    walks.clear()
+    inst = ArrowInstance(16, (CycleTarget(17), CycleTarget(20)))
+    verdict = arrow_randomized(inst, schedule=AnnealSchedule(50, 1), seed=1)
+    assert verdict.arrows is False and walks == []
+    assert coloring_avoids_all(verdict.witness, inst.targets)
 
 
 @pytest.mark.parametrize(
