@@ -547,6 +547,29 @@ def test_symmetry_prunes_are_pinned(
     )
 
 
+@pytest.mark.parametrize(
+    "inst, pinned",
+    [
+        (ArrowInstance(8, (CycleTarget(4),) * 3, deleted_budget=1),
+         (False, 526, 332, 24)),
+        (ArrowInstance(9, (CycleTarget(4),) * 3, HoleSpec((frozenset({0, 1, 2}),))),
+         (False, 116, 66, 0)),
+        (ArrowInstance(6, (MatchingTarget(4),) * 3), (True, 556, 328, 42)),
+        (ArrowInstance(8, (CycleTarget(5), CycleTarget(5), CycleTarget(4)),
+                       deleted_budget=2),
+         (False, 46, 18, 0)),
+    ],
+    ids=["C4,C4,C4@8 deleting 1", "C4,C4,C4@9 hole 012", "M4,M4,M4@6",
+         "C5,C5,C4@8 deleting 2"],
+)
+def test_same_target_colors_with_holes_and_deletions_are_pinned(inst, pinned):
+    # three same-target colors (the first-use rule) together with deletions,
+    # the present pairs under a hole, and the matching presence check
+    v = arrow_exhaustive(inst)
+    stats = v.stats
+    assert (v.arrows, stats.nodes, stats.presence_prunes, stats.symmetry_prunes) == pinned
+
+
 def _relabelings(v_top):
     """One itemgetter per permutation of 0..v_top, mapping a (max, min)-ordered
     clique vector to its relabeled vector."""
