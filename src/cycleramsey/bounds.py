@@ -21,18 +21,13 @@ _SQRT_SCALE = 10**18
 
 def floor_parity(x: Fraction | int, parity: ParityName) -> int:
     """Largest integer of the given parity not exceeding x."""
-    x = Fraction(x)
-    if parity == "odd":
-        if x < 3:
-            raise UndefinedTarget(f"no odd target length <= {x} (need x >= 3)")
-        f = math.floor(x)
-        return f if f % 2 == 1 else f - 1
-    if parity == "even":
-        if x < 2:
-            raise UndefinedTarget(f"no even target length <= {x} (need x >= 2)")
-        f = math.floor(x)
-        return f if f % 2 == 0 else f - 1
-    raise ValueError(f"unknown parity {parity!r}")
+    if parity not in ("even", "odd"):
+        raise ValueError(f"unknown parity {parity!r}")
+    x, least = Fraction(x), 3 if parity == "odd" else 2
+    if x < least:
+        raise UndefinedTarget(f"no {parity} target length <= {x} (need x >= {least})")
+    f = math.floor(x)
+    return f if f % 2 == least % 2 else f - 1
 
 
 def sqrt_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:

@@ -56,17 +56,16 @@ def _check_budget(budget) -> None:
 
 
 class _Budget:
-    __slots__ = ("left", "spent")
+    __slots__ = ("amount", "spent")
 
     def __init__(self, amount: int):
         _check_budget(amount)
-        self.left = amount
+        self.amount = amount
         self.spent = 0
 
     def spend(self) -> None:
-        self.left -= 1
         self.spent += 1
-        if self.left < 0:  # one unit past the budget
+        if self.spent > self.amount:  # one unit past the budget
             raise BudgetExceededError(nodes=self.spent)
 
 

@@ -158,9 +158,6 @@ class HoleSpec:
                 if not 0 <= v < n:
                     raise ValueError(f"hole vertex {v} outside range 0..{n - 1}")
 
-    def forbids(self, u: int, v: int) -> bool:
-        return any(u in h and v in h for h in self.holes)
-
     def masks(self) -> list[int]:
         return [_mask_of(h) for h in self.holes]
 

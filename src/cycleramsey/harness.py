@@ -106,6 +106,12 @@ def _sample_deletions(rng: random.Random, host: Graph, budget: int) -> list:
     return rng.sample(edges, min(count, len(edges)))
 
 
+def _sampled_host(rng: random.Random, host: Graph, budget: int) -> tuple[Graph, list]:
+    """``host`` minus ``_sample_deletions``: (the sampled graph, the deletions)."""
+    deletions = _sample_deletions(rng, host, budget)
+    return apply_holes_and_deletions(host, HoleSpec(), deletions), deletions
+
+
 _SECOND_COLOR_BIT = bytes.maketrans(b"\x01\x02", b"01")
 
 
@@ -200,9 +206,7 @@ def _run_l2(p: dict, rng: random.Random, steps: int) -> _Sample:
     n = n1 + n2
     left = (1 << n1) - 1
     host = Graph._from_masks(n, [left ^ ((1 << n) - 1)] * n1 + [left] * n2)
-    budget = int(eps * n1 * n2)
-    deletions = _sample_deletions(rng, host, budget)
-    g = apply_holes_and_deletions(host, HoleSpec(), deletions)
+    g, deletions = _sampled_host(rng, host, int(eps * n1 * n2))
     size_thresh = (1 - 3 * eps) * (n1 + n2)
     card_thresh = (1 - 3 * eps) * n2
     # a maximum matching of g is maximum on each component: a component
@@ -216,11 +220,10 @@ def _run_l2(p: dict, rng: random.Random, steps: int) -> _Sample:
 
     def record() -> dict:
         witness = {"graph": graph_to_dict(g), "deletions": sorted(deletions)}
+        dense = g.num_edges >= (1 - eps) * n1 * n2
         recheck = {
-            "ok": g.num_edges >= (1 - eps) * n1 * n2,
-            "violations": []
-            if g.num_edges >= (1 - eps) * n1 * n2
-            else ["edge count below (1-eps)|V1||V2|"],
+            "ok": dense,
+            "violations": [] if dense else ["edge count below (1-eps)|V1||V2|"],
         }
         return {"witness": witness, "recheck": recheck}
 
@@ -247,11 +250,9 @@ def _run_double(p: dict, rng: random.Random, steps: int) -> _Sample:
     nu1, nu2, eps = Fraction(p["nu1"]), Fraction(p["nu2"]), Fraction(p["eps"])
     u1 = frozenset(rng.sample(range(N), int(nu1 * N)))
     u2 = frozenset(rng.sample(range(N), int(nu2 * N)))
-    holes = HoleSpec((u1, u2))
-    host = apply_holes_and_deletions(complete_graph(N), holes)
+    host = apply_holes_and_deletions(complete_graph(N), HoleSpec((u1, u2)))
     budget = int(eps**3 * Fraction(N * (N - 1), 2))
-    deletions = _sample_deletions(rng, host, budget)
-    g = apply_holes_and_deletions(host, HoleSpec(), deletions)
+    g, deletions = _sampled_host(rng, host, budget)
     if 2 * len(u2) <= N:
         thresh = (1 - 5 * eps) * N
         branch = "small-hole"
@@ -278,24 +279,15 @@ def _check_hole_params(p: dict, strict: bool, warnings: list[str]) -> HoleParams
     return HoleParams(p["alpha"], p["beta"], p["nu"], p["eps"])
 
 
-def _host_with_hole(
-    rng: random.Random, N: int, hole_size: int, deletion_budget: int
-) -> tuple[Graph, frozenset, list]:
-    w = frozenset(rng.sample(range(N), hole_size))
-    holes = HoleSpec((w,))
-    host = apply_holes_and_deletions(complete_graph(N), holes)
-    deletions = _sample_deletions(rng, host, deletion_budget)
-    g = apply_holes_and_deletions(host, HoleSpec(), deletions)
-    return g, w, deletions
-
-
 def _run_hole_lemma(p: dict, rng: random.Random, steps: int, nonbip2: bool) -> _Sample:
     hp = HoleParams(p["alpha"], p["beta"], p["nu"], p["eps"])
     n = p["n"]
     N = lemma_trzy_host_size(hp, n) if nonbip2 else lemma_dwa_host_size(hp, n)
     hole_size = int(hp.nu * n)
     budget = int(hp.epsilon**3 * n * n)
-    g, w, deletions = _host_with_hole(rng, N, hole_size, budget)
+    w = frozenset(rng.sample(range(N), hole_size))
+    host = apply_holes_and_deletions(complete_graph(N), HoleSpec((w,)))
+    g, deletions = _sampled_host(rng, host, budget)
     thresholds = ((hp.alpha + hp.epsilon) * n, (hp.beta + hp.epsilon) * n)
     second = _second_color_rows(g._adj, _uniform_colors(rng, g.num_edges, 2))
     classes = [[a ^ b for a, b in zip(g._adj, second)], second]
@@ -336,10 +328,8 @@ def _run_f1(p: dict, rng: random.Random, steps: int) -> _Sample:
     x = b - y
     perm = rng.sample(range(nverts), nverts)
     xs, ys = set(perm[:x]), set(perm[x : x + y])
-    host = complete_graph(nverts)
     budget = int(eps**4 * n * n)
-    deletions = _sample_deletions(rng, host, budget)
-    g = apply_holes_and_deletions(host, HoleSpec(), deletions)
+    g, deletions = _sampled_host(rng, complete_graph(nverts), budget)
     classes = [[0] * g.n for _ in range(3)]
     third_mutable = []
     xys = xs | ys
@@ -368,11 +358,10 @@ def _run_f1(p: dict, rng: random.Random, steps: int) -> _Sample:
         witness = {
             "coloring": coloring_to_dict(coloring), "bipartite_third_union": gprime
         }
+        big = gprime >= t3
         recheck = {
-            "ok": gprime >= t3 and len(deletions) <= budget,
-            "violations": []
-            if gprime >= t3
-            else ["bipartite third-color union too small"],
+            "ok": big and len(deletions) <= budget,
+            "violations": [] if big else ["bipartite third-color union too small"],
         }
         return {"witness": witness, "recheck": recheck}
 

@@ -32,7 +32,9 @@ from .graphs import (
     _bits,
     _toggle_edge,
     _uniform_colors,
+    apply_holes_and_deletions,
     coloring_to_dict,
+    complete_graph,
 )
 from .matchings import _best_matched, _mates, _repair_matching, best_saturation
 
@@ -96,12 +98,8 @@ class ArrowInstance:
 
     def present_edges(self) -> list[tuple[int, int]]:
         """Assignable pairs in lexicographic (max endpoint, min endpoint) order."""
-        out = []
-        for v in range(self.n):
-            for u in range(v):
-                if not self.holes.forbids(u, v):
-                    out.append((u, v))
-        return out
+        adj = apply_holes_and_deletions(complete_graph(self.n), self.holes)._adj
+        return [(u, v) for v in range(self.n) for u in _bits(adj[v] & ((1 << v) - 1))]
 
     def to_dict(self) -> dict:
         return {
@@ -237,8 +235,7 @@ def _new_edge_creates_target(
                 atleast=not target.exact,
             )
         )
-    g = Graph._from_masks(n, list(adj))
-    return target_present(g, target)
+    return _best_matched(adj, _mates(adj), target.nonbipartite)[0] >= target.saturation
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +269,9 @@ def _prefix_is_canonical(assignment: list[int], v_top: int, bud: _Budget) -> boo
     stops one unit past the budget.
     """
     m = v_top + 1
-    # want[j]: the prefix's entries (a, j) for a < j
-    want = [assignment[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(m)]
-    color = [[0] * m for _ in range(m)]
-    for j, entries in enumerate(want):
-        for a, c in enumerate(entries):
+    color = [[0] * m for _ in range(m)]  # color[j][:j]: the prefix's entries (a, j)
+    for j in range(m):
+        for a, c in enumerate(assignment[j * (j - 1) // 2 : j * (j + 1) // 2]):
             color[a][j] = color[j][a] = c
     # twin[z]: the least y whose row, with entries y and z swapped, is z's row
     twin = list(range(m))
@@ -302,7 +297,7 @@ def _prefix_is_canonical(assignment: list[int], v_top: int, bud: _Budget) -> boo
                 continue
             tried.add(twin[y])
             row = color[y]
-            for x, c in zip(images, want[j]):
+            for x, c in zip(images, color[j]):
                 if row[x] != c:
                     if row[x] < c:
                         return True
@@ -319,15 +314,14 @@ def _prefix_is_canonical(assignment: list[int], v_top: int, bud: _Budget) -> boo
     return not smaller(0)
 
 
-def _color_groups(targets: tuple[Target, ...]) -> dict[int, list[int]]:
-    """Colors sharing an identical target are interchangeable.
+def _color_predecessors(targets: tuple[Target, ...]) -> list[int]:
+    """prev[c]: the last color before c with an identical target, else 0.
 
-    Targets are frozen dataclasses, so equality compares the class and every
-    field: C5 and C5+ (or M4 and M4n) never share a group."""
-    groups: dict[Target, list[int]] = {}
-    for i, t in enumerate(targets):
-        groups.setdefault(t, []).append(i + 1)
-    return {c: sorted(g) for g in groups.values() for c in g}
+    Colors sharing an identical target are interchangeable. Targets are
+    frozen dataclasses, so equality compares the class and every field: C5
+    and C5+ (or M4 and M4n) are never predecessors of each other."""
+    return [0] + [max((d for d in range(1, c) if targets[d - 1] == t), default=0)
+                  for c, t in enumerate(targets, 1)]
 
 
 def arrow_exhaustive(
@@ -342,37 +336,30 @@ def arrow_exhaustive(
     prefixes (hole-free instances only), color symmetry only between colors
     with identical targets.
     """
-    _check_budget(budget)
+    bud = _Budget(budget)  # search nodes, path-kernel and canonical-check visits
     t0 = time.perf_counter()
     stats = SearchStats()
     edges = inst.present_edges()
     k = inst.k
     n = inst.n
     targets = inst.targets
-    group_of = _color_groups(targets)
+    # block_end[i]: the prefix clique completed by assigning edge i, if any; on
+    # a hole-free host the pair (v-1, v) is edge v(v+1)/2 - 1
     vertex_sym = symmetry and not inst.holes.holes
-    color_sym = symmetry
-    # block_end[i]: the prefix clique completed by assigning edge i, if any
-    block_end = {}
-    if vertex_sym:
-        for i, (u, v) in enumerate(edges):
-            if u == v - 1 and v >= 2:
-                block_end[i] = v
+    block_end = {v * (v + 1) // 2 - 1: v for v in range(2, n)} if vertex_sym else {}
+    # First-use rule: c is offered once its predecessor prev[c] is used. The
+    # used colors of a group then always form a prefix of it: a color is first
+    # used only after its predecessor, and the explicit stack takes colors off
+    # in reverse order. So "prev[c] used" means all of c's earlier group is used.
+    prev = _color_predecessors(targets) if symmetry else [0] * (k + 1)
 
     # adjs[0] and used_count[0] hold the deleted pairs, as in the annealer
     adjs = [[0] * n for _ in range(k + 1)]
     assignment = [None] * len(edges)
     used_count = [0] * (k + 1)
-    bud = _Budget(budget)  # search nodes plus path-kernel expansions
 
-    def choices(i: int) -> list[int]:
-        opts = []
-        for c in range(1, k + 1):
-            if color_sym and used_count[c] == 0:
-                grp = group_of[c]
-                if any(used_count[d] == 0 and d < c for d in grp):
-                    continue  # a symmetric earlier color is still unused
-            opts.append(c)
+    def choices() -> list[int]:
+        opts = [c for c in range(1, k + 1) if not prev[c] or used_count[prev[c]]]
         if used_count[0] < inst.deleted_budget:
             opts.append(0)
         return opts
@@ -394,7 +381,7 @@ def arrow_exhaustive(
             u, v = edges[i]
             bu, bv = 1 << u, 1 << v
             if len(pending) == i:
-                pending.append(choices(i)[::-1])
+                pending.append(choices()[::-1])
             else:  # back at edge i: take its last color off
                 c = assignment[i]
                 adjs[c][u] ^= bv
@@ -426,13 +413,11 @@ def arrow_exhaustive(
     header = _header(inst, "exhaustive", symmetry=symmetry, budget=budget)
     try:
         witness = descend()
+        arrows = witness is None
     except BudgetExceededError:
-        stats.elapsed = time.perf_counter() - t0
-        return ArrowVerdict(None, None, stats, header)
+        witness, arrows = None, None
     stats.elapsed = time.perf_counter() - t0
-    if witness is not None:
-        return ArrowVerdict(False, witness, stats, header)
-    return ArrowVerdict(True, None, stats, header)
+    return ArrowVerdict(arrows, witness, stats, header)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from cycleramsey.search import (
     ArrowInstance,
     CycleTarget,
     MatchingTarget,
-    _color_groups,
+    _color_predecessors,
     _energy_of_color,
     arrow_exhaustive,
     arrow_randomized,
@@ -796,6 +796,6 @@ def test_color_groups_separate_targets_that_differ_in_any_field():
     c5, m4 = CycleTarget(5), MatchingTarget(4)
     for same, other in ((c5, CycleTarget(5, exact=False)),
                         (m4, MatchingTarget(4, nonbipartite=True))):
-        assert _color_groups((same, other, same)) == {1: [1, 3], 2: [2], 3: [1, 3]}
+        assert _color_predecessors((same, other, same)) == [0, 0, 0, 1]
     # a cycle and a matching target with the same number are not equal
-    assert _color_groups((CycleTarget(4), MatchingTarget(4))) == {1: [1], 2: [2]}
+    assert _color_predecessors((CycleTarget(4), MatchingTarget(4))) == [0, 0, 0]
