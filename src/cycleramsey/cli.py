@@ -179,8 +179,14 @@ def _parse_range(text: str) -> range:
     return n_range
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _load(path: str, parse):
+    """``parse`` of the file's text. A malformed file is a ValueError naming it;
+    only the parse is guarded, so no internal TypeError is hidden."""
+    text = Path(path).read_text()
+    try:
+        return parse(text)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _usage(message: str) -> int:
@@ -212,10 +218,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    coloring = load_coloring(_read(args.coloring))
+    coloring = _load(args.coloring, load_coloring)
     payload = {"valid": True, "n": coloring.n, "k": coloring.k}
     if args.report:
-        report_data = json.loads(_read(args.report))
+        report_data = _load(args.report, json.loads)
         claims = tuple(
             Claim(c["color"], c["kind"], c["bound"])
             for c in report_data["construction"]["claims"]
@@ -241,7 +247,7 @@ def _cmd_verify(args) -> int:
 def _cmd_cycles(args) -> int:
     if args.length is not None and args.parity != "any":
         return _usage("cycles: --length fixes the parity; drop --parity")
-    g = load_graph(_read(args.graph))
+    g = _load(args.graph, load_graph)
     try:
         if args.length is not None:
             cert = has_cycle_of_length(g, args.length, budget=args.node_budget)
@@ -271,7 +277,7 @@ def _cmd_cycles(args) -> int:
 def _cmd_matching(args) -> int:
     if args.require_nonbipartite and not args.best_component:
         return _usage("matching: --require-nonbipartite needs --best-component")
-    g = load_graph(_read(args.graph))
+    g = _load(args.graph, load_graph)
     payload = {}
     if args.best_component:
         try:
@@ -290,7 +296,7 @@ def _cmd_matching(args) -> int:
 def _cmd_decompose(args) -> int:
     if args.n_target is not None and args.n_scale != 1:
         return _usage("decompose: --n-scale scales --alpha; drop it with --n-target")
-    g = load_graph(_read(args.graph))
+    g = _load(args.graph, load_graph)
     try:
         if args.n_target is not None:
             part = tutte_partition(g, args.n_target)
@@ -382,7 +388,7 @@ def _cmd_search(args) -> int:
         _emit(args, {"ramsey": result.to_dict(args.timings)})
         return EXIT_OK if result.value is not None else EXIT_UNKNOWN
     if args.instance:
-        inst = instance_from_dict(json.loads(_read(args.instance)))
+        inst = _load(args.instance, lambda text: instance_from_dict(json.loads(text)))
     elif args.targets and args.n is not None:
         inst = ArrowInstance(n=args.n, targets=_parse_targets(args.targets))
     else:

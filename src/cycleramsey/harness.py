@@ -411,7 +411,7 @@ def lemma_harness(
     False, so a passing sample pays for no record. ``params`` must hold
     exactly the parameters that ``LEMMAS`` names for the lemma; ``l2`` and
     ``double`` color nothing, so they take ``adversary_steps`` only at its
-    default."""
+    default, and only ``double`` has asymptotic guards for ``strict``."""
     if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}; choose from {LEMMA_IDS}")
     check, run_sample, parameters = LEMMAS[lemma]
@@ -424,6 +424,8 @@ def lemma_harness(
         raise ValueError(f"need adversary_steps >= 0, got {adversary_steps}")
     if lemma in ("l2", "double") and adversary_steps != _ADVERSARY_STEPS:
         raise ValueError(f"lemma {lemma!r} colors nothing; adversary_steps is unused")
+    if strict and lemma != "double":
+        raise ValueError(f"lemma {lemma!r} has no asymptotic guards; strict is unused")
     warnings: list[str] = []
     check(params, strict, warnings)
 

@@ -212,6 +212,66 @@ def test_cycles_and_matching_commands(c6_file, capsys):
     assert data["saturation"] == 6
 
 
+def test_each_construction_family_and_a_best_component(tmp_path, capsys):
+    for flags, name in ((["--eeo-four", "6", "4"], "eeo_four_part"),
+                        (["--eeo-three", "6", "4", "7"], "eeo_three_part"),
+                        (["--oee-four", "6", "7"], "oee_four_part")):
+        assert run(["construct", *flags, "--format", "json"]) == 0, flags
+        data = json.loads(capsys.readouterr().out)["construction"]
+        assert data["name"] == name and all(c["verified"] for c in data["claims"])
+    # a triangle beside an edge: the triangle's component saturates 2 of 3
+    graph = tmp_path / "g.json"
+    graph.write_text(dump_graph(Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])))
+    assert run(["matching", "--graph", str(graph), "--best-component",
+                "--require-nonbipartite", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["component"], data["saturation"]) == ([0, 1, 2], 2)
+
+
+def test_verify_reports_a_claim_left_undecided_by_the_budget(tmp_path, capsys):
+    # K5 minus (3,4) in color 1 is Hamiltonian; no bound refutes a 5-cycle, so
+    # the exact search decides, and a zero budget leaves the claim undecided
+    coloring = tmp_path / "c.json"
+    edges = [[u, v, 2 if (u, v) == (3, 4) else 1] for v in range(5) for u in range(v)]
+    coloring.write_text(json.dumps({"n": 5, "k": 2, "edges": edges}))
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"construction": {
+        "name": "k5", "params": {}, "parts": [],
+        "claims": [{"color": 1, "kind": "no-cycle-length-geq", "bound": 5}]}}))
+    argv = ["verify", "--coloring", str(coloring), "--report", str(report),
+            "--format", "json"]
+    assert run(argv + ["--node-budget", "0"]) == 2
+    claim = json.loads(capsys.readouterr().out)["construction"]["claims"][0]
+    assert claim["verified"] is None and claim["method"] == "budget-exceeded"
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["construction"]["claims"][0][
+        "verified"] is False
+
+
+@pytest.mark.parametrize(
+    "command, flag, data",
+    [
+        ("matching", "--graph", {"n": 3, "edges": [[0, 1.5]]}),
+        ("matching", "--graph", {"n": 3, "edges": 5}),
+        ("matching", "--graph", [1, 2]),
+        ("matching", "--graph", {"n": 3, "edges": [["a", 1]]}),
+        ("verify", "--coloring",
+         {"n": 3, "k": 2, "edges": [[0, 1, "x"], [0, 2, 1], [1, 2, 2]]}),
+        ("search", "--instance",
+         {"n": 4, "holes": [["a"]], "targets": [{"kind": "cycle", "length": 3}] * 2}),
+    ],
+    ids=["float vertex", "edges not a list", "list not an object", "string vertex",
+         "string color", "string hole vertex"],
+)
+def test_malformed_files_exit_1_naming_the_file(tmp_path, capsys, command, flag, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run([command, flag, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cycles_certificate_check_survives_optimize(c6_file):
     # `python -O` strips assert statements; the CLI's check of the cycle it
     # reports must still refuse a non-cycle and never exit 0.
@@ -377,6 +437,9 @@ def test_options_an_answer_never_reads_are_refused(capsys):
         ["bound", "--xi", "1,1,0", "--n", "7"],
         l2 + ["--adversary-steps", "3"],
         double + ["--adversary-steps", "0"],
+        l2 + ["--strict"],  # only double has asymptotic guards
+        ["lemma", "--id", "f1", "--alpha1", "1", "--alpha2", "1", "--eps", "1/256",
+         "--n", "12", "--samples", "2", "--strict"],
     ):
         assert run(argv + ["--format", "json"]) == 1, argv
         captured = capsys.readouterr()

@@ -160,6 +160,44 @@ def test_adversary_steps_are_refused_where_nothing_is_colored():
     assert lemma_harness("l2", l2, samples=2, seed=1, adversary_steps=20).passes == 2
 
 
+def test_strict_is_refused_where_no_guard_exists():
+    # only double has asymptotic guards, so strict elsewhere would be ignored
+    for lemma, params in TIER1_PARAMS.items():
+        if lemma != "double":
+            with pytest.raises(ValueError, match="strict is unused"):
+                lemma_harness(lemma, params, samples=2, seed=1, strict=True)
+
+
+def test_a_rejected_adversary_move_is_undone(monkeypatch):
+    import cycleramsey.harness as harness
+    from cycleramsey.graphs import _uniform_colors, complete_graph
+    from cycleramsey.matchings import _mates
+
+    rng = random.Random(3)
+    g = complete_graph(9)
+    second = _second_color_rows(g._adj, _uniform_colors(rng, g.num_edges, 2))
+    classes = [[a ^ b for a, b in zip(g._adj, second)], second]
+    before = [row[:] for row in classes]
+    kept = [_mates(a) for a in classes]
+    # a margin that rises on every call, so that every move is rejected
+    margins = iter(range(100))
+    monkeypatch.setattr(harness, "_two_color_margin", lambda *args: next(margins))
+    repaired_from = []
+    real_repair = harness._repair_matching
+
+    def repair(adj, match, u, v):
+        repaired_from.append(match[:])
+        return real_repair(adj, match, u, v)
+
+    monkeypatch.setattr(harness, "_repair_matching", repair)
+    edges = harness._EdgeView(g._adj)
+    assert harness._adversarial_two_coloring(rng, edges, classes, (9, 9), False, 20)
+    assert next(margins) == 21  # the start and 20 trial moves were scored
+    assert classes == before
+    # each move was repaired from the mates kept before it, never from a trial
+    assert repaired_from == [kept[0], kept[1]] * 20
+
+
 def test_evaluator_catches_genuine_counterexample():
     # below the statement's n0 the conclusion can genuinely fail: on K7 the
     # split "two dominating vertices" vs "K5 on the rest" keeps every
