@@ -115,6 +115,7 @@ M6 = MatchingTarget(6)
 HOLE = {"alpha": 1, "beta": 1, "nu": Fraction(1, 2), "eps": EPS, "n": 8}
 F1 = {"alpha1": 1, "alpha2": 1, "eps": EPS, "n": 8}
 L2 = {"n1": 30, "n2": 20, "eps": Fraction(1, 99)}  # deletion budget 6
+L2_IN_RANGE = {"n1": 30, "n2": 20, "eps": Fraction(1, 101)}  # deletion budget 5
 # eps outside (0, 0.01*nu1) relaxes only a guard; deletion budget 6
 DOUBLE = {"N": 30, "nu1": Fraction(3, 10), "nu2": Fraction(3, 5), "eps": Fraction(1, 4)}
 EVEN, ODD = (4, 6, 8), (3, 5, 7, 9)
@@ -391,6 +392,10 @@ CASES = {
     "sample l2 deleting": lambda: [
         _eager(_run_l2(L2, random.Random(seed), 0)) for seed in range(16, 20)
     ],
+    # the same sampler inside l2's hypothesis 0 < eps < 1/100
+    "sample l2 deleting eps=1/101": lambda: [
+        _eager(_run_l2(L2_IN_RANGE, random.Random(seed), 0)) for seed in range(16, 20)
+    ],
     "sample double deleting": lambda: [
         _eager(_run_double(DOUBLE, random.Random(seed), 0))
         for seed in range(16, 20)
@@ -557,6 +562,7 @@ DIGESTS = {
     "sample f1 adversarial": "6f4e9741bb83d2cc9301d9ad62ad1757f66e5ac5032108ad2f70b82223d38af5",
     "sample f1 uniform": "a144ed95d3f3508712d2d3033e53dd8d48a573cb91c46858d5fd209b3d295706",
     "sample l2 deleting": "5998bb17f087c2445beffd8c7581dac93911126bee76768eeebc545fecb1bc7b",
+    "sample l2 deleting eps=1/101": "5998bb17f087c2445beffd8c7581dac93911126bee76768eeebc545fecb1bc7b",
     "sample trzy adversarial 100 steps": "72a83b261248164410ba30924676a08c789318c442a1c4b43bee077a75aea125",
     "sample trzy adversarial": "a27b077554b511ca656b5ee81360fb9394939bdf53e0eb515f4bd7b30d5f23c8",
     "sample trzy uniform": "c8c08f7f8d6b80b9e098e2bb68b0b88cfa39c6a7703e3b35ba9750b172a79ae4",
