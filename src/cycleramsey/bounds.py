@@ -19,6 +19,15 @@ ParityName = Literal["even", "odd"]
 _SQRT_SCALE = 10**18
 
 
+def rational(value, name: str) -> Fraction:
+    """``Fraction(value)`` of an int, a Fraction or text such as ``"1/2"``; a
+    zero denominator or anything else is a ValueError naming ``name``."""
+    try:
+        return Fraction(value)
+    except (ArithmeticError, TypeError, ValueError):  # ZeroDivisionError too
+        raise ValueError(f"{name}: {value!r} is not a rational") from None
+
+
 def floor_parity(x: Fraction | int, parity: ParityName) -> int:
     """Largest integer of the given parity not exceeding x."""
     if parity not in ("even", "odd"):

@@ -405,7 +405,7 @@ def _cmd_search(args) -> int:
 
 
 # every lemma parameter and its kind, from the harness table
-_LEMMA_PARAMETERS = {k: kind for *_, ks in LEMMAS.values() for k, kind in ks.items()}
+_LEMMA_PARAMETERS = {k: kind for _, ks in LEMMAS.values() for k, kind in ks.items()}
 
 
 def _lemma_dest(name: str) -> str:
@@ -414,10 +414,10 @@ def _lemma_dest(name: str) -> str:
 
 def _cmd_lemma(args) -> int:
     params = {}  # the lemma's own parameters first, in the table's order
-    for name, kind in {**LEMMAS[args.id][2], **_LEMMA_PARAMETERS}.items():
+    for name in {**LEMMAS[args.id][1], **_LEMMA_PARAMETERS}:
         value = getattr(args, _lemma_dest(name))
         if value is not None:  # the harness refuses a parameter the lemma lacks
-            params[name] = Fraction(value) if kind is Fraction else value
+            params[name] = value  # and reads the rationals from their text
     report = lemma_harness(
         args.id,
         params,

@@ -140,11 +140,10 @@ def test_lemma_parameters_must_match(capsys):
 def test_negative_adversary_steps_are_refused(monkeypatch):
     import cycleramsey.harness as harness
 
-    def no_sample(*args):
-        raise AssertionError("a sample ran")
+    def no_lemma(*args):
+        raise AssertionError("the lemma was read")
 
-    check, _, parameters = harness.LEMMAS["dwa"]
-    monkeypatch.setitem(harness.LEMMAS, "dwa", (check, no_sample, parameters))
+    monkeypatch.setitem(harness.LEMMAS, "dwa", (no_lemma, harness.LEMMAS["dwa"][1]))
     with pytest.raises(ValueError, match="adversary_steps"):
         lemma_harness(
             "dwa", {"alpha": 1, "beta": 1, "nu": 0, "eps": EPS, "n": 10},
@@ -278,13 +277,14 @@ def test_forced_failure_records_match_the_driver(monkeypatch, lemma):
     params, seed, samples = TIER1_PARAMS[lemma], 5, 7
     report = lemma_harness(lemma, params, samples=samples, seed=seed)
     assert report.passes == 0 and len(report.failures) == samples
-    run_sample = harness.LEMMAS[lemma][1]
+    lemma_sampler, _ = harness.LEMMAS[lemma]
+    sample = lemma_sampler(params, [])
     n_adv = report.header["adversarial_samples"]
     for i, failure in enumerate(report.failures):
         assert failure.sample == i
         rng = random.Random(seed * 1_000_003 + i)
         steps = harness._ADVERSARY_STEPS if i < n_adv else 0
-        ok, record = run_sample(params, rng, steps)
+        ok, record = sample(rng, steps)
         info = record()
         assert ok is False
         assert failure.witness == info["witness"]

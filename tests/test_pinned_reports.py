@@ -1,12 +1,14 @@
 """Seeded reports pinned by digest.
 
 Each case builds a canonical report (``json.dumps(x.to_dict(),
-sort_keys=True)``, or the plain data a sample driver returns) and compares
+sort_keys=True)``, or the plain data a lemma's sample returns) and compares
 its sha256 with a recorded value, so any refactor that changes a
 construction, harness or search report byte-wise fails here. The ``sample``
 digests were recorded while the drivers built their failure record for
-every sample; the cases now call the ``record()`` a driver returns, so they
-pin the same bytes. The report digests were recorded before the duplicate
+every sample; the cases now call the ``record()`` a sample returns, so they
+pin the same bytes. The l2 deletion sampler was pinned at eps = 1/101,
+inside l2's hypothesis, while each lemma still had a separate sample
+driver. The report digests were recorded before the duplicate
 matching, reachability and host-size code was merged; the barrier-partition
 digest was recorded before the single-pass Gallai-Edmonds set; the
 fixed-length cycle certificates and the cycle-target witnesses were recorded
@@ -79,14 +81,7 @@ from cycleramsey.graphs import (
     bipartition,
     complete_graph,
 )
-from cycleramsey.harness import (
-    _run_double,
-    _run_f1,
-    _run_hole_lemma,
-    _run_l2,
-    _sample_deletions,
-    lemma_harness,
-)
+from cycleramsey.harness import LEMMAS, _sample_deletions, lemma_harness
 from cycleramsey.matchings import (
     best_component_matching,
     bipartite_split,
@@ -114,17 +109,23 @@ ANNEAL = AnnealSchedule(steps=20, restarts=5)  # the benchmark's C5+ schedule
 M6 = MatchingTarget(6)
 HOLE = {"alpha": 1, "beta": 1, "nu": Fraction(1, 2), "eps": EPS, "n": 8}
 F1 = {"alpha1": 1, "alpha2": 1, "eps": EPS, "n": 8}
-L2 = {"n1": 30, "n2": 20, "eps": Fraction(1, 99)}  # deletion budget 6
-L2_IN_RANGE = {"n1": 30, "n2": 20, "eps": Fraction(1, 101)}  # deletion budget 5
+L2 = {"n1": 30, "n2": 20, "eps": Fraction(1, 101)}  # deletion budget 5
 # eps outside (0, 0.01*nu1) relaxes only a guard; deletion budget 6
 DOUBLE = {"N": 30, "nu1": Fraction(3, 10), "nu2": Fraction(3, 5), "eps": Fraction(1, 4)}
 EVEN, ODD = (4, 6, 8), (3, 5, 7, 9)
 
 
 def _eager(sample):
-    """A sample driver's ``(ok, record)`` with its record built."""
+    """A sample's ``(ok, record)`` with its record built."""
     ok, record = sample
     return ok, record()
+
+
+def _sampler(lemma, params):
+    """The lemma's ``sample(rng, steps)``, from its parameters read as the
+    harness reads them."""
+    lemma_sampler, kinds = LEMMAS[lemma]
+    return lemma_sampler({k: kinds[k](v) for k, v in params.items()}, [])
 
 
 def _holed_deletions():
@@ -147,8 +148,8 @@ def _holed_deletions():
 def _uniform_hole_samples(nonbip2):
     # uniform colorings (no adversary) at every hole fraction
     return [
-        _eager(_run_hole_lemma({**HOLE, "nu": nu, "n": 10}, random.Random(seed),
-                               0, nonbip2))
+        _eager(_sampler("trzy" if nonbip2 else "dwa", {**HOLE, "nu": nu, "n": 10})(
+            random.Random(seed), 0))
         for seed, nu in enumerate((0, Fraction(1, 2), 1, Fraction(1, 2)), 16)
     ]
 
@@ -374,30 +375,26 @@ CASES = {
         "f1", {"alpha1": 1, "alpha2": 1, "eps": EPS, "n": 8}, samples=7, seed=3
     ),
     # Harness reports only show the witnesses of failed samples; the sample
-    # drivers' (ok, record()) pairs also pin the colorings the adversary leaves.
-    "sample dwa adversarial": lambda: _eager(_run_hole_lemma(
-        HOLE, random.Random(11), 20, False
-    )),
-    "sample trzy adversarial": lambda: _eager(_run_hole_lemma(
-        HOLE, random.Random(12), 20, True
-    )),
-    "sample trzy adversarial 100 steps": lambda: _eager(_run_hole_lemma(
-        HOLE, random.Random(15), 100, True
-    )),
-    "sample f1 adversarial": lambda: _eager(_run_f1(F1, random.Random(13), 20)),
-    "sample f1 uniform": lambda: _eager(_run_f1(F1, random.Random(14), 0)),
+    # samples' (ok, record()) pairs also pin the colorings the adversary leaves.
+    "sample dwa adversarial": lambda: _eager(
+        _sampler("dwa", HOLE)(random.Random(11), 20)
+    ),
+    "sample trzy adversarial": lambda: _eager(
+        _sampler("trzy", HOLE)(random.Random(12), 20)
+    ),
+    "sample trzy adversarial 100 steps": lambda: _eager(
+        _sampler("trzy", HOLE)(random.Random(15), 100)
+    ),
+    "sample f1 adversarial": lambda: _eager(_sampler("f1", F1)(random.Random(13), 20)),
+    "sample f1 uniform": lambda: _eager(_sampler("f1", F1)(random.Random(14), 0)),
     "sample dwa uniform": lambda: _uniform_hole_samples(False),
     "sample trzy uniform": lambda: _uniform_hole_samples(True),
     # nonzero deletion budgets: passing reports do not show their deletions
-    "sample l2 deleting": lambda: [
-        _eager(_run_l2(L2, random.Random(seed), 0)) for seed in range(16, 20)
-    ],
-    # the same sampler inside l2's hypothesis 0 < eps < 1/100
     "sample l2 deleting eps=1/101": lambda: [
-        _eager(_run_l2(L2_IN_RANGE, random.Random(seed), 0)) for seed in range(16, 20)
+        _eager(_sampler("l2", L2)(random.Random(seed), 0)) for seed in range(16, 20)
     ],
     "sample double deleting": lambda: [
-        _eager(_run_double(DOUBLE, random.Random(seed), 0))
+        _eager(_sampler("double", DOUBLE)(random.Random(seed), 0))
         for seed in range(16, 20)
     ],
     "sample_deletions holed": _holed_deletions,
@@ -561,7 +558,6 @@ DIGESTS = {
     "sample dwa uniform": "40af7e960e2d2c90d2b8eeb59a7113104ded82908cae8278b062660299d0da11",
     "sample f1 adversarial": "6f4e9741bb83d2cc9301d9ad62ad1757f66e5ac5032108ad2f70b82223d38af5",
     "sample f1 uniform": "a144ed95d3f3508712d2d3033e53dd8d48a573cb91c46858d5fd209b3d295706",
-    "sample l2 deleting": "5998bb17f087c2445beffd8c7581dac93911126bee76768eeebc545fecb1bc7b",
     "sample l2 deleting eps=1/101": "5998bb17f087c2445beffd8c7581dac93911126bee76768eeebc545fecb1bc7b",
     "sample trzy adversarial 100 steps": "72a83b261248164410ba30924676a08c789318c442a1c4b43bee077a75aea125",
     "sample trzy adversarial": "a27b077554b511ca656b5ee81360fb9394939bdf53e0eb515f4bd7b30d5f23c8",
