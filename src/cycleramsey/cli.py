@@ -24,16 +24,16 @@ from .bounds import (
     construction_sizes,
     lemma_dwa_host_size,
     lemma_trzy_host_size,
+    rational,
     theorem_coefficient,
     xi,
 )
 from .constructions import (
-    Claim,
-    ConstructionReport,
     build_eeo_four_part,
     build_eeo_three_part,
     build_odd_triple,
     build_oee_four_part,
+    report_from_dict,
     verify_claims,
 )
 from .cycles import (
@@ -179,6 +179,16 @@ def _parse_range(text: str) -> range:
     return n_range
 
 
+def _rationals(text: str, option: str, count: int) -> tuple[Fraction, ...]:
+    """``count`` comma-separated rationals; a zero denominator, a non-rational
+    or another count is a ValueError naming ``option``."""
+    values = tuple(rational(x, option) for x in text.split(","))
+    if len(values) != count:
+        raise ValueError(f"{option} takes {count} comma-separated rationals, "
+                         f"got {len(values)}")
+    return values
+
+
 def _load(path: str, parse):
     """``parse`` of the file's text. A malformed file is a ValueError naming it;
     only the parse is guarded, so no internal TypeError is hidden."""
@@ -221,20 +231,8 @@ def _cmd_verify(args) -> int:
     coloring = _load(args.coloring, load_coloring)
     payload = {"valid": True, "n": coloring.n, "k": coloring.k}
     if args.report:
-        report_data = _load(args.report, json.loads)
-        claims = tuple(
-            Claim(c["color"], c["kind"], c["bound"])
-            for c in report_data["construction"]["claims"]
-        )
-        rebuilt = ConstructionReport(
-            name=report_data["construction"]["name"],
-            params=report_data["construction"]["params"],
-            coloring=coloring,
-            parts=tuple(
-                frozenset(p) for p in report_data["construction"]["parts"]
-            ),
-            claims=claims,
-        )
+        rebuilt = _load(args.report,
+                        lambda text: report_from_dict(json.loads(text), coloring))
         checked = verify_claims(rebuilt, budget=args.node_budget)
         payload["construction"] = checked.to_dict()
         if any(c.verified is None for c in checked.claims):
@@ -310,7 +308,8 @@ def _cmd_decompose(args) -> int:
                 }
             }
         else:  # the parser requires exactly one of --n-target and --alpha
-            split = bipartite_split(g, Fraction(args.alpha), args.n_scale)
+            (alpha,) = _rationals(args.alpha, "--alpha", 1)
+            split = bipartite_split(g, alpha, args.n_scale)
             payload = {
                 "bipartite_split": {
                     "Vprime": sorted(split.Vprime),
@@ -336,8 +335,7 @@ def _cmd_bound(args) -> int:
         parities = tuple(
             {"e": "even", "o": "odd"}[ch] for ch in args.parities.lower()
         )
-        alphas = tuple(Fraction(a) for a in args.alphas.split(","))
-        triple = TargetTriple(alphas, parities, args.n)
+        triple = TargetTriple(_rationals(args.alphas, "--alphas", 3), parities, args.n)
         coeff = theorem_coefficient(triple)
         _, case, perm = triple.canonical()
         payload["coefficient"] = {
@@ -352,11 +350,10 @@ def _cmd_bound(args) -> int:
             for name, size in construction_sizes(triple)
         ]
     if args.xi:
-        a, b, nu = (Fraction(x) for x in args.xi.split(","))
+        a, b, nu = _rationals(args.xi, "--xi", 3)
         payload["xi"] = {"exact": str(xi(a, b, nu)), "decimal": float(xi(a, b, nu))}
     if args.hole_params:
-        a, b, nu, eps = (Fraction(x) for x in args.hole_params.split(","))
-        hp = HoleParams(a, b, nu, eps)
+        hp = HoleParams(*_rationals(args.hole_params, "--hole-params", 4))
         payload["hole_host_sizes"] = {
             "two_color": lemma_dwa_host_size(hp, args.n),
             "two_color_nonbipartite": lemma_trzy_host_size(hp, args.n),

@@ -25,6 +25,7 @@ from .graphs import (
     EdgeColoring,
     Graph,
     _component_masks,
+    _field,
     _mask_of,
     coloring_to_dict,
     odd_closed_walk,
@@ -201,6 +202,30 @@ def _check_claim(
         ok, method, witness = _check_no_cycle_geq(g, claim.bound, budget)
         return replace(claim, verified=ok, method=method, witness=witness)
     raise ValueError(f"unknown claim kind {claim.kind!r}")
+
+
+def report_from_dict(data: dict, coloring: EdgeColoring) -> ConstructionReport:
+    """A report file's construction over ``coloring``, refused where
+    ``verify_claims`` could not read it: a claim names a color of
+    ``coloring`` and a known kind, and its ``bound`` is an int (or null for
+    ``no-odd-cycle``); parts list int vertices; params is an object."""
+    data = data["construction"]
+    claims = []
+    for c in data["claims"]:
+        coloring.color_class(_field(c, "color", int))  # a color 1..k
+        if c["kind"] not in (NO_CYCLE_GEQ, NO_ODD_CYCLE):
+            raise ValueError(f"unknown claim kind {c['kind']!r}")
+        if not (c["kind"] == NO_ODD_CYCLE and c["bound"] is None):
+            _field(c, "bound", int)
+        claims.append(Claim(c["color"], c["kind"], c["bound"]))
+    params, parts = _field(data, "params", dict), data["parts"]
+    if data["name"] == "oee_four_part":
+        _field(params, "m1", int)  # the stated-bound note reads it
+    if any(type(v) is not int for p in parts for v in p):
+        raise ValueError(f"parts {parts!r} must list int vertices")
+    return ConstructionReport(
+        data["name"], params, coloring, tuple(frozenset(p) for p in parts), tuple(claims)
+    )
 
 
 def verify_claims(

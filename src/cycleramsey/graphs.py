@@ -415,12 +415,30 @@ def degree_stats(g: Graph) -> DegreeStats:
 # ---------------------------------------------------------------------------
 
 
+def _field(data: dict, key: str, kind: type, *default):
+    """``data[key]``, or ``default`` when given and the key is absent: a
+    ValueError unless its type is exactly ``kind``, so a bool is no int."""
+    value = data.get(key, *default) if default else data[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _holes_from_dict(data: dict) -> HoleSpec:
+    """The ``holes`` field: lists of int vertices, none listed twice."""
+    holes = data.get("holes", [])
+    for h in holes:
+        if any(type(v) is not int for v in h) or len(set(h)) != len(h):
+            raise ValueError(f"hole {h!r} must list distinct int vertices")
+    return HoleSpec(tuple(frozenset(h) for h in holes))
+
+
 def graph_to_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
 def graph_from_dict(data: dict) -> Graph:
-    return Graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+    return Graph(_field(data, "n", int), [tuple(e) for e in data["edges"]])
 
 
 def dump_graph(g: Graph) -> str:
@@ -444,7 +462,7 @@ def coloring_to_dict(c: EdgeColoring) -> dict:
 
 
 def coloring_from_dict(data: dict) -> EdgeColoring:
-    n, k = int(data["n"]), int(data["k"])
+    n, k = _field(data, "n", int), _field(data, "k", int)
     if k not in (2, 3):  # before building k class graphs
         raise ValueError(f"color count {k} not in {{2,3}}")
     colors = {}
@@ -458,9 +476,8 @@ def coloring_from_dict(data: dict) -> EdgeColoring:
     classes = tuple(
         Graph(n, (e for e, c in colors.items() if c == i)) for i in range(1, k + 1)
     )
-    holes = HoleSpec(tuple(frozenset(h) for h in data.get("holes", [])))
     deleted = frozenset(tuple(e) for e in data.get("deleted", []))
-    return EdgeColoring(n, k, classes, holes, deleted)
+    return EdgeColoring(n, k, classes, _holes_from_dict(data), deleted)
 
 
 def dump_coloring(c: EdgeColoring) -> str:

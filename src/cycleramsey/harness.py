@@ -235,7 +235,9 @@ def _double(p: dict, guards: list[str]) -> _Draw:
     N, nu1, nu2, eps = p["N"], p["nu1"], p["nu2"], p["eps"]
     if not 0 <= nu1 <= nu2 <= 1:
         raise HypothesisViolation("need 0 <= nu1 <= nu2 <= 1")
-    if not 0 < eps < Fraction(1, 100) * nu1:
+    if eps <= 0:  # no guard relaxes this one: N >= 4/eps would have no meaning
+        raise HypothesisViolation("need eps > 0")
+    if not eps < Fraction(1, 100) * nu1:
         guards.append("eps outside (0, 0.01*nu1)")
     if N < 4 / eps:
         guards.append("N below 4/eps")
@@ -309,6 +311,8 @@ def _f1(p: dict, guards: list[str]) -> _Draw:
         raise HypothesisViolation("need alpha1 >= alpha2 > 0")
     if not 0 < eps < Fraction(1, 100) * a2:
         raise HypothesisViolation("need 0 < eps < 0.01*alpha2")
+    if n < 1:
+        raise HypothesisViolation("need n >= 1")
     nverts = _host_size(2 * a1 + a2, 9, eps, n)
     t3 = _host_size(Fraction(3, 2) * a1 + Fraction(1, 2) * a2, 8, eps, n)
     budget = int(eps**4 * n * n)

@@ -30,6 +30,8 @@ from .graphs import (
     Graph,
     HoleSpec,
     _bits,
+    _field,
+    _holes_from_dict,
     _toggle_edge,
     _uniform_colors,
     apply_holes_and_deletions,
@@ -117,23 +119,26 @@ class ArrowInstance:
 
 
 def instance_from_dict(data: dict) -> ArrowInstance:
+    """An instance file's ``ArrowInstance``. Nothing is coerced: ``n``,
+    ``length``, ``saturation`` and ``deleted_budget`` must be ints, ``exact``
+    and ``nonbipartite`` bools, and no hole may list a vertex twice."""
     targets = []
     for t in data["targets"]:
         if t["kind"] == "cycle":
-            targets.append(CycleTarget(int(t["length"]), bool(t.get("exact", True))))
+            targets.append(CycleTarget(
+                _field(t, "length", int), _field(t, "exact", bool, True)
+            ))
         elif t["kind"] == "matching":
-            targets.append(
-                MatchingTarget(
-                    int(t["saturation"]), bool(t.get("nonbipartite", False))
-                )
-            )
+            targets.append(MatchingTarget(
+                _field(t, "saturation", int), _field(t, "nonbipartite", bool, False)
+            ))
         else:
             raise ValueError(f"unknown target kind {t['kind']!r}")
     return ArrowInstance(
-        n=int(data["n"]),
+        n=_field(data, "n", int),
         targets=tuple(targets),
-        holes=HoleSpec(tuple(frozenset(h) for h in data.get("holes", []))),
-        deleted_budget=int(data.get("deleted_budget", 0)),
+        holes=_holes_from_dict(data),
+        deleted_budget=_field(data, "deleted_budget", int, 0),
     )
 
 

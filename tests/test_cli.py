@@ -259,14 +259,48 @@ def test_verify_reports_a_claim_left_undecided_by_the_budget(tmp_path, capsys):
          {"n": 3, "k": 2, "edges": [[0, 1, "x"], [0, 2, 1], [1, 2, 2]]}),
         ("search", "--instance",
          {"n": 4, "holes": [["a"]], "targets": [{"kind": "cycle", "length": 3}] * 2}),
+        # a report is read beside a valid K5 coloring
+        ("verify", "--report", {"construction": {
+            "name": "k5", "params": {}, "parts": [],
+            "claims": [{"color": 1, "kind": "no-cycle-length-geq", "bound": "x"}]}}),
+        ("verify", "--report", {"construction": {"name": "k5", "params": {},
+                                                  "parts": []}}),
+        ("verify", "--report", {"construction": {
+            "name": "k5", "params": {}, "parts": [],
+            "claims": [{"color": 1, "kind": "no-cycle-length-geq", "bound": None}]}}),
+        ("verify", "--report", {"construction": {
+            "name": "oee_four_part", "params": {"m1": "x"}, "parts": [], "claims": []}}),
+        ("verify", "--report", {"construction": {
+            "name": "k5", "params": {}, "parts": [[0, "a"]], "claims": []}}),
+        ("matching", "--graph", {"n": "3", "edges": [[0, 1]]}),
+        # an instance field is read as written, never coerced
+        ("search", "--instance", {"n": 5, "targets": [
+            {"kind": "cycle", "length": 3, "exact": "false"}] * 2}),
+        ("search", "--instance", {"n": 5, "targets": [
+            {"kind": "cycle", "length": 3.7}] * 2}),
+        ("search", "--instance", {"n": 5, "deleted_budget": 1.9, "targets": [
+            {"kind": "cycle", "length": 3}] * 2}),
+        ("search", "--instance", {"n": "5", "targets": [
+            {"kind": "cycle", "length": 3}] * 2}),
+        ("search", "--instance", {"n": 5, "holes": [[0, 0]], "targets": [
+            {"kind": "cycle", "length": 3}] * 2}),
     ],
     ids=["float vertex", "edges not a list", "list not an object", "string vertex",
-         "string color", "string hole vertex"],
+         "string color", "string hole vertex", "string claim bound",
+         "report without claims", "null length bound", "string oee m1",
+         "string part vertex", "string graph n", "string exact", "float length",
+         "float deleted budget", "string n", "hole vertex twice"],
 )
 def test_malformed_files_exit_1_naming_the_file(tmp_path, capsys, command, flag, data):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    assert run([command, flag, str(path)]) == 1
+    argv = [command, flag, str(path)]
+    if flag == "--report":
+        coloring = tmp_path / "k5.json"
+        coloring.write_text(json.dumps({"n": 5, "k": 2, "edges": [
+            [u, v, 2 if (u, v) == (3, 4) else 1] for v in range(5) for u in range(v)]}))
+        argv += ["--coloring", str(coloring)]
+    assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {path}: ")
     assert captured.err.count("\n") == 1
@@ -417,7 +451,7 @@ def test_options_that_would_be_ignored_are_refused(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_options_an_answer_never_reads_are_refused(capsys):
+def test_options_an_answer_never_reads_are_refused(tmp_path, capsys):
     # the annealing schedule in an exhaustive search, a node budget in a
     # randomized one, --n beside --xi alone, and adversary steps for lemmas
     # that color nothing
@@ -444,6 +478,27 @@ def test_options_an_answer_never_reads_are_refused(capsys):
         assert run(argv + ["--format", "json"]) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err, argv
+    # a rational option with a zero denominator, or the wrong count, is
+    # refused in one error line that names it
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps({"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}))
+    dwa = ["lemma", "--id", "dwa", "--alpha", "1", "--beta", "1", "--eps", "1/256",
+           "--n", "10", "--samples", "2"]
+    for argv, name in (
+        (dwa + ["--nu", "1/0"], "nu"),
+        (dwa + ["--nu", "half"], "nu"),
+        (["lemma", "--id", "double", "--host-n", "40", "--nu1", "3/10", "--nu2",
+          "3/10", "--eps", "0"], "eps"),
+        (["bound", "--xi", "1,1/0,0"], "--xi"),
+        (["bound", "--xi", "1,1"], "--xi"),
+        (["bound", "--parities", "eeo", "--alphas", "1,1/0,1"], "--alphas"),
+        (["bound", "--hole-params", "1,1,0,1/0"], "--hole-params"),
+        (["decompose", "--graph", str(star), "--alpha", "1/0"], "--alpha"),
+    ):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert captured.err.count("\n") == 1 and name in captured.err, argv
     # at their defaults, and where the answer reads them, they are accepted
     for argv in (
         search + ["--n", "5", "--steps", "6000", "--restarts", "3"],

@@ -245,6 +245,25 @@ TIER1_PARAMS = {
 }
 
 
+@pytest.mark.parametrize("lemma, name, calls", [
+    ("dwa", "lemma_dwa_host_size", 1),
+    ("trzy", "lemma_trzy_host_size", 1),
+    ("f1", "_host_size", 2),  # the host and the third-color union, once each
+])
+def test_a_run_derives_its_host_size_once(monkeypatch, lemma, name, calls):
+    import cycleramsey.harness as harness
+
+    real, seen = getattr(harness, name), []
+
+    def counted(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, name, counted)
+    report = lemma_harness(lemma, TIER1_PARAMS[lemma], samples=7, seed=3)
+    assert report.samples == 7 and len(seen) == calls
+
+
 def test_passing_samples_build_no_record(monkeypatch):
     import cycleramsey.harness as harness
 
