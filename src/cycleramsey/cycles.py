@@ -119,8 +119,11 @@ def _simple_paths(
     # four remaining edges on, rather than only from five or six, measured
     # 14-19% faster on the two-color proofs at R(C_n,C_m) and at most 13%
     # slower on the n=12 refutations of (C7,C7), (C7,C5) and (C6,C6,C3).
-    reach = _reachable(adj, free, ~avoid)
-    if not adj[v] & reach or reach.bit_count() < steps - 1:
+    reach, odd, bipartite = _layered_flood(adj, free, ~avoid)
+    last = adj[v] & reach
+    if not last or reach.bit_count() < steps - 1:
+        return 0
+    if bipartite and not atleast and last & odd == (last if steps & 1 else 0):
         return 0
     if atleast and steps <= 2:
         # any route from a free neighbour to v has >= 2 edges
@@ -136,6 +139,31 @@ def _simple_paths(
                 out.append(w)
             return 1
     return 0
+
+
+def _layered_flood(adj: list[int], free: int, allowed: int) -> tuple[int, int, bool]:
+    """The vertices reached from ``free`` through ``allowed`` (``free``
+    included), those of them at odd distance from the vertex whose
+    neighbours ``free`` holds, and whether no edge joins two vertices at the
+    same distance, that is whether that vertex and the region induce a
+    bipartite graph. The BFS layers start at ``free``, at distance 1."""
+    reach = frontier = odd = free
+    bipartite, at_odd = True, True
+    while frontier:
+        grow, layer = 0, frontier
+        while layer:
+            low = layer & -layer
+            layer ^= low
+            nbrs = adj[low.bit_length() - 1]
+            if nbrs & frontier:
+                bipartite = False
+            grow |= nbrs
+        frontier = grow & allowed & ~reach
+        reach |= frontier
+        at_odd = not at_odd
+        if at_odd:
+            odd |= frontier
+    return reach, odd, bipartite
 
 
 def _count_paths(adj: list[int], u: int, v: int, steps: int, avoid: int) -> int:

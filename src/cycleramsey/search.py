@@ -230,10 +230,16 @@ def _witness_coloring(inst: ArrowInstance, edges, assignment, adjs) -> EdgeColor
 def _new_edge_creates_target(
     n: int, adj: list[int], target: Target, u: int, v: int, bud: _Budget
 ) -> bool:
-    """Did adding edge (u,v) to this color class complete its target?"""
+    """Did adding edge (u,v) to this color class complete its target?
+
+    A path's existence does not depend on its direction, so the kernel
+    starts at the end of lower degree in the class, whose fewer first steps
+    leave fewer subtrees to refute."""
     if isinstance(target, CycleTarget):
         if target.length > n:
             return False
+        if adj[v].bit_count() < adj[u].bit_count():
+            u, v = v, u
         return bool(
             _simple_paths(
                 adj, u, v, target.length - 1, 1 << u | 1 << v, bud,
