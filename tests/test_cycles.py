@@ -102,10 +102,10 @@ def test_budget_exceeded_is_distinct():
         longest_cycle(chain, "any", budget=50)
 
 
-@pytest.mark.parametrize("length, charge", [(12, 10), (10, 190), (22, 20)])
+@pytest.mark.parametrize("length, charge", [(12, 10), (10, 154), (22, 20)])
 def test_fixed_length_charge_is_pinned(petersen, length, charge):
     # one unit per path-kernel call: K12's Hamiltonian cycle costs 10,
-    # proving the Petersen graph has no 10-cycle costs 190, and the seeded
+    # proving the Petersen graph has no 10-cycle costs 154, and the seeded
     # Hamiltonian G(22, 0.35) costs 20 from its vertex of degree two
     g = {12: complete_graph(12), 10: petersen,
          22: random_graph(random.Random(22057), 22, 0.35)}[length]

@@ -600,7 +600,7 @@ def test_longest_cycle_total_charge_is_pinned():
     # seeded 22-vertex graph has a vertex of degree two, which the search
     # anchors at, so its Hamiltonian cycle costs 20
     hamiltonian = _random_graph(random.Random(22057), 22, 0.35)
-    for g, length, charge in ((complete_graph(12), 12, 10), (_petersen(), 9, 197),
+    for g, length, charge in ((complete_graph(12), 12, 10), (_petersen(), 9, 161),
                               (_clique_chain(), 6, 7486), (hamiltonian, 22, 20)):
         assert longest_cycle(g, budget=charge)[0] == length
         with pytest.raises(BudgetExceededError) as err:
