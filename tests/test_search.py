@@ -454,6 +454,50 @@ def test_path_kernel_matches_enumeration():
             assert inner[::-1] == (list(min(cycles)) if cycles else [])
 
 
+def test_path_kernel_parity_refutation_matches_enumeration():
+    # random bipartite hosts, some with one or two edges inside a side: in
+    # a bipartite host every u->v path has the parity of u and v's sides,
+    # and one kernel call refutes an exact length of the other parity
+    from cycleramsey.cycles import _simple_paths
+
+    rng = random.Random(2718)
+    refuted = 0
+    for trial in range(240):
+        n = rng.randint(4, 10)
+        side = [rng.random() < 0.5 for _ in range(n)]
+        p = rng.choice((0.4, 0.6, 0.9))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if side[a] != side[b] and rng.random() < p]
+        same = [(a, b) for a in range(n) for b in range(a + 1, n) if side[a] == side[b]]
+        extra = rng.sample(same, min(len(same), rng.choice((0, 0, 1, 2))))
+        adj = [0] * n
+        for a, b in pairs + extra:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        u, v = rng.sample(range(n), 2)
+        for end in (v, u):  # an open path, then the cycles through u
+            avoid = 1 << u | 1 << end
+            for w in rng.sample(range(n), rng.randint(0, n // 4)):
+                avoid |= 1 << w
+            lengths = _enumerate_path_lengths(adj, u, end, avoid)
+            for steps in range(3 if end == u else 1, n + 1):
+                bud = _Budget(10**9)
+                inner = []
+                found = _simple_paths(adj, u, end, steps, avoid, bud, out=inner)
+                assert found == (steps in lengths), (trial, end == u, steps)
+                if found:
+                    walk = [u, *reversed(inner), end]
+                    assert len(walk) == steps + 1 and adj[walk[-2]] >> end & 1
+                    assert _is_simple_path(adj, walk[:-1] if end == u else walk)
+                    assert not any(avoid >> w & 1 for w in inner)
+                else:
+                    assert inner == []
+                if not extra and steps % 2 != (side[u] != side[end]):
+                    assert bud.spent == 1, (trial, end == u, steps)
+                    refuted += steps >= 4
+    assert refuted > 200
+
+
 def test_count_paths_guard_refuses_targets_longer_than_the_host(monkeypatch):
     from cycleramsey import cycles
 
