@@ -332,9 +332,11 @@ def _cmd_bound(args) -> int:
         return _usage("bound: --n scales --parities/--alphas and --hole-params only")
     payload = {}
     if args.parities:
-        parities = tuple(
-            {"e": "even", "o": "odd"}[ch] for ch in args.parities.lower()
-        )
+        letters = args.parities.lower()
+        if len(letters) != 3 or not set(letters) <= {"e", "o"}:
+            raise ValueError("--parities takes three letters from e (even) and "
+                             f"o (odd), got {args.parities!r}")
+        parities = tuple({"e": "even", "o": "odd"}[ch] for ch in letters)
         triple = TargetTriple(_rationals(args.alphas, "--alphas", 3), parities, args.n)
         coeff = theorem_coefficient(triple)
         _, case, perm = triple.canonical()

@@ -424,6 +424,21 @@ def _field(data: dict, key: str, kind: type, *default):
     return value
 
 
+def _int_rows(data: dict, key: str, width: int, *default) -> list:
+    """``data[key]``, or ``default`` when given and the key is absent: a
+    ValueError naming ``key`` unless it is a list of lists of ``width``
+    ints each, so a bool is no int."""
+    rows = data.get(key, *default) if default else data[key]
+    if type(rows) is not list:
+        raise ValueError(f"{key!r} must be a list, got {rows!r}")
+    for row in rows:
+        if type(row) is not list or len(row) != width or any(
+            type(x) is not int for x in row
+        ):
+            raise ValueError(f"{key!r} entry {row!r} must list {width} ints")
+    return rows
+
+
 def _holes_from_dict(data: dict) -> HoleSpec:
     """The ``holes`` field: lists of int vertices, none listed twice."""
     holes = data.get("holes", [])
@@ -438,7 +453,7 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(data: dict) -> Graph:
-    return Graph(_field(data, "n", int), [tuple(e) for e in data["edges"]])
+    return Graph(_field(data, "n", int), _int_rows(data, "edges", 2))
 
 
 def dump_graph(g: Graph) -> str:
@@ -466,7 +481,7 @@ def coloring_from_dict(data: dict) -> EdgeColoring:
     if k not in (2, 3):  # before building k class graphs
         raise ValueError(f"color count {k} not in {{2,3}}")
     colors = {}
-    for u, v, col in data["edges"]:
+    for u, v, col in _int_rows(data, "edges", 3):
         key = edge_key(u, v)
         if key in colors:
             raise ValueError(f"edge {key} listed twice")
@@ -476,7 +491,7 @@ def coloring_from_dict(data: dict) -> EdgeColoring:
     classes = tuple(
         Graph(n, (e for e, c in colors.items() if c == i)) for i in range(1, k + 1)
     )
-    deleted = frozenset(tuple(e) for e in data.get("deleted", []))
+    deleted = frozenset(tuple(e) for e in _int_rows(data, "deleted", 2, []))
     return EdgeColoring(n, k, classes, _holes_from_dict(data), deleted)
 
 

@@ -306,6 +306,38 @@ def test_malformed_files_exit_1_naming_the_file(tmp_path, capsys, command, flag,
     assert captured.err.count("\n") == 1
 
 
+def test_bool_colors_and_vertices_exit_1_naming_the_field(tmp_path, capsys):
+    # JSON true and false are no ints: neither color 1 nor vertex 0
+    colored = [[0, 1, 1], [0, 2, 1], [1, 2, 2]]
+    for command, flag, data, field in (
+        ("verify", "--coloring", {"n": 3, "k": 2, "edges": [[0, 1, True], *colored[1:]]},
+         "'edges'"),
+        ("verify", "--coloring", {"n": 3, "k": 2, "edges": [[False, 1, 1], *colored[1:]]},
+         "'edges'"),
+        ("verify", "--coloring", {"n": 3, "k": 2, "edges": colored[1:],
+                                  "deleted": [[0, True]]}, "'deleted'"),
+        ("matching", "--graph", {"n": 3, "edges": [[True, 2]]}, "'edges'"),
+        ("cycles", "--graph", {"n": 3, "edges": [[0, 1], [1, 2], [2, False]]}, "'edges'"),
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = [command, flag, str(path)] + (["--length", "3"] if command == "cycles" else [])
+        assert run(argv) == 1, data
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {path}: "), data
+        assert captured.err.count("\n") == 1 and field in captured.err, data
+
+
+def test_bound_names_the_parity_letters(capsys):
+    for parities in ("eex", "eeoo", "eo"):
+        assert run(["bound", "--parities", parities, "--alphas", "1,1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, parities
+        assert captured.err.startswith("error: --parities"), parities
+        assert "e (even)" in captured.err and "o (odd)" in captured.err, parities
+    assert run(["bound", "--parities", "EeO", "--alphas", "1,1,1"]) == 0
+
+
 def test_cycles_certificate_check_survives_optimize(c6_file):
     # `python -O` strips assert statements; the CLI's check of the cycle it
     # reports must still refuse a non-cycle and never exit 0.
