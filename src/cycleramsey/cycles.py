@@ -88,6 +88,15 @@ def _simple_paths(
     lexicographically first for exact lengths) are appended to ``out``, last
     first; a failure leaves ``out`` as is. Counting paths is
     ``_count_paths``.
+
+    From four edges on, one layered flood (``_layered_flood``) finds the
+    region the inner vertices may use. If u and that region induce a
+    bipartite graph, every u->v path has length p + 1 (mod 2), where p is
+    the distance parity from u shared by all of v's neighbours there; an
+    exact ``steps`` of the other parity is refuted in this one call, where
+    the walk would have spent a unit on every prefix it tried. With
+    u == v, p is 1: an odd cycle through u is refuted at once. At-least
+    lengths use the flood's region only.
     """
     bud.spend()
     free = adj[u] & ~avoid
