@@ -151,11 +151,11 @@ def _simple_paths(
 
 
 def _layered_flood(adj: list[int], free: int, allowed: int) -> tuple[int, int, bool]:
-    """The vertices reached from ``free`` through ``allowed`` (``free``
-    included), those of them at odd distance from the vertex whose
-    neighbours ``free`` holds, and whether no edge joins two vertices at the
-    same distance, that is whether that vertex and the region induce a
-    bipartite graph. The BFS layers start at ``free``, at distance 1."""
+    """BFS layers from ``free``, the neighbours in ``allowed`` of a vertex u
+    outside it, through ``allowed``: the vertices reached (``free``
+    included), those of them at odd distance from u, and whether no edge
+    joins two vertices of one layer, that is whether u and the vertices
+    reached induce a bipartite graph."""
     reach = frontier = odd = free
     bipartite, at_odd = True, True
     while frontier:
