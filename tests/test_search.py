@@ -614,6 +614,24 @@ def test_same_target_colors_with_holes_and_deletions_are_pinned(inst, pinned):
     assert (v.arrows, stats.nodes, stats.presence_prunes, stats.symmetry_prunes) == pinned
 
 
+@pytest.mark.parametrize(
+    "inst, units",
+    [
+        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 29028),
+        (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 16619),
+        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 7534),
+        (ArrowInstance(6, (MatchingTarget(4),) * 3), 1102),
+    ],
+    ids=["C6,C6@8", "C7,C4@8", "C5,C5@9", "M4,M4,M4@6"],
+)
+def test_budget_units_of_proofs_are_pinned(inst, units):
+    # every node, kernel call and canonical-check visit costs one unit, so
+    # the total pins the order in which each of them visits; a proof needs
+    # the whole budget, one unit less leaves it unknown
+    assert arrow_exhaustive(inst, budget=units).arrows is True
+    assert arrow_exhaustive(inst, budget=units - 1).arrows is None
+
+
 def _relabelings(v_top):
     """One itemgetter per permutation of 0..v_top, mapping a (max, min)-ordered
     clique vector to its relabeled vector."""
