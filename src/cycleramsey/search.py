@@ -254,7 +254,9 @@ def _new_edge_creates_target(
 # ---------------------------------------------------------------------------
 
 
-def _prefix_is_canonical(assignment: list[int], v_top: int, bud: _Budget) -> bool:
+def _prefix_is_canonical(
+    assignment: list[int], adjs: list[list[int]], v_top: int, bud: _Budget
+) -> bool:
     """Is the colored clique on vertices 0..v_top lex-minimal under relabeling?
 
     Edge i of the prefix is the i-th pair in (max, min) lex order, so fixing
@@ -263,12 +265,25 @@ def _prefix_is_canonical(assignment: list[int], v_top: int, bud: _Budget) -> boo
     new entries (a, j), a < j, are smaller than the prefix's refutes
     canonicity, a larger one is pruned, and a tie goes one vertex deeper.
 
+    The check reads the class masks ``adjs`` (``adjs[c][x]``: x's
+    neighbours in color c, color 0 the deleted pairs). At a block end they
+    hold exactly the pairs of the prefix clique, so no bit lies at or above
+    v_top + 1; row j's colors come from ``assignment``. At depth j one pass
+    over the images x of a = 0..j-1, c the color of (a, j), builds two
+    masks of unused candidates: ``tie`` (every entry so far equal to row
+    j's, ``tie &= adjs[c][x]``) and ``low`` (the first difference a lower
+    color, ``low |= tie & below[x][c]``, where ``below[x][c]`` is x's
+    neighbours in the colors below c). The candidates of ``low | tie`` are
+    taken in ascending order: one in ``low`` answers "smaller", one in
+    ``tie`` goes one vertex deeper.
+
     Twin lemma: call y and z twins when they have the same color to every
-    third vertex. The transposition (y z) is then an automorphism of the
+    third vertex, that is ``(a[y] ^ a[z]) & ~(1 << y | 1 << z)`` is 0 in
+    every class. The transposition (y z) is then an automorphism of the
     prefix that fixes every image chosen so far, so the subtree that maps j
     to z yields exactly the relabeled vectors of the subtree that maps j to
     y. Twinship is transitive, so at each depth only the first unused member
-    of each twin class is tried.
+    of each twin class is tried; unused twins fall in the same mask.
 
     Soundness at every depth: take the representative of a target-free
     coloring's orbit that is lex-min over vertex relabelings and over
@@ -280,49 +295,55 @@ def _prefix_is_canonical(assignment: list[int], v_top: int, bud: _Budget) -> boo
     stops one unit past the budget.
     """
     m = v_top + 1
-    color = [[0] * m for _ in range(m)]  # color[j][:j]: the prefix's entries (a, j)
-    for j in range(m):
-        for a, c in enumerate(assignment[j * (j - 1) // 2 : j * (j + 1) // 2]):
-            color[a][j] = color[j][a] = c
-    # twin[z]: the least y whose row, with entries y and z swapped, is z's row
+    below = []
+    for x in range(m):
+        row, acc = [], 0
+        for a in adjs:
+            row.append(acc)
+            acc |= a[x]
+        below.append(row)
+    # twin[z]: the least y that is z's twin. Colors 1..k suffice: a pair in
+    # none of them is deleted, so agreeing on them is agreeing on class 0.
+    colors = adjs[1:]
     twin = list(range(m))
     for z in range(m):
         for y in range(z):
             if twin[y] == y:
-                row = color[y][:]
-                row[y], row[z] = row[z], row[y]
-                if row == color[z]:
+                pair = ~(1 << y | 1 << z)
+                for a in colors:
+                    if (a[y] ^ a[z]) & pair:
+                        break
+                else:
                     twin[z] = y
                     break
     images: list[int] = []
-    used = [False] * m
 
-    def smaller(j: int) -> bool:
+    def smaller(j: int, free: int) -> bool:
         # can images[:j], which tie the prefix, extend to a smaller relabeling?
         bud.spend()
         if j == m:
             return False
-        tried = set()
-        for y in range(m):
-            if used[y] or twin[y] in tried:
+        tie, low = free, 0
+        for x, c in zip(images, assignment[j * (j - 1) // 2 : j * (j + 1) // 2]):
+            low |= tie & below[x][c]
+            tie &= adjs[c][x]
+        cands, tried = low | tie, 0
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            y = bit.bit_length() - 1
+            if tried >> twin[y] & 1:
                 continue
-            tried.add(twin[y])
-            row = color[y]
-            for x, c in zip(images, color[j]):
-                if row[x] != c:
-                    if row[x] < c:
-                        return True
-                    break
-            else:
-                used[y] = True
-                images.append(y)
-                if smaller(j + 1):
-                    return True
-                images.pop()
-                used[y] = False
+            tried |= 1 << twin[y]
+            if low & bit:
+                return True
+            images.append(y)
+            if smaller(j + 1, free ^ bit):
+                return True
+            images.pop()
         return False
 
-    return not smaller(0)
+    return not smaller(0, (1 << m) - 1)
 
 
 def _color_predecessors(targets: tuple[Target, ...]) -> list[int]:
@@ -414,7 +435,7 @@ def arrow_exhaustive(
             ):
                 stats.presence_prunes += 1
             elif i in block_end and not _prefix_is_canonical(
-                assignment, block_end[i], bud
+                assignment, adjs, block_end[i], bud
             ):
                 stats.symmetry_prunes += 1
             else:

@@ -20,6 +20,7 @@ from cycleramsey.search import (
     MatchingTarget,
     _color_predecessors,
     _energy_of_color,
+    _prefix_is_canonical,
     arrow_exhaustive,
     arrow_randomized,
     coloring_avoids_all,
@@ -649,10 +650,59 @@ def _relabelings(v_top):
     ]
 
 
+def _canonical(vec, v_top, bud):
+    """``_prefix_is_canonical`` on a clique vector, with the class masks the
+    search keeps at a block end rebuilt from its first C(v_top + 1, 2)
+    entries."""
+    return _prefix_is_canonical(vec, _prefix_masks(vec, v_top + 1), v_top, bud)
+
+
+def _prefix_masks(vec, m, classes=4):
+    """adjs[c][x]: x's neighbours among 0..m-1 by color c in the clique
+    vector's first C(m, 2) entries."""
+    adjs = [[0] * m for _ in range(classes)]
+    for j in range(m):
+        for a, c in enumerate(vec[j * (j - 1) // 2 : j * (j + 1) // 2]):
+            adjs[c][a] |= 1 << j
+            adjs[c][j] |= 1 << a
+    return adjs
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        ArrowInstance(8, (CycleTarget(4),) * 3, deleted_budget=1),
+        ArrowInstance(9, (CycleTarget(5), CycleTarget(5))),
+    ],
+    ids=["C4,C4,C4@8 deleting 1", "C5,C5@9"],
+)
+def test_class_masks_hold_the_prefix_clique_at_each_check(monkeypatch, inst):
+    # the canonical check reads the search's class masks in place of the
+    # assignment: at every block end they must hold the prefix pairs and
+    # nothing else
+    from cycleramsey import search
+
+    check = search._prefix_is_canonical
+    calls = []
+
+    def checked(assignment, adjs, v_top, bud):
+        m = v_top + 1
+        rebuilt = _prefix_masks(assignment, m, len(adjs))
+        for c, rows in enumerate(adjs):
+            assert rows[:m] == rebuilt[c], (c, v_top)
+            assert not any(row >> m for row in rows), (c, v_top)
+        calls.append(v_top)
+        return check(assignment, adjs, v_top, bud)
+
+    monkeypatch.setattr(search, "_prefix_is_canonical", checked)
+    verdict = arrow_exhaustive(inst)
+    assert verdict.arrows is not None
+    # 30 and 286 checks, on prefixes of up to 8 vertices
+    assert len(calls) >= 30 and max(calls) == 7
+
+
 def test_prefix_canonical_matches_relabelling_oracle():
     import random
-
-    from cycleramsey.search import _prefix_is_canonical
 
     rng = random.Random(5040)
     getters = {v_top: _relabelings(v_top) for v_top in range(2, 7)}
@@ -661,7 +711,7 @@ def test_prefix_canonical_matches_relabelling_oracle():
         # the check reads only the prefix, so trailing entries must not matter
         tail = [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
         bud = _Budget(10**6)
-        assert _prefix_is_canonical(vec + tail, v_top, bud) == (vec == lexmin), (
+        assert _canonical(vec + tail, v_top, bud) == (vec == lexmin), (
             v_top,
             vec,
         )
@@ -752,54 +802,46 @@ def _orbit_count(m, colors):
 def test_prefix_canonical_picks_one_per_orbit(m, colors, orbits):
     import itertools
 
-    from cycleramsey.search import _prefix_is_canonical
-
     assert _orbit_count(m, colors) == orbits
     bud = _Budget(10**9)
     accepted = sum(
-        _prefix_is_canonical(list(vec), m - 1, bud)
+        _canonical(list(vec), m - 1, bud)
         for vec in itertools.product(range(1, colors + 1), repeat=m * (m - 1) // 2)
     )
     assert accepted == orbits
 
 
 def test_prefix_canonical_charges_its_visits():
-    from cycleramsey.search import _prefix_is_canonical
-
     # every vertex of a monochromatic clique is a twin of every other, so
     # one image per depth is tried
     bud = _Budget(100)
-    assert _prefix_is_canonical([1] * 21, 6, bud)
+    assert _canonical([1] * 21, 6, bud)
     assert 0 < bud.spent <= 8
     # the check charges one unit per visit: a budget one short raises
     with pytest.raises(BudgetExceededError):
-        _prefix_is_canonical([1] * 21, 6, _Budget(bud.spent - 1))
+        _canonical([1] * 21, 6, _Budget(bud.spent - 1))
 
 
 def test_prefix_canonical_stops_mid_check():
-    from cycleramsey.search import _prefix_is_canonical
-
     # the 5-cycle/complement coloring of K5 has no twins; its check takes six
     # visits, and a budget short of that stops it at the first visit past it
     pentagon = [1 if b - a in (1, 4) else 2 for b in range(5) for a in range(b)]
     for budget in range(6):
         bud = _Budget(budget)
         with pytest.raises(BudgetExceededError):
-            _prefix_is_canonical(pentagon, 4, bud)
+            _canonical(pentagon, 4, bud)
         assert bud.spent == budget + 1
     bud = _Budget(6)
-    assert not _prefix_is_canonical(pentagon, 4, bud)
+    assert not _canonical(pentagon, 4, bud)
     assert bud.spent == 6
 
 
 def test_prefix_canonical_on_the_largest_host():
-    from cycleramsey.search import _prefix_is_canonical
-
     # all vertices of a one-color K512 are twins: one image per depth, so the
     # check goes 512 levels deep in 513 visits
     n = MAX_VERTICES
     bud = _Budget(10**6)
-    assert _prefix_is_canonical([1] * (n * (n - 1) // 2), n - 1, bud)
+    assert _canonical([1] * (n * (n - 1) // 2), n - 1, bud)
     assert bud.spent == n + 1
 
 
