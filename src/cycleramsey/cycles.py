@@ -89,14 +89,15 @@ def _simple_paths(
     first; a failure leaves ``out`` as is. Counting paths is
     ``_count_paths``.
 
-    From four edges on, one layered flood (``_layered_flood``) finds the
-    region the inner vertices may use. If u and that region induce a
-    bipartite graph, every u->v path has length p + 1 (mod 2), where p is
-    the distance parity from u shared by all of v's neighbours there; an
-    exact ``steps`` of the other parity is refuted in this one call, where
-    the walk would have spent a unit on every prefix it tried. With
-    u == v, p is 1: an odd cycle through u is refuted at once. At-least
-    lengths use the flood's region only.
+    From four edges on, one flood finds the region the inner vertices may
+    use. For exact lengths it is layered (``_layered_flood``): if u and
+    that region induce a bipartite graph, every u->v path has length p + 1
+    (mod 2), where p is the distance parity from u shared by all of v's
+    neighbours there; an exact ``steps`` of the other parity is refuted in
+    this one call, where the walk would have spent a unit on every prefix
+    it tried. With u == v, p is 1: an odd cycle through u is refuted at
+    once. At-least lengths need the region only, and flood it with
+    ``graphs._reachable``, which keeps no layers.
     """
     bud.spend()
     free = adj[u] & ~avoid
@@ -128,11 +129,14 @@ def _simple_paths(
     # four remaining edges on, rather than only from five or six, measured
     # 14-19% faster on the two-color proofs at R(C_n,C_m) and at most 13%
     # slower on the n=12 refutations of (C7,C7), (C7,C5) and (C6,C6,C3).
-    reach, odd, bipartite = _layered_flood(adj, free, ~avoid)
+    if atleast:
+        reach = _reachable(adj, free, ~avoid)
+    else:
+        reach, odd, bipartite = _layered_flood(adj, free, ~avoid)
     last = adj[v] & reach
     if not last or reach.bit_count() < steps - 1:
         return 0
-    if bipartite and not atleast and last & odd == (last if steps & 1 else 0):
+    if not atleast and bipartite and last & odd == (last if steps & 1 else 0):
         return 0
     if atleast and steps <= 2:
         # any route from a free neighbour to v has >= 2 edges
