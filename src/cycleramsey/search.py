@@ -265,25 +265,22 @@ def _prefix_is_canonical(
     new entries (a, j), a < j, are smaller than the prefix's refutes
     canonicity, a larger one is pruned, and a tie goes one vertex deeper.
 
-    The check reads the class masks ``adjs`` (``adjs[c][x]``: x's
-    neighbours in color c, color 0 the deleted pairs). At a block end they
-    hold exactly the pairs of the prefix clique, so no bit lies at or above
-    v_top + 1; row j's colors come from ``assignment``. At depth j one pass
-    over the images x of a = 0..j-1, c the color of (a, j), builds two
-    masks of unused candidates: ``tie`` (every entry so far equal to row
-    j's, ``tie &= adjs[c][x]``) and ``low`` (the first difference a lower
-    color, ``low |= tie & below[x][c]``, where ``below[x][c]`` is x's
-    neighbours in the colors below c). The candidates of ``low | tie`` are
-    taken in ascending order: one in ``low`` answers "smaller", one in
-    ``tie`` goes one vertex deeper.
+    Entry (a, j) of the prefix is read off ``assignment``, relabeled ones
+    off the class masks ``adjs`` (class 0 the deletions), which at a block
+    end hold exactly the prefix's pairs. Over the images x of a < j, c the
+    color of (a, j), ``tie &= adjs[c][x]`` keeps the unused candidates tied
+    so far and ``low |= tie & below[x][c]`` adds those whose first
+    difference is a lower color (``below[x][c]``: x's neighbours in the
+    colors below c). Taken in ascending order, a candidate in ``low``
+    answers "smaller" and one in ``tie`` goes one vertex deeper.
 
-    Twin lemma: call y and z twins when they have the same color to every
-    third vertex, that is ``(a[y] ^ a[z]) & ~(1 << y | 1 << z)`` is 0 in
-    every class. The transposition (y z) is then an automorphism of the
-    prefix that fixes every image chosen so far, so the subtree that maps j
-    to z yields exactly the relabeled vectors of the subtree that maps j to
-    y. Twinship is transitive, so at each depth only the first unused member
-    of each twin class is tried; unused twins fall in the same mask.
+    Twin lemma: y and z are twins when ``(a[y] ^ a[z]) & ~(1 << y | 1 << z)``
+    is 0 in every class, that is they have the same color to every third
+    vertex. The transposition (y z) is then an automorphism of the prefix
+    that fixes every image chosen so far, so the subtree that maps j to z
+    yields exactly the relabeled vectors of the subtree that maps j to y.
+    Twinship is transitive, so at each depth only the first unused member
+    of each twin class is tried.
 
     Soundness at every depth: take the representative of a target-free
     coloring's orbit that is lex-min over vertex relabelings and over
@@ -295,17 +292,13 @@ def _prefix_is_canonical(
     stops one unit past the budget.
     """
     m = v_top + 1
-    below = []
-    for x in range(m):
-        row, acc = [], 0
-        for a in adjs:
-            row.append(acc)
-            acc |= a[x]
-        below.append(row)
-    # twin[z]: the least y that is z's twin. Colors 1..k suffice: a pair in
-    # none of them is deleted, so agreeing on them is agreeing on class 0.
-    colors = adjs[1:]
-    twin = list(range(m))
+    below = [[0] for _ in range(m)]  # below[x][c]: x's neighbours in colors below c
+    for a in adjs[:-1]:
+        for x, row in enumerate(below):
+            row.append(row[-1] | a[x])
+    # twin[z]: the least of z's twins, whose class is cls[twin[z]]. Colors
+    # 1..k decide it: a pair in none of them is deleted.
+    colors, twin, cls = adjs[1:], list(range(m)), [1 << x for x in range(m)]
     for z in range(m):
         for y in range(z):
             if twin[y] == y:
@@ -315,11 +308,11 @@ def _prefix_is_canonical(
                         break
                 else:
                     twin[z] = y
+                    cls[y] |= 1 << z
                     break
-    images: list[int] = []
 
-    def smaller(j: int, free: int) -> bool:
-        # can images[:j], which tie the prefix, extend to a smaller relabeling?
+    def smaller(j: int, free: int, images: tuple[int, ...]) -> bool:
+        # can images (of 0..j-1), which tie the prefix, extend to a smaller one?
         bud.spend()
         if j == m:
             return False
@@ -327,23 +320,16 @@ def _prefix_is_canonical(
         for x, c in zip(images, assignment[j * (j - 1) // 2 : j * (j + 1) // 2]):
             low |= tie & below[x][c]
             tie &= adjs[c][x]
-        cands, tried = low | tie, 0
+        cands = low | tie
         while cands:
             bit = cands & -cands
-            cands ^= bit
             y = bit.bit_length() - 1
-            if tried >> twin[y] & 1:
-                continue
-            tried |= 1 << twin[y]
-            if low & bit:
+            cands &= ~cls[twin[y]]  # y is the first unused member of its class
+            if low & bit or smaller(j + 1, free ^ bit, images + (y,)):
                 return True
-            images.append(y)
-            if smaller(j + 1, free ^ bit):
-                return True
-            images.pop()
         return False
 
-    return not smaller(0, (1 << m) - 1)
+    return not smaller(0, (1 << m) - 1, ())
 
 
 def _color_predecessors(targets: tuple[Target, ...]) -> list[int]:
