@@ -227,26 +227,29 @@ def _witness_coloring(inst: ArrowInstance, edges, assignment, adjs) -> EdgeColor
 # ---------------------------------------------------------------------------
 
 
-def _new_edge_creates_target(
-    n: int, adj: list[int], target: Target, u: int, v: int, bud: _Budget
-) -> bool:
-    """Did adding edge (u,v) to this color class complete its target?
+def _presence_test(n: int, target: Target):
+    """The test that one color class runs when edge (u, v) enters it, as
+    ``test(adj, u, v, bud)``: did the edge complete the target? None when the
+    target cannot fit on n vertices. A search resolves it once per color.
 
     A path's existence does not depend on its direction, so the kernel
     starts at the end of lower degree in the class, whose fewer first steps
     leave fewer subtrees to refute."""
-    if isinstance(target, CycleTarget):
-        if target.length > n:
-            return False
+    if isinstance(target, MatchingTarget):
+        saturation, nonbipartite = target.saturation, target.nonbipartite
+        return lambda adj, u, v, bud: (
+            _best_matched(adj, _mates(adj), nonbipartite)[0] >= saturation
+        )
+    if target.length > n:
+        return None
+    steps, atleast = target.length - 1, not target.exact
+
+    def created(adj: list[int], u: int, v: int, bud: _Budget) -> int:
         if adj[v].bit_count() < adj[u].bit_count():
             u, v = v, u
-        return bool(
-            _simple_paths(
-                adj, u, v, target.length - 1, 1 << u | 1 << v, bud,
-                atleast=not target.exact,
-            )
-        )
-    return _best_matched(adj, _mates(adj), target.nonbipartite)[0] >= target.saturation
+        return _simple_paths(adj, u, v, steps, 1 << u | 1 << v, bud, atleast=atleast)
+
+    return created
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +257,29 @@ def _new_edge_creates_target(
 # ---------------------------------------------------------------------------
 
 
+def _refined_twins(
+    prev: list[int], assignment: list[int], adjs: list[list[int]], z: int
+) -> list[int]:
+    """The twin classes on 0..z from those on 0..z-1 (``prev``), as a list
+    whose entry y is the mask of y's class.
+
+    Each class is split by its members' colors to z. Then z joins the class
+    of its twins: y < z is one when every other x < z has one color to y
+    and to z, that is y is in ``adjs[c][x]`` for c the color of (x, z)."""
+    row = assignment[z * (z - 1) // 2 : z * (z + 1) // 2]
+    mates = 1 << z | (1 << z) - 1  # z's class: z and its twins
+    for x, c in enumerate(row):
+        mates &= adjs[c][x] | 1 << x
+    split = [mask & adjs[c][z] for mask, c in zip(prev, row)]
+    return [mates if mask & mates else mask for mask in split] + [mates]
+
+
 def _prefix_is_canonical(
-    assignment: list[int], adjs: list[list[int]], v_top: int, bud: _Budget
+    assignment: list[int],
+    adjs: list[list[int]],
+    v_top: int,
+    bud: _Budget,
+    classes: Optional[list[list[int]]] = None,
 ) -> bool:
     """Is the colored clique on vertices 0..v_top lex-minimal under relabeling?
 
@@ -269,18 +293,33 @@ def _prefix_is_canonical(
     off the class masks ``adjs`` (class 0 the deletions), which at a block
     end hold exactly the prefix's pairs. Over the images x of a < j, c the
     color of (a, j), ``tie &= adjs[c][x]`` keeps the unused candidates tied
-    so far and ``low |= tie & below[x][c]`` adds those whose first
-    difference is a lower color (``below[x][c]``: x's neighbours in the
-    colors below c). Taken in ascending order, a candidate in ``low``
-    answers "smaller" and one in ``tie`` goes one vertex deeper.
+    so far and ``low |= tie & below[c][x]`` adds those whose first
+    difference is a lower color (``below[c][x]``: x's neighbours in the
+    colors below c). Any candidate in ``low`` answers "smaller" at once:
+    the images so far, extended by it and then by the unused vertices in
+    any order, relabel the prefix to a smaller vector. Otherwise the
+    candidates in ``tie`` go one vertex deeper, in ascending order, on an
+    explicit stack, so the depth is bounded by the host and not by
+    Python's recursion limit.
 
     Twin lemma: y and z are twins when ``(a[y] ^ a[z]) & ~(1 << y | 1 << z)``
     is 0 in every class, that is they have the same color to every third
-    vertex. The transposition (y z) is then an automorphism of the prefix
-    that fixes every image chosen so far, so the subtree that maps j to z
-    yields exactly the relabeled vectors of the subtree that maps j to y.
-    Twinship is transitive, so at each depth only the first unused member
-    of each twin class is tried.
+    vertex (class 0, the deletions, counts as a color). The transposition
+    (y z) is then an automorphism of the prefix that fixes every image
+    chosen so far, so the subtree that maps j to z yields exactly the
+    relabeled vectors of the subtree that maps j to y. Twinship is
+    transitive, so at each depth only the first unused member of each twin
+    class is tried.
+
+    Refinement lemma: y, w < z are twins on 0..z exactly when they are
+    twins on 0..z-1 and have one color to z. So the classes on 0..z are
+    those on 0..z-1, each split by its members' colors to z, and z's own
+    class (``_refined_twins``). ``classes[z]`` holds the classes on 0..z:
+    the check reads entries 0..v_top-1, drops any deeper ones and appends
+    entry v_top. The search hands one list from check to check. That is
+    sound because the last check at each z < v_top ran on the prefix as it
+    stands: the search passes a block end only after its check. Without a
+    list, the classes are folded from vertex 1.
 
     Soundness at every depth: take the representative of a target-free
     coloring's orbit that is lex-min over vertex relabelings and over
@@ -288,48 +327,45 @@ def _prefix_is_canonical(
     lex-min too, since a smaller relabeling of a prefix, extended by fixing
     the other vertices, would make the whole vector smaller; so this
     representative passes the check on every prefix, of any size. Each
-    visit (call of ``smaller``) charges one unit to ``bud``, so a check
-    stops one unit past the budget.
+    visit (a set of images that ties the prefix) charges one unit to
+    ``bud``, so a check stops one unit past the budget.
     """
     m = v_top + 1
-    below = [[0] for _ in range(m)]  # below[x][c]: x's neighbours in colors below c
-    for a in adjs[:-1]:
-        for x, row in enumerate(below):
-            row.append(row[-1] | a[x])
-    # twin[z]: the least of z's twins, whose class is cls[twin[z]]. Colors
-    # 1..k decide it: a pair in none of them is deleted.
-    colors, twin, cls = adjs[1:], list(range(m)), [1 << x for x in range(m)]
-    for z in range(m):
-        for y in range(z):
-            if twin[y] == y:
-                pair = ~(1 << y | 1 << z)
-                for a in colors:
-                    if (a[y] ^ a[z]) & pair:
-                        break
-                else:
-                    twin[z] = y
-                    cls[y] |= 1 << z
-                    break
-
-    def smaller(j: int, free: int, images: tuple[int, ...]) -> bool:
-        # can images (of 0..j-1), which tie the prefix, extend to a smaller one?
-        bud.spend()
-        if j == m:
-            return False
-        tie, low = free, 0
-        for x, c in zip(images, assignment[j * (j - 1) // 2 : j * (j + 1) // 2]):
-            low |= tie & below[x][c]
-            tie &= adjs[c][x]
-        cands = low | tie
-        while cands:
-            bit = cands & -cands
-            y = bit.bit_length() - 1
-            cands &= ~cls[twin[y]]  # y is the first unused member of its class
-            if low & bit or smaller(j + 1, free ^ bit, images + (y,)):
+    if classes is None:
+        classes = [[1]]  # the one class on vertex 0
+    del classes[max(v_top, 1):]
+    for z in range(len(classes), m):
+        classes.append(_refined_twins(classes[-1], assignment, adjs, z))
+    cls = classes[v_top]
+    below = [[0] * m, adjs[0]]  # below[c][x]: x's neighbours in colors below c
+    for a in adjs[1:-1]:
+        below.append([p | q for p, q in zip(below[-1], a[:m])])
+    rows = [assignment[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(m)]
+    images, pending = [0] * m, [0] * m  # pending[j]: tied candidates left at j
+    j, free, spend = 0, (1 << m) - 1, bud.spend
+    while True:
+        spend()  # a visit: the images of 0..j-1 tie the prefix
+        cands = 0
+        if j < m:
+            tie, low = free, 0
+            for x, c in zip(images, rows[j]):
+                low |= tie & below[c][x]
+                tie &= adjs[c][x]
+            if low:
+                return False
+            cands = tie
+        while not cands:
+            j -= 1
+            if j < 0:
                 return True
-        return False
-
-    return not smaller(0, (1 << m) - 1, ())
+            free |= 1 << images[j]
+            cands = pending[j]
+        bit = cands & -cands
+        y = bit.bit_length() - 1
+        pending[j] = cands & ~cls[y]  # y is the first unused member of its class
+        images[j] = y
+        free ^= bit
+        j += 1
 
 
 def _color_predecessors(targets: tuple[Target, ...]) -> list[int]:
@@ -361,10 +397,14 @@ def arrow_exhaustive(
     k = inst.k
     n = inst.n
     targets = inst.targets
-    # block_end[i]: the prefix clique completed by assigning edge i, if any; on
+    # block_end[i]: the prefix clique completed by assigning edge i, else 0; on
     # a hole-free host the pair (v-1, v) is edge v(v+1)/2 - 1
-    vertex_sym = symmetry and not inst.holes.holes
-    block_end = {v * (v + 1) // 2 - 1: v for v in range(2, n)} if vertex_sym else {}
+    block_end = [0] * len(edges)
+    if symmetry and not inst.holes.holes:
+        for v in range(2, n):
+            block_end[v * (v + 1) // 2 - 1] = v
+    classes = [[1]]  # the twin classes that each check hands to the next
+    tests = [None] + [_presence_test(n, t) for t in targets]  # class 0: deletions
     # First-use rule: c is offered once its predecessor prev[c] is used. The
     # used colors of a group then always form a prefix of it: a color is first
     # used only after its predecessor, and the explicit stack takes colors off
@@ -416,12 +456,11 @@ def arrow_exhaustive(
             adjs[c][u] ^= bv
             adjs[c][v] ^= bu
             used_count[c] += 1
-            if c != 0 and _new_edge_creates_target(
-                n, adjs[c], targets[c - 1], u, v, bud
-            ):
+            test = tests[c]
+            if test and test(adjs[c], u, v, bud):
                 stats.presence_prunes += 1
-            elif i in block_end and not _prefix_is_canonical(
-                assignment, adjs, block_end[i], bud
+            elif block_end[i] and not _prefix_is_canonical(
+                assignment, adjs, block_end[i], bud, classes
             ):
                 stats.symmetry_prunes += 1
             else:

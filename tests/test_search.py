@@ -685,14 +685,14 @@ def test_class_masks_hold_the_prefix_clique_at_each_check(monkeypatch, inst):
     check = search._prefix_is_canonical
     calls = []
 
-    def checked(assignment, adjs, v_top, bud):
+    def checked(assignment, adjs, v_top, bud, classes):
         m = v_top + 1
         rebuilt = _prefix_masks(assignment, m, len(adjs))
         for c, rows in enumerate(adjs):
             assert rows[:m] == rebuilt[c], (c, v_top)
             assert not any(row >> m for row in rows), (c, v_top)
         calls.append(v_top)
-        return check(assignment, adjs, v_top, bud)
+        return check(assignment, adjs, v_top, bud, classes)
 
     monkeypatch.setattr(search, "_prefix_is_canonical", checked)
     verdict = arrow_exhaustive(inst)
