@@ -618,10 +618,10 @@ def test_same_target_colors_with_holes_and_deletions_are_pinned(inst, pinned):
 @pytest.mark.parametrize(
     "inst, units",
     [
-        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 29028),
-        (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 16619),
-        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 7534),
-        (ArrowInstance(6, (MatchingTarget(4),) * 3), 1102),
+        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 27144),
+        (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 15961),
+        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 7079),
+        (ArrowInstance(6, (MatchingTarget(4),) * 3), 1030),
     ],
     ids=["C6,C6@8", "C7,C4@8", "C5,C5@9", "M4,M4,M4@6"],
 )
@@ -823,17 +823,19 @@ def test_prefix_canonical_charges_its_visits():
 
 
 def test_prefix_canonical_stops_mid_check():
-    # the 5-cycle/complement coloring of K5 has no twins; its check takes six
-    # visits, and a budget short of that stops it at the first visit past it
+    # the 5-cycle/complement coloring of K5 has no twins; its check answers
+    # at the third visit, where mapping 0, 1, 2 to 0, 1, 4 gives (0, 2) the
+    # lower color 1, and a budget short of that stops it at the first visit
+    # past it
     pentagon = [1 if b - a in (1, 4) else 2 for b in range(5) for a in range(b)]
-    for budget in range(6):
+    for budget in range(3):
         bud = _Budget(budget)
         with pytest.raises(BudgetExceededError):
             _canonical(pentagon, 4, bud)
         assert bud.spent == budget + 1
-    bud = _Budget(6)
+    bud = _Budget(3)
     assert not _canonical(pentagon, 4, bud)
-    assert bud.spent == 6
+    assert bud.spent == 3
 
 
 def test_prefix_canonical_on_the_largest_host():
