@@ -701,6 +701,106 @@ def test_class_masks_hold_the_prefix_clique_at_each_check(monkeypatch, inst):
     assert len(calls) >= 30 and max(calls) == 7
 
 
+def _twin_classes(adjs, m):
+    """classes[y]: the mask of the vertices with y's color to every third
+    vertex of the clique on 0..m-1, straight from the twin lemma."""
+    return [
+        sum(1 << w for w in range(m)
+            if not any((a[y] ^ a[w]) & ~(1 << y | 1 << w) & ((1 << m) - 1)
+                       for a in adjs))
+        for y in range(m)
+    ]
+
+
+@pytest.mark.parametrize(
+    "inst, checks",
+    [
+        (ArrowInstance(8, (CycleTarget(4),) * 3, deleted_budget=1), 30),
+        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 286),
+        (ArrowInstance(8, (CycleTarget(5), CycleTarget(5), CycleTarget(4)),
+                       deleted_budget=2), 6),
+    ],
+    ids=["C4,C4,C4@8 deleting 1", "C5,C5@9", "C5,C5,C4@8 deleting 2"],
+)
+def test_twin_classes_handed_down_equal_rebuilt_ones(monkeypatch, inst, checks):
+    # at every block end the classes that earlier checks handed down, with
+    # the entry this check adds, equal the ones folded from vertex 1 and the
+    # twin lemma's classes on each prefix; answer and charge agree too
+    from cycleramsey import search
+
+    check = search._prefix_is_canonical
+    calls = []
+
+    def checked(assignment, adjs, v_top, bud, classes):
+        rebuilt, fresh = [[1]], _Budget(10**9)
+        answer = check(assignment, adjs, v_top, fresh, rebuilt)
+        spent = bud.spent
+        assert check(assignment, adjs, v_top, bud, classes) == answer
+        assert bud.spent - spent == fresh.spent
+        assert classes == rebuilt, v_top
+        for z in range(v_top + 1):
+            assert classes[z] == _twin_classes(adjs, z + 1), (v_top, z)
+        calls.append(v_top)
+        return answer
+
+    monkeypatch.setattr(search, "_prefix_is_canonical", checked)
+    assert arrow_exhaustive(inst).arrows is not None
+    # prefixes of up to 8 vertices
+    assert len(calls) == checks and max(calls) == 7
+
+
+def _twin_rich_vector(rng, v_top, palette):
+    """A clique vector on 0..v_top over ``palette``: uniform, or one color
+    inside random parts and another across them, with a few entries
+    redrawn, so that many vertices are twins."""
+    pairs = [(a, b) for b in range(v_top + 1) for a in range(b)]
+    if rng.random() < 0.3:
+        return [rng.choice(palette) for _ in pairs]
+    part = [rng.randrange(rng.randint(1, v_top + 1)) for _ in range(v_top + 1)]
+    inside, across = rng.choice(palette), rng.choice(palette)
+    noise = rng.choice((0, 0.05, 0.15))
+    return [
+        rng.choice(palette) if rng.random() < noise
+        else inside if part[a] == part[b] else across
+        for a, b in pairs
+    ]
+
+
+def test_carried_and_folded_twin_classes_agree_on_random_prefixes():
+    # a search hands one class list from check to check, and backtracking
+    # leaves entries of deeper, abandoned prefixes in it; the check must
+    # answer and charge exactly as if it had folded them from vertex 1
+    rng = random.Random(2238)
+    canonical = 0
+    for _ in range(2000):
+        v_top = rng.randint(2, 9)
+        colors = rng.randint(1, 3)
+        palette = list(range(1, colors + 1))
+        if colors == 1 or rng.random() < 0.5:
+            palette.append(0)  # deletions
+        vec = _twin_rich_vector(rng, v_top, palette)
+        # an abandoned branch shares vertices 0..keep-1 and went deeper
+        keep = rng.randint(1, v_top)
+        other_top = rng.randint(max(2, keep), 9)
+        other = _twin_rich_vector(rng, other_top, palette)
+        other[: keep * (keep - 1) // 2] = vec[: keep * (keep - 1) // 2]
+        classes = [[1]]
+        for z in range(2, other_top + 1):
+            _prefix_is_canonical(other, _prefix_masks(other, z + 1), z,
+                                 _Budget(10**9), classes)
+        for z in range(max(2, keep), v_top):
+            _prefix_is_canonical(vec, _prefix_masks(vec, z + 1), z,
+                                 _Budget(10**9), classes)
+        adjs = _prefix_masks(vec, v_top + 1)
+        carried, folded = _Budget(10**9), _Budget(10**9)
+        answer = _prefix_is_canonical(vec, adjs, v_top, carried, classes)
+        assert answer == _prefix_is_canonical(vec, adjs, v_top, folded), vec
+        assert carried.spent == folded.spent, vec
+        assert classes[v_top] == _twin_classes(adjs, v_top + 1), vec
+        canonical += answer
+    assert 200 < canonical < 1800
+
+
 def test_prefix_canonical_matches_relabelling_oracle():
     import random
 
