@@ -533,7 +533,7 @@ def run(argv: list[str]) -> int:
     try:
         _check_budget(args.node_budget)  # every subcommand takes --node-budget
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: a named file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

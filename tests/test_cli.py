@@ -427,6 +427,16 @@ def test_usage_errors(capsys):
     assert run(["nonsense"]) == 1
 
 
+def test_a_directory_named_as_a_file_exits_1(tmp_path, c6_file, capsys):
+    # reading or writing a directory is an input error, as a missing file is
+    for argv in (["cycles", "--graph", str(tmp_path)],
+                 ["cycles", "--graph", c6_file, "--out", str(tmp_path)],
+                 ["construct", "--odd-triple", "3", "--coloring-out", str(tmp_path)]):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err, argv
+
+
 def test_contradictory_options_are_refused(tmp_path, capsys):
     # each of these asks two questions at once, so any one answer would mislead
     c4 = tmp_path / "c4.json"
