@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import cycleramsey
 from cycleramsey.cli import _config_hash, build_parser, run
@@ -680,3 +682,231 @@ def test_consecutive_runs_share_no_state(capsys):
     after = capsys.readouterr().out
     assert after == before and "asymptotic guard relaxed" in after
     assert build_parser().parse_args(argv).strict is False
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract on generated command lines and files.
+# ---------------------------------------------------------------------------
+
+_K5 = {"n": 5, "k": 2, "edges": [
+    [u, v, 2 if (u, v) == (3, 4) else 1] for v in range(5) for u in range(v)]}
+# valid files of each kind that a subcommand reads; a generated file is one
+# of its kind with a few entries replaced or dropped, or arbitrary JSON
+_VALID_FILES = {
+    "graph": ({"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]},
+              {"n": 5, "edges": [[u, v] for v in range(5) for u in range(v)]}),
+    "coloring": (_K5, {"n": 4, "k": 3, "deleted": [[2, 3]], "edges": [
+        [0, 1, 1], [0, 2, 2], [0, 3, 3], [1, 2, 3], [1, 3, 2]]}),
+    "instance": ({"n": 5, "holes": [[0, 1]], "deleted_budget": 1, "targets": [
+        {"kind": "cycle", "length": 3, "exact": False},
+        {"kind": "matching", "saturation": 4, "nonbipartite": True}]},),
+    "report": ({"construction": {
+        "name": "oee_four_part", "params": {"m1": 3}, "parts": [[0, 1]],
+        "claims": [{"color": 1, "kind": "no-cycle-length-geq", "bound": 5},
+                   {"color": 2, "kind": "no-odd-cycle", "bound": None}]}},),
+}
+_JSON_KEYS = ("n", "k", "edges", "deleted", "holes", "deleted_budget", "targets",
+              "kind", "length", "exact", "saturation", "nonbipartite", "construction",
+              "name", "params", "m1", "parts", "claims", "color", "bound")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 7)
+    | st.floats(-1, 7, allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["", "x", "3", "cycle", "matching", "no-cycle-length-geq",
+                       "no-odd-cycle", "oee_four_part"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_JSON_KEYS), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _json_files(draw, kind):
+    """A valid file of this kind with up to three entries replaced or
+    dropped, or now and then any JSON."""
+    import copy
+
+    if draw(st.integers(0, 5)) == 0:
+        return draw(_JSON_VALUES)
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID_FILES[kind])))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2, 3)))):
+        node = doc
+        while True:  # walk down to some container, then edit one entry
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            if isinstance(node[key], (dict, list)) and draw(st.booleans()):
+                node = node[key]
+                continue
+            if isinstance(node, dict) and draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(_JSON_VALUES)
+            break
+    return doc
+
+
+def _cli_options():
+    """flag -> strategy for its value tokens (None: a switch), over every
+    subcommand's options, so that a command line may mix in foreign ones."""
+    from cycleramsey.cli import _LEMMA_PARAMETERS, _lemma_dest
+    from cycleramsey.harness import LEMMA_IDS
+
+    ints = st.sampled_from([str(i) for i in range(-1, 9)] + ["x", "1.5"])
+    rational = st.sampled_from(["1", "1/2", "2/3", "1/200", "1/256", "0", "-1",
+                                "1/0", "x", ""])
+    rationals = st.lists(rational, min_size=1, max_size=5).map(",".join)
+
+    def files(kind):  # mostly a file of the kind the flag reads
+        return st.sampled_from([f"{kind}.json"] * 6 + [
+            f"{other}.json" for other in _VALID_FILES if other != kind
+        ] + ["missing.json", "text.json", "."])
+
+    outs = st.sampled_from(["out.txt", "out.txt", "out.txt", ".", "no/such/dir.txt"])
+    target = st.tuples(
+        st.sampled_from(["C3", "C4", "C5", "C6", "C3+", "C5+", "M2", "M4", "M4n",
+                         "M5", "C2", "C", "X3", ""]),
+        st.integers(-1, 4),
+    ).map(lambda t: f"{t[0]}:{t[1]}")
+    opts = {
+        "--seed": ints, "--format": st.sampled_from(["human", "json", "csv", "x"]),
+        "--out": outs, "--node-budget": st.sampled_from(["-1", "0", "5", "300", "x"]),
+        "--timings": None, "--help": None,
+        "--odd-triple": ints, "--eeo-four": st.tuples(ints, ints),
+        "--eeo-three": st.tuples(ints, ints, ints), "--oee-four": st.tuples(ints, ints),
+        "--coloring-out": outs, "--coloring": files("coloring"), "--report": files("report"),
+        "--graph": files("graph"), "--length": ints,
+        "--parity": st.sampled_from(["any", "odd", "even", "x"]),
+        "--best-component": None, "--require-nonbipartite": None,
+        "--n-target": ints, "--alpha": rational, "--n-scale": ints,
+        "--parities": st.text("eox", max_size=4), "--alphas": rationals, "--n": ints,
+        "--xi": rationals, "--hole-params": rationals,
+        "--instance": files("instance"), "--targets": st.lists(target, max_size=4).map(",".join),
+        "--mode": st.sampled_from(["exhaustive", "randomized", "x"]),
+        "--range": st.tuples(ints, ints).map("..".join), "--no-symmetry": None,
+        "--steps": ints, "--restarts": ints,
+        "--id": st.sampled_from(LEMMA_IDS + ("x",)), "--samples": ints,
+        "--strict": None, "--adversary-steps": ints,
+    }
+    for name, kind in _LEMMA_PARAMETERS.items():
+        opts["--" + _lemma_dest(name).replace("_", "-")] = ints if kind is int else rational
+    return opts
+
+
+_OPTIONS = _cli_options()
+
+
+def _own_flags():
+    """command -> (its required flags, its other flags)."""
+    import argparse
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for command, p in sub.choices.items():
+        actions = [a for a in p._actions if a.option_strings and a.dest != "help"]
+        flags[command] = tuple([a.option_strings[-1] for a in actions if a.required == r]
+                               for r in (True, False))
+    return flags
+
+
+_OWN_FLAGS = _own_flags()
+
+
+# valid command lines, each cheap on the valid files above
+_VALID_LINES = (
+    ["construct", "--odd-triple", "3"],
+    ["construct", "--eeo-four", "4", "4"],
+    ["construct", "--eeo-three", "4", "4", "5"],
+    ["construct", "--oee-four", "4", "5", "--coloring-out", "out.txt"],
+    ["verify", "--coloring", "coloring.json", "--report", "report.json"],
+    ["cycles", "--graph", "graph.json", "--length", "5"],
+    ["cycles", "--graph", "graph.json", "--parity", "odd"],
+    ["matching", "--graph", "graph.json", "--best-component", "--require-nonbipartite"],
+    ["decompose", "--graph", "graph.json", "--n-target", "7"],
+    ["decompose", "--graph", "graph.json", "--alpha", "1/2"],
+    ["bound", "--parities", "eeo", "--alphas", "1,1,1"],
+    ["bound", "--xi", "1,1,0"],
+    ["bound", "--hole-params", "1,1,1/2,1/256"],
+    ["search", "--targets", "C3:1,C3:2", "--n", "5"],
+    ["search", "--targets", "C4:1,C3:2", "--range", "3..7"],
+    ["search", "--targets", "C3+:1,M4:2", "--n", "5", "--mode", "randomized",
+     "--steps", "30"],
+    ["search", "--instance", "instance.json", "--no-symmetry"],
+    ["lemma", "--id", "dwa", "--alpha", "1", "--beta", "1", "--nu", "1/2",
+     "--eps", "1/256", "--n", "6", "--samples", "2"],
+    ["lemma", "--id", "trzy", "--alpha", "1", "--beta", "1", "--nu", "1",
+     "--eps", "1/256", "--n", "6", "--samples", "2"],
+    ["lemma", "--id", "l2", "--n1", "8", "--n2", "8", "--eps", "1/200", "--samples", "2"],
+    ["lemma", "--id", "f1", "--alpha1", "1", "--alpha2", "1", "--eps", "1/256",
+     "--n", "6", "--samples", "2"],
+    ["lemma", "--id", "double", "--host-n", "8", "--nu1", "3/10", "--nu2", "3/10",
+     "--eps", "1/50", "--samples", "2"],
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """Either a valid command line with up to two flags redrawn, dropped or
+    added, or a subcommand (or an unknown one), mostly with its required
+    flags, some of its other flags and now and then another one's."""
+    given = {}  # flag -> value tokens kept from a valid line
+    if draw(st.booleans()):
+        line = draw(st.sampled_from(_VALID_LINES))
+        command = line[0]
+        for token in line[1:]:
+            if token.startswith("--"):
+                flag = token
+                given[flag] = []
+            else:
+                given[flag].append(token)
+        flags = list(given)
+        for _ in range(draw(st.integers(0, 2))):
+            flag = draw(st.sampled_from(sorted(_OPTIONS)))
+            given.pop(flag, None)
+            if flag not in flags:
+                flags.append(flag)
+            elif draw(st.booleans()):
+                flags.remove(flag)
+    else:
+        command = draw(st.sampled_from(sorted(_OWN_FLAGS) + ["x"]))
+        required, other = _OWN_FLAGS.get(command, ([], []))
+        flags = [f for f in required if draw(st.integers(0, 9))]
+        flags += [f for f in other if draw(st.integers(0, 9)) < 3]
+        flags += draw(st.lists(st.sampled_from(sorted(_OPTIONS)), max_size=1))
+        flags = draw(st.permutations(flags))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag in given:
+            argv += given[flag]
+        elif _OPTIONS[flag] is not None:
+            value = draw(_OPTIONS[flag])
+            argv += list(value) if isinstance(value, tuple) else [value]
+    return argv
+
+
+@seed(7000)
+@settings(max_examples=300, deadline=None, database=None)
+@given(argv=_command_lines(),
+       files=st.fixed_dictionaries({kind: _json_files(kind) for kind in _VALID_FILES}))
+def test_generated_command_lines_keep_the_exit_contract(argv, files):
+    # every run answers 0 (done), 1 (usage or malformed input) or 2
+    # (unknown); none raises and none reports an internal error (3)
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, doc in files.items():
+            Path(tmp, f"{kind}.json").write_text(json.dumps(doc))
+        Path(tmp, "text.json").write_text("{not json")
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), argv
