@@ -415,17 +415,20 @@ def arrow_exhaustive(
     adjs = [[0] * n for _ in range(k + 1)]
     assignment = [None] * len(edges)
     used_count = [0] * (k + 1)
+    # The options change only when used_count[c] crosses flip[c]: a color that
+    # is some color's predecessor crosses at 1, the deletions at their budget.
+    flip = [inst.deleted_budget] + [1 if c in prev else 0 for c in range(1, k + 1)]
 
-    def choices() -> list[int]:
-        opts = [c for c in range(1, k + 1) if not prev[c] or used_count[prev[c]]]
-        if used_count[0] < inst.deleted_budget:
-            opts.append(0)
-        return opts
+    def options() -> tuple[int, ...]:
+        opts = tuple(c for c in range(1, k + 1) if not prev[c] or used_count[prev[c]])
+        return opts + (0,) if used_count[0] < inst.deleted_budget else opts
 
     def descend() -> Optional[EdgeColoring]:
-        # Depth first with an explicit stack, pending[i] holding the colors
-        # still to try at edge i, so that the budget alone bounds the depth.
-        pending: list[list[int]] = []
+        # Depth first with an explicit stack, pending[i] holding edge i's
+        # options and the index of the next one to try, so that the budget
+        # alone bounds the depth.
+        pending: list[tuple[tuple[int, ...], int]] = []
+        opts = options()
         i = 0
         while i >= 0:
             if i == len(edges):
@@ -439,23 +442,29 @@ def arrow_exhaustive(
             u, v = edges[i]
             bu, bv = 1 << u, 1 << v
             if len(pending) == i:
-                pending.append(choices()[::-1])
+                pending.append((opts, 0))
             else:  # back at edge i: take its last color off
                 c = assignment[i]
                 adjs[c][u] ^= bv
                 adjs[c][v] ^= bu
                 used_count[c] -= 1
-            if not pending[i]:
+                if used_count[c] + 1 == flip[c]:
+                    opts = options()
+            todo, t = pending[i]
+            if t == len(todo):
                 assignment[i] = None
                 pending.pop()
                 i -= 1
                 continue
-            c = assignment[i] = pending[i].pop()
+            pending[i] = todo, t + 1
+            c = assignment[i] = todo[t]
             stats.nodes += 1
             bud.spend()
             adjs[c][u] ^= bv
             adjs[c][v] ^= bu
             used_count[c] += 1
+            if used_count[c] == flip[c]:
+                opts = options()
             test = tests[c]
             if test and test(adjs[c], u, v, bud):
                 stats.presence_prunes += 1
