@@ -9,6 +9,8 @@ decision.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -274,42 +276,99 @@ def _refined_twins(
     return [mates if mask & mates else mask for mask in split] + [mates]
 
 
+def _walk(
+    rows: list[list[int]],
+    masks: list[list[int]],
+    below: list[list[int]],
+    cls: list[int],
+    m: int,
+    bud: _Budget,
+) -> bool:
+    """Does no relabeling of the clique held in ``masks`` give a vector
+    below the prefix ``rows``? One walk of ``_prefix_is_canonical``, which
+    describes it; ``below[c][x]`` is x's neighbours in the colors of
+    ``masks`` below c, and ``cls[y]`` the mask of y's twin class. Each visit
+    charges ``bud`` one unit, counted here and settled on the way out."""
+    images, pending = [0] * m, [0] * m  # pending[j]: tied candidates left at j
+    j, free = 0, (1 << m) - 1
+    visits, limit = 0, bud.amount - bud.spent
+    while True:
+        visits += 1  # a visit: the images of 0..j-1 tie the prefix
+        if visits > limit:
+            bud.spent += visits - 1
+            bud.spend()  # one unit past the budget: raises
+        cands = 0
+        if j < m:
+            tie, low = free, 0
+            for x, c in zip(images, rows[j]):
+                low |= tie & below[c][x]
+                tie &= masks[c][x]
+            if low:
+                bud.spent += visits
+                return False
+            cands = tie
+        while not cands:
+            j -= 1
+            if j < 0:
+                bud.spent += visits
+                return True
+            free |= 1 << images[j]
+            cands = pending[j]
+        bit = cands & -cands
+        y = bit.bit_length() - 1
+        pending[j] = cands & ~cls[y]  # y is the first unused member of its class
+        images[j] = y
+        free ^= bit
+        j += 1
+
+
 def _prefix_is_canonical(
     assignment: list[int],
     adjs: list[list[int]],
     v_top: int,
     bud: _Budget,
     classes: Optional[list[list[int]]] = None,
+    group: Optional[tuple[tuple[int, ...], ...]] = None,
 ) -> bool:
-    """Is the colored clique on vertices 0..v_top lex-minimal under relabeling?
+    """Is the colored clique on vertices 0..v_top lex-minimal under vertex
+    relabelings combined with the color permutations in ``group``?
+
+    ``group`` lists permutations of the colors 0..k, identity first, as
+    ``_color_group`` builds them; None stands for the identity alone. A
+    permutation p is read as a view of the class masks, ``[adjs[d] for d
+    in p]``: class p[c] of the prefix is named c in the view.
 
     Edge i of the prefix is the i-th pair in (max, min) lex order, so fixing
     the images of vertices 0..j fixes the first j(j+1)/2 entries of the
-    relabeled vector. The images are chosen depth first: a relabeling whose
-    new entries (a, j), a < j, are smaller than the prefix's refutes
-    canonicity, a larger one is pruned, and a tie goes one vertex deeper.
+    relabeled vector. For each view, ``_walk`` chooses the images depth
+    first: a relabeling whose new entries (a, j), a < j, are smaller than
+    the prefix's refutes canonicity, a larger one is pruned, and a tie goes
+    one vertex deeper.
 
     Entry (a, j) of the prefix is read off ``assignment``, relabeled ones
-    off the class masks ``adjs`` (class 0 the deletions), which at a block
-    end hold exactly the prefix's pairs. Over the images x of a < j, c the
-    color of (a, j), ``tie &= adjs[c][x]`` keeps the unused candidates tied
-    so far and ``low |= tie & below[c][x]`` adds those whose first
-    difference is a lower color (``below[c][x]``: x's neighbours in the
-    colors below c). Any candidate in ``low`` answers "smaller" at once:
-    the images so far, extended by it and then by the unused vertices in
-    any order, relabel the prefix to a smaller vector. Otherwise the
-    candidates in ``tie`` go one vertex deeper, in ascending order, on an
-    explicit stack, so the depth is bounded by the host and not by
-    Python's recursion limit.
+    off the view's masks (class 0 the deletions), which at a block end hold
+    exactly the prefix's pairs. Over the images x of a < j, c the color of
+    (a, j), ``tie &= masks[c][x]`` keeps the unused candidates tied so far
+    and ``low |= tie & below[c][x]`` adds those whose first difference is a
+    lower color (``below[c][x]``: x's neighbours in the view's colors below
+    c). Any candidate in ``low`` answers "smaller" at once: the images so
+    far, extended by it and then by the unused vertices in any order,
+    relabel the view to a smaller vector. Otherwise the candidates in
+    ``tie`` go one vertex deeper, in ascending order, on an explicit stack,
+    so the depth is bounded by the host and not by Python's recursion
+    limit. The identity view is walked first, then the others that
+    ``_color_views`` keeps; the rows and the twin classes serve them all.
 
     Twin lemma: y and z are twins when ``(a[y] ^ a[z]) & ~(1 << y | 1 << z)``
     is 0 in every class, that is they have the same color to every third
     vertex (class 0, the deletions, counts as a color). The transposition
     (y z) is then an automorphism of the prefix that fixes every image
     chosen so far, so the subtree that maps j to z yields exactly the
-    relabeled vectors of the subtree that maps j to y. Twinship is
-    transitive, so at each depth only the first unused member of each twin
-    class is tried.
+    relabeled vectors of the subtree that maps j to y. A color permutation
+    only renames the classes, so y and z are twins in every view exactly
+    when they are in the prefix, and (y z) is an automorphism of each
+    view. Twinship is transitive, so at each depth only the first unused
+    member of each twin class is tried.
 
     Refinement lemma: y, w < z are twins on 0..z exactly when they are
     twins on 0..z-1 and have one color to z. So the classes on 0..z are
@@ -321,14 +380,27 @@ def _prefix_is_canonical(
     stands: the search passes a block end only after its check. Without a
     list, the classes are folded from vertex 1.
 
+    Dominance lemma: let U be the colors the prefix uses and G a group of
+    interchangeable colors. A view gives the colors of U∩G new names in G.
+    Keep their order but move the names down onto the lowest |U∩G| colors
+    of G: no entry of the view grows, so a relabeling that takes the view
+    below the prefix takes the moved view below it too. When U∩G is itself
+    the lowest colors of G, as the first-use rule keeps it in the search,
+    the moved view permutes U∩G and fixes every unused color; so only
+    views that fix the unused colors are walked. When it is not, swapping
+    an unused color of G with a larger used one lowers entries and raises
+    none: the prefix is not minimal, and the check answers at once.
+
     Soundness at every depth: take the representative of a target-free
-    coloring's orbit that is lex-min over vertex relabelings and over
-    permutations of same-target colors. Each of its clique prefixes is
-    lex-min too, since a smaller relabeling of a prefix, extended by fixing
-    the other vertices, would make the whole vector smaller; so this
-    representative passes the check on every prefix, of any size. Each
-    visit (a set of images that ties the prefix) charges one unit to
-    ``bud``, so a check stops one unit past the budget.
+    coloring's orbit that is lex-min over vertex relabelings combined with
+    the permutations of same-target colors. Each of its clique prefixes is
+    lex-min too, since a smaller relabeled and recolored prefix, extended by
+    fixing the other vertices and recoloring the rest the same way, would
+    make the whole vector smaller; so this representative passes the check
+    on every prefix, of any size. It meets the first-use rule as well: a
+    color of a group used before a lower one of its group could be swapped
+    with it. Each visit (a set of images that ties the prefix) charges one
+    unit to ``bud``, so a check stops one unit past the budget.
     """
     m = v_top + 1
     if classes is None:
@@ -337,35 +409,43 @@ def _prefix_is_canonical(
     for z in range(len(classes), m):
         classes.append(_refined_twins(classes[-1], assignment, adjs, z))
     cls = classes[v_top]
-    below = [[0] * m, adjs[0]]  # below[c][x]: x's neighbours in colors below c
-    for a in adjs[1:-1]:
-        below.append([p | q for p, q in zip(below[-1], a[:m])])
     rows = [assignment[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(m)]
-    images, pending = [0] * m, [0] * m  # pending[j]: tied candidates left at j
-    j, free, spend = 0, (1 << m) - 1, bud.spend
-    while True:
-        spend()  # a visit: the images of 0..j-1 tie the prefix
-        cands = 0
-        if j < m:
-            tie, low = free, 0
-            for x, c in zip(images, rows[j]):
-                low |= tie & below[c][x]
-                tie &= adjs[c][x]
-            if low:
-                return False
-            cands = tie
-        while not cands:
-            j -= 1
-            if j < 0:
-                return True
-            free |= 1 << images[j]
-            cands = pending[j]
-        bit = cands & -cands
-        y = bit.bit_length() - 1
-        pending[j] = cands & ~cls[y]  # y is the first unused member of its class
-        images[j] = y
-        free ^= bit
-        j += 1
+    used = frozenset(assignment[: m * (m - 1) // 2])
+    views = _color_views(group or (tuple(range(len(adjs))),), used)
+    if views is None:
+        return False
+    zero = [0] * m
+    for perm in views:
+        masks = adjs if perm is views[0] else [adjs[d] for d in perm]
+        # below[c][x]: x's neighbours in the colors below c; a class the
+        # prefix leaves empty adds nothing, so no list is built for it
+        below = [zero]
+        for d, a in zip(perm[:-1], masks):
+            b = below[-1]
+            below.append(b if d not in used else a if b is zero
+                         else [p | q for p, q in zip(b, a[:m])])
+        if not _walk(rows, masks, below, cls, m, bud):
+            return False
+    return True
+
+
+@functools.cache
+def _color_views(
+    group: tuple[tuple[int, ...], ...], used: frozenset[int]
+) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The permutations of ``group`` whose views the canonical check walks
+    on a prefix that uses the colors ``used``: identity first, then those
+    that permute the used colors and fix the others (the dominance lemma of
+    ``_prefix_is_canonical``). None when some view lowers entries of the
+    prefix and raises none, so that the prefix is not minimal."""
+    views = []
+    for perm in group:
+        renamed = {perm[c]: c for c in range(len(perm))}  # class d is named renamed[d]
+        if all(renamed[d] <= d for d in used) and any(renamed[d] < d for d in used):
+            return None
+        if all(perm[d] == d for d in range(len(perm)) if d not in used):
+            views.append(perm)
+    return tuple(views)
 
 
 def _color_predecessors(targets: tuple[Target, ...]) -> list[int]:
@@ -378,6 +458,19 @@ def _color_predecessors(targets: tuple[Target, ...]) -> list[int]:
                   for c, t in enumerate(targets, 1)]
 
 
+def _color_group(prev: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Every permutation of the colors 0..k that maps each color into its
+    group (the colors linked by ``prev``, as ``_color_predecessors`` builds
+    it), identity first. Color 0, the deletions, is never moved."""
+    first = list(range(len(prev)))  # first[c]: the first color of c's group
+    for c, p in enumerate(prev):
+        first[c] = first[p] if p else c
+    return tuple(
+        (0, *perm) for perm in itertools.permutations(range(1, len(prev)))
+        if all(first[d] == first[c] for c, d in enumerate(perm, 1))
+    )
+
+
 def arrow_exhaustive(
     inst: ArrowInstance,
     budget: int = DEFAULT_BUDGET,
@@ -386,9 +479,15 @@ def arrow_exhaustive(
     """Exact arrowing decision by backtracking over edge colorings.
 
     A branch dies as soon as the partial coloring realizes some target in its
-    color. Vertex symmetry is exploited by canonical extension on clique
-    prefixes (hole-free instances only), color symmetry only between colors
-    with identical targets.
+    color. Colors with identical targets are interchangeable, and the color
+    group (``_color_group``) permutes them. On a hole-free host each clique
+    prefix must be lex-min under vertex relabelings combined with that group
+    (``_prefix_is_canonical``), which keeps one coloring of each orbit:
+    canonical augmentation in the sense of McKay (1998), with the colors
+    added. On any host a color is offered only once the color before it in
+    its group is used (the first-use rule). Neither changes a verdict, and
+    on a host without holes or deletions the witness is the first
+    target-free coloring in lex order, as without symmetry.
     """
     bud = _Budget(budget)  # search nodes, path-kernel and canonical-check visits
     t0 = time.perf_counter()
@@ -410,6 +509,7 @@ def arrow_exhaustive(
     # used only after its predecessor, and the explicit stack takes colors off
     # in reverse order. So "prev[c] used" means all of c's earlier group is used.
     prev = _color_predecessors(targets) if symmetry else [0] * (k + 1)
+    group = _color_group(prev)  # the color permutations the canonical check folds in
 
     # adjs[0] and used_count[0] hold the deleted pairs, as in the annealer
     adjs = [[0] * n for _ in range(k + 1)]
@@ -469,7 +569,7 @@ def arrow_exhaustive(
             if test and test(adjs[c], u, v, bud):
                 stats.presence_prunes += 1
             elif block_end[i] and not _prefix_is_canonical(
-                assignment, adjs, block_end[i], bud, classes
+                assignment, adjs, block_end[i], bud, classes, group
             ):
                 stats.symmetry_prunes += 1
             else:

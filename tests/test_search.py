@@ -18,6 +18,7 @@ from cycleramsey.search import (
     ArrowInstance,
     CycleTarget,
     MatchingTarget,
+    _color_group,
     _color_predecessors,
     _energy_of_color,
     _prefix_is_canonical,
@@ -650,11 +651,33 @@ def _relabelings(v_top):
     ]
 
 
-def _canonical(vec, v_top, bud):
+def _canonical(vec, v_top, bud, group=None):
     """``_prefix_is_canonical`` on a clique vector, with the class masks the
     search keeps at a block end rebuilt from its first C(v_top + 1, 2)
     entries."""
-    return _prefix_is_canonical(vec, _prefix_masks(vec, v_top + 1), v_top, bud)
+    return _prefix_is_canonical(
+        vec, _prefix_masks(vec, v_top + 1), v_top, bud, None, group
+    )
+
+
+# one target per kind of color: colors of one kind share their target
+KIND_TARGETS = {"a": CycleTarget(4), "b": CycleTarget(5), "c": MatchingTarget(4)}
+
+
+def _group(kinds):
+    """The search's color group for colors 1..k of these kinds."""
+    return _color_group(_color_predecessors(tuple(KIND_TARGETS[x] for x in kinds)))
+
+
+def _color_perms(kinds):
+    """The permutations of the colors 0..k, as tuples indexed by color, that
+    fix 0 and map each color to one of its kind (``kinds[c - 1]``)."""
+    import itertools
+
+    return [
+        (0, *p) for p in itertools.permutations(range(1, len(kinds) + 1))
+        if all(kinds[d - 1] == kinds[c - 1] for c, d in enumerate(p, 1))
+    ]
 
 
 def _prefix_masks(vec, m, classes=4):
@@ -685,14 +708,14 @@ def test_class_masks_hold_the_prefix_clique_at_each_check(monkeypatch, inst):
     check = search._prefix_is_canonical
     calls = []
 
-    def checked(assignment, adjs, v_top, bud, classes):
+    def checked(assignment, adjs, v_top, bud, classes, group):
         m = v_top + 1
         rebuilt = _prefix_masks(assignment, m, len(adjs))
         for c, rows in enumerate(adjs):
             assert rows[:m] == rebuilt[c], (c, v_top)
             assert not any(row >> m for row in rows), (c, v_top)
         calls.append(v_top)
-        return check(assignment, adjs, v_top, bud, classes)
+        return check(assignment, adjs, v_top, bud, classes, group)
 
     monkeypatch.setattr(search, "_prefix_is_canonical", checked)
     verdict = arrow_exhaustive(inst)
@@ -731,11 +754,11 @@ def test_twin_classes_handed_down_equal_rebuilt_ones(monkeypatch, inst, checks):
     check = search._prefix_is_canonical
     calls = []
 
-    def checked(assignment, adjs, v_top, bud, classes):
+    def checked(assignment, adjs, v_top, bud, classes, group):
         rebuilt, fresh = [[1]], _Budget(10**9)
-        answer = check(assignment, adjs, v_top, fresh, rebuilt)
+        answer = check(assignment, adjs, v_top, fresh, rebuilt, group)
         spent = bud.spent
-        assert check(assignment, adjs, v_top, bud, classes) == answer
+        assert check(assignment, adjs, v_top, bud, classes, group) == answer
         assert bud.spent - spent == fresh.spent
         assert classes == rebuilt, v_top
         for z in range(v_top + 1):
@@ -807,22 +830,36 @@ def test_prefix_canonical_matches_relabelling_oracle():
     rng = random.Random(5040)
     getters = {v_top: _relabelings(v_top) for v_top in range(2, 7)}
 
-    def check(vec, v_top, lexmin):
+    def kinds_of(colors):
+        # colors 1..colors, each of kind a or b: any grouping, contiguous or not
+        return "".join(rng.choice("ab") for _ in range(colors))
+
+    def check(vec, v_top, kinds, lexmin):
         # the check reads only the prefix, so trailing entries must not matter
-        tail = [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
+        tail = [rng.randint(0, len(kinds)) for _ in range(rng.randint(0, 3))]
         bud = _Budget(10**6)
-        assert _canonical(vec + tail, v_top, bud) == (vec == lexmin), (
+        assert _canonical(vec + tail, v_top, bud, _group(kinds)) == (vec == lexmin), (
             v_top,
+            kinds,
             vec,
         )
 
-    def check_orbit(vec, v_top, members):
-        # vec, the orbit's minimum and random members of the orbit
-        lexmin = list(min(g(vec) for g in getters[v_top]))
+    def check_orbit(vec, v_top, kinds, members):
+        # vec, the minimum of its orbit under relabelings and the color
+        # permutations, and random members of the orbit
+        perms = _color_perms(kinds)
+
+        def image(g, q):
+            return [q[c] for c in g(vec)]
+
+        lexmin = list(min(
+            min(g(recolored) for g in getters[v_top])
+            for recolored in ([q[c] for c in vec] for q in perms)
+        ))
         for member in [vec, lexmin] + [
-            list(rng.choice(getters[v_top])(vec)) for _ in range(members)
+            image(rng.choice(getters[v_top]), rng.choice(perms)) for _ in range(members)
         ]:
-            check(member, v_top, lexmin)
+            check(member, v_top, kinds, lexmin)
         return vec == lexmin
 
     canonical = 0
@@ -835,13 +872,13 @@ def test_prefix_canonical_matches_relabelling_oracle():
             0 if deletion and rng.random() < 0.2 else rng.randint(1, colors)
             for _ in range(v_top * (v_top + 1) // 2)
         ]
-        canonical += check_orbit(vec, v_top, 1)
+        canonical += check_orbit(vec, v_top, kinds_of(colors), 1)
     assert canonical > 100
 
     for v_top in range(2, 7):
         # monochromatic cliques: every relabeling ties
         for c in range(4):
-            check_orbit([c] * (v_top * (v_top + 1) // 2), v_top, 0)
+            check_orbit([c] * (v_top * (v_top + 1) // 2), v_top, kinds_of(3), 0)
     # K_{3,4} split: one color inside the parts, another across
     for inside, across in ((1, 2), (2, 1), (0, 1)):
         split = [
@@ -849,64 +886,90 @@ def test_prefix_canonical_matches_relabelling_oracle():
             for b in range(7)
             for a in range(b)
         ]
-        check_orbit(split, 6, 40)
+        for kinds in ("ab", "aa"):
+            check_orbit(split, 6, kinds, 40)
     # twin-rich prefixes: one color class a disjoint union of cliques, the
     # next complete multipartite; with a third color, parts are grouped and
     # pairs across groups take that color
     for trial in range(300):
         v_top = 2 + trial % 5
         part = [rng.randrange(rng.randint(1, v_top + 1)) for _ in range(v_top + 1)]
-        group = [rng.randrange(2) for _ in range(v_top + 1)]
+        side = [rng.randrange(2) for _ in range(v_top + 1)]
         inside, across, far = rng.sample(range(4), 3)
         three = rng.random() < 0.5
         vec = [
             inside
             if part[a] == part[b]
             else far
-            if three and group[part[a]] != group[part[b]]
+            if three and side[part[a]] != side[part[b]]
             else across
             for b in range(v_top + 1)
             for a in range(b)
         ]
-        check_orbit(vec, v_top, 3)
+        check_orbit(vec, v_top, kinds_of(3), 3)
 
 
-def _orbit_count(m, colors):
-    """Colorings of K_m with this many colors up to relabeling, by Burnside:
-    the mean over all permutations of colors**(cycles on the pairs)."""
+def _orbit_count(m, kinds):
+    """Colorings of K_m with the colors 1..len(kinds) up to relabeling
+    combined with the permutations of same-kind colors, by Burnside: the
+    mean, over all pairs of a vertex and a color permutation (p, q), of the
+    colorings they fix. A coloring is fixed when each cycle of p on the
+    pairs, of length L, has one color x with q^L(x) == x."""
     import itertools
 
     pairs = [(a, b) for b in range(m) for a in range(b)]
-    fixed = 0
     perms = list(itertools.permutations(range(m)))
+    colors = _color_perms(kinds)
+    fixed = 0
     for p in perms:
         seen = set()
-        cycles = 0
+        lengths = []
         for start in pairs:
             if start in seen:
                 continue
-            cycles += 1
-            pair = start
+            pair, length = start, 0
             while pair not in seen:
                 seen.add(pair)
+                length += 1
                 a, b = p[pair[0]], p[pair[1]]
                 pair = (min(a, b), max(a, b))
-        fixed += colors**cycles
-    return fixed // len(perms)
+            lengths.append(length)
+        for q in colors:
+            count = 1
+            for length in lengths:
+                stay = 0
+                for x in range(1, len(kinds) + 1):
+                    y = x
+                    for _ in range(length):
+                        y = q[y]
+                    stay += y == x
+                count *= stay
+            fixed += count
+    return fixed // (len(perms) * len(colors))
 
 
 @pytest.mark.parametrize(
     "m, colors, orbits",
-    [(1, 2, 1), (2, 2, 2), (3, 2, 4), (4, 2, 11), (5, 2, 34), (6, 2, 156), (4, 3, 66)],
+    [(1, 2, 1), (2, 2, 2), (3, 2, 4), (4, 2, 11), (5, 2, 34), (6, 2, 156), (4, 3, 66),
+     # two interchangeable colors: graphs up to complement
+     (1, "aa", 1), (2, "aa", 1), (3, "aa", 2), (4, "aa", 6), (5, "aa", 18),
+     (6, "aa", 78),
+     # three interchangeable colors, and colors 1 and 2 interchangeable with
+     # color 3 apart
+     (4, "aaa", 15), (4, "aab", 36)],
 )
 def test_prefix_canonical_picks_one_per_orbit(m, colors, orbits):
+    # ``colors``: how many colors, no two interchangeable, or their kinds
     import itertools
 
-    assert _orbit_count(m, colors) == orbits
+    kinds = "abc"[:colors] if isinstance(colors, int) else colors
+    assert _orbit_count(m, kinds) == orbits
+    group = _group(kinds)
+    assert sorted(group) == sorted(_color_perms(kinds))
     bud = _Budget(10**9)
     accepted = sum(
-        _canonical(list(vec), m - 1, bud)
-        for vec in itertools.product(range(1, colors + 1), repeat=m * (m - 1) // 2)
+        _canonical(list(vec), m - 1, bud, group)
+        for vec in itertools.product(range(1, len(kinds) + 1), repeat=m * (m - 1) // 2)
     )
     assert accepted == orbits
 
@@ -1005,3 +1068,60 @@ def test_color_groups_separate_targets_that_differ_in_any_field():
         assert _color_predecessors((same, other, same)) == [0, 0, 0, 1]
     # a cycle and a matching target with the same number are not equal
     assert _color_predecessors((CycleTarget(4), MatchingTarget(4))) == [0, 0, 0]
+
+
+def _clique_vector(coloring):
+    """A hole-free coloring's colors in (max, min) pair order, 0 for a
+    deleted pair."""
+    return [coloring.color_of(a, b) or 0 for b in range(coloring.n) for a in range(b)]
+
+
+def test_color_symmetry_keeps_every_verdict_and_witness():
+    # seeded instances on 4..7 vertices with two or three colors, most of
+    # them sharing a target, with deletions and holes. Every verdict equals
+    # the symmetry-free one. A hole-free witness passed the check on its
+    # whole clique, so it is lex-min under relabelings combined with the
+    # color group; without deletions the search runs in lex order, and the
+    # witness is the symmetry-free one, byte for byte
+    from cycleramsey.graphs import coloring_to_dict
+
+    pool = [CycleTarget(3), CycleTarget(4), CycleTarget(5), CycleTarget(4, exact=False),
+            MatchingTarget(4)]
+    rng = random.Random(3003)
+    getters = {}
+    instances, verdicts, shapes = set(), set(), set()
+    for case in range(240):
+        k = 2 + case % 2
+        targets = [rng.choice(pool)] * k
+        if rng.random() < 0.3:
+            targets[rng.randrange(k)] = rng.choice(pool)
+        n = rng.randint(4, 7 if k == 2 else 6)
+        holes = HoleSpec(
+            (frozenset(rng.sample(range(n), rng.randint(2, 3))),) if case % 5 == 4 else ()
+        )
+        # deletions where the symmetry-free search stays small
+        inst = ArrowInstance(n, tuple(targets), holes, rng.randint(0, max(0, min(2, 9 - n - k))))
+        if inst in instances:
+            continue
+        instances.add(inst)
+        got = arrow_exhaustive(inst)
+        free = arrow_exhaustive(inst, symmetry=False)
+        assert got.arrows == free.arrows, inst
+        verdicts.add((got.arrows, k))
+        shapes.add((k, bool(holes.holes), inst.deleted_budget > 0))
+        if got.witness is None or holes.holes:
+            continue
+        vec = _clique_vector(got.witness)
+        if n not in getters:
+            getters[n] = _relabelings(n - 1)
+        lexmin = min(
+            min(g(recolored) for g in getters[n])
+            for recolored in ([q[c] for c in vec] for q in _color_perms(targets))
+        )
+        assert vec == list(lexmin), inst
+        if not inst.deleted_budget:
+            assert json.dumps(coloring_to_dict(got.witness)) == json.dumps(
+                coloring_to_dict(free.witness)
+            ), inst
+    # both verdicts with two and three colors; holes and deletions with each
+    assert len(instances) > 140 and len(verdicts) == 4 and len(shapes) == 8
