@@ -407,7 +407,7 @@ CASES = {
     "exhaustive M4,M4n@6": lambda: arrow_exhaustive(M4_M4N),
     "exhaustive M6,M4,C3@7": lambda: arrow_exhaustive(M6_M4_C3),
     # witnesses that need their deletions: K6 minus (0,1) avoids C3 twice
-    # (401 nodes); K7 minus the hole {0,1,2} needs two deleted pairs (71 nodes)
+    # (318 nodes); K7 minus the hole {0,1,2} needs two deleted pairs (71 nodes)
     "exhaustive C3,C3@6 deleting 1": lambda: arrow_exhaustive(
         ArrowInstance(6, (CycleTarget(3),) * 2, deleted_budget=1)
     ),
@@ -515,9 +515,9 @@ DIGESTS = {
     "eeo_three_part 6,4,5": "7bdb61f89c9e07c15d9e9a1381b99a55b94021d08ea20834c627743b54d25c0b",
     "erdos_gallai_cycle": "44aef9d9fea0eb03027b89de5ea93f06e2500dd35c5223c509d7207cce41cbba",
     "erdos_gallai_cycle long chains": "847f65277a32d62b6a4c7f478e567e1fa9d8a97444435433fe1e280b70d4ac85",
-    "exhaustive C3,C3@6 deleting 1": "4f1db58737fd8e8898d596ac49501c308d65b7357f1a10d516966876cdf9e726",
+    "exhaustive C3,C3@6 deleting 1": "b89eaff5d5f870f72635544aaad12d586c050335f1e3a83f424dcb85465faee6",
     "exhaustive C4,M6@7 hole 012 deleting 2": "5bd6a533fc0c85e8cafbc80a75f2b49bd98aa562a11ee44a31bc6513f6f7e582",
-    "exhaustive M4,M4@5": "3d6b3620fb241d4054daf73f1c2533b8e7e6fe1ed2226f75200945c6815ff13b",
+    "exhaustive M4,M4@5": "2513125a64194ce1b7d7f9aee8defdfe0d147530932569460a63a1e4439f39bd",
     "exhaustive M4,M4n@6": "15e036df184da46195c0671ec6d625347d59e62f6566c44ec6f393edcba8da6b",
     "exhaustive M4,M4n@7": "1a8c62c30185e4ad83f3be81eda6b00ae0f82f93a167d80e3693c31e8bc88564",
     "exhaustive M6,M4,C3@7": "a1b8ae4f6a8008be88b176e3355c9a8b38e844e622a4511e65a898b1ec7c48b7",

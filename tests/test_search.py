@@ -217,7 +217,7 @@ def test_at_least_targets_beyond_the_table_cap():
         assert verdict.arrows is False, seed
         assert coloring_avoids_all(verdict.witness, c5plus)
     verdict = arrow_exhaustive(ArrowInstance(7, c5plus))
-    assert verdict.arrows is True and verdict.stats.nodes == 1089
+    assert verdict.arrows is True and verdict.stats.nodes == 583
 
 
 def test_randomized_reaches_zero_on_construction_size():
@@ -536,11 +536,11 @@ def test_count_paths_guard_refuses_targets_longer_than_the_host(monkeypatch):
 @pytest.mark.parametrize(
     "targets, n, nodes, presence_prunes",
     [
-        ((CycleTarget(5), CycleTarget(5)), 9, 1815, 688),
-        ((CycleTarget(6), CycleTarget(6)), 8, 4855, 1604),
+        ((CycleTarget(5), CycleTarget(5)), 9, 1027, 392),
+        ((CycleTarget(6), CycleTarget(6)), 8, 2431, 773),
         ((CycleTarget(4), CycleTarget(4), CycleTarget(4)), 10, 5946, 3937),
         ((CycleTarget(7), CycleTarget(5)), 12, 977, 463),
-        ((CycleTarget(5, exact=False), CycleTarget(5, exact=False)), 7, 1089, 385),
+        ((CycleTarget(5, exact=False), CycleTarget(5, exact=False)), 7, 583, 200),
     ],
 )
 def test_search_tree_is_pinned(targets, n, nodes, presence_prunes):
@@ -576,8 +576,8 @@ def test_budget_bounds_path_kernel_work(monkeypatch):
     [
         ((CycleTarget(5), CycleTarget(4)), 7, 498, 184, 66),
         ((CycleTarget(7), CycleTarget(4)), 8, 2648, 891, 434),
-        ((CycleTarget(5), CycleTarget(5)), 9, 1815, 688, 220),
-        ((CycleTarget(6), CycleTarget(6)), 8, 4855, 1604, 824),
+        ((CycleTarget(5), CycleTarget(5)), 9, 1027, 392, 122),
+        ((CycleTarget(6), CycleTarget(6)), 8, 2431, 773, 443),
     ],
 )
 def test_symmetry_prunes_are_pinned(
@@ -600,7 +600,7 @@ def test_symmetry_prunes_are_pinned(
          (False, 526, 332, 24)),
         (ArrowInstance(9, (CycleTarget(4),) * 3, HoleSpec((frozenset({0, 1, 2}),))),
          (False, 116, 66, 0)),
-        (ArrowInstance(6, (MatchingTarget(4),) * 3), (True, 556, 328, 42)),
+        (ArrowInstance(6, (MatchingTarget(4),) * 3), (True, 253, 131, 37)),
         (ArrowInstance(8, (CycleTarget(5), CycleTarget(5), CycleTarget(4)),
                        deleted_budget=2),
          (False, 46, 18, 0)),
@@ -619,10 +619,10 @@ def test_same_target_colors_with_holes_and_deletions_are_pinned(inst, pinned):
 @pytest.mark.parametrize(
     "inst, units",
     [
-        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 27144),
+        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 16660),
         (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 15961),
-        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 7079),
-        (ArrowInstance(6, (MatchingTarget(4),) * 3), 1030),
+        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 4437),
+        (ArrowInstance(6, (MatchingTarget(4),) * 3), 1083),
     ],
     ids=["C6,C6@8", "C7,C4@8", "C5,C5@9", "M4,M4,M4@6"],
 )
@@ -720,7 +720,7 @@ def test_class_masks_hold_the_prefix_clique_at_each_check(monkeypatch, inst):
     monkeypatch.setattr(search, "_prefix_is_canonical", checked)
     verdict = arrow_exhaustive(inst)
     assert verdict.arrows is not None
-    # 30 and 286 checks, on prefixes of up to 8 vertices
+    # 30 and 157 checks, on prefixes of up to 8 vertices
     assert len(calls) >= 30 and max(calls) == 7
 
 
@@ -739,7 +739,7 @@ def _twin_classes(adjs, m):
     "inst, checks",
     [
         (ArrowInstance(8, (CycleTarget(4),) * 3, deleted_budget=1), 30),
-        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 286),
+        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 157),
         (ArrowInstance(8, (CycleTarget(5), CycleTarget(5), CycleTarget(4)),
                        deleted_budget=2), 6),
     ],
