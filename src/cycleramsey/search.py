@@ -440,7 +440,7 @@ def _color_views(
     prefix and raises none, so that the prefix is not minimal."""
     views = []
     for perm in group:
-        renamed = {perm[c]: c for c in range(len(perm))}  # class d is named renamed[d]
+        renamed = {d: c for c, d in enumerate(perm)}  # class d is named renamed[d]
         if all(renamed[d] <= d for d in used) and any(renamed[d] < d for d in used):
             return None
         if all(perm[d] == d for d in range(len(perm)) if d not in used):
