@@ -542,6 +542,7 @@ def test_count_paths_guard_refuses_targets_longer_than_the_host(monkeypatch):
         ((CycleTarget(7), CycleTarget(5)), 12, 977, 463),
         ((CycleTarget(5, exact=False), CycleTarget(5, exact=False)), 7, 583, 200),
     ],
+    ids=["C5,C5@9", "C6,C6@8", "C4,C4,C4@10", "C7,C5@12", "C5+,C5+@7"],
 )
 def test_search_tree_is_pinned(targets, n, nodes, presence_prunes):
     # the kernel's pruning must never change a presence answer, so the
@@ -579,6 +580,7 @@ def test_budget_bounds_path_kernel_work(monkeypatch):
         ((CycleTarget(5), CycleTarget(5)), 9, 1027, 392, 122),
         ((CycleTarget(6), CycleTarget(6)), 8, 2431, 773, 443),
     ],
+    ids=["C5,C4@7", "C7,C4@8", "C5,C5@9", "C6,C6@8"],
 )
 def test_symmetry_prunes_are_pinned(
     targets, n, nodes, presence_prunes, symmetry_prunes
