@@ -10,7 +10,7 @@ decision.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -278,18 +278,28 @@ def _refined_twins(
 
 def _walk(
     rows: list[list[int]],
-    masks: list[list[int]],
-    below: list[list[int]],
+    firsts: list[bool],
     cls: list[int],
-    m: int,
+    view: tuple,
+    named,
+    adjs: list[list[int]],
     bud: _Budget,
 ) -> bool:
-    """Does no relabeling of the clique held in ``masks`` give a vector
-    below the prefix ``rows``? One walk of ``_prefix_is_canonical``, which
-    describes it; ``below[c][x]`` is x's neighbours in the colors of
-    ``masks`` below c, and ``cls[y]`` the mask of y's twin class. Each visit
-    charges ``bud`` one unit, counted here and settled on the way out."""
+    """Does no relabeling of the clique, with its colors renamed, give a
+    vector below the prefix ``rows``? The walk of ``_prefix_is_canonical``,
+    which describes it. A view ``named(perm)`` reads the class masks under
+    the partial renaming ``perm``: ``view[0][c][x]`` is x's neighbours in
+    the color named c (None while c is free), ``view[1][c][x]`` those in
+    the colors valued below c. Row 0 is read in ``view``, and ``firsts[j]``
+    marks the rows where a name is given (``_named_row``). ``cls[y]`` is
+    the mask of y's twin class. Each visit charges ``bud`` one unit,
+    counted here and settled on the way out."""
+    m = len(rows)
     images, pending = [0] * m, [0] * m  # pending[j]: tied candidates left at j
+    # at[j]: the view that row j, giving a name, was read in; split[j]: its
+    # other candidates with the renamings they go on in, the next to walk last
+    at, split = [view] * m, [()] * m
+    masks, below = view[0], view[1]
     j, free = 0, (1 << m) - 1
     visits, limit = 0, bud.amount - bud.spent
     while True:
@@ -299,14 +309,25 @@ def _walk(
             bud.spend()  # one unit past the budget: raises
         cands = 0
         if j < m:
-            tie, low = free, 0
-            for x, c in zip(images, rows[j]):
-                low |= tie & below[c][x]
-                tie &= masks[c][x]
-            if low:
-                bud.spent += visits
-                return False
-            cands = tie
+            if firsts[j]:
+                out = _named_row(rows[j], images, free, 0, view, adjs, named)
+                if out is None:
+                    bud.spent += visits
+                    return False
+                at[j], split[j] = view, out
+                if out:
+                    cands, perm = out.pop()
+                    view = named(perm)
+                    masks, below = view[0], view[1]
+            else:
+                tie, low = free, 0
+                for x, c in zip(images, rows[j]):
+                    low |= tie & below[c][x]
+                    tie &= masks[c][x]
+                if low:
+                    bud.spent += visits
+                    return False
+                cands = tie
         while not cands:
             j -= 1
             if j < 0:
@@ -314,6 +335,13 @@ def _walk(
                 return True
             free |= 1 << images[j]
             cands = pending[j]
+            if not cands and firsts[j]:  # the next renaming of row j, or back
+                if split[j]:
+                    cands, perm = split[j].pop()
+                    view = named(perm)
+                else:
+                    view = at[j]
+                masks, below = view[0], view[1]
         bit = cands & -cands
         y = bit.bit_length() - 1
         pending[j] = cands & ~cls[y]  # y is the first unused member of its class
@@ -322,52 +350,91 @@ def _walk(
         j += 1
 
 
+def _named_row(row, images, tie, a, view, adjs, named):
+    """The candidates ``tie`` of ``_walk`` that tie ``row`` from entry a on,
+    in a row where a name is given, as (candidates, renaming) pairs, the
+    next to walk last; None when one of them gives a lower entry. At an
+    entry whose name c is free, the candidates split by their color d to x,
+    and each free d valued c goes on in the renaming that names it c. Twins
+    have one color to x, so they stay together."""
+    masks, below, forks, perm = view
+    for a in range(a, len(row)):
+        x, c = images[a], row[a]
+        if tie & below[c][x]:
+            return None
+        if masks[c] is None:
+            out = []
+            for perm in reversed(forks[c]):  # the lowest color walks first
+                t = tie & adjs[perm[c]][x]
+                if t and a + 1 < len(row):
+                    t = _named_row(row, images, t, a + 1, named(perm), adjs, named)
+                    if t is None:
+                        return None
+                    out += t
+                elif t:
+                    out.append((t, perm))
+            return out
+        tie &= masks[c][x]
+    return [(tie, perm)] if tie else []
+
+
 def _prefix_is_canonical(
     assignment: list[int],
     adjs: list[list[int]],
     v_top: int,
     bud: _Budget,
     classes: Optional[list[list[int]]] = None,
-    group: Optional[tuple[tuple[int, ...], ...]] = None,
+    prev: Optional[list[int]] = None,
 ) -> bool:
     """Is the colored clique on vertices 0..v_top lex-minimal under vertex
-    relabelings combined with the color permutations in ``group``?
+    relabelings combined with the renamings of same-target colors?
 
-    ``group`` lists permutations of the colors 0..k, identity first, as
-    ``_color_group`` builds them; None stands for the identity alone. A
-    permutation p is read as a view of the class masks, ``[adjs[d] for d
-    in p]``: class p[c] of the prefix is named c in the view.
+    ``prev`` links each color to the last earlier one of its group, as
+    ``_color_predecessors`` builds it; None stands for groups of one color.
+    Color 0, the deletions, is never renamed.
 
     Edge i of the prefix is the i-th pair in (max, min) lex order, so fixing
     the images of vertices 0..j fixes the first j(j+1)/2 entries of the
-    relabeled vector. For each view, ``_walk`` chooses the images depth
-    first: a relabeling whose new entries (a, j), a < j, are smaller than
-    the prefix's refutes canonicity, a larger one is pruned, and a tie goes
-    one vertex deeper.
+    relabeled vector. ``_walk`` chooses the images depth first: a
+    relabeling whose new entries (a, j), a < j, are smaller than the
+    prefix's refutes canonicity, a larger one is pruned, and a tie goes one
+    vertex deeper.
 
     Entry (a, j) of the prefix is read off ``assignment``, relabeled ones
-    off the view's masks (class 0 the deletions), which at a block end hold
+    off the class masks (class 0 the deletions), which at a block end hold
     exactly the prefix's pairs. Over the images x of a < j, c the color of
     (a, j), ``tie &= masks[c][x]`` keeps the unused candidates tied so far
     and ``low |= tie & below[c][x]`` adds those whose first difference is a
-    lower color (``below[c][x]``: x's neighbours in the view's colors below
+    lower color (``below[c][x]``: x's neighbours in the colors valued below
     c). Any candidate in ``low`` answers "smaller" at once: the images so
     far, extended by it and then by the unused vertices in any order,
-    relabel the view to a smaller vector. Otherwise the candidates in
+    relabel the prefix to a smaller vector. Otherwise the candidates in
     ``tie`` go one vertex deeper, in ascending order, on an explicit stack,
-    so the depth is bounded by the host and not by Python's recursion
-    limit. The identity view is walked first, then the others that
-    ``_color_views`` keeps; the rows and the twin classes serve them all.
+    so the depth is bounded by the host and not by Python's recursion limit.
+
+    First-appearance lemma (value precedence, Law and Lee 2004): for one
+    relabeling, the least vector over the renamings within the groups names
+    the colors of each group in the order they first appear in it, each
+    taking the lowest name of its group not yet given. So a walk need not
+    try every renaming: it carries the partial renaming that the tied
+    entries fix, and values a free color at the lowest free name of its
+    group. Where the prefix first uses a name (``_named_row``), the tied
+    candidates split by their color d there, each free d of the group taking
+    that name on its own branch, so renamings that agree on the colors met
+    so far share every visit up to there. The first name of each group is
+    given before the walk, one walk per color of the group that the prefix
+    uses: it first appears in row 1 of nearly every prefix, where only row 0
+    would be shared. A prefix that uses a color of a group before a lower
+    one is not minimal, since swapping the two lowers it, and the check
+    answers at once.
 
     Twin lemma: y and z are twins when ``(a[y] ^ a[z]) & ~(1 << y | 1 << z)``
     is 0 in every class, that is they have the same color to every third
     vertex (class 0, the deletions, counts as a color). The transposition
     (y z) is then an automorphism of the prefix that fixes every image
     chosen so far, so the subtree that maps j to z yields exactly the
-    relabeled vectors of the subtree that maps j to y. A color permutation
-    only renames the classes, so y and z are twins in every view exactly
-    when they are in the prefix, and (y z) is an automorphism of each
-    view. Twinship is transitive, so at each depth only the first unused
+    relabeled vectors, and with them the renamings, of the subtree that maps
+    j to y. Twinship is transitive, so at each depth only the first unused
     member of each twin class is tried.
 
     Refinement lemma: y, w < z are twins on 0..z exactly when they are
@@ -380,20 +447,9 @@ def _prefix_is_canonical(
     stands: the search passes a block end only after its check. Without a
     list, the classes are folded from vertex 1.
 
-    Dominance lemma: let U be the colors the prefix uses and G a group of
-    interchangeable colors. A view gives the colors of U∩G new names in G.
-    Keep their order but move the names down onto the lowest |U∩G| colors
-    of G: no entry of the view grows, so a relabeling that takes the view
-    below the prefix takes the moved view below it too. When U∩G is itself
-    the lowest colors of G, as the first-use rule keeps it in the search,
-    the moved view permutes U∩G and fixes every unused color; so only
-    views that fix the unused colors are walked. When it is not, swapping
-    an unused color of G with a larger used one lowers entries and raises
-    none: the prefix is not minimal, and the check answers at once.
-
     Soundness at every depth: take the representative of a target-free
     coloring's orbit that is lex-min over vertex relabelings combined with
-    the permutations of same-target colors. Each of its clique prefixes is
+    the renamings of same-target colors. Each of its clique prefixes is
     lex-min too, since a smaller relabeled and recolored prefix, extended by
     fixing the other vertices and recoloring the rest the same way, would
     make the whole vector smaller; so this representative passes the check
@@ -408,44 +464,95 @@ def _prefix_is_canonical(
     del classes[max(v_top, 1):]
     for z in range(len(classes), m):
         classes.append(_refined_twins(classes[-1], assignment, adjs, z))
-    cls = classes[v_top]
+    size = m * (m - 1) // 2
     rows = [assignment[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(m)]
-    used = frozenset(assignment[: m * (m - 1) // 2])
-    views = _color_views(group or (tuple(range(len(adjs))),), used)
-    if views is None:
-        return False
-    zero = [0] * m
-    for perm in views:
-        masks = adjs if perm is views[0] else [adjs[d] for d in perm]
-        # below[c][x]: x's neighbours in the colors below c; a class the
-        # prefix leaves empty adds nothing, so no list is built for it
-        below = [zero]
-        for d, a in zip(perm[:-1], masks):
-            b = below[-1]
-            below.append(b if d not in used else a if b is zero
-                         else [p | q for p, q in zip(b, a[:m])])
-        if not _walk(rows, masks, below, cls, m, bud):
+    used = set(assignment[:size])
+    start, groups, table = _renamings(tuple(prev or [0] * len(adjs)))
+    # The first name of a group is given before the walk, one walk for each
+    # color that takes it; the others where the prefix first uses them, but
+    # for the last, which is settled by then.
+    roots, firsts = [start], [False] * m
+    for group in groups:
+        first = [assignment.index(c, 0, size) if c in used else size for c in group]
+        if first != sorted(first):
+            return False
+        if first[0] < size:
+            c = group[0]
+            roots = [p for q in roots for p in table[q][1][c] if p[c] in used]
+        for i in first[1:-1]:
+            if i < size:
+                firsts[(1 + math.isqrt(8 * i + 1)) // 2] = True
+    zero, views = [0] * m, {}
+
+    def named(perm):
+        view = views.get(perm)
+        if view is None:
+            layers, forks, ident = table[perm]
+            # below[c][x]: x's neighbours in the colors valued below c; a
+            # class the prefix leaves empty adds nothing, so no list is built
+            below, acc = [zero], zero
+            for layer in layers:
+                for d in layer:
+                    if d in used:
+                        acc = adjs[d] if acc is zero else [
+                            p | q for p, q in zip(acc, adjs[d][:m])]
+                below.append(acc)
+            view = views[perm] = (
+                adjs if ident else [adjs[d] if d >= 0 else None for d in perm],
+                below, forks, perm)
+        return view
+
+    for perm in roots:
+        if not _walk(rows, firsts, classes[v_top], named(perm), named, adjs, bud):
             return False
     return True
 
 
 @functools.cache
-def _color_views(
-    group: tuple[tuple[int, ...], ...], used: frozenset[int]
-) -> Optional[tuple[tuple[int, ...], ...]]:
-    """The permutations of ``group`` whose views the canonical check walks
-    on a prefix that uses the colors ``used``: identity first, then those
-    that permute the used colors and fix the others (the dominance lemma of
-    ``_prefix_is_canonical``). None when some view lowers entries of the
-    prefix and raises none, so that the prefix is not minimal."""
-    views = []
-    for perm in group:
-        renamed = {d: c for c, d in enumerate(perm)}  # class d is named renamed[d]
-        if all(renamed[d] <= d for d in used) and any(renamed[d] < d for d in used):
-            return None
-        if all(perm[d] == d for d in range(len(perm)) if d not in used):
-            views.append(perm)
-    return tuple(views)
+def _renamings(prev: tuple[int, ...]):
+    """The partial renamings that the walk of ``_prefix_is_canonical``
+    carries for the color groups that ``prev`` links: the one it starts on,
+    the groups of two or more colors, and a dict of them all.
+
+    ``perm[c]`` is the color named c, or -1 while the name c is free. A
+    group gives its names lowest first, and its last name at once to its
+    last color, so a group of one color starts named. A color is valued at
+    its name, a free one at the lowest free name of its group. Each
+    renaming maps to ``(layers, forks)``: ``layers[c]`` lists the colors
+    valued c, up to the highest name that the walk reads in it, and
+    ``forks[c]``, for each lowest free name c, the renamings in which a free
+    color of c's group takes c, the next to walk last."""
+    group = [[c] for c in range(len(prev))]  # group[c]: the colors of c's group
+    for c, p in enumerate(prev):
+        if p:
+            group[c] = group[p]
+            group[c].append(c)
+    start = tuple(c if len(group[c]) == 1 else -1 for c in range(len(prev)))
+    table, todo = {}, [start]
+    while todo:
+        perm = todo.pop()
+        value, forks = [], {}
+        for d in range(len(perm)):
+            if d in perm:
+                value.append(perm.index(d))
+                continue
+            c = next(e for e in group[d] if perm[e] < 0)
+            value.append(c)
+            named = list(perm)
+            named[c] = d
+            left = [e for e in group[d] if named[e] < 0]
+            if len(left) == 1:  # the group's last name goes to its last color
+                named[left[0]] = next(e for e in group[d] if e not in named)
+            forks.setdefault(c, []).append(tuple(named))
+        # the walk reads names up to the lowest free one, unless a name above
+        # it is given
+        top = min(forks, default=len(perm) - 1)
+        if any(d >= 0 for d in perm[top:]):
+            top = len(perm) - 1
+        table[perm] = ([[d for d in range(len(perm)) if value[d] == c] for c in range(top)],
+                       forks, perm == tuple(range(len(perm))))
+        todo += (p for fork in forks.values() for p in fork if p not in table)
+    return start, [g for c, g in enumerate(group) if g[0] == c and len(g) > 1], table
 
 
 def _color_predecessors(targets: tuple[Target, ...]) -> list[int]:
@@ -458,19 +565,6 @@ def _color_predecessors(targets: tuple[Target, ...]) -> list[int]:
                   for c, t in enumerate(targets, 1)]
 
 
-def _color_group(prev: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Every permutation of the colors 0..k that maps each color into its
-    group (the colors linked by ``prev``, as ``_color_predecessors`` builds
-    it), identity first. Color 0, the deletions, is never moved."""
-    first = list(range(len(prev)))  # first[c]: the first color of c's group
-    for c, p in enumerate(prev):
-        first[c] = first[p] if p else c
-    return tuple(
-        (0, *perm) for perm in itertools.permutations(range(1, len(prev)))
-        if all(first[d] == first[c] for c, d in enumerate(perm, 1))
-    )
-
-
 def arrow_exhaustive(
     inst: ArrowInstance,
     budget: int = DEFAULT_BUDGET,
@@ -479,15 +573,20 @@ def arrow_exhaustive(
     """Exact arrowing decision by backtracking over edge colorings.
 
     A branch dies as soon as the partial coloring realizes some target in its
-    color. Colors with identical targets are interchangeable, and the color
-    group (``_color_group``) permutes them. On a hole-free host each clique
-    prefix must be lex-min under vertex relabelings combined with that group
-    (``_prefix_is_canonical``), which keeps one coloring of each orbit:
-    canonical augmentation in the sense of McKay (1998), with the colors
-    added. On any host a color is offered only once the color before it in
-    its group is used (the first-use rule). Neither changes a verdict, and
-    on a host without holes or deletions the witness is the first
-    target-free coloring in lex order, as without symmetry.
+    color. Colors with identical targets are interchangeable: they form a
+    group (``_color_predecessors``). On a hole-free host each clique prefix
+    must be lex-min under vertex relabelings combined with the renamings
+    within the groups (``_prefix_is_canonical``), which keeps one coloring
+    of each orbit: canonical augmentation in the sense of McKay (1998), with
+    the colors added. On any host a color is offered only once the color
+    before it in its group is used (the first-use rule). Neither changes a
+    verdict, and on a host without holes or deletions the witness is the
+    first target-free coloring in lex order, as without symmetry.
+
+    Last block: on a host without holes or deletions the search meets the
+    lex-first target-free coloring before any other, and it is least in its
+    orbit; so the check of the whole clique could only answer "canonical",
+    and it is skipped.
     """
     bud = _Budget(budget)  # search nodes, path-kernel and canonical-check visits
     t0 = time.perf_counter()
@@ -497,10 +596,11 @@ def arrow_exhaustive(
     n = inst.n
     targets = inst.targets
     # block_end[i]: the prefix clique completed by assigning edge i, else 0; on
-    # a hole-free host the pair (v-1, v) is edge v(v+1)/2 - 1
+    # a hole-free host the pair (v-1, v) is edge v(v+1)/2 - 1. Without
+    # deletions the whole clique needs no check (see the docstring).
     block_end = [0] * len(edges)
     if symmetry and not inst.holes.holes:
-        for v in range(2, n):
+        for v in range(2, n if inst.deleted_budget else n - 1):
             block_end[v * (v + 1) // 2 - 1] = v
     classes = [[1]]  # the twin classes that each check hands to the next
     tests = [None] + [_presence_test(n, t) for t in targets]  # class 0: deletions
@@ -509,7 +609,6 @@ def arrow_exhaustive(
     # used only after its predecessor, and the explicit stack takes colors off
     # in reverse order. So "prev[c] used" means all of c's earlier group is used.
     prev = _color_predecessors(targets) if symmetry else [0] * (k + 1)
-    group = _color_group(prev)  # the color permutations the canonical check folds in
 
     # adjs[0] and used_count[0] hold the deleted pairs, as in the annealer
     adjs = [[0] * n for _ in range(k + 1)]
@@ -569,7 +668,7 @@ def arrow_exhaustive(
             if test and test(adjs[c], u, v, bud):
                 stats.presence_prunes += 1
             elif block_end[i] and not _prefix_is_canonical(
-                assignment, adjs, block_end[i], bud, classes, group
+                assignment, adjs, block_end[i], bud, classes, prev
             ):
                 stats.symmetry_prunes += 1
             else:

@@ -18,7 +18,6 @@ from cycleramsey.search import (
     ArrowInstance,
     CycleTarget,
     MatchingTarget,
-    _color_group,
     _color_predecessors,
     _energy_of_color,
     _prefix_is_canonical,
@@ -653,12 +652,12 @@ def _relabelings(v_top):
     ]
 
 
-def _canonical(vec, v_top, bud, group=None):
+def _canonical(vec, v_top, bud, prev=None):
     """``_prefix_is_canonical`` on a clique vector, with the class masks the
     search keeps at a block end rebuilt from its first C(v_top + 1, 2)
     entries."""
     return _prefix_is_canonical(
-        vec, _prefix_masks(vec, v_top + 1), v_top, bud, None, group
+        vec, _prefix_masks(vec, v_top + 1), v_top, bud, None, prev
     )
 
 
@@ -667,8 +666,9 @@ KIND_TARGETS = {"a": CycleTarget(4), "b": CycleTarget(5), "c": MatchingTarget(4)
 
 
 def _group(kinds):
-    """The search's color group for colors 1..k of these kinds."""
-    return _color_group(_color_predecessors(tuple(KIND_TARGETS[x] for x in kinds)))
+    """The search's color groups for colors 1..k of these kinds, as the
+    predecessor links that the canonical check takes."""
+    return _color_predecessors(tuple(KIND_TARGETS[x] for x in kinds))
 
 
 def _color_perms(kinds):
@@ -967,7 +967,12 @@ def test_prefix_canonical_picks_one_per_orbit(m, colors, orbits):
     kinds = "abc"[:colors] if isinstance(colors, int) else colors
     assert _orbit_count(m, kinds) == orbits
     group = _group(kinds)
-    assert sorted(group) == sorted(_color_perms(kinds))
+    # the predecessor links join exactly the colors of one kind
+    first = list(range(len(group)))
+    for c, p in enumerate(group):
+        first[c] = first[p] if p else c
+    assert all((first[c] == first[d]) == (kinds[c - 1] == kinds[d - 1])
+               for c in range(1, len(group)) for d in range(1, len(group)))
     bud = _Budget(10**9)
     accepted = sum(
         _canonical(list(vec), m - 1, bud, group)
