@@ -623,7 +623,7 @@ def test_same_target_colors_with_holes_and_deletions_are_pinned(inst, pinned):
         (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 16660),
         (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 15961),
         (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 4437),
-        (ArrowInstance(6, (MatchingTarget(4),) * 3), 1083),
+        (ArrowInstance(6, (MatchingTarget(4),) * 3), 802),
     ],
     ids=["C6,C6@8", "C7,C4@8", "C5,C5@9", "M4,M4,M4@6"],
 )
