@@ -555,6 +555,13 @@ def _renamings(prev: tuple[int, ...]):
     return start, [g for c, g in enumerate(group) if g[0] == c and len(g) > 1], table
 
 
+def _twin_row_falls(twins: int, adjs: list[list[int]], w: int, c: int) -> bool:
+    """Has some twin in ``twins`` a color above c to w? The twin-row test of
+    ``arrow_exhaustive``, run when (z, w) takes color c on a hole-free host,
+    ``twins`` holding z's twins y < z on the clique 0..w-1."""
+    return any(twins & adjs[d][w] for d in range(c + 1, len(adjs)))
+
+
 def _color_predecessors(targets: tuple[Target, ...]) -> list[int]:
     """prev[c]: the last color before c with an identical target, else 0.
 
@@ -583,6 +590,14 @@ def arrow_exhaustive(
     verdict, and on a host without holes or deletions the witness is the
     first target-free coloring in lex order, as without symmetry.
 
+    Twin rows: let y < z be twins of the clique 0..w-1 (``classes[w-1]``).
+    The transposition (y z) fixes that clique's vector and w, and gives
+    entry (y, w) the color of (z, w). So once (z, w) is colored below
+    (y, w), with color 0 lowest, the clique 0..w is not lex-min however row
+    w goes on, and the search prunes there (``_twin_row_falls``): the check
+    at block end w would reject every such prefix, so the leaves that
+    survive do not change.
+
     Last block: on a host without holes or deletions the search meets the
     lex-first target-free coloring before any other, and it is least in its
     orbit; so the check of the whole clique could only answer "canonical",
@@ -599,10 +614,13 @@ def arrow_exhaustive(
     # a hole-free host the pair (v-1, v) is edge v(v+1)/2 - 1. Without
     # deletions the whole clique needs no check (see the docstring).
     block_end = [0] * len(edges)
+    # classes[w]: the twin classes on 0..w, which each check hands to the
+    # next and the twin-row test reads; 0 and 1 are always twins
+    classes = [[0] * n] * n
     if symmetry and not inst.holes.holes:
         for v in range(2, n if inst.deleted_budget else n - 1):
             block_end[v * (v + 1) // 2 - 1] = v
-    classes = [[1]]  # the twin classes that each check hands to the next
+        classes = [[1], [3, 3]]
     tests = [None] + [_presence_test(n, t) for t in targets]  # class 0: deletions
     # First-use rule: c is offered once its predecessor prev[c] is used. The
     # used colors of a group then always form a prefix of it: a color is first
@@ -665,10 +683,11 @@ def arrow_exhaustive(
             if used_count[c] == flip[c]:
                 opts = options()
             test = tests[c]
+            twins = classes[v - 1][u] & (bu - 1)  # u's twins y < u on 0..v-1
             if test and test(adjs[c], u, v, bud):
                 stats.presence_prunes += 1
-            elif block_end[i] and not _prefix_is_canonical(
-                assignment, adjs, block_end[i], bud, classes, prev
+            elif twins and _twin_row_falls(twins, adjs, v, c) or block_end[i] and not (
+                _prefix_is_canonical(assignment, adjs, block_end[i], bud, classes, prev)
             ):
                 stats.symmetry_prunes += 1
             else:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -21,6 +22,8 @@ from cycleramsey.search import (
     _color_predecessors,
     _energy_of_color,
     _prefix_is_canonical,
+    _refined_twins,
+    _twin_row_falls,
     arrow_exhaustive,
     arrow_randomized,
     coloring_avoids_all,
@@ -1132,3 +1135,36 @@ def test_color_symmetry_keeps_every_verdict_and_witness():
             ), inst
     # both verdicts with two and three colors; holes and deletions with each
     assert len(instances) > 140 and len(verdicts) == 4 and len(shapes) == 8
+
+
+@pytest.mark.parametrize(
+    "kinds, deletions", [("aa", False), ("aa", True), ("aaa", False), ("aab", True)]
+)
+def test_twin_row_test_fires_only_where_the_block_end_check_rejects(kinds, deletions):
+    # wherever the search's twin-row test fires at (z, w) on a canonical
+    # clique 0..w-1, no completion of row w passes the check at block end w
+    rng = random.Random(len(kinds) * 2 + deletions)
+    prev = _group(kinds)
+    palette = list(range(1, len(kinds) + 1)) + [0] * deletions
+    bud, fired = _Budget(10**9), 0
+    while fired < 40:
+        w = rng.randint(2, 5)
+        clique = [rng.choice(palette) for _ in range(w * (w - 1) // 2)]
+        if not _canonical(clique, w - 1, bud, prev):
+            continue
+        z = rng.randrange(1, w)
+        head = clique + [rng.choice(palette) for _ in range(z + 1)]
+        adjs = _prefix_masks(head + [0] * (w - 1 - z), w + 1)
+        for a in range(z + 1, w):  # only the entries of row w up to (z, w)
+            adjs[0][a] ^= 1 << w
+            adjs[0][w] ^= 1 << a
+        classes = [[1]]
+        for v in range(1, w):
+            classes.append(_refined_twins(classes[-1], head, adjs, v))
+        twins = classes[w - 1][z] & ((1 << z) - 1)
+        if not twins or not _twin_row_falls(twins, adjs, w, head[-1]):
+            continue
+        fired += 1
+        for tail in itertools.product(palette, repeat=w - 1 - z):
+            vec = head + list(tail)
+            assert not _canonical(vec, w, bud, prev), (vec, z)
