@@ -407,7 +407,7 @@ CASES = {
     "exhaustive M4,M4n@6": lambda: arrow_exhaustive(M4_M4N),
     "exhaustive M6,M4,C3@7": lambda: arrow_exhaustive(M6_M4_C3),
     # witnesses that need their deletions: K6 minus (0,1) avoids C3 twice
-    # (318 nodes); K7 minus the hole {0,1,2} needs two deleted pairs (71 nodes)
+    # (293 nodes); K7 minus the hole {0,1,2} needs two deleted pairs (71 nodes)
     "exhaustive C3,C3@6 deleting 1": lambda: arrow_exhaustive(
         ArrowInstance(6, (CycleTarget(3),) * 2, deleted_budget=1)
     ),
@@ -515,11 +515,11 @@ DIGESTS = {
     "eeo_three_part 6,4,5": "7bdb61f89c9e07c15d9e9a1381b99a55b94021d08ea20834c627743b54d25c0b",
     "erdos_gallai_cycle": "44aef9d9fea0eb03027b89de5ea93f06e2500dd35c5223c509d7207cce41cbba",
     "erdos_gallai_cycle long chains": "847f65277a32d62b6a4c7f478e567e1fa9d8a97444435433fe1e280b70d4ac85",
-    "exhaustive C3,C3@6 deleting 1": "b89eaff5d5f870f72635544aaad12d586c050335f1e3a83f424dcb85465faee6",
+    "exhaustive C3,C3@6 deleting 1": "7cfe19ff7cb807b5e9f66d860e33caf13ecc5da2004457777f5747088f7f342b",
     "exhaustive C4,M6@7 hole 012 deleting 2": "5bd6a533fc0c85e8cafbc80a75f2b49bd98aa562a11ee44a31bc6513f6f7e582",
     "exhaustive M4,M4@5": "2513125a64194ce1b7d7f9aee8defdfe0d147530932569460a63a1e4439f39bd",
     "exhaustive M4,M4n@6": "15e036df184da46195c0671ec6d625347d59e62f6566c44ec6f393edcba8da6b",
-    "exhaustive M4,M4n@7": "1a8c62c30185e4ad83f3be81eda6b00ae0f82f93a167d80e3693c31e8bc88564",
+    "exhaustive M4,M4n@7": "e3e3610a8fe0f6c5d8b9adc8c61029f0050dabdcd19cc134f81fb62492b8bf7c",
     "exhaustive M6,M4,C3@7": "a1b8ae4f6a8008be88b176e3355c9a8b38e844e622a4511e65a898b1ec7c48b7",
     "grid eeo_four_part": "e9d28bf29e1223c197f4185018cd9d32dbd4bdb22bbe16635e527bf6a67c5ddc",
     "grid eeo_three_part": "abb60ad5ef8c0d9d9be08fa30aca1c7c451cc1b67fbae49a8bb262c62ba1cd88",
@@ -565,7 +565,7 @@ DIGESTS = {
     "sample_deletions holed": "6575f8d695ebc74f4c021a509dc24f33c33b4a178a89c2f4eb76afb0b2bdab53",
     "tutte_partition": "a090198df18686b2c63afd954843c4d3f862fd3369cceb8766306ffef77d79c6",
     "witness exhaustive C4,C4,C4@10": "4c8e13cf972c53b750aaa1291ec8b10fb4df4a19a393c7cb84cf034528930844",
-    "witness exhaustive C5,C5@8": "fa2718e75c9e650348839caa386ec10709f8a42ec316ee60d25db841ec3928b7",
+    "witness exhaustive C5,C5@8": "5b25bc4e214bb6260bac490f8eac98b1e4236f72e3c35786477d1dabe1475c61",
     "witness randomized C4,C4,C4@8 from odd_triple 3": "d666f4af38c8071f58885e46cd365cfa3c41d6ec48811bf7ad77488b1477f9f1",
     "witness randomized C5,C5@8": "0c3c77a41e24954393173b398989d1345a6a6387fb0ecbf434240566d3044fdd",
 }

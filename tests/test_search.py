@@ -219,7 +219,7 @@ def test_at_least_targets_beyond_the_table_cap():
         assert verdict.arrows is False, seed
         assert coloring_avoids_all(verdict.witness, c5plus)
     verdict = arrow_exhaustive(ArrowInstance(7, c5plus))
-    assert verdict.arrows is True and verdict.stats.nodes == 583
+    assert verdict.arrows is True and verdict.stats.nodes == 497
 
 
 def test_randomized_reaches_zero_on_construction_size():
@@ -538,11 +538,11 @@ def test_count_paths_guard_refuses_targets_longer_than_the_host(monkeypatch):
 @pytest.mark.parametrize(
     "targets, n, nodes, presence_prunes",
     [
-        ((CycleTarget(5), CycleTarget(5)), 9, 1027, 392),
-        ((CycleTarget(6), CycleTarget(6)), 8, 2431, 773),
+        ((CycleTarget(5), CycleTarget(5)), 9, 807, 267),
+        ((CycleTarget(6), CycleTarget(6)), 8, 1939, 588),
         ((CycleTarget(4), CycleTarget(4), CycleTarget(4)), 10, 5946, 3937),
-        ((CycleTarget(7), CycleTarget(5)), 12, 977, 463),
-        ((CycleTarget(5, exact=False), CycleTarget(5, exact=False)), 7, 583, 200),
+        ((CycleTarget(7), CycleTarget(5)), 12, 675, 255),
+        ((CycleTarget(5, exact=False), CycleTarget(5, exact=False)), 7, 497, 155),
     ],
     ids=["C5,C5@9", "C6,C6@8", "C4,C4,C4@10", "C7,C5@12", "C5+,C5+@7"],
 )
@@ -577,10 +577,10 @@ def test_budget_bounds_path_kernel_work(monkeypatch):
 @pytest.mark.parametrize(
     "targets, n, nodes, presence_prunes, symmetry_prunes",
     [
-        ((CycleTarget(5), CycleTarget(4)), 7, 498, 184, 66),
-        ((CycleTarget(7), CycleTarget(4)), 8, 2648, 891, 434),
-        ((CycleTarget(5), CycleTarget(5)), 9, 1027, 392, 122),
-        ((CycleTarget(6), CycleTarget(6)), 8, 2431, 773, 443),
+        ((CycleTarget(5), CycleTarget(4)), 7, 428, 143, 72),
+        ((CycleTarget(7), CycleTarget(4)), 8, 2100, 665, 386),
+        ((CycleTarget(5), CycleTarget(5)), 9, 807, 267, 137),
+        ((CycleTarget(6), CycleTarget(6)), 8, 1939, 588, 382),
     ],
     ids=["C5,C4@7", "C7,C4@8", "C5,C5@9", "C6,C6@8"],
 )
@@ -623,10 +623,10 @@ def test_same_target_colors_with_holes_and_deletions_are_pinned(inst, pinned):
 @pytest.mark.parametrize(
     "inst, units",
     [
-        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 16660),
-        (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 15961),
-        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 4437),
-        (ArrowInstance(6, (MatchingTarget(4),) * 3), 802),
+        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 13328),
+        (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 11650),
+        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 3512),
+        (ArrowInstance(6, (MatchingTarget(4),) * 3), 774),
     ],
     ids=["C6,C6@8", "C7,C4@8", "C5,C5@9", "M4,M4,M4@6"],
 )
@@ -725,7 +725,7 @@ def test_class_masks_hold_the_prefix_clique_at_each_check(monkeypatch, inst):
     monkeypatch.setattr(search, "_prefix_is_canonical", checked)
     verdict = arrow_exhaustive(inst)
     assert verdict.arrows is not None
-    # 30 and 157 checks, on prefixes of up to 8 vertices
+    # 30 and 103 checks, on prefixes of up to 8 vertices
     assert len(calls) >= 30 and max(calls) == 7
 
 
@@ -744,7 +744,7 @@ def _twin_classes(adjs, m):
     "inst, checks",
     [
         (ArrowInstance(8, (CycleTarget(4),) * 3, deleted_budget=1), 30),
-        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 157),
+        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 103),
         (ArrowInstance(8, (CycleTarget(5), CycleTarget(5), CycleTarget(4)),
                        deleted_budget=2), 6),
     ],
