@@ -518,10 +518,11 @@ def _renamings(prev: tuple[int, ...]):
     group gives its names lowest first, and its last name at once to its
     last color, so a group of one color starts named. A color is valued at
     its name, a free one at the lowest free name of its group. Each
-    renaming maps to ``(layers, forks)``: ``layers[c]`` lists the colors
-    valued c, up to the highest name that the walk reads in it, and
+    renaming maps to ``(layers, forks, ident)``: ``layers[c]`` lists the
+    colors valued c, up to the highest name that the walk reads in it,
     ``forks[c]``, for each lowest free name c, the renamings in which a free
-    color of c's group takes c, the next to walk last."""
+    color of c's group takes c, by ascending color, and ``ident`` tells the
+    identity."""
     group = [[c] for c in range(len(prev))]  # group[c]: the colors of c's group
     for c, p in enumerate(prev):
         if p:
