@@ -616,7 +616,8 @@ def arrow_exhaustive(
     # deletions the whole clique needs no check (see the docstring).
     block_end = [0] * len(edges)
     # classes[w]: the twin classes on 0..w, which each check hands to the
-    # next and the twin-row test reads; 0 and 1 are always twins
+    # next and the twin-row test reads (0 and 1 are twins on 0..1); no twins
+    # where no check runs
     classes = [[0] * n] * n
     if symmetry and not inst.holes.holes:
         for v in range(2, n if inst.deleted_budget else n - 1):
