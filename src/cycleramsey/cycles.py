@@ -206,22 +206,31 @@ def _count_paths(adj: list[int], u: int, v: int, steps: int, avoid: int) -> int:
 
 def _count_walk(adj: list[int], free: int, last: int, steps: int, avoid: int) -> int:
     """The simple paths of ``steps`` >= 3 edges from a vertex w of ``free``
-    to v whose inner vertices avoid ``avoid`` and w, summed over w; ``last``
-    holds v's neighbours outside ``avoid``. Three edges from w close on the
-    common neighbours of v and each free neighbour of w."""
+    (outside ``avoid``, or the start u) to v whose inner vertices avoid
+    ``avoid`` and w, summed over w; ``last`` holds v's neighbours outside
+    ``avoid``. Three edges w-x-y-v are counted in closed form over their
+    middle vertex x outside ``avoid``: |N(x)&free| * |N(x)&last| pairs
+    (w, y), less the |N(x)&free&last| with y == w."""
     total = 0
+    if steps == 3:
+        rest = ~avoid & (1 << len(adj)) - 1
+        if not free & (free - 1):  # one start: x is among its neighbours (none: no x)
+            rest &= adj[free.bit_length() - 1]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nbrs = adj[low.bit_length() - 1]
+            starts = nbrs & free
+            if starts:
+                total += starts.bit_count() * (nbrs & last).bit_count() - (
+                    starts & last).bit_count()
+        return total
     while free:
         low = free & -free
         free ^= low
-        inner, end = avoid | low, last & ~low
-        nbrs = adj[low.bit_length() - 1] & ~inner
-        if steps > 3:
-            total += _count_walk(adj, nbrs, end, steps - 1, inner)
-        else:
-            while nbrs:
-                mid = nbrs & -nbrs
-                nbrs ^= mid
-                total += (adj[mid.bit_length() - 1] & end).bit_count()
+        inner = avoid | low
+        total += _count_walk(adj, adj[low.bit_length() - 1] & ~inner,
+                             last & ~low, steps - 1, inner)
     return total
 
 

@@ -38,7 +38,7 @@ from .graphs import (
     complete_graph,
     graph_to_dict,
 )
-from .matchings import _best_matched, _mates, _repair_matching, best_saturation
+from .matchings import _best_matched, _matched, _mates, _repair_matching, best_saturation
 
 
 @dataclass
@@ -151,9 +151,10 @@ def _second_color_rows(adj: tuple[int, ...], colors: bytes) -> list[int]:
 
 def _two_color_margin(classes, mates, thresholds, nonbip2: bool) -> Fraction:
     """max(s1 - t1, s2 - t2), s_i the best component saturation of class i
-    under its maximum matching ``mates[i]``; the conclusion holds iff >= 0."""
-    s1 = _best_matched(classes[0], mates[0])[0]
-    s2 = _best_matched(classes[1], mates[1], nonbip2)[0]
+    under its maximum matching ``mates[i]`` (a mate array or the mask of
+    its matched vertices); the conclusion holds iff >= 0."""
+    s1 = _best_matched(classes[0], mates[0], whole=False)[0]
+    s2 = _best_matched(classes[1], mates[1], nonbip2, whole=False)[0]
     return max(s1 - thresholds[0], s2 - thresholds[1])
 
 
@@ -164,24 +165,28 @@ def _adversarial_two_coloring(
     """Greedy local search lowering the conclusion margin (tries to falsify).
 
     A move toggles an edge of ``edges`` in classes 1 and 2, swapping its color.
-    The margin reads both classes' maximum matchings, which each move repairs
-    (``_repair_matching``: Berge's lemma); returns the final conclusion.
+    The margin reads the matched masks of both classes' maximum matchings,
+    which each move repairs (``_repair_matching``: Berge's lemma) and
+    updates where the repair reports a change; returns the final conclusion.
     With no move to make, the conclusion ``margin >= 0`` is ``s1 >= t1 or
     s2 >= t2``, and class 2 is matched only when class 1 falls short."""
     if not (steps and edges):
         one, two = classes[:2]
-        if _best_matched(one, _mates(one))[0] >= thresholds[0]:
+        if _best_matched(one, _mates(one), whole=False)[0] >= thresholds[0]:
             return True
-        return _best_matched(two, _mates(two), nonbip2)[0] >= thresholds[1]
+        return _best_matched(two, _mates(two), nonbip2, whole=False)[0] >= thresholds[1]
     mates = [_mates(adj) for adj in classes[:2]]
-    cur = _two_color_margin(classes, mates, thresholds, nonbip2)
+    matched = [_matched(match) for match in mates]
+    cur = _two_color_margin(classes, matched, thresholds, nonbip2)
     for _ in range(steps):
         u, v = edges[rng.randrange(len(edges))]
         _toggle_edge(u, v, classes[0], classes[1])
-        trial = [_repair_matching(a, m[:], u, v) for a, m in zip(classes, mates)]
-        new = _two_color_margin(classes, trial, thresholds, nonbip2)
+        trial, marks = [match[:] for match in mates], []
+        for adj, match, held in zip(classes, trial, matched):
+            marks.append(_matched(match, _repair_matching(adj, match, u, v), held))
+        new = _two_color_margin(classes, marks, thresholds, nonbip2)
         if new <= cur:
-            cur, mates = new, trial
+            cur, mates, matched = new, trial, marks
         else:
             _toggle_edge(u, v, classes[0], classes[1])
     return cur >= 0

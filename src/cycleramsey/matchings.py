@@ -194,43 +194,74 @@ def maximum_matching(
     return MatchingCertificate(tuple((v, w) for v, w in enumerate(match) if w > v))
 
 
-def _repair_matching(adj: Sequence[int], match: list[int], u: int, v: int) -> list[int]:
+def _repair_matching(adj: Sequence[int], match: list[int], u: int, v: int) -> int:
     """Make ``match``, a maximum matching of ``adj`` before (u,v) was flipped,
-    maximum again, in place; returns it. By Berge's lemma a matching is
-    maximum iff it has no augmenting path; a flip moves the matching number
-    by at most one. Adding (u,v) keeps ``match`` valid, and a new augmenting
+    maximum again, in place; returns the mask of the vertices whose matched
+    status may have changed: u, v, and the exposed vertices of their
+    component if it searched (an augmentation matches just its two ends).
+    By Berge's lemma a matching is maximum iff it has no augmenting path; a
+    flip moves the matching number by at most one. Adding (u,v) keeps ``match`` valid, and a new augmenting
     path uses (u,v): it lies in their component and starts at an exposed end
     of (u,v) if there is one. Removing a matched (u,v) exposes u and v; an
     augmenting path then ends at one of them, as any other was one before.
     Edmonds' single-root search finds a path from its root if there is one."""
-    present = adj[u] >> v & 1
+    present, ends = adj[u] >> v & 1, 1 << u | 1 << v
     if present and match[u] == -1 == match[v]:
         match[u], match[v] = v, u
-        return match
+        return ends
     if not present and match[u] == v:
         match[u] = match[v] = -1
     elif not present or match.count(-1) < 2:  # counted before the costlier comp
-        return match  # an unmatched edge was removed, or nothing can augment
-    comp = _reachable(adj, 1 << u | 1 << v, (1 << len(adj)) - 1)
+        return ends  # an unmatched edge was removed, or nothing can augment
+    comp = _reachable(adj, ends, (1 << len(adj)) - 1)
     exposed = [w for w in _bits(comp) if match[w] == -1]
     if len(exposed) > 1:
         find_path = _alternating_search(adj, comp, match)[0]
-        ends = [w for w in (u, v) if match[w] == -1]
-        any(find_path(root) for root in ends or exposed)  # one augmentation at most
-    return match
+        roots = [w for w in (u, v) if match[w] == -1]
+        any(find_path(root) for root in roots or exposed)  # one augmentation at most
+        ends |= _mask_of(exposed)
+    return ends
 
 
-def _best_matched(adj: Sequence[int], match: list[int], nonbip: bool = False):
+def _matched(match: list[int], among: Optional[int] = None, held: int = 0) -> int:
+    """The mask of the vertices that ``match`` matches: read off ``match``
+    on ``among`` (default: all), and taken from ``held`` elsewhere."""
+    among = (1 << len(match)) - 1 if among is None else among
+    out = held & ~among
+    while among:
+        low = among & -among
+        among ^= low
+        if match[low.bit_length() - 1] != -1:
+            out |= low
+    return out
+
+
+def _best_matched(adj: Sequence[int], matched, nonbip: bool = False, whole=True):
     """(saturation, mask) of the component (with ``nonbip``: non-bipartite) that
-    the maximum matching ``match`` saturates most, ties to the smallest member,
-    or (0, 0); components share no edges, so ``match`` is maximum on each."""
-    exposed = 0
-    for w, mate in enumerate(match):
-        if mate == -1:
-            exposed |= 1 << w
+    a maximum matching saturates most, ties to the smallest member, or (0, 0);
+    components share no edges, so the matching is maximum on each.
+    ``matched`` is the mask of its matched vertices, or its mate array.
+
+    Without ``nonbip``, a flood from the lowest matched vertex stops once it
+    has reached them all: their component is then the best, saturating all
+    of them, and unless ``whole`` asks for that whole component, the mask
+    is the part flooded by then. Otherwise the components are walked one by
+    one.
+    """
+    if not isinstance(matched, int):
+        matched = _matched(matched)
+    comp = todo = 0 if nonbip else matched & -matched  # ``todo``: not yet expanded
+    while todo and matched & ~comp:
+        low = todo & -todo
+        grow = adj[low.bit_length() - 1] & ~comp
+        comp |= grow
+        todo ^= low | grow
+    everything = (1 << len(adj)) - 1
+    if comp and not matched & ~comp:
+        return matched.bit_count(), _reachable(adj, comp, everything) if whole else comp
     best, where = 0, 0
-    for comp in _component_masks(adj, (1 << len(adj)) - 1):
-        sat = comp.bit_count() - (exposed & comp).bit_count()
+    for comp in _component_masks(adj, everything):
+        sat = (matched & comp).bit_count()
         if (sat > best or not where) and (not nonbip or _two_color(adj, comp)[1]):
             best, where = sat, comp
     return best, where
@@ -253,7 +284,7 @@ def best_component_matching(
 
 def best_saturation(g: Graph, require_nonbipartite: bool = False) -> int:
     """Saturation of ``best_component_matching``, or 0 if no component qualifies."""
-    return _best_matched(g._adj, _mates(g._adj), require_nonbipartite)[0]
+    return _best_matched(g._adj, _mates(g._adj), require_nonbipartite, whole=False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .graphs import (
     coloring_to_dict,
     complete_graph,
 )
-from .matchings import _best_matched, _mates, _repair_matching, best_saturation
+from .matchings import _best_matched, _matched, _mates, _repair_matching, best_saturation
 
 DEFAULT_SEED = 1729
 # Annealing temperature falls geometrically from T_START to T_END.
@@ -240,7 +240,7 @@ def _presence_test(n: int, target: Target):
     if isinstance(target, MatchingTarget):
         saturation, nonbipartite = target.saturation, target.nonbipartite
         return lambda adj, u, v, bud: (
-            _best_matched(adj, _mates(adj), nonbipartite)[0] >= saturation
+            _best_matched(adj, _mates(adj), nonbipartite, whole=False)[0] >= saturation
         )
     if target.length > n:
         return None
@@ -779,22 +779,23 @@ def _energy_of_color(
     """How strongly this class realizes its target (0 iff the target is absent).
 
     Exact-cycle targets use the path-incidence sum (length * cycle count),
-    which admits cheap per-move deltas; ``cycles._count_paths`` counts the
-    paths, with no budget. At-least cycle targets count the edges of the
+    which admits cheap per-move deltas; ``cycles._count_paths`` counts each
+    cycle from its least vertex u back to u through larger ones, once per
+    direction, with no budget. At-least cycle targets count the edges of the
     components that hold a cycle of at least the target length
     (``cycles._long_cycle_edges``). Matching targets score the excess
-    saturation, read off ``match``, a maximum matching of the class that
-    the annealer repairs per move (``matchings._repair_matching``).
+    saturation of ``match``, the mate array or matched mask of a maximum
+    matching of the class, which the annealer repairs per move
+    (``matchings._repair_matching``).
     """
     if isinstance(target, CycleTarget):
         if not target.exact:
             return _long_cycle_edges(adj, target.length, bud)
-        total = 0
+        ell, cycles = target.length, 0
         for u in range(n):
-            for v in _bits(adj[u] >> (u + 1) << (u + 1)):
-                total += _count_paths(adj, u, v, target.length - 1, 1 << u | 1 << v)
-        return total
-    saturation = _best_matched(adj, match, target.nonbipartite)[0]
+            cycles += _count_paths(adj, u, u, ell, (2 << u) - 1)
+        return ell * cycles // 2
+    saturation = _best_matched(adj, match, target.nonbipartite, whole=False)[0]
     return max(0, (saturation - target.saturation) // 2 + 1)
 
 
@@ -817,6 +818,10 @@ def arrow_randomized(
     3. ``random()``, only on an uphill move, against
        ``pow(2.718281828459045, -delta / temperature)``.
 
+    The first two are drawn as CPython draws them, with the same stream: a
+    draw below s is ``getrandbits(s.bit_length())``, redrawn while it is s
+    or more. s is never 0: a host without present pairs has no energy and
+    draws nothing, and another color always exists.
     A move rescores only the class the pair leaves and the class it enters.
     An ``initial`` coloring seeds the first restart; it must have the
     instance's n, k and holes and delete at most ``inst.deleted_budget``
@@ -839,7 +844,7 @@ def arrow_randomized(
                 f"deletion budget {inst.deleted_budget}"
             )
     rng = random.Random(seed)
-    randrange, choice, random_ = rng.randrange, rng.choice, rng.random
+    getrandbits, random_ = rng.getrandbits, rng.random
     t0 = time.perf_counter()
     stats = SearchStats()
     n, k, targets = inst.n, inst.k, inst.targets
@@ -848,10 +853,14 @@ def arrow_randomized(
     ell = [0] + [t.length if isinstance(t, CycleTarget) and t.exact else 0
                  for t in targets]
     # the colors a pair of class old may move to: recolor[old], and while the
-    # deletion budget lasts, delete[old], which adds deletion (0) last
+    # deletion budget lasts, delete[old], which adds deletion (0) last; each
+    # with its size and the bits of one draw below that size
     recolor = [tuple(c for c in range(1, k + 1) if c != old) for old in range(k + 1)]
     delete = [to + (0,) if old else to for old, to in enumerate(recolor)]
+    recolor, delete = [[(to, len(to), len(to).bit_length()) for to in moves]
+                       for moves in (recolor, delete)]
     m, steps, budget = len(edges), schedule.steps, inst.deleted_budget
+    width = m.bit_length()
     ratio, span = T_END / T_START, max(1, steps - 1)
     bud = _Budget(float("inf"))  # annealing is bounded by its schedule
     header = _header(
@@ -863,18 +872,19 @@ def arrow_randomized(
 
     def score(c: int, sign: int, u: int, v: int):
         # class c's energy after (u,v) entered (sign 1) or left (sign -1) it,
-        # and, for a matching target, its repaired mate array (else None)
+        # and, for a matching target, its repaired mates and matched mask
         a = adjs[c]
-        if ell[c] == 3:  # the triangles through (u,v): common neighbours of u, v
-            return energies[c] + sign * 3 * (a[u] & a[v]).bit_count(), None
         if ell[c]:  # length times the cycles through (u,v), present or not
             return energies[c] + sign * ell[c] * _count_paths(
                 a, u, v, ell[c] - 1, 1 << u | 1 << v
             ), None
         if not c:
             return 0, None
-        match = mates[c] and _repair_matching(a, mates[c][:], u, v)
-        return _energy_of_color(n, a, targets[c - 1], bud, match), match
+        if mates[c] is None:
+            return _energy_of_color(n, a, targets[c - 1], bud), None
+        match, matched = mates[c][0][:], mates[c][1]
+        matched = _matched(match, _repair_matching(a, match, u, v), matched)
+        return _energy_of_color(n, a, targets[c - 1], bud, matched), (match, matched)
 
     best_energy = None
     for restart in range(schedule.restarts):
@@ -889,11 +899,13 @@ def arrow_randomized(
             _toggle_edge(u, v, adjs[c])
         deleted_used = assignment.count(0)
         moves = delete if deleted_used < budget else recolor
-        # a maximum matching of each matching-target class, kept across moves
-        mates = [_mates(a) if isinstance(t, MatchingTarget) else None
-                 for a, t in zip(adjs, (None, *targets))]
-        energies = [0] + [_energy_of_color(n, adjs[c], targets[c - 1], bud, mates[c])
-                          for c in range(1, k + 1)]
+        # (mate array, matched mask) of a maximum matching of each
+        # matching-target class, kept across moves
+        mates, energies = [None] * (k + 1), [0] * (k + 1)
+        for c, t in enumerate(targets, 1):
+            match = _mates(adjs[c]) if isinstance(t, MatchingTarget) else None
+            mates[c] = match and (match, _matched(match))
+            energies[c] = _energy_of_color(n, adjs[c], t, bud, match)
         total = sum(energies)
         if best_energy is None or total < best_energy:
             best_energy = total
@@ -901,18 +913,32 @@ def arrow_randomized(
             if total == 0:
                 break
             stats.proposals += 1
-            i = randrange(m)
+            i = getrandbits(width)  # randrange(m)
+            while i >= m:
+                i = getrandbits(width)
             u, v = edges[i]
             old = assignment[i]
-            new = choice(moves[old])
+            to, count, bits = moves[old]
+            new = getrandbits(bits)  # choice(to)
+            while new >= count:
+                new = getrandbits(bits)
+            new = to[new]
             bu, bv = 1 << u, 1 << v
             a_old, a_new = adjs[old], adjs[new]
             a_old[u] ^= bv
             a_old[v] ^= bu
             a_new[u] ^= bv
             a_new[v] ^= bu
-            e_old, match_old = score(old, -1, u, v)
-            e_new, match_new = score(new, 1, u, v)
+            # triangles through (u,v), scored inline: common neighbours of u, v
+            keep_old = keep_new = None
+            if ell[old] == 3:
+                e_old = energies[old] - 3 * (a_old[u] & a_old[v]).bit_count()
+            else:
+                e_old, keep_old = score(old, -1, u, v)
+            if ell[new] == 3:
+                e_new = energies[new] + 3 * (a_new[u] & a_new[v]).bit_count()
+            else:
+                e_new, keep_new = score(new, 1, u, v)
             delta = e_old + e_new - energies[old] - energies[new]
             if delta <= 0 or random_() < pow(
                 2.718281828459045,
@@ -920,7 +946,7 @@ def arrow_randomized(
             ):
                 assignment[i] = new
                 energies[old], energies[new] = e_old, e_new
-                mates[old], mates[new] = match_old, match_new  # None but for M
+                mates[old], mates[new] = keep_old, keep_new  # None but for M
                 if not old or not new:
                     deleted_used += 1 if not new else -1
                     moves = delete if deleted_used < budget else recolor

@@ -276,6 +276,69 @@ def test_randomized_matches_from_scratch_rescoring():
     assert kinds == set(map(repr, pool))
 
 
+def test_randomized_matches_rescoring_on_long_cycles_and_split_matchings(monkeypatch):
+    # exact C6 and C7 on 9..12 vertices, whose moves count paths of 5 and 6
+    # edges down to the closed-form last three; then matching targets on
+    # hosts with holes and deletions, where a class's matched vertices lie
+    # in one component (the readout's flood stops early) or in several (it
+    # walks the components): both must happen, and augmentations with them
+    import cycleramsey.matchings as matchings
+    import cycleramsey.search as search
+
+    counts = {"joined": 0, "split": 0, "walks": 0, "augmented": 0}
+    readout, walk, repair = (search._best_matched, matchings._component_masks,
+                             search._repair_matching)
+
+    def counted_readout(adj, matched, nonbip=False, whole=True):
+        walks = counts["walks"]
+        saturation, comp = readout(adj, matched, nonbip, whole)
+        if saturation and not nonbip:  # the flood ran; did it reach them all?
+            counts["split" if counts["walks"] > walks else "joined"] += 1
+        return saturation, comp
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        return walk(*args)
+
+    def counted_repair(adj, match, u, v):
+        # an augmenting search: exposed vertices fall below the count before
+        # the flip (plus u and v if it removed their matched pair), unless
+        # the flip only matched its two exposed ends
+        paired = adj[u] >> v & 1 and match[u] == -1 == match[v]
+        before = match.count(-1) + 2 * (match[u] == v)
+        changed = repair(adj, match, u, v)
+        counts["augmented"] += not paired and match.count(-1) < before
+        return changed
+
+    monkeypatch.setattr(search, "_best_matched", counted_readout)
+    monkeypatch.setattr(matchings, "_component_masks", counted_walk)
+    monkeypatch.setattr(search, "_repair_matching", counted_repair)
+    rng = random.Random(6411)
+    cases = []
+    for case in range(8):
+        other = rng.choice((CycleTarget(6), CycleTarget(7), CycleTarget(4, False),
+                            MatchingTarget(6)))
+        inst = ArrowInstance(rng.randint(9, 12), (CycleTarget(6 + case % 2), other),
+                             deleted_budget=case % 3)
+        cases.append((inst, AnnealSchedule(rng.randint(8, 20), rng.randint(1, 2))))
+    pool = [MatchingTarget(4), MatchingTarget(6), MatchingTarget(4, nonbipartite=True),
+            CycleTarget(3), CycleTarget(4, False)]
+    for case in range(12):
+        n = rng.randint(7, 10)
+        hole = frozenset(rng.sample(range(n), rng.randint(2, n // 2)))
+        targets = (MatchingTarget(4),) + tuple(rng.choice(pool) for _ in range(case % 2 + 1))
+        inst = ArrowInstance(n, targets, HoleSpec((hole,)) if case % 3 else HoleSpec(),
+                             deleted_budget=rng.randint(0, 6))
+        cases.append((inst, AnnealSchedule(rng.randint(60, 120), rng.randint(1, 2))))
+    for inst, schedule in cases:
+        seed = rng.randrange(10**6)
+        got = arrow_randomized(inst, schedule=schedule, seed=seed)
+        assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(
+            reference_anneal(inst, schedule, seed), sort_keys=True
+        ), (inst, schedule, seed)
+    assert counts["joined"] > counts["split"] > 0 and counts["augmented"] > 0
+
+
 def test_deletion_budget_counterexamples():
     # K2 always has a monochromatic edge, but one deletion kills the host
     targets = (MatchingTarget(2), MatchingTarget(2))
@@ -500,6 +563,59 @@ def test_path_kernel_parity_refutation_matches_enumeration():
                     assert bud.spent == 1, (trial, end == u, steps)
                     refuted += steps >= 4
     assert refuted > 200
+
+
+def test_count_paths_matches_enumeration_at_the_annealing_size():
+    # the C7,C7@12 anneal counts 6-edge paths on 12 vertices: 5 to 7 steps
+    # on 10 to 12 vertices, open paths and cycles through u, with and
+    # without more vertices to avoid, so the closed-form last three edges
+    # meet starts that are also ends
+    from cycleramsey.cycles import _count_paths
+
+    rng = random.Random(1212)
+    for trial in range(10):
+        n = rng.randint(10, 12)
+        adj = list(random_graph(rng, n, rng.choice((0.45, 0.6)))._adj)
+        u, v = rng.sample(range(n), 2)
+        if trial % 2:
+            v = u
+        avoid = 1 << u | 1 << v
+        for w in rng.sample(range(n), rng.randint(0, 2)):
+            avoid |= 1 << w
+        lengths = _enumerate_path_lengths(adj, u, v, avoid)
+        for steps in (5, 6, 7):
+            assert _count_paths(adj, u, v, steps, avoid) == lengths.count(steps), (
+                trial, steps)
+
+
+def test_draws_never_take_zero_bits(monkeypatch):
+    # getrandbits(0) is always 0, so a draw below 0 would never end: a host
+    # without present pairs must draw nothing, and a deletion budget that
+    # runs out mid-run leaves at least one color to draw
+    drawn = []
+
+    class Checked(random.Random):
+        def getrandbits(self, k):
+            assert k > 0, "a draw of no bits"
+            drawn.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(random, "Random", Checked)
+    everything = HoleSpec((frozenset(range(5)),))
+    for inst in (ArrowInstance(1, C3C3), ArrowInstance(5, C3C3, everything),
+                 ArrowInstance(5, (MatchingTarget(2),) * 3, everything, 2)):
+        verdict = arrow_randomized(inst, AnnealSchedule(500, 3), seed=4)
+        assert verdict.arrows is False and verdict.stats.proposals == 0
+        assert drawn == []
+    # with two colors, a color is drawn in 2 bits while deletion is offered
+    # and in 1 bit (one other color) once the budget of one deletion is
+    # used; the run must see both and agree with the rescoring replay
+    inst = ArrowInstance(6, C3C3, deleted_budget=1)
+    schedule = AnnealSchedule(300, 2)
+    got = arrow_randomized(inst, schedule, seed=11)
+    assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(
+        reference_anneal(inst, schedule, 11), sort_keys=True)
+    assert {1, 2} <= set(drawn)
 
 
 def test_count_paths_guard_refuses_targets_longer_than_the_host(monkeypatch):
