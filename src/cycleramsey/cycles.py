@@ -124,11 +124,22 @@ def _simple_paths(
                     out += ((common & -common).bit_length() - 1, low.bit_length() - 1)
                 return 1
         return 0
+    elif steps == 4 and out is None:
+        # u-a-b-c-v over its middle vertex b: a in A = N(b)&free and c in
+        # C = N(b)&last with a != c exist iff A and C are non-empty and not
+        # the same single vertex (|A|*|C| > |A&C|, as in ``_count_walk``)
+        last = adj[v] & ~avoid
+        rest = ~avoid & (1 << len(adj)) - 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nbrs = adj[low.bit_length() - 1]
+            starts, ends = nbrs & free, nbrs & last
+            if starts and ends and (starts != ends or starts & (starts - 1)):
+                return 1
+        return 0
     # Every inner vertex lies in the region u's free neighbours reach without
-    # entering ``avoid``, and the last one is adjacent to v. Testing this from
-    # four remaining edges on, rather than only from five or six, measured
-    # 14-19% faster on the two-color proofs at R(C_n,C_m) and at most 13%
-    # slower on the n=12 refutations of (C7,C7), (C7,C5) and (C6,C6,C3).
+    # entering ``avoid``, and the last one is adjacent to v.
     if atleast:
         reach = _reachable(adj, free, ~avoid)
     else:

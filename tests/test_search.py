@@ -475,6 +475,11 @@ def test_path_kernel_matches_enumeration():
         for steps in range(1, n):
             bud = _Budget(10**9)
             exact = lengths.count(steps)
+            # the presence check asks for no path; at four edges the bare
+            # answer is closed form and costs one unit
+            bare = _Budget(10**9)
+            assert _simple_paths(adj, u, v, steps, avoid, bare) == (exact > 0)
+            assert steps != 4 or bare.spent == 1
             inner = []
             assert _simple_paths(adj, u, v, steps, avoid, bud, out=inner) == (exact > 0)
             if exact:
@@ -519,6 +524,7 @@ def test_path_kernel_matches_enumeration():
             found = _simple_paths(adj, u, u, steps, avoid, _Budget(10**9), out=inner)
             assert found == (len(cycles) > 0)
             assert inner[::-1] == (list(min(cycles)) if cycles else [])
+            assert _simple_paths(adj, u, u, steps, avoid, _Budget(10**9)) == found
 
 
 def test_path_kernel_parity_refutation_matches_enumeration():
@@ -586,6 +592,35 @@ def test_count_paths_matches_enumeration_at_the_annealing_size():
         for steps in (5, 6, 7):
             assert _count_paths(adj, u, v, steps, avoid) == lengths.count(steps), (
                 trial, steps)
+
+
+def test_bare_path_kernel_matches_enumeration_at_the_search_size():
+    # the presence check's question at n = 10 to 12: is there a u->v path
+    # of 4 to 6 edges, or a cycle through u, with no path asked for? Sparse
+    # and dense hosts, with up to four more vertices to avoid, so that the
+    # four-edge closed form meets middle vertices whose only first and last
+    # steps are one vertex, and answers of both kinds
+    from cycleramsey.cycles import _simple_paths
+
+    rng = random.Random(1011)
+    answers = set()
+    for trial in range(40):
+        n = rng.randint(10, 12)
+        adj = list(random_graph(rng, n, rng.choice((0.15, 0.25, 0.4)))._adj)
+        u, v = rng.sample(range(n), 2)
+        if trial % 2:
+            v = u
+        avoid = 1 << u | 1 << v
+        for w in rng.sample(range(n), rng.randint(0, 4)):
+            avoid |= 1 << w
+        lengths = _enumerate_path_lengths(adj, u, v, avoid)
+        for steps in (4, 5, 6):
+            bud = _Budget(10**9)
+            found = _simple_paths(adj, u, v, steps, avoid, bud)
+            assert found == (steps in lengths), (trial, steps)
+            assert steps != 4 or bud.spent == 1
+            answers.add((steps, found))
+    assert answers == {(s, f) for s in (4, 5, 6) for f in (0, 1)}
 
 
 def test_draws_never_take_zero_bits(monkeypatch):
