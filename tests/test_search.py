@@ -774,9 +774,9 @@ def test_same_target_colors_with_holes_and_deletions_are_pinned(inst, pinned):
 @pytest.mark.parametrize(
     "inst, units",
     [
-        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 13328),
-        (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 11650),
-        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 3512),
+        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 11421),
+        (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 10109),
+        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 3132),
         (ArrowInstance(6, (MatchingTarget(4),) * 3), 774),
     ],
     ids=["C6,C6@8", "C7,C4@8", "C5,C5@9", "M4,M4,M4@6"],
