@@ -789,6 +789,24 @@ def test_budget_units_of_proofs_are_pinned(inst, units):
     assert arrow_exhaustive(inst, budget=units - 1).arrows is None
 
 
+@pytest.mark.parametrize(
+    "targets, nodes",
+    [
+        ((CycleTarget(4), CycleTarget(4), CycleTarget(3)), 133296),
+        ((CycleTarget(6),) * 3, 439),
+    ],
+    ids=["C4,C4,C3@11", "C6,C6,C6@11"],
+)
+def test_three_color_witnesses_at_eleven_are_pinned(targets, nodes):
+    # both triples have R >= 12: the search finds a coloring of K11 that
+    # avoids each, in this many nodes; every C6 presence check runs the
+    # kernel's four-edge closed form
+    inst = ArrowInstance(11, targets)
+    v = arrow_exhaustive(inst)
+    assert (v.arrows, v.stats.nodes) == (False, nodes)
+    assert coloring_avoids_all(v.witness, inst.targets)
+
+
 def _relabelings(v_top):
     """One itemgetter per permutation of 0..v_top, mapping a (max, min)-ordered
     clique vector to its relabeled vector."""
