@@ -89,8 +89,12 @@ def _simple_paths(
     first; a failure leaves ``out`` as is. Counting paths is
     ``_count_paths``.
 
-    From four edges on, one flood finds the region the inner vertices may
-    use. For exact lengths it is layered (``_layered_flood``): if u and
+    Exactly four edges with no ``out`` (the search's presence question) are
+    answered in closed form over the middle vertex b of u-a-b-c-v, as
+    ``_count_walk`` counts its last three edges, but stopping at the first b
+    that closes a path. Otherwise, from four edges on, one flood finds the
+    region the inner vertices may use; it guards every query of five or
+    more. For exact lengths it is layered (``_layered_flood``): if u and
     that region induce a bipartite graph, every u->v path has length p + 1
     (mod 2), where p is the distance parity from u shared by all of v's
     neighbours there; an exact ``steps`` of the other parity is refuted in
