@@ -378,6 +378,23 @@ def _named_row(row, images, tie, a, view, adjs, named):
     return [(tie, perm)] if tie else []
 
 
+class _Carry:
+    """What a search hands from one canonical check to the next, besides the
+    twin classes (``_prefix_is_canonical`` says why it may): ``rows[j]``,
+    row j of the prefix as the last check read it; ``used``, the bitmask of
+    the colors that the assignment uses, which the search keeps; the
+    ``_renamings`` of its color groups; and ``kept``, by used mask, the
+    root renamings and the views that read only class masks."""
+
+    __slots__ = ("rows", "used", "renamings", "kept")
+
+    def __init__(self, prev: list[int], used: int = 0):
+        self.rows = [[]]  # row 0 is empty
+        self.used = used
+        self.renamings = _renamings(tuple(prev))
+        self.kept = {}
+
+
 def _prefix_is_canonical(
     assignment: list[int],
     adjs: list[list[int]],
@@ -385,6 +402,7 @@ def _prefix_is_canonical(
     bud: _Budget,
     classes: Optional[list[list[int]]] = None,
     prev: Optional[list[int]] = None,
+    carry: Optional[_Carry] = None,
 ) -> bool:
     """Is the colored clique on vertices 0..v_top lex-minimal under vertex
     relabelings combined with the renamings of same-target colors?
@@ -447,6 +465,22 @@ def _prefix_is_canonical(
     stands: the search passes a block end only after its check. Without a
     list, the classes are folded from vertex 1.
 
+    Carried state: a search hands every check one ``_Carry`` as well. Its
+    ``rows[j]``, row j of the prefix, are kept like ``classes[j]``: the
+    check drops rows v_top and deeper and appends the new ones, and the
+    rows below are sound for the same reason. Row 1 is the exception: no
+    check runs at block end 1, so the check at v_top = 2 reads it afresh.
+    Its ``used``, the mask of the colors that the assignment uses, is kept
+    by the search where a color's count crosses 0; at a block end the
+    assignment is the prefix, so it is the mask of the prefix's colors. The
+    roots and each renaming's view depend on the prefix only through
+    ``used`` and the class masks. A view whose ``below`` lists are each
+    empty or one class mask reads the masks themselves, which hold the
+    prefix at every block end, so it is kept by used mask with the roots;
+    a union of two masks is a copy of this prefix's, and it is built anew
+    at each check. Without a carry, the check builds one from
+    ``assignment`` and ``prev``, so it runs the same code.
+
     Soundness at every depth: take the representative of a target-free
     coloring's orbit that is lex-min over vertex relabelings combined with
     the renamings of same-target colors. Each of its clique prefixes is
@@ -465,39 +499,52 @@ def _prefix_is_canonical(
     for z in range(len(classes), m):
         classes.append(_refined_twins(classes[-1], assignment, adjs, z))
     size = m * (m - 1) // 2
-    rows = [assignment[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(m)]
-    used = set(assignment[:size])
-    start, groups, table = _renamings(tuple(prev or [0] * len(adjs)))
+    if carry is None:
+        carry = _Carry(prev or [0] * len(adjs),
+                       sum(1 << c for c in set(assignment[:size])))
+    rows, used = carry.rows, carry.used
+    del rows[v_top if v_top > 2 else 1:]
+    for j in range(len(rows), m):
+        rows.append(assignment[j * (j - 1) // 2 : j * (j + 1) // 2])
+    start, groups, table = carry.renamings
     # The first name of a group is given before the walk, one walk for each
     # color that takes it; the others where the prefix first uses them, but
     # for the last, which is settled by then.
-    roots, firsts = [start], [False] * m
+    firsts = [False] * m
     for group in groups:
-        first = [assignment.index(c, 0, size) if c in used else size for c in group]
+        first = [assignment.index(c, 0, size) if used >> c & 1 else size for c in group]
         if first != sorted(first):
             return False
-        if first[0] < size:
-            c = group[0]
-            roots = [p for q in roots for p in table[q][1][c] if p[c] in used]
         for i in first[1:-1]:
             if i < size:
                 firsts[(1 + math.isqrt(8 * i + 1)) // 2] = True
-    zero, views = [0] * m, {}
+    if used not in carry.kept:
+        roots = [start]
+        for group in groups:
+            c = group[0]
+            if used >> c & 1:
+                roots = [p for q in roots for p in table[q][1][c] if used >> p[c] & 1]
+        carry.kept[used] = roots, {}
+    roots, kept = carry.kept[used]
+    views, zero = {}, [0] * len(adjs[0])
 
     def named(perm):
-        view = views.get(perm)
+        view = kept.get(perm) or views.get(perm)
         if view is None:
             layers, forks, ident = table[perm]
             # below[c][x]: x's neighbours in the colors valued below c; a
             # class the prefix leaves empty adds nothing, so no list is built
-            below, acc = [zero], zero
+            below, acc, live = [zero], zero, True
             for layer in layers:
                 for d in layer:
-                    if d in used:
-                        acc = adjs[d] if acc is zero else [
-                            p | q for p, q in zip(acc, adjs[d][:m])]
+                    if used >> d & 1:
+                        if acc is zero:
+                            acc = adjs[d]
+                        else:  # a union holds this prefix only
+                            acc = [p | q for p, q in zip(acc, adjs[d][:m])]
+                            live = False
                 below.append(acc)
-            view = views[perm] = (
+            view = (kept if live else views)[perm] = (
                 adjs if ident else [adjs[d] if d >= 0 else None for d in perm],
                 below, forks, perm)
         return view
@@ -637,6 +684,7 @@ def arrow_exhaustive(
     # The options change only when used_count[c] crosses flip[c]: a color that
     # is some color's predecessor crosses at 1, the deletions at their budget.
     flip = [inst.deleted_budget] + [1 if c in prev else 0 for c in range(1, k + 1)]
+    carry = _Carry(prev)  # the canonical check's state, used mask kept here
 
     def options() -> tuple[int, ...]:
         opts = tuple(c for c in range(1, k + 1) if not prev[c] or used_count[prev[c]])
@@ -667,6 +715,8 @@ def arrow_exhaustive(
                 adjs[c][u] ^= bv
                 adjs[c][v] ^= bu
                 used_count[c] -= 1
+                if not used_count[c]:
+                    carry.used ^= 1 << c
                 if used_count[c] + 1 == flip[c]:
                     opts = options()
             todo, t = pending[i]
@@ -682,6 +732,8 @@ def arrow_exhaustive(
             adjs[c][u] ^= bv
             adjs[c][v] ^= bu
             used_count[c] += 1
+            if used_count[c] == 1:
+                carry.used |= 1 << c
             if used_count[c] == flip[c]:
                 opts = options()
             test = tests[c]
@@ -689,7 +741,7 @@ def arrow_exhaustive(
             if test and test(adjs[c], u, v, bud):
                 stats.presence_prunes += 1
             elif twins and _twin_row_falls(twins, adjs, v, c) or block_end[i] and not (
-                _prefix_is_canonical(assignment, adjs, block_end[i], bud, classes, prev)
+                _prefix_is_canonical(assignment, adjs, block_end[i], bud, classes, prev, carry)
             ):
                 stats.symmetry_prunes += 1
             else:

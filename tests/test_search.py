@@ -882,14 +882,14 @@ def test_class_masks_hold_the_prefix_clique_at_each_check(monkeypatch, inst):
     check = search._prefix_is_canonical
     calls = []
 
-    def checked(assignment, adjs, v_top, bud, classes, group):
+    def checked(assignment, adjs, v_top, bud, classes, group, carry):
         m = v_top + 1
         rebuilt = _prefix_masks(assignment, m, len(adjs))
         for c, rows in enumerate(adjs):
             assert rows[:m] == rebuilt[c], (c, v_top)
             assert not any(row >> m for row in rows), (c, v_top)
         calls.append(v_top)
-        return check(assignment, adjs, v_top, bud, classes, group)
+        return check(assignment, adjs, v_top, bud, classes, group, carry)
 
     monkeypatch.setattr(search, "_prefix_is_canonical", checked)
     verdict = arrow_exhaustive(inst)
@@ -928,11 +928,11 @@ def test_twin_classes_handed_down_equal_rebuilt_ones(monkeypatch, inst, checks):
     check = search._prefix_is_canonical
     calls = []
 
-    def checked(assignment, adjs, v_top, bud, classes, group):
+    def checked(assignment, adjs, v_top, bud, classes, group, carry):
         rebuilt, fresh = [[1]], _Budget(10**9)
         answer = check(assignment, adjs, v_top, fresh, rebuilt, group)
         spent = bud.spent
-        assert check(assignment, adjs, v_top, bud, classes, group) == answer
+        assert check(assignment, adjs, v_top, bud, classes, group, carry) == answer
         assert bud.spent - spent == fresh.spent
         assert classes == rebuilt, v_top
         for z in range(v_top + 1):
@@ -944,6 +944,44 @@ def test_twin_classes_handed_down_equal_rebuilt_ones(monkeypatch, inst, checks):
     assert arrow_exhaustive(inst).arrows is not None
     # prefixes of up to 8 vertices
     assert len(calls) == checks and max(calls) == 7
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        ArrowInstance(9, (CycleTarget(5), CycleTarget(5))),
+        ArrowInstance(8, (CycleTarget(7), CycleTarget(4))),
+        ArrowInstance(6, (MatchingTarget(4),) * 3),
+        ArrowInstance(8, (CycleTarget(4),) * 3, deleted_budget=1),
+    ],
+    ids=["C5,C5@9", "C7,C4@8", "M4,M4,M4@6", "C4,C4,C4@8 deleting 1"],
+)
+def test_carried_state_equals_fresh_state_at_each_check(monkeypatch, inst):
+    # the search hands each check the rows, used colors, renamings and
+    # views of the checks before it: at every block end the rows and used
+    # mask are the prefix's, and the check answers and charges exactly as
+    # with state built afresh from the assignment
+    from cycleramsey import search
+
+    check = search._prefix_is_canonical
+    answers = []
+
+    def checked(assignment, adjs, v_top, bud, classes, group, carry):
+        fresh = _Budget(10**9)
+        answer = check(assignment, adjs, v_top, fresh, None, group)
+        spent = bud.spent
+        assert check(assignment, adjs, v_top, bud, classes, group, carry) == answer
+        assert bud.spent - spent == fresh.spent, v_top
+        size = v_top * (v_top + 1) // 2
+        assert carry.used == sum(1 << c for c in set(assignment[:size])), v_top
+        assert carry.rows == [assignment[j * (j - 1) // 2 : j * (j + 1) // 2]
+                              for j in range(v_top + 1)], v_top
+        answers.append(answer)
+        return answer
+
+    monkeypatch.setattr(search, "_prefix_is_canonical", checked)
+    assert arrow_exhaustive(inst).arrows is not None
+    assert len(answers) >= 30 and len(set(answers)) == 2
 
 
 def _twin_rich_vector(rng, v_top, palette):
