@@ -89,14 +89,17 @@ def _simple_paths(
     first; a failure leaves ``out`` as is. Counting paths is
     ``_count_paths``.
 
-    Exactly four edges with no ``out`` (the search's presence question) are
-    answered in closed form over the middle vertex b of u-a-b-c-v, as
-    ``_count_walk`` counts its last three edges, but stopping at the first b
-    that closes a path. Otherwise, from four edges on, one flood finds the
-    region the inner vertices may use; it guards every query of five or
-    more. For exact lengths it is layered (``_layered_flood``): if u and
-    that region induce a bipartite graph, every u->v path has length p + 1
-    (mod 2), where p is the distance parity from u shared by all of v's
+    Exactly four or five edges with no ``out`` (the search's presence
+    question) are answered in closed form, for one unit. Four edges go over
+    the middle vertex b of u-a-b-c-v, as ``_count_walk`` counts its last
+    three edges, but stopping at the first b that closes a path. Five go
+    over the middle edge b-c of u-a-b-c-d-v: it closes one when some first
+    step a of b is not c, some last step d of c is not b, and a != d. Every
+    other query from four edges on, and so every one of six or more, is
+    guarded by one flood that finds the region the inner vertices may use.
+    For exact lengths it is layered (``_layered_flood``): if u and that
+    region induce a bipartite graph, every u->v path has length p + 1 (mod
+    2), where p is the distance parity from u shared by all of v's
     neighbours there; an exact ``steps`` of the other parity is refuted in
     this one call, where the walk would have spent a unit on every prefix
     it tried. With u == v, p is 1: an odd cycle through u is refuted at
@@ -141,6 +144,24 @@ def _simple_paths(
             starts, ends = nbrs & free, nbrs & last
             if starts and ends and (starts != ends or starts & (starts - 1)):
                 return 1
+        return 0
+    elif steps == 5 and out is None:
+        # u-a-b-c-d-v over its middle edge b-c: a in N(b)&free less c and d
+        # in N(c)&last less b with a != d, as over b at four edges
+        last = adj[v] & ~avoid
+        rest = ~avoid & (1 << len(adj)) - 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nbrs = adj[low.bit_length() - 1]
+            firsts = nbrs & free
+            mids = nbrs & ~avoid if firsts else 0
+            while mids:
+                mid = mids & -mids
+                mids ^= mid
+                starts, ends = firsts & ~mid, adj[mid.bit_length() - 1] & last & ~low
+                if starts and ends and (starts != ends or starts & (starts - 1)):
+                    return 1
         return 0
     # Every inner vertex lies in the region u's free neighbours reach without
     # entering ``avoid``, and the last one is adjacent to v.

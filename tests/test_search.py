@@ -475,11 +475,11 @@ def test_path_kernel_matches_enumeration():
         for steps in range(1, n):
             bud = _Budget(10**9)
             exact = lengths.count(steps)
-            # the presence check asks for no path; at four edges the bare
-            # answer is closed form and costs one unit
+            # the presence check asks for no path; at four and five edges
+            # the bare answer is closed form and costs one unit
             bare = _Budget(10**9)
             assert _simple_paths(adj, u, v, steps, avoid, bare) == (exact > 0)
-            assert steps != 4 or bare.spent == 1
+            assert steps not in (4, 5) or bare.spent == 1
             inner = []
             assert _simple_paths(adj, u, v, steps, avoid, bud, out=inner) == (exact > 0)
             if exact:
@@ -598,8 +598,8 @@ def test_bare_path_kernel_matches_enumeration_at_the_search_size():
     # the presence check's question at n = 10 to 12: is there a u->v path
     # of 4 to 6 edges, or a cycle through u, with no path asked for? Sparse
     # and dense hosts, with up to four more vertices to avoid, so that the
-    # four-edge closed form meets middle vertices whose only first and last
-    # steps are one vertex, and answers of both kinds
+    # four- and five-edge closed forms meet middle vertices or edges whose
+    # only first and last steps are one vertex, and answers of both kinds
     from cycleramsey.cycles import _simple_paths
 
     rng = random.Random(1011)
@@ -618,7 +618,7 @@ def test_bare_path_kernel_matches_enumeration_at_the_search_size():
             bud = _Budget(10**9)
             found = _simple_paths(adj, u, v, steps, avoid, bud)
             assert found == (steps in lengths), (trial, steps)
-            assert steps != 4 or bud.spent == 1
+            assert steps == 6 or bud.spent == 1
             answers.add((steps, found))
     assert answers == {(s, f) for s in (4, 5, 6) for f in (0, 1)}
 
