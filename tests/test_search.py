@@ -774,8 +774,8 @@ def test_same_target_colors_with_holes_and_deletions_are_pinned(inst, pinned):
 @pytest.mark.parametrize(
     "inst, units",
     [
-        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 11421),
-        (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 10109),
+        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 10232),
+        (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 9026),
         (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 3132),
         (ArrowInstance(6, (MatchingTarget(4),) * 3), 774),
     ],
