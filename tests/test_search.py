@@ -799,8 +799,8 @@ def test_budget_units_of_proofs_are_pinned(inst, units):
 )
 def test_three_color_witnesses_at_eleven_are_pinned(targets, nodes):
     # both triples have R >= 12: the search finds a coloring of K11 that
-    # avoids each, in this many nodes; C6 presence checks reach the
-    # kernel's four-edge closed form below their first step
+    # avoids each, in this many nodes; the kernel's five-edge closed form
+    # answers each C6 presence check in one unit
     inst = ArrowInstance(11, targets)
     v = arrow_exhaustive(inst)
     assert (v.arrows, v.stats.nodes) == (False, nodes)
