@@ -260,15 +260,15 @@ def _presence_test(n: int, target: Target):
 
 
 def _refined_twins(
-    prev: list[int], assignment: list[int], adjs: list[list[int]], z: int
+    prev: list[int], row: list[int], adjs: list[list[int]], z: int
 ) -> list[int]:
     """The twin classes on 0..z from those on 0..z-1 (``prev``), as a list
-    whose entry y is the mask of y's class.
+    whose entry y is the mask of y's class; ``row[x]`` is the color of
+    (x, z).
 
     Each class is split by its members' colors to z. Then z joins the class
     of its twins: y < z is one when every other x < z has one color to y
     and to z, that is y is in ``adjs[c][x]`` for c the color of (x, z)."""
-    row = assignment[z * (z - 1) // 2 : z * (z + 1) // 2]
     mates = 1 << z | (1 << z) - 1  # z's class: z and its twins
     for x, c in enumerate(row):
         mates &= adjs[c][x] | 1 << x
@@ -379,18 +379,23 @@ def _named_row(row, images, tie, a, view, adjs, named):
 
 
 class _Carry:
-    """What a search hands from one canonical check to the next, besides the
-    twin classes (``_prefix_is_canonical`` says why it may): ``rows[j]``,
-    row j of the prefix as the last check read it; ``used``, the bitmask of
-    the colors that the assignment uses, which the search keeps; the
-    ``_renamings`` of its color groups; and ``kept``, by used mask, the
-    root renamings and the views that read only class masks."""
+    """What one canonical check hands the next (``_prefix_is_canonical``
+    says why it may): ``rows[j]``, row j of the prefix as the last check
+    read it, and ``classes[z]``, its twin classes on 0..z; ``used``, the
+    bitmask of the colors that the assignment uses, and ``first[c]``, the
+    index of c's first entry while c is used; the ``_renamings`` of the
+    color groups that ``prev`` links; and ``kept``, by used mask, the root
+    renamings and the views that read only class masks. ``used`` and
+    ``first`` are read from ``prefix``: a search passes none and keeps
+    them itself."""
 
-    __slots__ = ("rows", "used", "renamings", "kept")
+    __slots__ = ("rows", "classes", "used", "first", "renamings", "kept")
 
-    def __init__(self, prev: list[int], used: int = 0):
+    def __init__(self, prev: list[int], prefix=()):
         self.rows = [[]]  # row 0 is empty
-        self.used = used
+        self.classes = [[1], [3, 3]]  # 0 and 1 are twins on 0..1
+        self.used = sum(1 << c for c in set(prefix))
+        self.first = [prefix.index(c) if c in prefix else 0 for c in range(len(prev))]
         self.renamings = _renamings(tuple(prev))
         self.kept = {}
 
@@ -400,16 +405,15 @@ def _prefix_is_canonical(
     adjs: list[list[int]],
     v_top: int,
     bud: _Budget,
-    classes: Optional[list[list[int]]] = None,
-    prev: Optional[list[int]] = None,
-    carry: Optional[_Carry] = None,
+    carry: _Carry,
 ) -> bool:
     """Is the colored clique on vertices 0..v_top lex-minimal under vertex
     relabelings combined with the renamings of same-target colors?
 
-    ``prev`` links each color to the last earlier one of its group, as
-    ``_color_predecessors`` builds it; None stands for groups of one color.
-    Color 0, the deletions, is never renamed.
+    ``carry`` holds the state one check hands the next (see "Carried
+    state"); its color groups link each color to the last earlier one of
+    its group, as ``_color_predecessors`` builds them. Color 0, the
+    deletions, is never renamed.
 
     Edge i of the prefix is the i-th pair in (max, min) lex order, so fixing
     the images of vertices 0..j fixes the first j(j+1)/2 entries of the
@@ -458,28 +462,27 @@ def _prefix_is_canonical(
     Refinement lemma: y, w < z are twins on 0..z exactly when they are
     twins on 0..z-1 and have one color to z. So the classes on 0..z are
     those on 0..z-1, each split by its members' colors to z, and z's own
-    class (``_refined_twins``). ``classes[z]`` holds the classes on 0..z:
-    the check reads entries 0..v_top-1, drops any deeper ones and appends
-    entry v_top. The search hands one list from check to check. That is
-    sound because the last check at each z < v_top ran on the prefix as it
-    stands: the search passes a block end only after its check. Without a
-    list, the classes are folded from vertex 1.
+    class (``_refined_twins``).
 
-    Carried state: a search hands every check one ``_Carry`` as well. Its
-    ``rows[j]``, row j of the prefix, are kept like ``classes[j]``: the
-    check drops rows v_top and deeper and appends the new ones, and the
-    rows below are sound for the same reason. Row 1 is the exception: no
-    check runs at block end 1, so the check at v_top = 2 reads it afresh.
-    Its ``used``, the mask of the colors that the assignment uses, is kept
-    by the search where a color's count crosses 0; at a block end the
-    assignment is the prefix, so it is the mask of the prefix's colors. The
-    roots and each renaming's view depend on the prefix only through
-    ``used`` and the class masks. A view whose ``below`` lists are each
-    empty or one class mask reads the masks themselves, which hold the
-    prefix at every block end, so it is kept by used mask with the roots;
-    a union of two masks is a copy of this prefix's, and it is built anew
-    at each check. Without a carry, the check builds one from
-    ``assignment`` and ``prev``, so it runs the same code.
+    Carried state: ``carry.rows[j]`` is row j of the prefix and
+    ``carry.classes[z]`` the twin classes on 0..z. The check keeps the
+    entries below v_top, drops the deeper ones and appends the rest up to
+    v_top. A search hands one carry from check to check. That is sound
+    because the last check at each z < v_top ran on the prefix as it
+    stands: the search passes a block end only after its check. Row 1 is
+    the exception: no check runs at block end 1, so the check at v_top = 2
+    reads row 1 afresh. The search keeps ``used`` where a color's count
+    crosses 0 and sets ``first[c]`` where c's count reaches 1; at a block
+    end the assignment is the prefix, so both are the prefix's. The roots
+    and each renaming's view depend on the prefix only through ``used``
+    and the class masks. A view whose ``below`` lists are each empty or one
+    class mask reads the masks themselves, which hold the prefix at every
+    block end, so it is kept by used mask with the roots; a union of two
+    masks is a copy of this prefix's, and it is built anew at each check.
+    Since the kept views read the class masks in place, a carry serves only
+    the class masks of the search that built it. A direct caller builds a
+    fresh one from the prefix, whose rows the check reads in full, so it
+    runs the same code.
 
     Soundness at every depth: take the representative of a target-free
     coloring's orbit that is lex-min over vertex relabelings combined with
@@ -493,29 +496,23 @@ def _prefix_is_canonical(
     unit to ``bud``, so a check stops one unit past the budget.
     """
     m = v_top + 1
-    if classes is None:
-        classes = [[1]]  # the one class on vertex 0
-    del classes[max(v_top, 1):]
-    for z in range(len(classes), m):
-        classes.append(_refined_twins(classes[-1], assignment, adjs, z))
-    size = m * (m - 1) // 2
-    if carry is None:
-        carry = _Carry(prev or [0] * len(adjs),
-                       sum(1 << c for c in set(assignment[:size])))
-    rows, used = carry.rows, carry.used
+    rows, classes, used, first = carry.rows, carry.classes, carry.used, carry.first
     del rows[v_top if v_top > 2 else 1:]
-    for j in range(len(rows), m):
-        rows.append(assignment[j * (j - 1) // 2 : j * (j + 1) // 2])
+    for z in range(len(rows), m):
+        row = assignment[z * (z - 1) // 2 : z * (z + 1) // 2]
+        rows.append(row)
+        classes[z:] = [_refined_twins(classes[z - 1], row, adjs, z)]
+    size = m * (m - 1) // 2
     start, groups, table = carry.renamings
     # The first name of a group is given before the walk, one walk for each
     # color that takes it; the others where the prefix first uses them, but
     # for the last, which is settled by then.
     firsts = [False] * m
     for group in groups:
-        first = [assignment.index(c, 0, size) if used >> c & 1 else size for c in group]
-        if first != sorted(first):
+        at = [first[c] if used >> c & 1 else size for c in group]
+        if at != sorted(at):
             return False
-        for i in first[1:-1]:
+        for i in at[1:-1]:
             if i < size:
                 firsts[(1 + math.isqrt(8 * i + 1)) // 2] = True
     if used not in carry.kept:
@@ -530,7 +527,7 @@ def _prefix_is_canonical(
 
     def named(perm):
         view = kept.get(perm) or views.get(perm)
-        if view is None:
+        if not view:
             layers, forks, ident = table[perm]
             # below[c][x]: x's neighbours in the colors valued below c; a
             # class the prefix leaves empty adds nothing, so no list is built
@@ -638,7 +635,8 @@ def arrow_exhaustive(
     verdict, and on a host without holes or deletions the witness is the
     first target-free coloring in lex order, as without symmetry.
 
-    Twin rows: let y < z be twins of the clique 0..w-1 (``classes[w-1]``).
+    Twin rows: let y < z be twins of the clique 0..w-1 (``classes[w-1]``
+    of the check's carried state).
     The transposition (y z) fixes that clique's vector and w, and gives
     entry (y, w) the color of (z, w). So once (z, w) is colored below
     (y, w), with color 0 lowest, the clique 0..w is not lex-min however row
@@ -662,20 +660,20 @@ def arrow_exhaustive(
     # a hole-free host the pair (v-1, v) is edge v(v+1)/2 - 1. Without
     # deletions the whole clique needs no check (see the docstring).
     block_end = [0] * len(edges)
-    # classes[w]: the twin classes on 0..w, which each check hands to the
-    # next and the twin-row test reads (0 and 1 are twins on 0..1); no twins
-    # where no check runs
-    classes = [[0] * n] * n
-    if symmetry and not inst.holes.holes:
-        for v in range(2, n if inst.deleted_budget else n - 1):
-            block_end[v * (v + 1) // 2 - 1] = v
-        classes = [[1], [3, 3]]
-    tests = [None] + [_presence_test(n, t) for t in targets]  # class 0: deletions
     # First-use rule: c is offered once its predecessor prev[c] is used. The
     # used colors of a group then always form a prefix of it: a color is first
     # used only after its predecessor, and the explicit stack takes colors off
     # in reverse order. So "prev[c] used" means all of c's earlier group is used.
     prev = _color_predecessors(targets) if symmetry else [0] * (k + 1)
+    # the canonical check's state, with used and first kept here; the twin-row
+    # test reads its twin classes carry.classes[w] on 0..w
+    carry = _Carry(prev)
+    if symmetry and not inst.holes.holes:
+        for v in range(2, n if inst.deleted_budget else n - 1):
+            block_end[v * (v + 1) // 2 - 1] = v
+    else:
+        carry.classes = [[0] * n] * n  # no twins where no check runs
+    tests = [None] + [_presence_test(n, t) for t in targets]  # class 0: deletions
 
     # adjs[0] and used_count[0] hold the deleted pairs, as in the annealer
     adjs = [[0] * n for _ in range(k + 1)]
@@ -684,7 +682,6 @@ def arrow_exhaustive(
     # The options change only when used_count[c] crosses flip[c]: a color that
     # is some color's predecessor crosses at 1, the deletions at their budget.
     flip = [inst.deleted_budget] + [1 if c in prev else 0 for c in range(1, k + 1)]
-    carry = _Carry(prev)  # the canonical check's state, used mask kept here
 
     def options() -> tuple[int, ...]:
         opts = tuple(c for c in range(1, k + 1) if not prev[c] or used_count[prev[c]])
@@ -734,14 +731,15 @@ def arrow_exhaustive(
             used_count[c] += 1
             if used_count[c] == 1:
                 carry.used |= 1 << c
+                carry.first[c] = i
             if used_count[c] == flip[c]:
                 opts = options()
             test = tests[c]
-            twins = classes[v - 1][u] & (bu - 1)  # u's twins y < u on 0..v-1
+            twins = carry.classes[v - 1][u] & (bu - 1)  # u's twins y < u on 0..v-1
             if test and test(adjs[c], u, v, bud):
                 stats.presence_prunes += 1
             elif twins and _twin_row_falls(twins, adjs, v, c) or block_end[i] and not (
-                _prefix_is_canonical(assignment, adjs, block_end[i], bud, classes, prev, carry)
+                _prefix_is_canonical(assignment, adjs, block_end[i], bud, carry)
             ):
                 stats.symmetry_prunes += 1
             else:

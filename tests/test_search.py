@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -19,6 +20,7 @@ from cycleramsey.search import (
     ArrowInstance,
     CycleTarget,
     MatchingTarget,
+    _Carry,
     _color_predecessors,
     _energy_of_color,
     _prefix_is_canonical,
@@ -826,11 +828,11 @@ def _relabelings(v_top):
 
 def _canonical(vec, v_top, bud, prev=None):
     """``_prefix_is_canonical`` on a clique vector, with the class masks the
-    search keeps at a block end rebuilt from its first C(v_top + 1, 2)
-    entries."""
-    return _prefix_is_canonical(
-        vec, _prefix_masks(vec, v_top + 1), v_top, bud, None, prev
-    )
+    search keeps at a block end and a carry both built from its first
+    C(v_top + 1, 2) entries."""
+    size = v_top * (v_top + 1) // 2
+    carry = _Carry(prev or [0] * 4, vec[:size])
+    return _prefix_is_canonical(vec, _prefix_masks(vec, v_top + 1), v_top, bud, carry)
 
 
 # one target per kind of color: colors of one kind share their target
@@ -865,6 +867,29 @@ def _prefix_masks(vec, m, classes=4):
     return adjs
 
 
+# the arguments of one canonical check, by name
+_Check = namedtuple("_Check", "assignment adjs v_top bud carry")
+
+
+def _watch_checks(monkeypatch, watch):
+    """Route every canonical check of the search through ``watch(check,
+    call)``: ``call`` is a ``_Check`` of its arguments, ``check(*call)``
+    runs the real check, and ``watch`` returns the answer."""
+    from cycleramsey import search
+
+    check = search._prefix_is_canonical
+    monkeypatch.setattr(search, "_prefix_is_canonical",
+                        lambda *args: watch(check, _Check(*args)))
+
+
+def _afresh(call, inst):
+    """``call`` with a fresh budget and a carry built from its prefix
+    alone, for the color groups of ``inst``."""
+    size = call.v_top * (call.v_top + 1) // 2
+    carry = _Carry(_color_predecessors(inst.targets), call.assignment[:size])
+    return call._replace(bud=_Budget(10**9), carry=carry)
+
+
 @pytest.mark.parametrize(
     "inst",
     [
@@ -877,21 +902,18 @@ def test_class_masks_hold_the_prefix_clique_at_each_check(monkeypatch, inst):
     # the canonical check reads the search's class masks in place of the
     # assignment: at every block end they must hold the prefix pairs and
     # nothing else
-    from cycleramsey import search
-
-    check = search._prefix_is_canonical
     calls = []
 
-    def checked(assignment, adjs, v_top, bud, classes, group, carry):
-        m = v_top + 1
-        rebuilt = _prefix_masks(assignment, m, len(adjs))
-        for c, rows in enumerate(adjs):
-            assert rows[:m] == rebuilt[c], (c, v_top)
-            assert not any(row >> m for row in rows), (c, v_top)
-        calls.append(v_top)
-        return check(assignment, adjs, v_top, bud, classes, group, carry)
+    def watch(check, call):
+        m = call.v_top + 1
+        rebuilt = _prefix_masks(call.assignment, m, len(call.adjs))
+        for c, rows in enumerate(call.adjs):
+            assert rows[:m] == rebuilt[c], (c, call.v_top)
+            assert not any(row >> m for row in rows), (c, call.v_top)
+        calls.append(call.v_top)
+        return check(*call)
 
-    monkeypatch.setattr(search, "_prefix_is_canonical", checked)
+    _watch_checks(monkeypatch, watch)
     verdict = arrow_exhaustive(inst)
     assert verdict.arrows is not None
     # 30 and 103 checks, on prefixes of up to 8 vertices
@@ -923,24 +945,22 @@ def test_twin_classes_handed_down_equal_rebuilt_ones(monkeypatch, inst, checks):
     # at every block end the classes that earlier checks handed down, with
     # the entry this check adds, equal the ones folded from vertex 1 and the
     # twin lemma's classes on each prefix; answer and charge agree too
-    from cycleramsey import search
-
-    check = search._prefix_is_canonical
     calls = []
 
-    def checked(assignment, adjs, v_top, bud, classes, group, carry):
-        rebuilt, fresh = [[1]], _Budget(10**9)
-        answer = check(assignment, adjs, v_top, fresh, rebuilt, group)
-        spent = bud.spent
-        assert check(assignment, adjs, v_top, bud, classes, group, carry) == answer
-        assert bud.spent - spent == fresh.spent
-        assert classes == rebuilt, v_top
+    def watch(check, call):
+        fresh = _afresh(call, inst)
+        answer = check(*fresh)
+        spent = call.bud.spent
+        assert check(*call) == answer
+        assert call.bud.spent - spent == fresh.bud.spent
+        v_top, classes = call.v_top, call.carry.classes
+        assert classes == fresh.carry.classes, v_top
         for z in range(v_top + 1):
-            assert classes[z] == _twin_classes(adjs, z + 1), (v_top, z)
+            assert classes[z] == _twin_classes(call.adjs, z + 1), (v_top, z)
         calls.append(v_top)
         return answer
 
-    monkeypatch.setattr(search, "_prefix_is_canonical", checked)
+    _watch_checks(monkeypatch, watch)
     assert arrow_exhaustive(inst).arrows is not None
     # prefixes of up to 8 vertices
     assert len(calls) == checks and max(calls) == 7
@@ -957,29 +977,33 @@ def test_twin_classes_handed_down_equal_rebuilt_ones(monkeypatch, inst, checks):
     ids=["C5,C5@9", "C7,C4@8", "M4,M4,M4@6", "C4,C4,C4@8 deleting 1"],
 )
 def test_carried_state_equals_fresh_state_at_each_check(monkeypatch, inst):
-    # the search hands each check the rows, used colors, renamings and
-    # views of the checks before it: at every block end the rows and used
-    # mask are the prefix's, and the check answers and charges exactly as
-    # with state built afresh from the assignment
-    from cycleramsey import search
-
-    check = search._prefix_is_canonical
+    # the search hands each check the rows, twin classes, used colors and
+    # their first entries, renamings and views of the checks before it: at
+    # every block end the rows, classes, used mask and first entries are
+    # the prefix's, and the check answers and charges exactly as with state
+    # built afresh from the assignment
     answers = []
 
-    def checked(assignment, adjs, v_top, bud, classes, group, carry):
-        fresh = _Budget(10**9)
-        answer = check(assignment, adjs, v_top, fresh, None, group)
-        spent = bud.spent
-        assert check(assignment, adjs, v_top, bud, classes, group, carry) == answer
-        assert bud.spent - spent == fresh.spent, v_top
+    def watch(check, call):
+        fresh = _afresh(call, inst)
+        answer = check(*fresh)
+        spent = call.bud.spent
+        assert check(*call) == answer
+        v_top, carry, assignment = call.v_top, call.carry, call.assignment
+        assert call.bud.spent - spent == fresh.bud.spent, v_top
         size = v_top * (v_top + 1) // 2
         assert carry.used == sum(1 << c for c in set(assignment[:size])), v_top
+        for c in range(len(carry.first)):
+            if carry.used >> c & 1:
+                assert carry.first[c] == assignment.index(c, 0, size), (v_top, c)
         assert carry.rows == [assignment[j * (j - 1) // 2 : j * (j + 1) // 2]
                               for j in range(v_top + 1)], v_top
+        assert carry.classes[: v_top + 1] == [
+            _twin_classes(call.adjs, z + 1) for z in range(v_top + 1)], v_top
         answers.append(answer)
         return answer
 
-    monkeypatch.setattr(search, "_prefix_is_canonical", checked)
+    _watch_checks(monkeypatch, watch)
     assert arrow_exhaustive(inst).arrows is not None
     assert len(answers) >= 30 and len(set(answers)) == 2
 
@@ -1002,10 +1026,19 @@ def _twin_rich_vector(rng, v_top, palette):
 
 
 def test_carried_and_folded_twin_classes_agree_on_random_prefixes():
-    # a search hands one class list from check to check, and backtracking
-    # leaves entries of deeper, abandoned prefixes in it; the check must
-    # answer and charge exactly as if it had folded them from vertex 1
+    # a search hands one carry's rows and class list from check to check,
+    # and backtracking leaves entries of deeper, abandoned prefixes in them;
+    # the check must answer and charge exactly as if it had folded them
+    # from vertex 1
     rng = random.Random(2238)
+
+    def check(vec, z, adjs, bud, held):
+        # the check on vec's clique 0..z, on a fresh carry that takes the
+        # rows and classes ``held`` from the checks before it
+        carry = _Carry([0] * 4, vec[: z * (z + 1) // 2])
+        carry.rows, carry.classes = held.rows, held.classes
+        return _prefix_is_canonical(vec, adjs, z, bud, carry)
+
     canonical = 0
     for _ in range(2000):
         v_top = rng.randint(2, 9)
@@ -1019,19 +1052,17 @@ def test_carried_and_folded_twin_classes_agree_on_random_prefixes():
         other_top = rng.randint(max(2, keep), 9)
         other = _twin_rich_vector(rng, other_top, palette)
         other[: keep * (keep - 1) // 2] = vec[: keep * (keep - 1) // 2]
-        classes = [[1]]
+        held = _Carry([0] * 4)
         for z in range(2, other_top + 1):
-            _prefix_is_canonical(other, _prefix_masks(other, z + 1), z,
-                                 _Budget(10**9), classes)
+            check(other, z, _prefix_masks(other, z + 1), _Budget(10**9), held)
         for z in range(max(2, keep), v_top):
-            _prefix_is_canonical(vec, _prefix_masks(vec, z + 1), z,
-                                 _Budget(10**9), classes)
+            check(vec, z, _prefix_masks(vec, z + 1), _Budget(10**9), held)
         adjs = _prefix_masks(vec, v_top + 1)
         carried, folded = _Budget(10**9), _Budget(10**9)
-        answer = _prefix_is_canonical(vec, adjs, v_top, carried, classes)
-        assert answer == _prefix_is_canonical(vec, adjs, v_top, folded), vec
+        answer = check(vec, v_top, adjs, carried, held)
+        assert answer == check(vec, v_top, adjs, folded, _Carry([0] * 4)), vec
         assert carried.spent == folded.spent, vec
-        assert classes[v_top] == _twin_classes(adjs, v_top + 1), vec
+        assert held.classes[v_top] == _twin_classes(adjs, v_top + 1), vec
         canonical += answer
     assert 200 < canonical < 1800
 
@@ -1367,7 +1398,8 @@ def test_twin_row_test_fires_only_where_the_block_end_check_rejects(kinds, delet
             adjs[0][w] ^= 1 << a
         classes = [[1]]
         for v in range(1, w):
-            classes.append(_refined_twins(classes[-1], head, adjs, v))
+            row = head[v * (v - 1) // 2 : v * (v + 1) // 2]
+            classes.append(_refined_twins(classes[-1], row, adjs, v))
         twins = classes[w - 1][z] & ((1 << z) - 1)
         if not twins or not _twin_row_falls(twins, adjs, w, head[-1]):
             continue
