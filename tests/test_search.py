@@ -774,20 +774,23 @@ def test_same_target_colors_with_holes_and_deletions_are_pinned(inst, pinned):
 
 
 @pytest.mark.parametrize(
-    "inst, units",
+    "inst, units, arrows",
     [
-        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 10232),
-        (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 9026),
-        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 3132),
-        (ArrowInstance(6, (MatchingTarget(4),) * 3), 774),
+        (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 10232, True),
+        (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 9026, True),
+        (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 3132, True),
+        (ArrowInstance(6, (MatchingTarget(4),) * 3), 774, True),
+        (ArrowInstance(10, (CycleTarget(4),) * 3), 16847, False),
+        (ArrowInstance(11, (CycleTarget(6),) * 3), 3045, False),
     ],
-    ids=["C6,C6@8", "C7,C4@8", "C5,C5@9", "M4,M4,M4@6"],
+    ids=["C6,C6@8", "C7,C4@8", "C5,C5@9", "M4,M4,M4@6", "C4,C4,C4@10",
+         "C6,C6,C6@11"],
 )
-def test_budget_units_of_proofs_are_pinned(inst, units):
+def test_budget_units_of_proofs_are_pinned(inst, units, arrows):
     # every node, kernel call and canonical-check visit costs one unit, so
-    # the total pins the order in which each of them visits; a proof needs
-    # the whole budget, one unit less leaves it unknown
-    assert arrow_exhaustive(inst, budget=units).arrows is True
+    # the total pins the order in which each of them visits; a proof or a
+    # witness needs the whole budget, one unit less leaves it unknown
+    assert arrow_exhaustive(inst, budget=units).arrows is arrows
     assert arrow_exhaustive(inst, budget=units - 1).arrows is None
 
 
