@@ -90,11 +90,12 @@ def _simple_paths(
     ``_count_paths``.
 
     Exactly four or five edges with no ``out`` (the search's presence
-    question) are answered in closed form, for one unit. Four edges go over
-    the middle vertex b of u-a-b-c-v, as ``_count_walk`` counts its last
-    three edges, but stopping at the first b that closes a path. Five go
-    over the middle edge b-c of u-a-b-c-d-v: it closes one when some first
-    step a of b is not c, some last step d of c is not b, and a != d. Every
+    question) are answered in closed form, for one unit, by one loop over
+    the middle edge b-c of u-a-b-c-d-v: it closes a path when some first
+    step a of b is not c, some last step d of c is not b, and a != d. At
+    four edges the middle edge collapses to the vertex b of u-a-b-d-v, as
+    ``_count_walk`` counts its last three edges, but the loop stops at the
+    first b that closes a path. Every
     other query from four edges on, and so every one of six or more, is
     guarded by one flood that finds the region the inner vertices may use.
     For exact lengths it is layered (``_layered_flood``): if u and that
@@ -131,23 +132,11 @@ def _simple_paths(
                     out += ((common & -common).bit_length() - 1, low.bit_length() - 1)
                 return 1
         return 0
-    elif steps == 4 and out is None:
-        # u-a-b-c-v over its middle vertex b: a in A = N(b)&free and c in
-        # C = N(b)&last with a != c exist iff A and C are non-empty and not
-        # the same single vertex (|A|*|C| > |A&C|, as in ``_count_walk``)
-        last = adj[v] & ~avoid
-        rest = ~avoid & (1 << len(adj)) - 1
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nbrs = adj[low.bit_length() - 1]
-            starts, ends = nbrs & free, nbrs & last
-            if starts and ends and (starts != ends or starts & (starts - 1)):
-                return 1
-        return 0
-    elif steps == 5 and out is None:
+    elif steps <= 5 and out is None:
         # u-a-b-c-d-v over its middle edge b-c: a in N(b)&free less c and d
-        # in N(c)&last less b with a != d, as over b at four edges
+        # in N(c)&last less b with a != d exist iff those sets are non-empty
+        # and not the same single vertex (|A|*|C| > |A&C|, as in
+        # ``_count_walk``). At four edges c is b: u-a-b-d-v.
         last = adj[v] & ~avoid
         rest = ~avoid & (1 << len(adj)) - 1
         while rest:
@@ -155,7 +144,7 @@ def _simple_paths(
             rest ^= low
             nbrs = adj[low.bit_length() - 1]
             firsts = nbrs & free
-            mids = nbrs & ~avoid if firsts else 0
+            mids = (low if steps == 4 else nbrs & ~avoid) if firsts else 0
             while mids:
                 mid = mids & -mids
                 mids ^= mid
