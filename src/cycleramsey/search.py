@@ -10,7 +10,7 @@ decision.
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -276,30 +276,16 @@ def _refined_twins(
     return [mates if mask & mates else mask for mask in split] + [mates]
 
 
-def _walk(
-    rows: list[list[int]],
-    firsts: list[bool],
-    cls: list[int],
-    view: tuple,
-    named,
-    adjs: list[list[int]],
-    bud: _Budget,
-) -> bool:
-    """Does no relabeling of the clique, with its colors renamed, give a
-    vector below the prefix ``rows``? The walk of ``_prefix_is_canonical``,
-    which describes it. A view ``named(perm)`` reads the class masks under
-    the partial renaming ``perm``: ``view[0][c][x]`` is x's neighbours in
-    the color named c (None while c is free), ``view[1][c][x]`` those in
-    the colors valued below c. Row 0 is read in ``view``, and ``firsts[j]``
-    marks the rows where a name is given (``_named_row``). ``cls[y]`` is
-    the mask of y's twin class. Each visit charges ``bud`` one unit,
-    counted here and settled on the way out."""
+def _walk(rows: list[list[int]], cls: list[int], view: tuple, bud: _Budget) -> bool:
+    """Does no relabeling of the clique, read in ``view``, give a vector
+    below the prefix ``rows``? One walk of ``_prefix_is_canonical``, which
+    describes it. ``view`` is ``(masks, below)``: ``masks[c][x]`` is x's
+    neighbours in the color named c, ``below[c][x]`` those in the colors
+    named below c; ``cls[y]`` is the mask of y's twin class. Each visit
+    charges ``bud`` one unit, counted here and settled on the way out."""
     m = len(rows)
+    masks, below = view
     images, pending = [0] * m, [0] * m  # pending[j]: tied candidates left at j
-    # at[j]: the view that row j, giving a name, was read in; split[j]: its
-    # other candidates with the renamings they go on in, the next to walk last
-    at, split = [view] * m, [()] * m
-    masks, below = view[0], view[1]
     j, free = 0, (1 << m) - 1
     visits, limit = 0, bud.amount - bud.spent
     while True:
@@ -309,25 +295,14 @@ def _walk(
             bud.spend()  # one unit past the budget: raises
         cands = 0
         if j < m:
-            if firsts[j]:
-                out = _named_row(rows[j], images, free, 0, view, adjs, named)
-                if out is None:
-                    bud.spent += visits
-                    return False
-                at[j], split[j] = view, out
-                if out:
-                    cands, perm = out.pop()
-                    view = named(perm)
-                    masks, below = view[0], view[1]
-            else:
-                tie, low = free, 0
-                for x, c in zip(images, rows[j]):
-                    low |= tie & below[c][x]
-                    tie &= masks[c][x]
-                if low:
-                    bud.spent += visits
-                    return False
-                cands = tie
+            tie, low = free, 0
+            for x, c in zip(images, rows[j]):
+                low |= tie & below[c][x]
+                tie &= masks[c][x]
+            if low:
+                bud.spent += visits
+                return False
+            cands = tie
         while not cands:
             j -= 1
             if j < 0:
@@ -335,13 +310,6 @@ def _walk(
                 return True
             free |= 1 << images[j]
             cands = pending[j]
-            if not cands and firsts[j]:  # the next renaming of row j, or back
-                if split[j]:
-                    cands, perm = split[j].pop()
-                    view = named(perm)
-                else:
-                    view = at[j]
-                masks, below = view[0], view[1]
         bit = cands & -cands
         y = bit.bit_length() - 1
         pending[j] = cands & ~cls[y]  # y is the first unused member of its class
@@ -350,53 +318,22 @@ def _walk(
         j += 1
 
 
-def _named_row(row, images, tie, a, view, adjs, named):
-    """The candidates ``tie`` of ``_walk`` that tie ``row`` from entry a on,
-    in a row where a name is given, as (candidates, renaming) pairs, the
-    next to walk last; None when one of them gives a lower entry. At an
-    entry whose name c is free, the candidates split by their color d to x,
-    and each free d valued c goes on in the renaming that names it c. Twins
-    have one color to x, so they stay together."""
-    masks, below, forks, perm = view
-    for a in range(a, len(row)):
-        x, c = images[a], row[a]
-        if tie & below[c][x]:
-            return None
-        if masks[c] is None:
-            out = []
-            for perm in reversed(forks[c]):  # the lowest color walks first
-                t = tie & adjs[perm[c]][x]
-                if t and a + 1 < len(row):
-                    t = _named_row(row, images, t, a + 1, named(perm), adjs, named)
-                    if t is None:
-                        return None
-                    out += t
-                elif t:
-                    out.append((t, perm))
-            return out
-        tie &= masks[c][x]
-    return [(tie, perm)] if tie else []
-
-
 class _Carry:
     """What one canonical check hands the next (``_prefix_is_canonical``
     says why it may): ``rows[j]``, row j of the prefix as the last check
     read it, and ``classes[z]``, its twin classes on 0..z; ``used``, the
-    bitmask of the colors that the assignment uses, and ``first[c]``, the
-    index of c's first entry while c is used; the ``_renamings`` of the
-    color groups that ``prev`` links; and ``kept``, by used mask, the root
-    renamings and the views that read only class masks. ``used`` and
-    ``first`` are read from ``prefix``: a search passes none and keeps
-    them itself."""
+    bitmask of the colors that the assignment uses; ``prev``, the links of
+    the color groups; and ``kept``, by used mask, the views that read only
+    class masks, by renaming. ``used`` is read from ``prefix``: a search
+    passes none and keeps it itself."""
 
-    __slots__ = ("rows", "classes", "used", "first", "renamings", "kept")
+    __slots__ = ("rows", "classes", "used", "prev", "kept")
 
     def __init__(self, prev: list[int], prefix=()):
         self.rows = [[]]  # row 0 is empty
         self.classes = [[1], [3, 3]]  # 0 and 1 are twins on 0..1
         self.used = sum(1 << c for c in set(prefix))
-        self.first = [prefix.index(c) if c in prefix else 0 for c in range(len(prev))]
-        self.renamings = _renamings(tuple(prev))
+        self.prev = tuple(prev)
         self.kept = {}
 
 
@@ -427,37 +364,35 @@ def _prefix_is_canonical(
     exactly the prefix's pairs. Over the images x of a < j, c the color of
     (a, j), ``tie &= masks[c][x]`` keeps the unused candidates tied so far
     and ``low |= tie & below[c][x]`` adds those whose first difference is a
-    lower color (``below[c][x]``: x's neighbours in the colors valued below
+    lower color (``below[c][x]``: x's neighbours in the colors named below
     c). Any candidate in ``low`` answers "smaller" at once: the images so
     far, extended by it and then by the unused vertices in any order,
     relabel the prefix to a smaller vector. Otherwise the candidates in
     ``tie`` go one vertex deeper, in ascending order, on an explicit stack,
     so the depth is bounded by the host and not by Python's recursion limit.
 
-    First-appearance lemma (value precedence, Law and Lee 2004): for one
-    relabeling, the least vector over the renamings within the groups names
-    the colors of each group in the order they first appear in it, each
-    taking the lowest name of its group not yet given. So a walk need not
-    try every renaming: it carries the partial renaming that the tied
-    entries fix, and values a free color at the lowest free name of its
-    group. Where the prefix first uses a name (``_named_row``), the tied
-    candidates split by their color d there, each free d of the group taking
-    that name on its own branch, so renamings that agree on the colors met
-    so far share every visit up to there. The first name of each group is
-    given before the walk, one walk per color of the group that the prefix
-    uses: it first appears in row 1 of nearly every prefix, where only row 0
-    would be shared. A prefix that uses a color of a group before a lower
-    one is not minimal, since swapping the two lowers it, and the check
-    answers at once.
+    One walk per renaming: a renaming is read as a view of the class
+    masks, in which class ``perm[c]`` of the prefix is named c, and each
+    view that ``_renamings`` lists is walked in turn, identity first; the
+    rows and the twin classes serve them all. Those views suffice (dominance
+    lemma): take any renaming, and within each group move the names of the
+    used colors down onto the group's lowest names, keeping their order. No
+    entry of the view grows, so a relabeling that takes the view below the
+    prefix takes the moved view below it too. When the used colors of each
+    group are its lowest, as the first-use rule keeps them in a search, the
+    moved views are those that permute the used colors and fix the others.
+    When they are not, the identity is not listed, and the walk of a listed
+    view refutes the prefix: it lowers some entry and raises none.
 
     Twin lemma: y and z are twins when ``(a[y] ^ a[z]) & ~(1 << y | 1 << z)``
     is 0 in every class, that is they have the same color to every third
     vertex (class 0, the deletions, counts as a color). The transposition
     (y z) is then an automorphism of the prefix that fixes every image
     chosen so far, so the subtree that maps j to z yields exactly the
-    relabeled vectors, and with them the renamings, of the subtree that maps
-    j to y. Twinship is transitive, so at each depth only the first unused
-    member of each twin class is tried.
+    relabeled vectors of the subtree that maps j to y. A renaming only
+    renames the classes, so y and z are twins in every view exactly when
+    they are in the prefix. Twinship is transitive, so at each depth only
+    the first unused member of each twin class is tried.
 
     Refinement lemma: y, w < z are twins on 0..z exactly when they are
     twins on 0..z-1 and have one color to z. So the classes on 0..z are
@@ -472,12 +407,11 @@ def _prefix_is_canonical(
     stands: the search passes a block end only after its check. Row 1 is
     the exception: no check runs at block end 1, so the check at v_top = 2
     reads row 1 afresh. The search keeps ``used`` where a color's count
-    crosses 0 and sets ``first[c]`` where c's count reaches 1; at a block
-    end the assignment is the prefix, so both are the prefix's. The roots
-    and each renaming's view depend on the prefix only through ``used``
-    and the class masks. A view whose ``below`` lists are each empty or one
-    class mask reads the masks themselves, which hold the prefix at every
-    block end, so it is kept by used mask with the roots; a union of two
+    crosses 0; at a block end the assignment is the prefix, so it is the
+    prefix's. The renamings and each view depend on the prefix only
+    through ``used`` and the class masks. A view whose ``below`` lists are
+    each empty or one class mask reads the masks themselves, which hold the
+    prefix at every block end, so it is kept by used mask; a union of two
     masks is a copy of this prefix's, and it is built anew at each check.
     Since the kept views read the class masks in place, a carry serves only
     the class masks of the search that built it. A direct caller builds a
@@ -496,108 +430,58 @@ def _prefix_is_canonical(
     unit to ``bud``, so a check stops one unit past the budget.
     """
     m = v_top + 1
-    rows, classes, used, first = carry.rows, carry.classes, carry.used, carry.first
+    rows, classes, used = carry.rows, carry.classes, carry.used
     del rows[v_top if v_top > 2 else 1:]
     for z in range(len(rows), m):
         row = assignment[z * (z - 1) // 2 : z * (z + 1) // 2]
         rows.append(row)
         classes[z:] = [_refined_twins(classes[z - 1], row, adjs, z)]
-    size = m * (m - 1) // 2
-    start, groups, table = carry.renamings
-    # The first name of a group is given before the walk, one walk for each
-    # color that takes it; the others where the prefix first uses them, but
-    # for the last, which is settled by then.
-    firsts = [False] * m
-    for group in groups:
-        at = [first[c] if used >> c & 1 else size for c in group]
-        if at != sorted(at):
-            return False
-        for i in at[1:-1]:
-            if i < size:
-                firsts[(1 + math.isqrt(8 * i + 1)) // 2] = True
-    if used not in carry.kept:
-        roots = [start]
-        for group in groups:
-            c = group[0]
-            if used >> c & 1:
-                roots = [p for q in roots for p in table[q][1][c] if used >> p[c] & 1]
-        carry.kept[used] = roots, {}
-    roots, kept = carry.kept[used]
-    views, zero = {}, [0] * len(adjs[0])
-
-    def named(perm):
-        view = kept.get(perm) or views.get(perm)
+    kept = carry.kept.setdefault(used, {})
+    for perm in _renamings(carry.prev, used):
+        view = kept.get(perm)
         if not view:
-            layers, forks, ident = table[perm]
-            # below[c][x]: x's neighbours in the colors valued below c; a
-            # class the prefix leaves empty adds nothing, so no list is built
+            # below[c][x]: x's neighbours in the colors named below c; a class
+            # the prefix leaves empty adds nothing, so no list is built for it
+            zero = [0] * len(adjs[0])
             below, acc, live = [zero], zero, True
-            for layer in layers:
-                for d in layer:
-                    if used >> d & 1:
-                        if acc is zero:
-                            acc = adjs[d]
-                        else:  # a union holds this prefix only
-                            acc = [p | q for p, q in zip(acc, adjs[d][:m])]
-                            live = False
+            for d in perm[:-1]:
+                if used >> d & 1:
+                    if acc is zero:
+                        acc = adjs[d]
+                    else:  # a union holds this prefix only
+                        acc = [p | q for p, q in zip(acc, adjs[d][:m])]
+                        live = False
                 below.append(acc)
-            view = (kept if live else views)[perm] = (
-                adjs if ident else [adjs[d] if d >= 0 else None for d in perm],
-                below, forks, perm)
-        return view
-
-    for perm in roots:
-        if not _walk(rows, firsts, classes[v_top], named(perm), named, adjs, bud):
+            view = [adjs[d] for d in perm], below
+            if live:
+                kept[perm] = view
+        if not _walk(rows, classes[v_top], view, bud):
             return False
     return True
 
 
 @functools.cache
-def _renamings(prev: tuple[int, ...]):
-    """The partial renamings that the walk of ``_prefix_is_canonical``
-    carries for the color groups that ``prev`` links: the one it starts on,
-    the groups of two or more colors, and a dict of them all.
-
-    ``perm[c]`` is the color named c, or -1 while the name c is free. A
-    group gives its names lowest first, and its last name at once to its
-    last color, so a group of one color starts named. A color is valued at
-    its name, a free one at the lowest free name of its group. Each
-    renaming maps to ``(layers, forks, ident)``: ``layers[c]`` lists the
-    colors valued c, up to the highest name that the walk reads in it,
-    ``forks[c]``, for each lowest free name c, the renamings in which a free
-    color of c's group takes c, by ascending color, and ``ident`` tells the
-    identity."""
+def _renamings(prev: tuple[int, ...], used: int) -> tuple[tuple[int, ...], ...]:
+    """The renamings whose views the canonical check walks on a prefix that
+    uses the colors in the mask ``used``, for the color groups that ``prev``
+    links. ``perm[c]`` is the color named c. Within each group the used
+    colors take the group's lowest names in every order, and the unused
+    ones the rest in ascending order; so the identity comes first when the
+    used colors of each group are its lowest."""
     group = [[c] for c in range(len(prev))]  # group[c]: the colors of c's group
     for c, p in enumerate(prev):
         if p:
             group[c] = group[p]
             group[c].append(c)
-    start = tuple(c if len(group[c]) == 1 else -1 for c in range(len(prev)))
-    table, todo = {}, [start]
-    while todo:
-        perm = todo.pop()
-        value, forks = [], {}
-        for d in range(len(perm)):
-            if d in perm:
-                value.append(perm.index(d))
-                continue
-            c = next(e for e in group[d] if perm[e] < 0)
-            value.append(c)
-            named = list(perm)
-            named[c] = d
-            left = [e for e in group[d] if named[e] < 0]
-            if len(left) == 1:  # the group's last name goes to its last color
-                named[left[0]] = next(e for e in group[d] if e not in named)
-            forks.setdefault(c, []).append(tuple(named))
-        # the walk reads names up to the lowest free one, unless a name above
-        # it is given
-        top = min(forks, default=len(perm) - 1)
-        if any(d >= 0 for d in perm[top:]):
-            top = len(perm) - 1
-        table[perm] = ([[d for d in range(len(perm)) if value[d] == c] for c in range(top)],
-                       forks, perm == tuple(range(len(perm))))
-        todo += (p for fork in forks.values() for p in fork if p not in table)
-    return start, [g for c, g in enumerate(group) if g[0] == c and len(g) > 1], table
+    perms = [tuple(range(len(prev)))]
+    for c, names in enumerate(group):
+        if names[0] == c:
+            on = tuple(d for d in names if used >> d & 1)
+            off = tuple(d for d in names if not used >> d & 1)
+            orders = [dict(zip(names, order + off)) for order in itertools.permutations(on)]
+            perms = [tuple(order.get(e, d) for e, d in enumerate(perm))
+                     for perm in perms for order in orders]
+    return tuple(perms)
 
 
 def _twin_row_falls(twins: int, adjs: list[list[int]], w: int, c: int) -> bool:
@@ -665,7 +549,7 @@ def arrow_exhaustive(
     # used only after its predecessor, and the explicit stack takes colors off
     # in reverse order. So "prev[c] used" means all of c's earlier group is used.
     prev = _color_predecessors(targets) if symmetry else [0] * (k + 1)
-    # the canonical check's state, with used and first kept here; the twin-row
+    # the canonical check's state, with used kept here; the twin-row
     # test reads its twin classes carry.classes[w] on 0..w
     carry = _Carry(prev)
     if symmetry and not inst.holes.holes:
@@ -731,7 +615,6 @@ def arrow_exhaustive(
             used_count[c] += 1
             if used_count[c] == 1:
                 carry.used |= 1 << c
-                carry.first[c] = i
             if used_count[c] == flip[c]:
                 opts = options()
             test = tests[c]

@@ -25,6 +25,7 @@ from cycleramsey.search import (
     _energy_of_color,
     _prefix_is_canonical,
     _refined_twins,
+    _renamings,
     _twin_row_falls,
     arrow_exhaustive,
     arrow_randomized,
@@ -981,10 +982,9 @@ def test_twin_classes_handed_down_equal_rebuilt_ones(monkeypatch, inst, checks):
 )
 def test_carried_state_equals_fresh_state_at_each_check(monkeypatch, inst):
     # the search hands each check the rows, twin classes, used colors and
-    # their first entries, renamings and views of the checks before it: at
-    # every block end the rows, classes, used mask and first entries are
-    # the prefix's, and the check answers and charges exactly as with state
-    # built afresh from the assignment
+    # kept views of the checks before it: at every block end the rows,
+    # classes and used mask are the prefix's, and the check answers and
+    # charges exactly as with state built afresh from the assignment
     answers = []
 
     def watch(check, call):
@@ -996,9 +996,6 @@ def test_carried_state_equals_fresh_state_at_each_check(monkeypatch, inst):
         assert call.bud.spent - spent == fresh.bud.spent, v_top
         size = v_top * (v_top + 1) // 2
         assert carry.used == sum(1 << c for c in set(assignment[:size])), v_top
-        for c in range(len(carry.first)):
-            if carry.used >> c & 1:
-                assert carry.first[c] == assignment.index(c, 0, size), (v_top, c)
         assert carry.rows == [assignment[j * (j - 1) // 2 : j * (j + 1) // 2]
                               for j in range(v_top + 1)], v_top
         assert carry.classes[: v_top + 1] == [
@@ -1223,6 +1220,39 @@ def test_prefix_canonical_picks_one_per_orbit(m, colors, orbits):
         for vec in itertools.product(range(1, len(kinds) + 1), repeat=m * (m - 1) // 2)
     )
     assert accepted == orbits
+
+
+@pytest.mark.parametrize("kinds", ["ab", "aa", "abc", "aab", "aba", "abb", "aaa"])
+def test_renamings_match_brute_force(kinds):
+    # of all renamings within the groups, the check walks exactly those in
+    # which each group's used colors take its lowest names, in any order,
+    # and its unused colors the rest in ascending order; each once, and
+    # the identity first when the used colors of each group are its lowest
+    groups = [[c for c in range(1, len(kinds) + 1) if kinds[c - 1] == x]
+              for x in sorted(set(kinds))]
+    identity = tuple(range(len(kinds) + 1))
+    for used in range(1 << len(kinds) + 1):
+        on = [[d for d in names if used >> d & 1] for names in groups]
+        brute = [
+            perm for perm in _color_perms(kinds)
+            if all(sorted(perm[c] for c in names[: len(u)]) == u
+                   and [perm[c] for c in names[len(u):]] == [d for d in names if d not in u]
+                   for names, u in zip(groups, on))
+        ]
+        listed = _renamings(tuple(_group(kinds)), used)
+        assert sorted(listed) == sorted(brute) and len(set(listed)) == len(listed), used
+        if all(u == names[: len(u)] for names, u in zip(groups, on)):
+            assert listed[0] == identity, used
+        else:
+            assert identity not in listed, used
+
+
+def test_every_order_of_three_used_colors_is_walked():
+    # on K4 a prefix that the walk of a rotation or of the reversal of three
+    # same-target colors refutes is refuted by another order too; on K5
+    # leaving any one of the six orders out accepts a second member of
+    # some orbit
+    test_prefix_canonical_picks_one_per_orbit(5, "aaa", 142)
 
 
 def test_prefix_canonical_charges_its_visits():
