@@ -780,9 +780,9 @@ def test_same_target_colors_with_holes_and_deletions_are_pinned(inst, pinned):
         (ArrowInstance(8, (CycleTarget(6), CycleTarget(6))), 10232, True),
         (ArrowInstance(8, (CycleTarget(7), CycleTarget(4))), 9026, True),
         (ArrowInstance(9, (CycleTarget(5), CycleTarget(5))), 3132, True),
-        (ArrowInstance(6, (MatchingTarget(4),) * 3), 774, True),
-        (ArrowInstance(10, (CycleTarget(4),) * 3), 16847, False),
-        (ArrowInstance(11, (CycleTarget(6),) * 3), 3045, False),
+        (ArrowInstance(6, (MatchingTarget(4),) * 3), 1056, True),
+        (ArrowInstance(10, (CycleTarget(4),) * 3), 20902, False),
+        (ArrowInstance(11, (CycleTarget(6),) * 3), 4840, False),
     ],
     ids=["C6,C6@8", "C7,C4@8", "C5,C5@9", "M4,M4,M4@6", "C4,C4,C4@10",
          "C6,C6,C6@11"],
