@@ -268,12 +268,15 @@ def _refined_twins(
 
     Each class is split by its members' colors to z. Then z joins the class
     of its twins: y < z is one when every other x < z has one color to y
-    and to z, that is y is in ``adjs[c][x]`` for c the color of (x, z)."""
+    and to z, that is y is in ``adjs[c][x]`` for c the color of (x, z), and
+    each twin's entry becomes that class."""
     mates = 1 << z | (1 << z) - 1  # z's class: z and its twins
     for x, c in enumerate(row):
         mates &= adjs[c][x] | 1 << x
-    split = [mask & adjs[c][z] for mask, c in zip(prev, row)]
-    return [mates if mask & mates else mask for mask in split] + [mates]
+    out = [mask & adjs[c][z] for mask, c in zip(prev, row)] + [mates]
+    for y in _bits(mates ^ 1 << z):
+        out[y] = mates
+    return out
 
 
 def _walk(rows: list[list[int]], cls: list[int], view: tuple, bud: _Budget) -> bool:
