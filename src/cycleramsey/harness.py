@@ -38,7 +38,7 @@ from .graphs import (
     complete_graph,
     graph_to_dict,
 )
-from .matchings import _best_matched, _matched, _mates, _repair_matching, best_saturation
+from .matchings import _best_matched, _matched, _mates, _repair_matching, _saturation
 
 
 @dataclass
@@ -149,12 +149,12 @@ def _second_color_rows(adj: tuple[int, ...], colors: bytes) -> list[int]:
     ]
 
 
-def _two_color_margin(classes, mates, thresholds, nonbip2: bool) -> Fraction:
+def _two_color_margin(classes, matched, thresholds, nonbip2: bool) -> Fraction:
     """max(s1 - t1, s2 - t2), s_i the best component saturation of class i
-    under its maximum matching ``mates[i]`` (a mate array or the mask of
-    its matched vertices); the conclusion holds iff >= 0."""
-    s1 = _best_matched(classes[0], mates[0], whole=False)[0]
-    s2 = _best_matched(classes[1], mates[1], nonbip2, whole=False)[0]
+    under a maximum matching whose matched mask is ``matched[i]``; the
+    conclusion holds iff >= 0."""
+    s1 = _best_matched(classes[0], matched[0])[0]
+    s2 = _best_matched(classes[1], matched[1], nonbip2)[0]
     return max(s1 - thresholds[0], s2 - thresholds[1])
 
 
@@ -166,24 +166,23 @@ def _adversarial_two_coloring(
 
     A move toggles an edge of ``edges`` in classes 1 and 2, swapping its color.
     The margin reads the matched masks of both classes' maximum matchings,
-    which each move repairs (``_repair_matching``: Berge's lemma) and
-    updates where the repair reports a change; returns the final conclusion.
+    which each move repairs (``_repair_matching``: Berge's lemma); returns
+    the final conclusion.
     With no move to make, the conclusion ``margin >= 0`` is ``s1 >= t1 or
     s2 >= t2``, and class 2 is matched only when class 1 falls short."""
     if not (steps and edges):
-        one, two = classes[:2]
-        if _best_matched(one, _mates(one), whole=False)[0] >= thresholds[0]:
+        if _saturation(classes[0]) >= thresholds[0]:
             return True
-        return _best_matched(two, _mates(two), nonbip2, whole=False)[0] >= thresholds[1]
+        return _saturation(classes[1], nonbip2) >= thresholds[1]
     mates = [_mates(adj) for adj in classes[:2]]
     matched = [_matched(match) for match in mates]
     cur = _two_color_margin(classes, matched, thresholds, nonbip2)
     for _ in range(steps):
         u, v = edges[rng.randrange(len(edges))]
         _toggle_edge(u, v, classes[0], classes[1])
-        trial, marks = [match[:] for match in mates], []
-        for adj, match, held in zip(classes, trial, matched):
-            marks.append(_matched(match, _repair_matching(adj, match, u, v), held))
+        trial = [match[:] for match in mates]
+        marks = [_repair_matching(adj, match, held, u, v)
+                 for adj, match, held in zip(classes, trial, matched)]
         new = _two_color_margin(classes, marks, thresholds, nonbip2)
         if new <= cur:
             cur, mates, matched = new, trial, marks
@@ -217,11 +216,11 @@ def _l2(p: dict, guards: list[str]) -> _Draw:
         # nothing is colored, so ``steps`` is unused: only deletions vary
         g, deletions = _sampled_host(rng, host, budget)
         # a maximum matching of g is maximum on each component: a component
-        # saturates its size minus its exposed vertices
-        exposed = sum(1 << v for v, mate in enumerate(_mates(g._adj)) if mate == -1)
+        # saturates its matched vertices
+        matched = _matched(_mates(g._adj))
         ok = any(
             comp.bit_count() >= size_thresh
-            and comp.bit_count() - (comp & exposed).bit_count() >= 2 * card_thresh
+            and (comp & matched).bit_count() >= 2 * card_thresh
             for comp in _component_masks(g._adj, g.vertices_mask())
         )
 
@@ -259,7 +258,7 @@ def _double(p: dict, guards: list[str]) -> _Draw:
         u1, u2 = (frozenset(rng.sample(range(N), size)) for size in sizes)
         host = apply_holes_and_deletions(complete, HoleSpec((u1, u2)))
         g, deletions = _sampled_host(rng, host, budget)
-        ok = best_saturation(g) >= thresh
+        ok = _saturation(g._adj) >= thresh
 
         def record() -> dict:
             witness = {

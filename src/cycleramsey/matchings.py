@@ -194,77 +194,75 @@ def maximum_matching(
     return MatchingCertificate(tuple((v, w) for v, w in enumerate(match) if w > v))
 
 
-def _repair_matching(adj: Sequence[int], match: list[int], u: int, v: int) -> int:
+def _repair_matching(
+    adj: Sequence[int], match: list[int], matched: int, u: int, v: int
+) -> int:
     """Make ``match``, a maximum matching of ``adj`` before (u,v) was flipped,
-    maximum again, in place; returns the mask of the vertices whose matched
-    status may have changed: u, v, and the exposed vertices of their
-    component if it searched (an augmentation matches just its two ends).
+    maximum again, in place; returns its matched mask after the flip, given
+    ``matched``, the mask before it.
     By Berge's lemma a matching is maximum iff it has no augmenting path; a
-    flip moves the matching number by at most one. Adding (u,v) keeps ``match`` valid, and a new augmenting
-    path uses (u,v): it lies in their component and starts at an exposed end
-    of (u,v) if there is one. Removing a matched (u,v) exposes u and v; an
-    augmenting path then ends at one of them, as any other was one before.
-    Edmonds' single-root search finds a path from its root if there is one."""
+    flip moves the matching number by at most one. Adding (u,v) keeps
+    ``match`` valid, and a new augmenting path uses (u,v): it lies in their
+    component and starts at an exposed end of (u,v) if there is one.
+    Removing a matched (u,v) exposes u and v; an augmenting path then ends
+    at one of them, as any other was one before. Edmonds' single-root
+    search finds a path from its root if there is one, and an augmentation
+    matches just its two ends."""
     present, ends = adj[u] >> v & 1, 1 << u | 1 << v
     if present and match[u] == -1 == match[v]:
         match[u], match[v] = v, u
-        return ends
+        return matched | ends
     if not present and match[u] == v:
         match[u] = match[v] = -1
-    elif not present or match.count(-1) < 2:  # counted before the costlier comp
-        return ends  # an unmatched edge was removed, or nothing can augment
+        matched &= ~ends
+    elif not present or len(match) - matched.bit_count() < 2:
+        return matched  # an unmatched edge was removed, or nothing can augment
     comp = _reachable(adj, ends, (1 << len(adj)) - 1)
-    exposed = [w for w in _bits(comp) if match[w] == -1]
-    if len(exposed) > 1:
+    exposed = comp & ~matched
+    if exposed & (exposed - 1):  # two or more
         find_path = _alternating_search(adj, comp, match)[0]
         roots = [w for w in (u, v) if match[w] == -1]
-        any(find_path(root) for root in roots or exposed)  # one augmentation at most
-        ends |= _mask_of(exposed)
-    return ends
+        if any(find_path(root) for root in roots or _bits(exposed)):  # one at most
+            matched |= _mask_of(w for w in _bits(exposed) if match[w] != -1)
+    return matched
 
 
-def _matched(match: list[int], among: Optional[int] = None, held: int = 0) -> int:
-    """The mask of the vertices that ``match`` matches: read off ``match``
-    on ``among`` (default: all), and taken from ``held`` elsewhere."""
-    among = (1 << len(match)) - 1 if among is None else among
-    out = held & ~among
-    while among:
-        low = among & -among
-        among ^= low
-        if match[low.bit_length() - 1] != -1:
-            out |= low
-    return out
+def _matched(match: list[int]) -> int:
+    """The mask of the vertices that ``match`` matches."""
+    return _mask_of(v for v, w in enumerate(match) if w != -1)
 
 
-def _best_matched(adj: Sequence[int], matched, nonbip: bool = False, whole=True):
+def _best_matched(adj: Sequence[int], matched: int, nonbip: bool = False):
     """(saturation, mask) of the component (with ``nonbip``: non-bipartite) that
     a maximum matching saturates most, ties to the smallest member, or (0, 0);
     components share no edges, so the matching is maximum on each.
-    ``matched`` is the mask of its matched vertices, or its mate array.
+    ``matched`` is the mask of its matched vertices. The returned mask is the
+    part of the best component that holds all its matched vertices.
 
     Without ``nonbip``, a flood from the lowest matched vertex stops once it
     has reached them all: their component is then the best, saturating all
-    of them, and unless ``whole`` asks for that whole component, the mask
-    is the part flooded by then. Otherwise the components are walked one by
-    one.
+    of them, and the mask is the part flooded by then. Otherwise the
+    components are walked one by one, and the mask is a whole component.
     """
-    if not isinstance(matched, int):
-        matched = _matched(matched)
     comp = todo = 0 if nonbip else matched & -matched  # ``todo``: not yet expanded
     while todo and matched & ~comp:
         low = todo & -todo
         grow = adj[low.bit_length() - 1] & ~comp
         comp |= grow
         todo ^= low | grow
-    everything = (1 << len(adj)) - 1
     if comp and not matched & ~comp:
-        return matched.bit_count(), _reachable(adj, comp, everything) if whole else comp
+        return matched.bit_count(), comp
     best, where = 0, 0
-    for comp in _component_masks(adj, everything):
+    for comp in _component_masks(adj, (1 << len(adj)) - 1):
         sat = (matched & comp).bit_count()
         if (sat > best or not where) and (not nonbip or _two_color(adj, comp)[1]):
             best, where = sat, comp
     return best, where
+
+
+def _saturation(adj: Sequence[int], nonbip: bool = False) -> int:
+    """The saturation of ``_best_matched`` under a fresh maximum matching."""
+    return _best_matched(adj, _matched(_mates(adj)), nonbip)[0]
 
 
 def best_component_matching(
@@ -275,16 +273,17 @@ def best_component_matching(
     Ties go to the component with the smallest member.
     """
     match = _mates(g._adj)
-    comp = _best_matched(g._adj, match, require_nonbipartite)[1]
-    if not comp:
+    part = _best_matched(g._adj, _matched(match), require_nonbipartite)[1]
+    if not part:
         raise NoQualifyingComponent("no non-bipartite component exists")
+    comp = _reachable(g._adj, part, g.vertices_mask())
     edges = tuple((v, match[v]) for v in _bits(comp) if match[v] > v)
     return frozenset(_bits(comp)), MatchingCertificate(edges)
 
 
 def best_saturation(g: Graph, require_nonbipartite: bool = False) -> int:
     """Saturation of ``best_component_matching``, or 0 if no component qualifies."""
-    return _best_matched(g._adj, _mates(g._adj), require_nonbipartite, whole=False)[0]
+    return _saturation(g._adj, require_nonbipartite)
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +317,14 @@ class TuttePartition:
         return slack < 0 or slack * slack < n  # |U| + 2|S| < n_target + sqrt(n)
 
 
-def _gallai_edmonds_d(g: Graph, matching: MatchingCertificate) -> int:
-    """Mask of the vertices reachable from a ``matching``-exposed vertex by an
-    even alternating path.
+def _gallai_edmonds_d(g: Graph, match: list[int]) -> int:
+    """Mask of the vertices reachable from a vertex that the mate array
+    ``match`` leaves exposed by an even alternating path.
 
-    When ``matching`` is maximum this is the Gallai-Edmonds set D, the
+    When ``match`` is maximum this is the Gallai-Edmonds set D, the
     vertices some maximum matching misses (Lovasz-Plummer, Matching Theory,
     1986). One alternating-tree search per exposed vertex; none may augment.
     """
-    match = [-1] * g.n
-    for u, v in matching.edges:
-        match[u], match[v] = v, u
     find_path, even, tree = _alternating_search(g._adj, g.vertices_mask(), match)
     d_mask = 0
     for root in range(g.n):
@@ -349,13 +345,13 @@ def tutte_partition(g: Graph, n_target: int) -> TuttePartition:
     of g - S are split by the sqrt(|V|) size threshold into T (small) and U
     (large).
     """
-    matching = maximum_matching(g)
-    nu = len(matching.edges)
-    if 2 * nu >= n_target:
+    match = _mates(g._adj)
+    saturation = g.n - match.count(-1)
+    if saturation >= n_target:
         raise PreconditionViolated(
-            f"graph has a matching saturating {2 * nu} >= n_target={n_target}"
+            f"graph has a matching saturating {saturation} >= n_target={n_target}"
         )
-    d_mask = _gallai_edmonds_d(g, matching)
+    d_mask = _gallai_edmonds_d(g, match)
     s_mask = 0
     for v in _bits(d_mask):
         s_mask |= g._adj[v]

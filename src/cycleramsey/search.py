@@ -40,7 +40,7 @@ from .graphs import (
     coloring_to_dict,
     complete_graph,
 )
-from .matchings import _best_matched, _matched, _mates, _repair_matching, best_saturation
+from .matchings import _best_matched, _matched, _mates, _repair_matching, _saturation
 
 DEFAULT_SEED = 1729
 # Annealing temperature falls geometrically from T_START to T_END.
@@ -210,7 +210,7 @@ def target_present(class_graph: Graph, target: Target) -> bool:
             return has_cycle_of_length(class_graph, target.length) is not None
         bud = _Budget(DEFAULT_BUDGET)
         return _long_cycle_edges(class_graph._adj, target.length, bud) > 0
-    return best_saturation(class_graph, target.nonbipartite) >= target.saturation
+    return _saturation(class_graph._adj, target.nonbipartite) >= target.saturation
 
 
 def coloring_avoids_all(coloring: EdgeColoring, targets: tuple[Target, ...]) -> bool:
@@ -239,9 +239,7 @@ def _presence_test(n: int, target: Target):
     leave fewer subtrees to refute."""
     if isinstance(target, MatchingTarget):
         saturation, nonbipartite = target.saturation, target.nonbipartite
-        return lambda adj, u, v, bud: (
-            _best_matched(adj, _mates(adj), nonbipartite, whole=False)[0] >= saturation
-        )
+        return lambda adj, u, v, bud: _saturation(adj, nonbipartite) >= saturation
     if target.length > n:
         return None
     steps, atleast = target.length - 1, not target.exact
@@ -710,7 +708,7 @@ class AnnealSchedule:
 
 
 def _energy_of_color(
-    n: int, adj: list[int], target: Target, bud: _Budget, match=None
+    n: int, adj: list[int], target: Target, bud: _Budget, matched: Optional[int] = None
 ) -> int:
     """How strongly this class realizes its target (0 iff the target is absent).
 
@@ -720,8 +718,8 @@ def _energy_of_color(
     direction, with no budget. At-least cycle targets count the edges of the
     components that hold a cycle of at least the target length
     (``cycles._long_cycle_edges``). Matching targets score the excess
-    saturation of ``match``, the mate array or matched mask of a maximum
-    matching of the class, which the annealer repairs per move
+    saturation of a maximum matching of the class whose matched mask is
+    ``matched``; the annealer repairs that matching per move
     (``matchings._repair_matching``).
     """
     if isinstance(target, CycleTarget):
@@ -731,7 +729,7 @@ def _energy_of_color(
         for u in range(n):
             cycles += _count_paths(adj, u, u, ell, (2 << u) - 1)
         return ell * cycles // 2
-    saturation = _best_matched(adj, match, target.nonbipartite, whole=False)[0]
+    saturation = _best_matched(adj, matched, target.nonbipartite)[0]
     return max(0, (saturation - target.saturation) // 2 + 1)
 
 
@@ -818,8 +816,8 @@ def arrow_randomized(
             return 0, None
         if mates[c] is None:
             return _energy_of_color(n, a, targets[c - 1], bud), None
-        match, matched = mates[c][0][:], mates[c][1]
-        matched = _matched(match, _repair_matching(a, match, u, v), matched)
+        match = mates[c][0][:]
+        matched = _repair_matching(a, match, mates[c][1], u, v)
         return _energy_of_color(n, a, targets[c - 1], bud, matched), (match, matched)
 
     best_energy = None
@@ -841,7 +839,7 @@ def arrow_randomized(
         for c, t in enumerate(targets, 1):
             match = _mates(adjs[c]) if isinstance(t, MatchingTarget) else None
             mates[c] = match and (match, _matched(match))
-            energies[c] = _energy_of_color(n, adjs[c], t, bud, match)
+            energies[c] = _energy_of_color(n, adjs[c], t, bud, match and mates[c][1])
         total = sum(energies)
         if best_energy is None or total < best_energy:
             best_energy = total

@@ -24,7 +24,7 @@ from cycleramsey.graphs import (
     _uniform_colors,
     edge_key,
 )
-from cycleramsey.matchings import _mates
+from cycleramsey.matchings import _matched, _mates
 from cycleramsey.search import (
     T_END,
     T_START,
@@ -270,8 +270,8 @@ def reference_anneal(inst, schedule, seed, initial=None) -> dict:
     def score(adj, t):
         if isinstance(t, CycleTarget) and t.exact:
             return t.length * count_cycles_brute(adj, t.length)
-        match = _mates(adj) if isinstance(t, MatchingTarget) else None
-        return _energy_of_color(n, adj, t, bud, match)
+        matched = _matched(_mates(adj)) if isinstance(t, MatchingTarget) else None
+        return _energy_of_color(n, adj, t, bud, matched)
 
     def energy(assignment):
         masks = classes(assignment)

@@ -184,9 +184,9 @@ def test_a_rejected_adversary_move_is_undone(monkeypatch):
     repaired_from = []
     real_repair = harness._repair_matching
 
-    def repair(adj, match, u, v):
+    def repair(adj, match, matched, u, v):
         repaired_from.append(match[:])
-        return real_repair(adj, match, u, v)
+        return real_repair(adj, match, matched, u, v)
 
     monkeypatch.setattr(harness, "_repair_matching", repair)
     edges = harness._EdgeView(g._adj)
@@ -203,7 +203,7 @@ def test_evaluator_catches_genuine_counterexample():
     # monochromatic component matching below (1+eps)*4 saturation
     from cycleramsey.graphs import complete_graph
     from cycleramsey.harness import _two_color_margin
-    from cycleramsey.matchings import _mates
+    from cycleramsey.matchings import _matched, _mates
 
     g = complete_graph(7)
     # class masks: color 1 on every pair meeting {5, 6}, color 2 on the K5
@@ -211,10 +211,10 @@ def test_evaluator_catches_genuine_counterexample():
     one = [dominating if v < 5 else g._adj[v] for v in range(7)]
     two = [g._adj[v] & ~dominating if v < 5 else 0 for v in range(7)]
     thresh = (1 + EPS) * 4
-    mates = [_mates(one), _mates(two)]
-    assert _two_color_margin([one, two], mates, (thresh, thresh), False) < 0
+    matched = [_matched(_mates(one)), _matched(_mates(two))]
+    assert _two_color_margin([one, two], matched, (thresh, thresh), False) < 0
     # flipping the demand to something the coloring does satisfy
-    assert _two_color_margin([one, two], mates, (Fraction(4),) * 2, False) >= 0
+    assert _two_color_margin([one, two], matched, (Fraction(4),) * 2, False) >= 0
 
 
 def test_failure_records_and_clean_filter():
@@ -389,6 +389,7 @@ def test_uniform_shortcut_agrees_with_the_margin(monkeypatch, lemma):
     from cycleramsey.harness import (
         _adversarial_two_coloring,
         _best_matched,
+        _matched,
         _mates,
         _two_color_margin,
     )
@@ -405,11 +406,11 @@ def test_uniform_shortcut_agrees_with_the_margin(monkeypatch, lemma):
     lemma_harness(lemma, TIER1_PARAMS[lemma], samples=7, seed=3, adversary_steps=0)
     assert len(seen) == 7
     for classes, thresholds, nonbip2 in seen:
-        mates = [_mates(adj) for adj in classes[:2]]
-        s1 = _best_matched(classes[0], mates[0])[0]
-        s2 = _best_matched(classes[1], mates[1], nonbip2)[0]
+        matched = [_matched(_mates(adj)) for adj in classes[:2]]
+        s1 = _best_matched(classes[0], matched[0])[0]
+        s2 = _best_matched(classes[1], matched[1], nonbip2)[0]
         for t in [thresholds] + [(a, b) for a in (s1, s1 + 1) for b in (s2, s2 + 1)]:
-            want = _two_color_margin(classes, mates, t, nonbip2) >= 0
+            want = _two_color_margin(classes, matched, t, nonbip2) >= 0
             for steps, edges in ((0, [(0, 1)]), (5, ())):
                 got = _adversarial_two_coloring(
                     random.Random(0), edges, [r[:] for r in classes], t, nonbip2, steps

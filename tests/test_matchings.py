@@ -8,6 +8,7 @@ from cycleramsey.errors import NoQualifyingComponent, PreconditionViolated
 from cycleramsey.graphs import (
     Graph,
     _mask_of,
+    _reachable,
     _toggle_edge,
     bipartition,
     complete_graph,
@@ -19,6 +20,7 @@ from cycleramsey.matchings import (
     _alternating_search,
     _best_matched,
     _gallai_edmonds_d,
+    _matched,
     _mates,
     _repair_matching,
     best_component_matching,
@@ -145,14 +147,16 @@ def test_repaired_matching_stays_maximum_across_toggles():
         n = rng.randint(2, 14)
         adj = list(random_graph(rng, n, rng.uniform(0.05, 0.6))._adj)
         match = _mates(adj)
+        matched = _matched(match)
         for _ in range(40):
-            matched = [(v, w) for v, w in enumerate(match) if w > v]
-            if matched and rng.random() < 0.5:
-                u, v = rng.choice(matched)
+            pairs = [(v, w) for v, w in enumerate(match) if w > v]
+            if pairs and rng.random() < 0.5:
+                u, v = rng.choice(pairs)
             else:
                 u, v = rng.sample(range(n), 2)
             _toggle_edge(u, v, adj)
-            _repair_matching(adj, match, u, v)
+            matched = _repair_matching(adj, match, matched, u, v)
+            assert matched == _matched(match)
             g = Graph._from_masks(n, list(adj))
             kept = MatchingCertificate(
                 tuple((v, w) for v, w in enumerate(match) if w > v)
@@ -165,7 +169,8 @@ def test_repaired_matching_stays_maximum_across_toggles():
                 want = (0, 0) if ref is None else (
                     ref[1].saturation, _mask_of(ref[0])
                 )
-                assert _best_matched(adj, match, nonbip) == want
+                saturation, part = _best_matched(adj, matched, nonbip)
+                assert (saturation, _reachable(adj, part, (1 << n) - 1)) == want
 
 
 def test_best_component_ties_and_bipartite_skip():
@@ -211,7 +216,7 @@ def _d_by_definition(g):
 
 
 def _one_pass_d(g):
-    d_mask = _gallai_edmonds_d(g, maximum_matching(g))
+    d_mask = _gallai_edmonds_d(g, _mates(g._adj))
     return {v for v in range(g.n) if d_mask >> v & 1}
 
 
@@ -309,12 +314,13 @@ def test_tree_only_resets_leave_no_stale_blossom():
 def test_tutte_partition_runs_one_blossom(monkeypatch):
     import cycleramsey.matchings as mod
 
-    calls = []
-    real = mod.maximum_matching
-    monkeypatch.setattr(mod, "maximum_matching",
-                        lambda g, within=None: calls.append(g) or real(g, within))
     g = random_graph(random.Random(5), 60, 0.03)
-    tutte_partition(g, 2 * len(real(g).edges) + 1)
+    n_target = 2 * len(maximum_matching(g).edges) + 1  # before ``_mates`` counts
+    calls = []
+    real = mod._mates
+    monkeypatch.setattr(mod, "_mates",
+                        lambda adj, mask=None: calls.append(adj) or real(adj, mask))
+    tutte_partition(g, n_target)
     assert len(calls) == 1
 
 

@@ -292,9 +292,9 @@ def test_randomized_matches_rescoring_on_long_cycles_and_split_matchings(monkeyp
     readout, walk, repair = (search._best_matched, matchings._component_masks,
                              search._repair_matching)
 
-    def counted_readout(adj, matched, nonbip=False, whole=True):
+    def counted_readout(adj, matched, nonbip=False):
         walks = counts["walks"]
-        saturation, comp = readout(adj, matched, nonbip, whole)
+        saturation, comp = readout(adj, matched, nonbip)
         if saturation and not nonbip:  # the flood ran; did it reach them all?
             counts["split" if counts["walks"] > walks else "joined"] += 1
         return saturation, comp
@@ -303,15 +303,15 @@ def test_randomized_matches_rescoring_on_long_cycles_and_split_matchings(monkeyp
         counts["walks"] += 1
         return walk(*args)
 
-    def counted_repair(adj, match, u, v):
+    def counted_repair(adj, match, matched, u, v):
         # an augmenting search: exposed vertices fall below the count before
         # the flip (plus u and v if it removed their matched pair), unless
         # the flip only matched its two exposed ends
         paired = adj[u] >> v & 1 and match[u] == -1 == match[v]
         before = match.count(-1) + 2 * (match[u] == v)
-        changed = repair(adj, match, u, v)
+        matched = repair(adj, match, matched, u, v)
         counts["augmented"] += not paired and match.count(-1) < before
-        return changed
+        return matched
 
     monkeypatch.setattr(search, "_best_matched", counted_readout)
     monkeypatch.setattr(matchings, "_component_masks", counted_walk)
