@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -135,31 +136,34 @@ def _human(payload: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line) + ("\n" if indent == 0 else "")
 
 
+# what follows a target's kind letter: its size, its flag, ':' and its color
+_TARGET_BODY = {"C": re.compile(r"([0-9]+)(\+?):([0-9]+)"),
+                "M": re.compile(r"([0-9]+)(n?):([0-9]+)")}
+
+
 def _parse_targets(text: str):
     """Targets like 'C3:1,C4:2' (cycles) or 'M4:1,M6n:2' (matchings).
 
     C<len>[+]:color  -- '+' demands length at least <len> instead of exactly.
     M<sat>[n]:color  -- 'n' demands a non-bipartite component.
+    Sizes and colors are plain digits; anything else is refused.
     """
     by_color = {}
     for chunk in text.split(","):
         spec, _, color = chunk.strip().partition(":")
         if not color:
             raise ValueError(f"target {chunk!r} needs a ':color' suffix")
-        color = int(color)
+        kind, body = spec[:1].upper(), spec[1:]  # an empty spec has kind ''
+        if kind not in _TARGET_BODY:
+            raise ValueError(f"unknown target kind {kind!r} in {chunk!r}")
+        form = _TARGET_BODY[kind].fullmatch(f"{body}:{color}")
+        if not form:
+            raise ValueError(f"target {chunk!r} is not C<len>[+] or M<sat>[n]:color")
+        size, flag, color = int(form[1]), bool(form[2]), int(form[3])
         if color in by_color:
             raise ValueError(f"color {color} has more than one target")
-        kind, body = spec[:1].upper(), spec[1:]  # an empty spec has kind ''
-        if kind == "C":
-            exact = not body.endswith("+")
-            length = int(body.rstrip("+"))
-            by_color[color] = CycleTarget(length, exact)
-        elif kind == "M":
-            nonbip = body.endswith("n")
-            sat = int(body.rstrip("n"))
-            by_color[color] = MatchingTarget(sat, nonbip)
-        else:
-            raise ValueError(f"unknown target kind {kind!r} in {chunk!r}")
+        target = CycleTarget(size, not flag) if kind == "C" else MatchingTarget(size, flag)
+        by_color[color] = target
     k = len(by_color)
     if sorted(by_color) != list(range(1, k + 1)):
         raise ValueError("targets must cover colors 1..k exactly once each")

@@ -138,6 +138,14 @@ def test_search_rejects_an_empty_target_spec(capsys):
         assert "error: unknown target kind '' in ':1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["C3++:1", "C+3:1", "C1_0:1", "M4nn:1", "C 3:1",
+                                  "C3:+1"])
+def test_search_rejects_a_malformed_target_spec(capsys, spec):
+    # sizes and colors are plain digits, with at most the kind's one flag
+    assert run(["search", "--targets", f"{spec},C3:2", "--n", "5"]) == 1
+    assert f"error: target {spec!r} is not" in capsys.readouterr().err
+
+
 def test_search_rejects_a_repeated_target_color(capsys):
     assert run(["search", "--targets", "C3:1,C3:2,C3:1", "--n", "5"]) == 1
     assert "color 1" in capsys.readouterr().err
