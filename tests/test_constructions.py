@@ -1,10 +1,11 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 
 import pytest
 
-from cycleramsey.bounds import TargetTriple, construction_sizes
+from cycleramsey.bounds import TargetTriple, construction_sizes, floor_parity
 from cycleramsey.constructions import (
     NO_CYCLE_GEQ,
     NO_ODD_CYCLE,
@@ -190,6 +191,35 @@ def test_builder_sizes_match_construction_sizes():
     assert sizes["oee_four_part:2"] == build_oee_four_part(6, 5).coloring.n
     assert sizes["oee_four_part:3"] == build_oee_four_part(6, 3).coloring.n
     assert sizes["odd_triple"] == build_odd_triple(5).coloring.n
+
+
+def test_construction_sizes_match_the_builders_on_random_triples():
+    # every listed size is the vertex count of the named builder, called
+    # with the canonical triple's lengths; odd_triple in case iii takes the
+    # odd floor of alpha_1 n
+    rng = random.Random(3701)
+    cases = set()
+    for _ in range(400):
+        n, den = rng.randint(1, 12), rng.randint(1, 3)
+        alphas = [Fraction(rng.randint(4 * den, 20 * den), den * n) for _ in range(3)]
+        t = TargetTriple(alphas, [rng.choice(("even", "odd")) for _ in range(3)], n)
+        canon, case, _ = t.canonical()
+        m1, m2, m3 = canon.target_lengths()
+        if case == "ii":
+            built = {"eeo_four_part": build_eeo_four_part(m1, m2),
+                     "eeo_three_part": build_eeo_three_part(m1, m2, m3)}
+        elif case == "iii":
+            built = {"oee_four_part:2": build_oee_four_part(m1, m2),
+                     "oee_four_part:3": build_oee_four_part(m1, m3),
+                     "odd_triple": build_odd_triple(floor_parity(canon.alphas[0] * n,
+                                                                 "odd"))}
+        else:
+            built = {"odd_triple": build_odd_triple(m1)} if case == "iv" else {}
+        sizes = construction_sizes(t)
+        assert [name for name, _ in sizes] == list(built), t
+        assert dict(sizes) == {name: r.coloring.n for name, r in built.items()}, t
+        cases.add(case)
+    assert cases == {"i", "ii", "iii", "iv"}
 
 
 def test_mutation_yields_failure_with_witness():
