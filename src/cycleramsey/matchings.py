@@ -228,8 +228,8 @@ def _repair_matching(
 
 
 def _matched(match: list[int]) -> int:
-    """The mask of the vertices that ``match`` matches."""
-    return _mask_of(v for v, w in enumerate(match) if w != -1)
+    """The mask of the vertices that ``match`` matches: all but the exposed."""
+    return ((1 << len(match)) - 1) ^ sum(1 << v for v, w in enumerate(match) if w == -1)
 
 
 def _best_matched(adj: Sequence[int], matched: int, nonbip: bool = False):
