@@ -136,11 +136,6 @@ def _human(payload: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line) + ("\n" if indent == 0 else "")
 
 
-# what follows a target's kind letter: its size, its flag, ':' and its color
-_TARGET_BODY = {"C": re.compile(r"([0-9]+)(\+?):([0-9]+)"),
-                "M": re.compile(r"([0-9]+)(n?):([0-9]+)")}
-
-
 def _parse_targets(text: str):
     """Targets like 'C3:1,C4:2' (cycles) or 'M4:1,M6n:2' (matchings).
 
@@ -154,11 +149,14 @@ def _parse_targets(text: str):
         if not color:
             raise ValueError(f"target {chunk!r} needs a ':color' suffix")
         kind, body = spec[:1].upper(), spec[1:]  # an empty spec has kind ''
-        if kind not in _TARGET_BODY:
+        if kind not in ("C", "M"):
             raise ValueError(f"unknown target kind {kind!r} in {chunk!r}")
-        form = _TARGET_BODY[kind].fullmatch(f"{body}:{color}")
+        mark = r"\+" if kind == "C" else "n"
+        form = re.fullmatch(rf"([0-9]+)({mark}?):([0-9]+)", f"{body}:{color}")
         if not form:
-            raise ValueError(f"target {chunk!r} is not C<len>[+] or M<sat>[n]:color")
+            raise ValueError(
+                f"target {chunk!r} is not C<len>[+]:color or M<sat>[n]:color"
+            )
         size, flag, color = int(form[1]), bool(form[2]), int(form[3])
         if color in by_color:
             raise ValueError(f"color {color} has more than one target")
