@@ -222,7 +222,7 @@ def _repair_matching(
     if exposed & (exposed - 1):  # two or more
         find_path = _alternating_search(adj, comp, match)[0]
         roots = [w for w in (u, v) if match[w] == -1]
-        if any(find_path(root) for root in roots or _bits(exposed)):  # one at most
+        if any(find_path(root) for root in roots or _bits(exposed)):  # augments once
             matched |= _mask_of(w for w in _bits(exposed) if match[w] != -1)
     return matched
 
