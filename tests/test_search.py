@@ -783,9 +783,10 @@ def test_same_target_colors_with_holes_and_deletions_are_pinned(inst, pinned):
         (ArrowInstance(6, (MatchingTarget(4),) * 3), 1056, True),
         (ArrowInstance(10, (CycleTarget(4),) * 3), 20902, False),
         (ArrowInstance(11, (CycleTarget(6),) * 3), 4840, False),
+        (ArrowInstance(8, (CycleTarget(4),) * 3, deleted_budget=1), 2811, False),
     ],
     ids=["C6,C6@8", "C7,C4@8", "C5,C5@9", "M4,M4,M4@6", "C4,C4,C4@10",
-         "C6,C6,C6@11"],
+         "C6,C6,C6@11", "C4,C4,C4@8 deleting 1"],
 )
 def test_budget_units_of_proofs_are_pinned(inst, units, arrows):
     # every node, kernel call and canonical-check visit costs one unit, so
