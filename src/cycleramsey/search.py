@@ -281,8 +281,9 @@ def _walk(rows: list[list[int]], cls: list[int], view: tuple, bud: _Budget) -> b
     """Does no relabeling of the clique, read in ``view``, give a vector
     below the prefix ``rows``? One walk of ``_prefix_is_canonical``, which
     describes it. ``view`` is ``(masks, below)``: ``masks[c][x]`` is x's
-    neighbours in the color named c, ``below[c][x]`` those in the colors
-    named below c; ``cls[y]`` is the mask of y's twin class. Each visit
+    neighbours in the color named c, and ``below[c]`` lists the class masks
+    of the used colors named below c; ``cls[y]`` is the mask of y's twin
+    class. Each visit
     charges ``bud`` one unit, counted here and settled on the way out."""
     m = len(rows)
     masks, below = view
@@ -298,7 +299,8 @@ def _walk(rows: list[list[int]], cls: list[int], view: tuple, bud: _Budget) -> b
         if j < m:
             tie, low = free, 0
             for x, c in zip(images, rows[j]):
-                low |= tie & below[c][x]
+                for b in below[c]:
+                    low |= tie & b[x]
                 tie &= masks[c][x]
             if low:
                 bud.spent += visits
@@ -324,18 +326,18 @@ class _Carry:
     says why it may): ``rows[j]``, row j of the prefix as the last check
     read it, and ``classes[z]``, its twin classes on 0..z; ``used``, the
     bitmask of the colors that the assignment uses; ``prev``, the links of
-    the color groups; and ``kept``, by used mask, the views that read only
-    class masks, by renaming. ``used`` is read from ``prefix``: a search
-    passes none and keeps it itself."""
+    the color groups; and ``views``, by used mask, the views of the
+    renamings in ``_renamings`` order. ``used`` is read from ``prefix``: a
+    search passes none and keeps it itself."""
 
-    __slots__ = ("rows", "classes", "used", "prev", "kept")
+    __slots__ = ("rows", "classes", "used", "prev", "views")
 
     def __init__(self, prev: list[int], prefix=()):
         self.rows = [[]]  # row 0 is empty
         self.classes = [[1], [3, 3]]  # 0 and 1 are twins on 0..1
         self.used = sum(1 << c for c in set(prefix))
         self.prev = tuple(prev)
-        self.kept = {}
+        self.views = {}
 
 
 def _prefix_is_canonical(
@@ -364,9 +366,10 @@ def _prefix_is_canonical(
     off the class masks (class 0 the deletions), which at a block end hold
     exactly the prefix's pairs. Over the images x of a < j, c the color of
     (a, j), ``tie &= masks[c][x]`` keeps the unused candidates tied so far
-    and ``low |= tie & below[c][x]`` adds those whose first difference is a
-    lower color (``below[c][x]``: x's neighbours in the colors named below
-    c). Any candidate in ``low`` answers "smaller" at once: the images so
+    and ``low |= tie & b[x]``, for each class mask b in ``below[c]``, adds
+    those whose first difference is a lower color (``below[c]``: the class
+    masks of the used colors named below c; an unused class is empty and
+    adds nothing). Any candidate in ``low`` answers "smaller" at once: the images so
     far, extended by it and then by the unused vertices in any order,
     relabel the prefix to a smaller vector. Otherwise the candidates in
     ``tie`` go one vertex deeper, in ascending order, on an explicit stack,
@@ -410,14 +413,12 @@ def _prefix_is_canonical(
     reads row 1 afresh. The search keeps ``used`` where a color's count
     crosses 0; at a block end the assignment is the prefix, so it is the
     prefix's. The renamings and each view depend on the prefix only
-    through ``used`` and the class masks. A view whose ``below`` lists are
-    each empty or one class mask reads the masks themselves, which hold the
-    prefix at every block end, so it is kept by used mask; a union of two
-    masks is a copy of this prefix's, and it is built anew at each check.
-    Since the kept views read the class masks in place, a carry serves only
-    the class masks of the search that built it. A direct caller builds a
-    fresh one from the prefix, whose rows the check reads in full, so it
-    runs the same code.
+    through ``used`` and the class masks, and every view reads the masks in
+    place, which hold the prefix at every block end; so the views are built
+    once per used mask and kept. Since they read the class masks in place,
+    a carry serves only the class masks of the search that built it. A
+    direct caller builds a fresh one from the prefix, whose rows the check
+    reads in full, so it runs the same code.
 
     Soundness at every depth: take the representative of a target-free
     coloring's orbit that is lex-min over vertex relabelings combined with
@@ -430,35 +431,20 @@ def _prefix_is_canonical(
     with it. Each visit (a set of images that ties the prefix) charges one
     unit to ``bud``, so a check stops one unit past the budget.
     """
-    m = v_top + 1
     rows, classes, used = carry.rows, carry.classes, carry.used
     del rows[v_top if v_top > 2 else 1:]
-    for z in range(len(rows), m):
+    for z in range(len(rows), v_top + 1):
         row = assignment[z * (z - 1) // 2 : z * (z + 1) // 2]
         rows.append(row)
         classes[z:] = [_refined_twins(classes[z - 1], row, adjs, z)]
-    kept = carry.kept.setdefault(used, {})
-    for perm in _renamings(carry.prev, used):
-        view = kept.get(perm)
-        if not view:
-            # below[c][x]: x's neighbours in the colors named below c; a class
-            # the prefix leaves empty adds nothing, so no list is built for it
-            zero = [0] * len(adjs[0])
-            below, acc, live = [zero], zero, True
-            for d in perm[:-1]:
-                if used >> d & 1:
-                    if acc is zero:
-                        acc = adjs[d]
-                    else:  # a union holds this prefix only
-                        acc = [p | q for p, q in zip(acc, adjs[d][:m])]
-                        live = False
-                below.append(acc)
-            view = [adjs[d] for d in perm], below
-            if live:
-                kept[perm] = view
-        if not _walk(rows, classes[v_top], view, bud):
-            return False
-    return True
+    views = carry.views.get(used)
+    if views is None:  # below[c]: the class masks of the used colors named below c
+        views = carry.views[used] = [
+            ([adjs[d] for d in perm],
+             [tuple(adjs[d] for d in perm[:c] if used >> d & 1) for c in range(len(perm))])
+            for perm in _renamings(carry.prev, used)
+        ]
+    return all(_walk(rows, classes[v_top], view, bud) for view in views)
 
 
 @functools.cache

@@ -1009,6 +1009,36 @@ def test_carried_state_equals_fresh_state_at_each_check(monkeypatch, inst):
     assert len(answers) >= 30 and len(set(answers)) == 2
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        ArrowInstance(10, (CycleTarget(4),) * 3),
+        ArrowInstance(8, (CycleTarget(4),) * 3, deleted_budget=1),
+    ],
+    ids=["C4,C4,C4@10", "C4,C4,C4@8 deleting 1"],
+)
+def test_views_are_built_once_per_used_mask(monkeypatch, inst):
+    # every view reads the class masks in place, unions of two or three
+    # classes included, so a search builds the views of a used mask at the
+    # first check that meets it and walks the same ones at every later check
+    from cycleramsey import search
+
+    renamings, built, met = search._renamings, [], set()
+
+    def counted(prev, used):
+        built.append(used)
+        return renamings(prev, used)
+
+    def watch(check, call):
+        met.add(call.carry.used)
+        return check(*call)
+
+    monkeypatch.setattr(search, "_renamings", counted)
+    _watch_checks(monkeypatch, watch)
+    assert arrow_exhaustive(inst).arrows is False
+    assert sorted(built) == sorted(met) and len(met) >= 3
+
+
 def _twin_rich_vector(rng, v_top, palette):
     """A clique vector on 0..v_top over ``palette``: uniform, or one color
     inside random parts and another across them, with a few entries
