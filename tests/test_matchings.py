@@ -77,13 +77,13 @@ def test_mates_runs_no_search_without_a_partner(monkeypatch):
     real = matchings._alternating_search
 
     def counting(adj, mask, match):
-        find_path, used = real(adj, mask, match)
+        find_path, *rest = real(adj, mask, match)
 
         def find_path_counted(root):
             calls.append(root)
             return find_path(root)
 
-        return find_path_counted, used
+        return (find_path_counted, *rest)
 
     monkeypatch.setattr(matchings, "_alternating_search", counting)
     for n in range(3, 14, 2):
