@@ -151,6 +151,17 @@ def test_search_rejects_a_repeated_target_color(capsys):
     assert "color 1" in capsys.readouterr().err
 
 
+def test_search_rejects_a_target_without_a_color(capsys):
+    assert run(["search", "--targets", "C3", "--n", "5"]) == 1
+    assert "error: target 'C3' needs a ':color' suffix" in capsys.readouterr().err
+
+
+def test_search_rejects_targets_that_skip_a_color(capsys):
+    assert run(["search", "--targets", "C3:1,C3:3", "--n", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "error: targets must cover colors 1..k exactly once each" in err
+
+
 def test_search_rejects_negative_budgets_and_schedules(capsys):
     for extra in (
         ["--n", "6", "--node-budget", "-5"],
@@ -405,6 +416,14 @@ def test_decompose_commands(tmp_path, capsys):
     ]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["bipartite_split"]["Vdoubleprime"] == [0, 1, 2]
+    # a triangle's matching saturates 2 > alpha = 1 in a non-bipartite
+    # component, so no split exists: reported, with the usage exit code
+    assert run([
+        "decompose", "--graph", str(tri), "--alpha", "1", "--format", "json",
+    ]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["error"] == "precondition-violated"
+    assert "non-bipartite component" in data["detail"]
 
 
 def test_lemma_command(capsys):
@@ -620,6 +639,15 @@ def test_out_file_and_csv(tmp_path, capsys):
     assert text.startswith("key,value")
     assert "xi.exact,2" in text
     assert capsys.readouterr().out == ""
+
+
+def test_csv_writes_a_list_as_one_json_value(tmp_path, capsys):
+    tri = tmp_path / "tri.json"
+    tri.write_text(dump_graph(Graph(3, [(0, 1), (1, 2), (0, 2)])))
+    assert run(["cycles", "--graph", str(tri), "--length", "3", "--format", "csv"]) == 0
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
+    assert rows["found"] == "True"
+    assert json.loads(rows["cycle"]) == [0, 1, 2]
 
 
 def test_verify_rejects_invalid_coloring(tmp_path):
