@@ -283,8 +283,8 @@ def _walk(rows: list[list[int]], cls: list[int], view: tuple, bud: _Budget) -> b
     describes it. ``view`` is ``(masks, below)``: ``masks[c][x]`` is x's
     neighbours in the color named c, and ``below[c]`` lists the class masks
     of the used colors named below c; ``cls[y]`` is the mask of y's twin
-    class. Each visit
-    charges ``bud`` one unit, counted here and settled on the way out."""
+    class. Each visit charges ``bud`` one unit, counted here and settled on
+    the way out."""
     m = len(rows)
     masks, below = view
     images, pending = [0] * m, [0] * m  # pending[j]: tied candidates left at j
@@ -302,6 +302,8 @@ def _walk(rows: list[list[int]], cls: list[int], view: tuple, bud: _Budget) -> b
                 for b in below[c]:
                     low |= tie & b[x]
                 tie &= masks[c][x]
+                if not tie:  # low can gain no candidate either
+                    break
             if low:
                 bud.spent += visits
                 return False
@@ -369,11 +371,12 @@ def _prefix_is_canonical(
     and ``low |= tie & b[x]``, for each class mask b in ``below[c]``, adds
     those whose first difference is a lower color (``below[c]``: the class
     masks of the used colors named below c; an unused class is empty and
-    adds nothing). Any candidate in ``low`` answers "smaller" at once: the images so
-    far, extended by it and then by the unused vertices in any order,
-    relabel the prefix to a smaller vector. Otherwise the candidates in
-    ``tie`` go one vertex deeper, in ascending order, on an explicit stack,
-    so the depth is bounded by the host and not by Python's recursion limit.
+    adds nothing). Any candidate in ``low`` answers "smaller" at once: the
+    images so far, extended by it and then by the unused vertices in any
+    order, relabel the prefix to a smaller vector. Otherwise the candidates
+    in ``tie`` go one vertex deeper, in ascending order, on an explicit
+    stack, so the depth is bounded by the host and not by Python's recursion
+    limit.
 
     One walk per renaming: a renaming is read as a view of the class
     masks, in which class ``perm[c]`` of the prefix is named c, and each
