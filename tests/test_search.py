@@ -1018,9 +1018,10 @@ def test_carried_state_equals_fresh_state_at_each_check(monkeypatch, inst):
     ids=["C4,C4,C4@10", "C4,C4,C4@8 deleting 1"],
 )
 def test_views_are_built_once_per_used_mask(monkeypatch, inst):
-    # every view reads the class masks in place, unions of two or three
-    # classes included, so a search builds the views of a used mask at the
-    # first check that meets it and walks the same ones at every later check
+    # every view reads the class masks in place, also where two or three
+    # used colors are named below a color, so a search builds the views of a
+    # used mask at the first check that meets it and walks them at every
+    # later check
     from cycleramsey import search
 
     renamings, built, met = search._renamings, [], set()
